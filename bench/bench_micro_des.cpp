@@ -5,10 +5,14 @@
  * step cost, and the NMP LUT pre-simulation — the building blocks whose
  * cost bounds offline-profiling time. The custom main additionally runs
  * a DES self-profiling probe and emits BENCH_micro_des.json with the
- * raw engine throughput (events executed, events/sec, peak event-queue
- * depth) so the event-engine trajectory is tracked across PRs.
+ * raw engine throughput (events executed, median/min/max wall time over
+ * repeated runs, events/sec, peak event-queue depth) so the
+ * event-engine trajectory is tracked across changes.
  */
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "bench_common.h"
 #include "hw/nmp.h"
@@ -155,16 +159,23 @@ BENCHMARK(BM_CpuGraphTiming);
 
 /**
  * DES self-profiling probe: one long simulateServer run per mapping,
- * timed end to end. Events/sec here is raw event-engine throughput —
- * the number the ROADMAP gates the DES trajectory on.
+ * timed end to end and repeated kProbeReps times. Events/sec here is
+ * raw event-engine throughput — the number the ROADMAP gates the DES
+ * trajectory on. A single short run is too noisy to show an engine
+ * change, so the probe reports the median wall time (and the events/sec
+ * it implies) together with the fastest and slowest repetition.
  */
+constexpr int kProbeReps = 5;
+
 struct DesProbe
 {
     const char* name;
     uint64_t events_executed;
     size_t peak_event_queue_depth;
-    double wall_ms;
-    double events_per_sec;
+    double wall_ms;  ///< median over kProbeReps
+    double wall_ms_min;
+    double wall_ms_max;
+    double events_per_sec;  ///< at the median wall time
 };
 
 DesProbe
@@ -193,19 +204,26 @@ runDesProbe(const char* name, sched::Mapping mapping, hw::ServerType st,
     opt.warmup_queries = opt.num_queries / 10;
     opt.offered_qps = offered_qps;
 
-    obs::WallTimer timer;
-    sim::ServerSimResult r = sim::simulateServer(w, opt);
-    double wall_ms = timer.elapsedMs();
+    std::vector<double> walls;
+    sim::ServerSimResult r;
+    for (int rep = 0; rep < kProbeReps; ++rep) {
+        obs::WallTimer timer;
+        r = sim::simulateServer(w, opt);
+        walls.push_back(timer.elapsedMs());
+    }
+    std::sort(walls.begin(), walls.end());
 
     DesProbe p;
     p.name = name;
     p.events_executed = r.events_executed;
     p.peak_event_queue_depth = r.peak_event_queue_depth;
-    p.wall_ms = wall_ms;
+    p.wall_ms = walls[walls.size() / 2];
+    p.wall_ms_min = walls.front();
+    p.wall_ms_max = walls.back();
     p.events_per_sec =
-        wall_ms > 0.0 ? static_cast<double>(r.events_executed) /
-                            (wall_ms * 1e-3)
-                      : 0.0;
+        p.wall_ms > 0.0 ? static_cast<double>(p.events_executed) /
+                              (p.wall_ms * 1e-3)
+                        : 0.0;
     return p;
 }
 
@@ -230,7 +248,10 @@ writeDesProbeJson(const std::vector<DesProbe>& probes)
                      static_cast<unsigned long long>(p.events_executed));
         std::fprintf(f, "      \"peak_event_queue_depth\": %zu,\n",
                      p.peak_event_queue_depth);
+        std::fprintf(f, "      \"repetitions\": %d,\n", kProbeReps);
         std::fprintf(f, "      \"wall_ms\": %.3f,\n", p.wall_ms);
+        std::fprintf(f, "      \"wall_ms_min\": %.3f,\n", p.wall_ms_min);
+        std::fprintf(f, "      \"wall_ms_max\": %.3f,\n", p.wall_ms_max);
         std::fprintf(f, "      \"events_per_sec\": %.0f\n",
                      p.events_per_sec);
         std::fprintf(f, "    }%s\n", i + 1 < probes.size() ? "," : "");
@@ -263,11 +284,11 @@ main(int argc, char** argv)
                                  model::ModelId::DlrmRmc3, 2000.0));
     for (const DesProbe& p : probes)
         std::printf("%-22s %10llu events  peak depth %6zu  "
-                    "%8.1f ms  %.0f events/s\n",
+                    "%8.1f ms median of %d [%.1f, %.1f]  %.0f events/s\n",
                     p.name,
                     static_cast<unsigned long long>(p.events_executed),
-                    p.peak_event_queue_depth, p.wall_ms,
-                    p.events_per_sec);
+                    p.peak_event_queue_depth, p.wall_ms, kProbeReps,
+                    p.wall_ms_min, p.wall_ms_max, p.events_per_sec);
     writeDesProbeJson(probes);
     return 0;
 }

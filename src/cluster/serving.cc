@@ -438,31 +438,4 @@ serveTraces(const core::EfficiencyTable& table,
     return out;
 }
 
-TraceServeResult
-serveTrace(const core::EfficiencyTable& table,
-           const std::vector<hw::ServerType>& fleet,
-           const std::vector<int>& shard_slots, model::ModelId model_id,
-           const workload::DiurnalConfig& load_cfg, Provisioner& policy,
-           const TraceServeOptions& opt)
-{
-    ServiceSpec spec;
-    spec.model = model_id;
-    spec.load = load_cfg;
-    spec.sla_ms = opt.sla_ms;
-    spec.sizes = opt.trace.sizes;
-    spec.pooling = opt.trace.pooling;
-
-    MultiServeResult multi =
-        serveTraces(table, fleet, shard_slots, {spec}, policy, opt);
-
-    TraceServeResult out;
-    out.sim = std::move(multi.sim);
-    out.estimated_r = multi.estimated_r;
-    out.trace_queries = multi.trace_queries;
-    out.reprovisions = multi.reprovisions;
-    out.shard_slots = multi.shard_slots;
-    out.fleet_capacity_qps = multi.service_capacity_qps[0];
-    return out;
-}
-
 }  // namespace hercules::cluster

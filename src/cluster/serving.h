@@ -8,15 +8,12 @@
  * provisioned power budget of each interval is enforced (an optional
  * global cap additionally trims the allocation).
  *
- * Two entry points:
- *  - serveTrace():  one service on the shard fleet (the original
- *    single-tenant replay; now a thin wrapper over serveTraces);
- *  - serveTraces(): N services co-served on one *shared* heterogeneous
- *    fleet — per-service diurnal curves with (typically) phase-shifted
- *    peaks merged into one tagged arrival stream, the multi-model
- *    ProvisionProblem solved jointly every interval, and one
- *    cross-service power cap shedding the least energy-efficient
- *    (server type, service) pair first.
+ * The entry point, serveTraces(), co-serves N services (one is the
+ * single-tenant replay) on one *shared* heterogeneous fleet: per-service
+ * diurnal curves with (typically) phase-shifted peaks merged into one
+ * tagged arrival stream, the multi-model ProvisionProblem solved
+ * jointly every interval, and one cross-service power cap shedding the
+ * least energy-efficient (server type, service) pair first.
  *
  * This replaces the purely analytic cluster::runCluster() scaling for
  * experiments that need real tail latency: every query flows through a
@@ -125,17 +122,6 @@ struct ServiceSpec
     workload::PoolingDist pooling{};
 };
 
-/** Result of one single-service trace-driven serving run. */
-struct TraceServeResult
-{
-    sim::ClusterSimResult sim;   ///< per-interval + aggregate serving
-    double estimated_r = 0.0;    ///< the over-provision rate used
-    size_t trace_queries = 0;    ///< arrivals in the generated trace
-    int reprovisions = 0;        ///< intervals that changed the fleet
-    int shard_slots = 0;         ///< shards built (feasible types only)
-    double fleet_capacity_qps = 0.0;  ///< sum of shard tuple QPS
-};
-
 /** Result of one multi-service co-serving run. */
 struct MultiServeResult
 {
@@ -177,31 +163,6 @@ bool shedToPowerCap(const ProvisionProblem& problem,
                     std::vector<std::vector<int>>& counts, double cap_w,
                     double* power_w,
                     const std::vector<int>& priorities = {});
-
-/**
- * Serve one model's diurnal trace on a sharded heterogeneous fleet.
- *
- * @param table       offline-profiled efficiency tuples (provides both
- *                    the per-type optimal scheduling configs that the
- *                    shards run and the QPS weights the router and
- *                    provisioner use).
- * @param fleet       server types in play.
- * @param shard_slots simulated shards available per type (same order
- *                    as `fleet`). These stand in for the availability
- *                    Nh of a production fleet at simulation scale.
- * @param model_id    the served workload.
- * @param load_cfg    its diurnal curve (peak_qps should be sized
- *                    against the shard fleet's aggregate capacity).
- * @param policy      provisioning policy invoked every interval.
- * @param opt         serving options.
- */
-TraceServeResult serveTrace(const core::EfficiencyTable& table,
-                            const std::vector<hw::ServerType>& fleet,
-                            const std::vector<int>& shard_slots,
-                            model::ModelId model_id,
-                            const workload::DiurnalConfig& load_cfg,
-                            Provisioner& policy,
-                            const TraceServeOptions& opt);
 
 /**
  * Co-serve N services' merged diurnal traces on one shared

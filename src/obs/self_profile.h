@@ -58,7 +58,7 @@ class WallTimer
  */
 struct DesProfile
 {
-    uint64_t events_executed = 0;       ///< callbacks popped off EventQueues
+    uint64_t events_executed = 0;       ///< events popped off EventQueues
     size_t peak_event_queue_depth = 0;  ///< max pending events, any shard
     double route_wall_ms = 0.0;    ///< arrival feed + routing + admission
     double advance_wall_ms = 0.0;  ///< interval-boundary advanceTo/drain

@@ -528,6 +528,9 @@ ClusterSim::harvest(double t0_s, double t1_s)
 
     PercentileTracker lat;
     std::vector<PercentileTracker> svc_lat(num_services);
+    // This shard's window latencies; only the feedback router reads them.
+    const bool feedback = opt_.router == RouterPolicy::LatencyFeedback;
+    PercentileTracker shard_lat;
     double consumed = 0.0;
     for (Shard& s : shards_) {
         const int sid = static_cast<int>(&s - shards_.data());
@@ -535,14 +538,15 @@ ClusterSim::harvest(double t0_s, double t1_s)
         const double sla = slaMs(s.service);
         const auto& done = s.inst->completions();
         double last_finish_in_window = t0_s;
-        PercentileTracker shard_lat;  ///< this shard, this window
+        shard_lat.reset();
         while (s.harvest_cursor < done.size() &&
                done[s.harvest_cursor].finish_s <= t1_s) {
             const auto& c = done[s.harvest_cursor++];
             double ms = c.latencyMs();
             lat.add(ms);
             svc_lat[v].add(ms);
-            shard_lat.add(ms);
+            if (feedback)
+                shard_lat.add(ms);
             all_latency_ms_.add(ms);
             service_state_[v].latency_ms.add(ms);
             if (ms > sla) {
@@ -572,8 +576,7 @@ ClusterSim::harvest(double t0_s, double t1_s)
         // and its post-kill empty window must not read as "drained and
         // recovering" — recovery restores routing at the frozen weight
         // and the first real window speaks for itself.
-        if (opt_.router == RouterPolicy::LatencyFeedback &&
-            s.health != fault::HealthState::Failed) {
+        if (feedback && s.health != fault::HealthState::Failed) {
             double p99;
             if (shard_lat.count() > 0)
                 p99 = shard_lat.p99();

@@ -1,34 +1,39 @@
 /**
  * @file
- * Minimal discrete-event scheduler: a time-ordered queue of callbacks
- * with deterministic FIFO tie-breaking (equal timestamps run in
- * scheduling order, so floating-point ties can never reorder runs).
+ * Minimal discrete-event scheduler: a time-ordered queue of typed,
+ * trivially copyable event payloads with deterministic FIFO
+ * tie-breaking (equal timestamps pop in scheduling order, so
+ * floating-point ties can never reorder runs). The queue only orders
+ * events; the owner pops each payload and dispatches it itself.
  */
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
-#include <queue>
+#include <type_traits>
 #include <vector>
 
 #include "util/logging.h"
 
 namespace hercules::sim {
 
-/** Priority queue of (time, callback) events. */
+/** Min-heap of (time, payload) events ordered by (time, scheduling order). */
+template <typename Payload>
 class EventQueue
 {
-  public:
-    using Callback = std::function<void()>;
+    static_assert(std::is_trivially_copyable_v<Payload>,
+                  "EventQueue payloads must be trivially copyable");
 
-    /** Schedule `fn` at absolute time `t` seconds (>= now). */
+  public:
+    /** Schedule `payload` at absolute time `t` seconds (>= now). */
     void
-    schedule(double t, Callback fn)
+    schedule(double t, const Payload& payload)
     {
         if (t < now_)
             panic("EventQueue: scheduling into the past (%f < %f)", t,
                   now_);
-        heap_.push(Event{t, seq_++, std::move(fn)});
+        heap_.push_back(Entry{t, seq_++, payload});
+        std::push_heap(heap_.begin(), heap_.end(), later);
         if (heap_.size() > peak_)
             peak_ = heap_.size();
     }
@@ -36,7 +41,7 @@ class EventQueue
     /** @return true when no events remain. */
     bool empty() const { return heap_.empty(); }
 
-    /** @return current simulation time (of the last executed event). */
+    /** @return current simulation time (of the last popped event). */
     double now() const { return now_; }
 
     /** @return timestamp of the next pending event (panics when empty). */
@@ -45,31 +50,24 @@ class EventQueue
     {
         if (heap_.empty())
             panic("EventQueue: nextTime on empty queue");
-        return heap_.top().t;
+        return heap_.front().t;
     }
 
-    /** Pop and run the next event; advances now(). */
-    void
-    runNext()
+    /**
+     * Remove the next event, advance now() to its timestamp and count
+     * it as executed. @return its payload (panics when empty).
+     */
+    Payload
+    pop()
     {
         if (heap_.empty())
-            panic("EventQueue: runNext on empty queue");
-        // std::priority_queue::top returns const&; the callback must be
-        // moved out before pop, hence the const_cast on our own storage.
-        Event& ev = const_cast<Event&>(heap_.top());
+            panic("EventQueue: pop on empty queue");
+        std::pop_heap(heap_.begin(), heap_.end(), later);
+        const Entry ev = heap_.back();
+        heap_.pop_back();
         now_ = ev.t;
-        Callback fn = std::move(ev.fn);
-        heap_.pop();
         ++executed_;
-        fn();
-    }
-
-    /** Run events until the queue drains. */
-    void
-    runAll()
-    {
-        while (!heap_.empty())
-            runNext();
+        return ev.payload;
     }
 
     /**
@@ -78,10 +76,10 @@ class EventQueue
      * counter are preserved so post-clear scheduling stays ordered
      * after everything that already ran.
      */
-    void clear() { heap_ = {}; }
+    void clear() { heap_.clear(); }
 
     /**
-     * Self-profiling counters (survive clear()): total events executed
+     * Self-profiling counters (survive clear()): total events popped
      * and the peak number of pending events. Deterministic — pure
      * functions of the simulated schedule, no wall clock involved.
      */
@@ -89,22 +87,23 @@ class EventQueue
     size_t peakDepth() const { return peak_; }
 
   private:
-    struct Event
+    struct Entry
     {
         double t;
         uint64_t seq;
-        Callback fn;
-
-        bool
-        operator>(const Event& o) const
-        {
-            if (t != o.t)
-                return t > o.t;
-            return seq > o.seq;
-        }
+        Payload payload;
     };
 
-    std::priority_queue<Event, std::vector<Event>, std::greater<>> heap_;
+    /** Heap order: `a` pops after `b`. (t, seq) is a strict total order. */
+    static bool
+    later(const Entry& a, const Entry& b)
+    {
+        if (a.t != b.t)
+            return a.t > b.t;
+        return a.seq > b.seq;
+    }
+
+    std::vector<Entry> heap_;
     uint64_t seq_ = 0;
     double now_ = 0.0;
     uint64_t executed_ = 0;

@@ -54,7 +54,7 @@ ServerInstance::inject(const workload::Query& q)
     if (idx == opt_.warmup_queries)
         steady_start_ = st.arrival;
     queries_.push_back(st);
-    eq_.schedule(st.arrival, [this, idx] { arrival(idx); });
+    eq_.schedule(st.arrival, Event{Event::Kind::Arrival, idx, {}});
     return idx;
 }
 
@@ -62,20 +62,51 @@ void
 ServerInstance::advanceTo(double t_s)
 {
     while (!eq_.empty() && eq_.nextTime() <= t_s)
-        eq_.runNext();
+        dispatch(eq_.pop());
 }
 
 void
 ServerInstance::drain()
 {
-    eq_.runAll();
+    while (!eq_.empty())
+        dispatch(eq_.pop());
 }
 
 void
 ServerInstance::step()
 {
     if (!eq_.empty())
-        eq_.runNext();
+        dispatch(eq_.pop());
+}
+
+void
+ServerInstance::dispatch(const Event& ev)
+{
+    const size_t tid = static_cast<size_t>(ev.index);
+    switch (ev.kind) {
+      case Event::Kind::Arrival:
+        arrival(ev.index);
+        return;
+      case Event::Kind::PoolDone:
+        poolDone(ev.index == 0 ? cpu_pool_ : dense_pool_, ev.chunk);
+        return;
+      case Event::Kind::HostStageDone:
+        gpuHostStageDone(tid);
+        return;
+      case Event::Kind::Loaded:
+        onLoaded(tid);
+        return;
+      case Event::Kind::ExecDone:
+        onExecDone(tid);
+        return;
+    }
+    panic("ServerInstance: bad event kind %d", static_cast<int>(ev.kind));
+}
+
+void
+ServerInstance::scheduleGpu(double t, Event::Kind kind, size_t tid)
+{
+    eq_.schedule(t, Event{kind, static_cast<int>(tid), {}});
 }
 
 void
@@ -113,7 +144,8 @@ ServerInstance::killInFlight()
         th.loading = false;
         th.has_loaded = false;
         th.executing = false;
-        th.loaded = Batch{};
+        th.staging = Batch{};
+        th.running = Batch{};
     }
     fusion_queue_.clear();
     host_stage_queue_.clear();
@@ -265,7 +297,8 @@ ServerInstance::poolServe(Pool& pool, Chunk c)
     if (c.query >= opt_.warmup_queries)
         exec_ms_.add(s.latency_us * 1e-3);
 
-    eq_.schedule(end, [this, &pool, c] { poolDone(pool, c); });
+    eq_.schedule(end, Event{Event::Kind::PoolDone,
+                            &pool == &cpu_pool_ ? 0 : 1, c});
 }
 
 void
@@ -314,7 +347,6 @@ ServerInstance::queryPartDone(int qidx)
     }
     if (qidx >= opt_.warmup_queries) {
         latency_ms_.add((now - q.arrival) * 1e3);
-        completion_times_.push_back(now);
         ++measured_completed_;
     }
 }
@@ -355,7 +387,11 @@ ServerInstance::tryFormGpuBatch(size_t tid)
     if (th.loading || th.has_loaded || fusion_queue_.empty())
         return;
 
-    Batch b;
+    // Neither loading nor loaded: the staging slot holds at most a
+    // retired batch that startExec() swapped out, so refill it in place.
+    Batch& b = th.staging;
+    b.chunks.clear();
+    b.items = 0;
     int limit = w_.config.fusion_limit;
     while (!fusion_queue_.empty()) {
         const Chunk& c = fusion_queue_.front();
@@ -388,67 +424,55 @@ ServerInstance::tryFormGpuBatch(size_t tid)
         // Host threads pre-reduce the cold embedding fraction.
         if (host_stage_idle_ > 0) {
             --host_stage_idle_;
-            Batch copy = b;
-            size_t t = tid;
-            ServiceSample s = cpuService(3, b.items, b.ps);
-            double end = eq_.now() + s.latency_us * 1e-6 * slowdown_;
-            chargeBins(cpu_busy_s_, eq_.now(), end,
-                       static_cast<double>(host_pool_.cores_each) *
-                           (1.0 - s.idle_frac));
-            chargeBins(mem_bytes_, eq_.now(), end,
-                       s.dram_bytes / (s.latency_us * 1e-6));
-            if (s.nmp_busy_us > 0.0)
-                chargeBins(nmp_busy_s_, eq_.now(),
-                           eq_.now() + s.nmp_busy_us * 1e-6, 1.0);
-            for (const Chunk& c : b.chunks)
-                if (c.query >= opt_.warmup_queries) {
-                    host_ms_.add(s.latency_us * 1e-3);
-                    break;
-                }
-            eq_.schedule(end,
-                         [this, t, copy] { gpuHostStageDone(t, copy); });
+            startHostStage(tid);
         } else {
-            host_stage_queue_.emplace_back(tid, std::move(b));
+            host_stage_queue_.push_back(tid);
         }
     } else {
-        startTransfer(tid, std::move(b));
+        startTransfer(tid);
     }
 }
 
 void
-ServerInstance::gpuHostStageDone(size_t tid, Batch b)
+ServerInstance::startHostStage(size_t tid)
 {
-    startTransfer(tid, std::move(b));
+    const Batch& b = gpu_threads_[tid].staging;
+    ServiceSample s = cpuService(3, b.items, b.ps);
+    double end = eq_.now() + s.latency_us * 1e-6 * slowdown_;
+    chargeBins(cpu_busy_s_, eq_.now(), end,
+               static_cast<double>(host_pool_.cores_each) *
+                   (1.0 - s.idle_frac));
+    chargeBins(mem_bytes_, eq_.now(), end,
+               s.dram_bytes / (s.latency_us * 1e-6));
+    if (s.nmp_busy_us > 0.0)
+        chargeBins(nmp_busy_s_, eq_.now(),
+                   eq_.now() + s.nmp_busy_us * 1e-6, 1.0);
+    for (const Chunk& c : b.chunks)
+        if (c.query >= opt_.warmup_queries) {
+            host_ms_.add(s.latency_us * 1e-3);
+            break;
+        }
+    scheduleGpu(end, Event::Kind::HostStageDone, tid);
+}
+
+void
+ServerInstance::gpuHostStageDone(size_t tid)
+{
+    startTransfer(tid);
     // Free host helper; pull queued host-stage work.
     if (!host_stage_queue_.empty()) {
-        auto [next_tid, next_b] = std::move(host_stage_queue_.front());
+        size_t next_tid = host_stage_queue_.front();
         host_stage_queue_.pop_front();
-        size_t t = next_tid;
-        ServiceSample s = cpuService(3, next_b.items, next_b.ps);
-        double end = eq_.now() + s.latency_us * 1e-6 * slowdown_;
-        chargeBins(cpu_busy_s_, eq_.now(), end,
-                   static_cast<double>(host_pool_.cores_each) *
-                       (1.0 - s.idle_frac));
-        chargeBins(mem_bytes_, eq_.now(), end,
-                   s.dram_bytes / (s.latency_us * 1e-6));
-        if (s.nmp_busy_us > 0.0)
-            chargeBins(nmp_busy_s_, eq_.now(),
-                       eq_.now() + s.nmp_busy_us * 1e-6, 1.0);
-        for (const Chunk& c : next_b.chunks)
-            if (c.query >= opt_.warmup_queries) {
-                host_ms_.add(s.latency_us * 1e-3);
-                break;
-            }
-        Batch copy = std::move(next_b);
-        eq_.schedule(end, [this, t, copy] { gpuHostStageDone(t, copy); });
+        startHostStage(next_tid);
     } else {
         ++host_stage_idle_;
     }
 }
 
 void
-ServerInstance::startTransfer(size_t tid, Batch b)
+ServerInstance::startTransfer(size_t tid)
 {
+    const Batch& b = gpu_threads_[tid].staging;
     const model::Graph& g =
         mapping() == Mapping::GpuModelBased ? w_.full : w_.dense;
     hw::GpuExecContext cx = w_.gpu_cx;
@@ -467,30 +491,32 @@ ServerInstance::startTransfer(size_t tid, Batch b)
             load_ms_.add((end - eq_.now()) * 1e3);
             break;
         }
-    Batch copy = std::move(b);
-    eq_.schedule(end, [this, tid, copy] { onLoaded(tid, copy); });
+    scheduleGpu(end, Event::Kind::Loaded, tid);
 }
 
 void
-ServerInstance::onLoaded(size_t tid, Batch b)
+ServerInstance::onLoaded(size_t tid)
 {
     GpuThread& th = gpu_threads_[tid];
     th.loading = false;
     if (th.executing) {
-        th.loaded = std::move(b);
         th.has_loaded = true;
     } else {
-        startExec(tid, std::move(b));
+        startExec(tid);
         // Prefetch the next batch while this one executes.
         tryFormGpuBatch(tid);
     }
 }
 
 void
-ServerInstance::startExec(size_t tid, Batch b)
+ServerInstance::startExec(size_t tid)
 {
     GpuThread& th = gpu_threads_[tid];
     th.executing = true;
+    // The loaded batch moves to the executor; the retired one left in
+    // `running` becomes the (reused) free staging slot.
+    std::swap(th.running, th.staging);
+    const Batch& b = th.running;
     const model::Graph& g =
         mapping() == Mapping::GpuModelBased ? w_.full : w_.dense;
     hw::GpuExecContext cx = w_.gpu_cx;
@@ -503,21 +529,19 @@ ServerInstance::startExec(size_t tid, Batch b)
             exec_ms_.add(t.latency_us * 1e-3);
             break;
         }
-    Batch copy = std::move(b);
-    eq_.schedule(end, [this, tid, copy] { onExecDone(tid, copy); });
+    scheduleGpu(end, Event::Kind::ExecDone, tid);
 }
 
 void
-ServerInstance::onExecDone(size_t tid, Batch b)
+ServerInstance::onExecDone(size_t tid)
 {
     GpuThread& th = gpu_threads_[tid];
     th.executing = false;
-    for (const Chunk& c : b.chunks)
+    for (const Chunk& c : th.running.chunks)
         queryPartDone(c.query);
     if (th.has_loaded) {
         th.has_loaded = false;
-        Batch next = std::move(th.loaded);
-        startExec(tid, std::move(next));
+        startExec(tid);
     }
     tryFormGpuBatch(tid);
 }

@@ -47,7 +47,7 @@ class ServerInstance
      */
     ServerInstance(const PreparedWorkload& w, const SimOptions& opt);
 
-    // Scheduled callbacks capture `this`: the instance must not move.
+    // A simulated server is owned in place and never duplicated mid-run.
     ServerInstance(const ServerInstance&) = delete;
     ServerInstance& operator=(const ServerInstance&) = delete;
 
@@ -178,12 +178,32 @@ class ServerInstance
         double ps = 1.0;  ///< pooling scale of the owning query
     };
 
-    /** A fused accelerator batch. */
+    /** A fused accelerator batch (lives in a GpuThread slot). */
     struct Batch
     {
         std::vector<Chunk> chunks;
         int items = 0;
         double ps = 1.0;  ///< item-weighted pooling scale
+    };
+
+    /**
+     * One scheduled event: a POD payload the event queue orders and
+     * dispatch() switches on. GPU events name only their thread; the
+     * batch they act on sits in that thread's slot.
+     */
+    struct Event
+    {
+        enum class Kind : uint8_t
+        {
+            Arrival,        ///< index = query
+            PoolDone,       ///< index = pool (0 cpu, 1 dense), chunk
+            HostStageDone,  ///< index = GPU thread; batch in staging
+            Loaded,         ///< index = GPU thread; batch in staging
+            ExecDone,       ///< index = GPU thread; batch in running
+        };
+        Kind kind = Kind::Arrival;
+        int index = 0;
+        Chunk chunk{};
     };
 
     /**
@@ -232,13 +252,22 @@ class ServerInstance
     };
 
     // ---- GPU pipeline ----------------------------------------------------
+    /**
+     * Each thread owns at most two batches: `staging` (formed, then in
+     * the host stage, on PCIe, or loaded and waiting for the executor)
+     * and `running` (on the executor). Slots are reused, so a steady
+     * pipeline allocates nothing.
+     */
     struct GpuThread
     {
-        bool loading = false;    ///< a batch is being staged/transferred
-        bool has_loaded = false; ///< a loaded batch waits for the executor
-        bool executing = false;
-        Batch loaded;
+        bool loading = false;    ///< staging is in host stage / transfer
+        bool has_loaded = false; ///< staging is loaded, executor busy
+        bool executing = false;  ///< running is on the executor
+        Batch staging;
+        Batch running;
     };
+
+    void dispatch(const Event& ev);
 
     void arrival(int qidx);
     void splitToPool(int qidx, Pool& pool, int batch);
@@ -248,11 +277,13 @@ class ServerInstance
     void queryPartDone(int qidx);
 
     void tryFormGpuBatch(size_t tid);
-    void gpuHostStageDone(size_t tid, Batch b);
-    void startTransfer(size_t tid, Batch b);
-    void onLoaded(size_t tid, Batch b);
-    void startExec(size_t tid, Batch b);
-    void onExecDone(size_t tid, Batch b);
+    void startHostStage(size_t tid);
+    void gpuHostStageDone(size_t tid);
+    void startTransfer(size_t tid);
+    void onLoaded(size_t tid);
+    void startExec(size_t tid);
+    void onExecDone(size_t tid);
+    void scheduleGpu(double t, Event::Kind kind, size_t tid);
 
     ServiceSample cpuService(int pool_id, int items, double query_ps);
     const model::Graph& poolGraph(int pool_id) const;
@@ -279,10 +310,9 @@ class ServerInstance
     const SimOptions& opt_;
     hw::CostModel cost_;
     hw::PowerModel power_;
-    EventQueue eq_;
+    EventQueue<Event> eq_;
 
     std::vector<QueryState> queries_;
-    std::vector<double> completion_times_;  ///< post-warmup, by finish
     std::vector<Completion> completions_;   ///< all, when recording
     size_t done_count_ = 0;                 ///< all retired queries
 
@@ -292,7 +322,7 @@ class ServerInstance
 
     std::vector<GpuThread> gpu_threads_;
     std::deque<Chunk> fusion_queue_;
-    std::deque<std::pair<size_t, Batch>> host_stage_queue_;
+    std::deque<size_t> host_stage_queue_;  ///< GPU threads awaiting a helper
     int host_stage_idle_ = 0;
     double pcie_free_ = 0.0;
     double slowdown_ = 1.0;  ///< latency multiplier (fault injection)

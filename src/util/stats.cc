@@ -39,26 +39,11 @@ OnlineStats::reset()
 }
 
 void
-PercentileTracker::add(double x)
-{
-    samples_.push_back(x);
-    sorted_ = false;
-}
-
-void
 PercentileTracker::addAll(const std::vector<double>& xs)
 {
-    samples_.insert(samples_.end(), xs.begin(), xs.end());
-    sorted_ = false;
-}
-
-void
-PercentileTracker::sortIfNeeded() const
-{
-    if (!sorted_) {
-        std::sort(samples_.begin(), samples_.end());
-        sorted_ = true;
-    }
+    samples_.reserve(samples_.size() + xs.size());
+    for (double x : xs)
+        add(x);
 }
 
 double
@@ -68,12 +53,13 @@ PercentileTracker::percentile(double p) const
         return 0.0;
     if (p < 0.0 || p > 100.0)
         panic("percentile out of range: %f", p);
-    sortIfNeeded();
     // Nearest-rank definition: ceil(p/100 * N), 1-indexed.
     double rank = std::ceil(p / 100.0 * static_cast<double>(samples_.size()));
     size_t idx = rank < 1.0 ? 0 : static_cast<size_t>(rank) - 1;
     idx = std::min(idx, samples_.size() - 1);
-    return samples_[idx];
+    auto nth = samples_.begin() + static_cast<std::ptrdiff_t>(idx);
+    std::nth_element(samples_.begin(), nth, samples_.end());
+    return *nth;
 }
 
 double
@@ -81,10 +67,7 @@ PercentileTracker::mean() const
 {
     if (samples_.empty())
         return 0.0;
-    double s = 0.0;
-    for (double x : samples_)
-        s += x;
-    return s / static_cast<double>(samples_.size());
+    return sum_ / static_cast<double>(samples_.size());
 }
 
 double
@@ -92,15 +75,14 @@ PercentileTracker::max() const
 {
     if (samples_.empty())
         return 0.0;
-    sortIfNeeded();
-    return samples_.back();
+    return *std::max_element(samples_.begin(), samples_.end());
 }
 
 void
 PercentileTracker::reset()
 {
     samples_.clear();
-    sorted_ = true;
+    sum_ = 0.0;
 }
 
 Histogram::Histogram(double lo, double hi, size_t bins)

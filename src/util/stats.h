@@ -52,19 +52,27 @@ class OnlineStats
 };
 
 /**
- * Exact percentile tracker: stores all samples and sorts on demand.
+ * Exact percentile tracker: stores all samples and selects on demand.
  *
- * Simulation runs collect a few thousand latency samples, so exact
- * storage is cheap and avoids quantile-sketch approximation error in
- * tests that assert tail behaviour.
+ * Exact storage avoids quantile-sketch approximation error in tests
+ * that assert tail behaviour. A percentile query is a selection
+ * (std::nth_element, O(n)), not a sort: it returns exactly the element
+ * a full sort would put at the nearest-rank position, but reorders the
+ * stored samples as a side effect. mean() therefore comes from a
+ * running sum kept in add(), accumulated in insertion order, so it is
+ * the same double whatever accessors ran before it.
  */
 class PercentileTracker
 {
   public:
     /** Add one sample. */
-    void add(double x);
+    void add(double x)
+    {
+        samples_.push_back(x);
+        sum_ += x;
+    }
 
-    /** Add many samples. */
+    /** Add many samples, in order. */
     void addAll(const std::vector<double>& xs);
 
     /** @return number of samples. */
@@ -72,7 +80,8 @@ class PercentileTracker
 
     /**
      * @param p percentile in [0, 100].
-     * @return the p-th percentile via nearest-rank; 0 when empty.
+     * @return the p-th percentile via nearest-rank (the
+     *         ceil(p/100 * N)-th smallest sample); 0 when empty.
      */
     double percentile(double p) const;
 
@@ -82,7 +91,7 @@ class PercentileTracker
     double p95() const { return percentile(95.0); }
     double p99() const { return percentile(99.0); }
 
-    /** @return sample mean (0 when empty). */
+    /** @return sample mean: insertion-order sum / count (0 when empty). */
     double mean() const;
 
     /** @return largest sample (0 when empty). */
@@ -92,10 +101,9 @@ class PercentileTracker
     void reset();
 
   private:
-    void sortIfNeeded() const;
-
+    /** The samples, partially reordered by every percentile() call. */
     mutable std::vector<double> samples_;
-    mutable bool sorted_ = true;
+    double sum_ = 0.0;  ///< running sum, in insertion order
 };
 
 /**

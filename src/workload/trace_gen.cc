@@ -104,28 +104,56 @@ generateMultiServiceTrace(const std::vector<ServiceTraceSpec>& services,
     if (services.empty())
         fatal("generateMultiServiceTrace: no services");
 
-    std::vector<Query> merged;
+    std::vector<std::vector<Query>> streams;
     for (size_t s = 0; s < services.size(); ++s) {
         TraceOptions o = opt;
         o.seed = serviceTraceSeed(opt.seed, s);
         o.sizes = services[s].sizes;
         o.pooling = services[s].pooling;
         DiurnalLoad load(services[s].load);
-        std::vector<Query> stream = TraceGenerator(load, o).generate();
-        merged.reserve(merged.size() + stream.size());
-        for (Query& q : stream) {
-            q.service_id = static_cast<int>(s);
-            merged.push_back(q);
-        }
+        streams.push_back(TraceGenerator(load, o).generate());
     }
-    // Merge by arrival; the stable sort breaks (measure-zero) timestamp
-    // ties by service index, keeping the merge deterministic.
-    std::stable_sort(merged.begin(), merged.end(),
-                     [](const Query& a, const Query& b) {
-                         return a.arrival_s < b.arrival_s;
-                     });
-    for (size_t i = 0; i < merged.size(); ++i)
-        merged[i].id = i;
+    return mergeServiceStreams(streams);
+}
+
+std::vector<Query>
+mergeServiceStreams(const std::vector<std::vector<Query>>& streams)
+{
+    size_t total = 0;
+    for (size_t s = 0; s < streams.size(); ++s) {
+        const std::vector<Query>& st = streams[s];
+        for (size_t i = 1; i < st.size(); ++i)
+            if (st[i].arrival_s < st[i - 1].arrival_s)
+                panic("mergeServiceStreams: stream %zu not sorted by "
+                      "arrival at query %zu",
+                      s, i);
+        total += st.size();
+    }
+    // One cursor per stream; the earliest head wins each step, and the
+    // strict < keeps an exact timestamp tie with the lowest service
+    // index (k is a handful of services, so a linear scan suffices).
+    struct Cursor
+    {
+        const Query* next;
+        const Query* end;
+    };
+    std::vector<Cursor> heads;
+    for (const std::vector<Query>& st : streams)
+        heads.push_back({st.data(), st.data() + st.size()});
+    std::vector<Query> merged;
+    merged.reserve(total);
+    for (uint64_t id = 0; id < total; ++id) {
+        size_t best = heads.size();
+        for (size_t s = 0; s < heads.size(); ++s)
+            if (heads[s].next != heads[s].end &&
+                (best == heads.size() ||
+                 heads[s].next->arrival_s < heads[best].next->arrival_s))
+                best = s;
+        Query q = *heads[best].next++;
+        q.id = id;
+        q.service_id = static_cast<int>(best);
+        merged.push_back(q);
+    }
     return merged;
 }
 

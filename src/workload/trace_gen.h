@@ -12,8 +12,8 @@
  * cycle. Instantaneous QPS — and therefore all queueing/latency
  * dynamics — is unchanged; only the span of simulated time (and the
  * query count) shrinks by c. Downstream interval lengths must be
- * divided by the same factor (ClusterSim and cluster::serveTrace do
- * this internally).
+ * divided by the same factor (cluster::serveTraces does this
+ * internally).
  */
 #pragma once
 
@@ -97,14 +97,24 @@ uint64_t serviceTraceSeed(uint64_t base_seed, size_t service);
  * Generate one merged multi-service arrival trace: each service's
  * stream is an independent NHPP over its own diurnal curve (seeded
  * with serviceTraceSeed(opt.seed, s), sizes/pooling from its spec,
- * all other options — horizon, buckets, compression — shared), tagged
- * with `service_id = s`, then merged by arrival time (ties break by
- * service index) with globally renumbered query ids.
+ * all other options — horizon, buckets, compression — shared), then
+ * merged by mergeServiceStreams().
  *
  * Fixed options + specs give a bitwise-identical merged trace.
  */
 std::vector<Query> generateMultiServiceTrace(
     const std::vector<ServiceTraceSpec>& services,
     const TraceOptions& opt);
+
+/**
+ * K-way merge of per-service arrival streams, each already sorted by
+ * arrival_s (panics otherwise): stream s's queries are tagged
+ * `service_id = s`, an exact timestamp tie goes to the lower service
+ * index, and ids are renumbered 0..N-1 in merged order. The result is
+ * exactly what a stable sort of the concatenated streams by arrival
+ * time gives, in O(N * k) instead of O(N log N).
+ */
+std::vector<Query> mergeServiceStreams(
+    const std::vector<std::vector<Query>>& streams);
 
 }  // namespace hercules::workload

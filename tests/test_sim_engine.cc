@@ -44,40 +44,85 @@ fastOptions(double qps)
 
 TEST(EventQueue, FifoWithinEqualTimestamps)
 {
-    EventQueue eq;
+    EventQueue<int> eq;
+    eq.schedule(1.0, 1);
+    eq.schedule(1.0, 2);
+    eq.schedule(0.5, 0);
+    eq.schedule(1.0, 3);
     std::vector<int> order;
-    eq.schedule(1.0, [&] { order.push_back(1); });
-    eq.schedule(1.0, [&] { order.push_back(2); });
-    eq.schedule(0.5, [&] { order.push_back(0); });
-    eq.runAll();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+    while (!eq.empty())
+        order.push_back(eq.pop());
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+    EXPECT_EQ(eq.eventsExecuted(), 4u);
+    EXPECT_EQ(eq.peakDepth(), 4u);
 }
 
 TEST(EventQueue, NowAdvances)
 {
-    EventQueue eq;
-    eq.schedule(2.5, [] {});
-    eq.runNext();
+    EventQueue<int> eq;
+    eq.schedule(2.5, 7);
+    eq.schedule(4.0, 8);
+    EXPECT_DOUBLE_EQ(eq.nextTime(), 2.5);
+    EXPECT_EQ(eq.pop(), 7);
     EXPECT_DOUBLE_EQ(eq.now(), 2.5);
+    EXPECT_EQ(eq.pop(), 8);
+    EXPECT_DOUBLE_EQ(eq.now(), 4.0);
 }
 
-TEST(EventQueue, NestedScheduling)
+TEST(EventQueue, SchedulingWhileDraining)
 {
-    EventQueue eq;
-    int fired = 0;
-    eq.schedule(1.0, [&] {
-        eq.schedule(2.0, [&] { ++fired; });
-    });
-    eq.runAll();
-    EXPECT_EQ(fired, 1);
+    // An event scheduled at the current time after a pop still runs
+    // after every earlier-scheduled event at that time.
+    EventQueue<int> eq;
+    eq.schedule(1.0, 1);
+    eq.schedule(1.0, 2);
+    EXPECT_EQ(eq.pop(), 1);
+    eq.schedule(1.0, 3);
+    eq.schedule(2.0, 4);
+    std::vector<int> order;
+    while (!eq.empty())
+        order.push_back(eq.pop());
+    EXPECT_EQ(order, (std::vector<int>{2, 3, 4}));
+}
+
+TEST(EventQueue, ClearKeepsClockAndTieOrder)
+{
+    struct Payload
+    {
+        int kind;
+        double x;
+    };
+    EventQueue<Payload> eq;
+    eq.schedule(1.0, {0, 0.5});
+    eq.schedule(3.0, {1, 1.5});
+    EXPECT_EQ(eq.pop().kind, 0);
+    eq.clear();
+    EXPECT_TRUE(eq.empty());
+    EXPECT_DOUBLE_EQ(eq.now(), 1.0);
+    eq.schedule(1.0, {2, 2.5});
+    eq.schedule(1.0, {3, 3.5});
+    EXPECT_EQ(eq.pop().kind, 2);
+    Payload last = eq.pop();
+    EXPECT_EQ(last.kind, 3);
+    EXPECT_DOUBLE_EQ(last.x, 3.5);
+    EXPECT_EQ(eq.eventsExecuted(), 3u);
 }
 
 TEST(EventQueueDeath, PastSchedulingPanics)
 {
-    EventQueue eq;
-    eq.schedule(5.0, [] {});
-    eq.runNext();
-    EXPECT_DEATH(eq.schedule(1.0, [] {}), "past");
+    EventQueue<int> eq;
+    eq.schedule(5.0, 0);
+    eq.pop();
+    EXPECT_DEATH(eq.schedule(1.0, 1), "past");
+}
+
+TEST(EventQueueDeath, PopOnEmptyPanics)
+{
+    EventQueue<int> eq;
+    EXPECT_DEATH(eq.pop(), "empty");
+    eq.schedule(1.0, 0);
+    eq.pop();
+    EXPECT_DEATH(eq.pop(), "empty");
 }
 
 TEST(Validate, CoreOversubscriptionRejected)

@@ -5,7 +5,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "util/stats.h"
@@ -199,6 +201,120 @@ TEST_P(PercentileMonotoneTest, MonotoneInP)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PercentileMonotoneTest,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
+
+/** Nearest-rank percentile of a full sort: the selection's reference. */
+double
+sortedPercentile(std::vector<double> xs, double p)
+{
+    std::sort(xs.begin(), xs.end());
+    double rank = std::ceil(p / 100.0 * static_cast<double>(xs.size()));
+    size_t idx = rank < 1.0 ? 0 : static_cast<size_t>(rank) - 1;
+    return xs[std::min(idx, xs.size() - 1)];
+}
+
+/** Seeded samples with many duplicates and mixed magnitudes. */
+class SampleStream
+{
+  public:
+    explicit SampleStream(uint64_t seed) : x_(seed * 2654435761u + 7) {}
+
+    double
+    next()
+    {
+        x_ = x_ * 6364136223846793005ull + 1442695040888963407ull;
+        uint64_t r = x_ >> 33;
+        // ~1/4 of draws repeat one of 16 values; the rest spread over
+        // six decades so summation order would matter.
+        if (r % 4 == 0)
+            return static_cast<double>(r % 16);
+        return static_cast<double>(r % 100000) *
+               std::pow(10.0, static_cast<double>(r % 6) - 3.0);
+    }
+
+  private:
+    uint64_t x_;
+};
+
+TEST(PercentileTracker, SelectionMatchesSortReference)
+{
+    const double ps[] = {0.0, 0.1, 50.0, 95.0, 99.0, 99.9, 100.0};
+    // Every size to 64, then every 44th up to exactly 2000.
+    for (size_t n = 1; n <= 2000; n += (n < 64 ? 1 : 44)) {
+        SampleStream gen(n);
+        PercentileTracker t;
+        std::vector<double> ref;
+        double ref_sum = 0.0;
+        for (size_t i = 0; i < n; ++i) {
+            double x = gen.next();
+            t.add(x);
+            ref.push_back(x);
+            ref_sum += x;
+            // Interleave queries with the adds: every accessor reorders
+            // or reads the stored samples mid-stream.
+            if (i % 97 == 0) {
+                double p = ps[i % 7];
+                ASSERT_EQ(t.percentile(p), sortedPercentile(ref, p))
+                    << "n=" << n << " i=" << i << " p=" << p;
+                ASSERT_EQ(t.max(), *std::max_element(ref.begin(),
+                                                     ref.end()));
+                ASSERT_EQ(t.mean(),
+                          ref_sum / static_cast<double>(ref.size()));
+            }
+        }
+        for (double p : ps)
+            ASSERT_EQ(t.percentile(p), sortedPercentile(ref, p))
+                << "n=" << n << " p=" << p;
+        ASSERT_EQ(t.max(), *std::max_element(ref.begin(), ref.end()));
+        ASSERT_EQ(t.count(), n);
+    }
+}
+
+TEST(PercentileTracker, MeanIsInsertionOrderSumWhateverTheCallOrder)
+{
+    // Four trackers fed the same samples, queried in different orders:
+    // mean() must be the insertion-order sum / count, bit for bit.
+    SampleStream gen(99);
+    std::vector<double> xs;
+    for (int i = 0; i < 1500; ++i)
+        xs.push_back(gen.next());
+    double sum = 0.0;
+    for (double x : xs)
+        sum += x;
+    const double want = sum / static_cast<double>(xs.size());
+
+    PercentileTracker mean_first, pct_first, max_first, batch;
+    for (double x : xs) {
+        mean_first.add(x);
+        pct_first.add(x);
+        max_first.add(x);
+    }
+    batch.addAll(xs);
+
+    EXPECT_EQ(mean_first.mean(), want);
+    EXPECT_EQ(mean_first.p99(), pct_first.p99());
+    pct_first.p50();
+    pct_first.percentile(0.1);
+    EXPECT_EQ(pct_first.mean(), want);
+    max_first.max();
+    max_first.p95();
+    EXPECT_EQ(max_first.mean(), want);
+    batch.p99();
+    EXPECT_EQ(batch.mean(), want);
+
+    // The sum is genuinely order-sensitive on this data, so the test
+    // would catch a mean computed over the reordered samples.
+    std::vector<double> sorted = xs;
+    std::sort(sorted.begin(), sorted.end());
+    double sorted_sum = 0.0;
+    for (double x : sorted)
+        sorted_sum += x;
+    EXPECT_NE(sorted_sum, sum);
+
+    batch.reset();
+    EXPECT_EQ(batch.mean(), 0.0);
+    batch.add(2.5);
+    EXPECT_EQ(batch.mean(), 2.5);
+}
 
 }  // namespace
 }  // namespace hercules

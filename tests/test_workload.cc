@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
@@ -490,10 +491,135 @@ TEST(MultiTrace, ServiceStreamsMatchSoloGenerators)
     }
 }
 
+/**
+ * The merge reference: concatenate the streams in service order, tag
+ * each query with its service, stable-sort by arrival, renumber ids.
+ */
+std::vector<Query>
+stableSortMerge(const std::vector<std::vector<Query>>& streams)
+{
+    std::vector<Query> all;
+    for (size_t s = 0; s < streams.size(); ++s)
+        for (Query q : streams[s]) {
+            q.service_id = static_cast<int>(s);
+            all.push_back(q);
+        }
+    std::stable_sort(all.begin(), all.end(),
+                     [](const Query& a, const Query& b) {
+                         return a.arrival_s < b.arrival_s;
+                     });
+    for (size_t i = 0; i < all.size(); ++i)
+        all[i].id = i;
+    return all;
+}
+
+/** Field-by-field bitwise equality of two traces. */
+void
+expectSameTrace(const std::vector<Query>& got,
+                const std::vector<Query>& want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].id, want[i].id) << "query " << i;
+        EXPECT_EQ(got[i].arrival_s, want[i].arrival_s) << "query " << i;
+        EXPECT_EQ(got[i].service_id, want[i].service_id) << "query " << i;
+        EXPECT_EQ(got[i].size, want[i].size) << "query " << i;
+        EXPECT_EQ(got[i].pooling_scale, want[i].pooling_scale)
+            << "query " << i;
+    }
+}
+
+/** A hand-built stream; `size` doubles as a per-stream position tag. */
+std::vector<Query>
+stream(std::vector<double> arrivals, int tag)
+{
+    std::vector<Query> out;
+    for (size_t i = 0; i < arrivals.size(); ++i) {
+        Query q;
+        q.id = 1000 + i;  // overwritten by the merge
+        q.arrival_s = arrivals[i];
+        q.size = tag * 100 + static_cast<int>(i);
+        q.pooling_scale = 1.0 + 0.01 * static_cast<double>(tag);
+        out.push_back(q);
+    }
+    return out;
+}
+
+TEST(MultiTrace, MergeMatchesStableSortOnGeneratedStreams)
+{
+    std::vector<ServiceTraceSpec> specs(3);
+    specs[0].load.peak_qps = 1500.0;
+    specs[1].load.peak_qps = 900.0;
+    specs[1].load.peak_hour = 8.0;
+    specs[1].load.seed = 2;
+    specs[2].load.peak_qps = 400.0;
+    specs[2].load.peak_hour = 14.0;
+    specs[2].load.seed = 5;
+    specs[2].sizes.median = 40.0;
+    TraceOptions opt;
+    opt.horizon_hours = 0.05;
+    opt.bucket_seconds = 10.0;
+    opt.seed = 17;
+
+    std::vector<std::vector<Query>> streams;
+    for (size_t s = 0; s < specs.size(); ++s) {
+        TraceOptions o = opt;
+        o.seed = serviceTraceSeed(opt.seed, s);
+        o.sizes = specs[s].sizes;
+        o.pooling = specs[s].pooling;
+        DiurnalLoad load(specs[s].load);
+        streams.push_back(TraceGenerator(load, o).generate());
+    }
+    std::vector<Query> merged = generateMultiServiceTrace(specs, opt);
+    ASSERT_GT(merged.size(), 100u);
+    expectSameTrace(merged, stableSortMerge(streams));
+    expectSameTrace(mergeServiceStreams(streams), merged);
+}
+
+TEST(MultiTrace, MergeBreaksExactTiesByServiceIndex)
+{
+    // Exact cross-service ties (0.2 in all three streams, 0.5 in two,
+    // repeated 0.2 within stream 0) plus an empty stream.
+    std::vector<std::vector<Query>> streams = {
+        stream({0.1, 0.2, 0.2, 0.5}, 0),
+        stream({}, 1),
+        stream({0.0, 0.2, 0.3, 0.5, 0.5}, 2),
+        stream({0.2, 0.2, 0.7}, 3),
+    };
+    std::vector<Query> merged = mergeServiceStreams(streams);
+    expectSameTrace(merged, stableSortMerge(streams));
+
+    std::vector<int> services, tags;
+    for (const Query& q : merged) {
+        services.push_back(q.service_id);
+        tags.push_back(q.size);
+    }
+    EXPECT_EQ(services,
+              (std::vector<int>{2, 0, 0, 0, 2, 3, 3, 2, 0, 2, 2, 3}));
+    EXPECT_EQ(tags, (std::vector<int>{200, 0, 1, 2, 201, 300, 301, 202, 3,
+                                      203, 204, 302}));
+}
+
+TEST(MultiTrace, MergeOfOneStreamOnlyRenumbersAndTags)
+{
+    std::vector<std::vector<Query>> streams = {stream({0.5, 0.5, 1.0}, 4)};
+    std::vector<Query> merged = mergeServiceStreams(streams);
+    expectSameTrace(merged, stableSortMerge(streams));
+    EXPECT_TRUE(mergeServiceStreams({}).empty());
+    EXPECT_TRUE(mergeServiceStreams({{}, {}}).empty());
+}
+
 TEST(MultiTraceDeath, NoServices)
 {
     TraceOptions opt;
     EXPECT_DEATH(generateMultiServiceTrace({}, opt), "no services");
+}
+
+TEST(MultiTraceDeath, UnsortedStreamPanics)
+{
+    std::vector<std::vector<Query>> streams = {stream({0.1, 0.3}, 0),
+                                               stream({0.4, 0.2}, 1)};
+    EXPECT_DEATH(mergeServiceStreams(streams), "not sorted");
 }
 
 TEST(TraceGenDeath, BadOptions)
