@@ -32,13 +32,6 @@ gitSha()
 #endif
 }
 
-/** @return the current UTC time as ISO-8601 (2026-01-31T12:34:56Z). */
-inline std::string
-isoTimestampUtc()
-{
-    return isoUtcTimestamp();
-}
-
 /**
  * Write the provenance preamble every emitted BENCH_*.json starts
  * with, so the perf trajectory stays attributable across PRs. Call
@@ -49,7 +42,7 @@ writeJsonProvenance(FILE* f)
 {
     std::fprintf(f, "  \"git_sha\": \"%s\",\n", gitSha());
     std::fprintf(f, "  \"generated_at\": \"%s\",\n",
-                 isoTimestampUtc().c_str());
+                 isoUtcTimestamp().c_str());
 }
 
 /** @return true when HERCULES_BENCH_FAST=1 (reduced sweep sizes). */
@@ -115,6 +108,7 @@ banner(const char* experiment, const char* what)
 
 #include "cluster/evolution.h"
 #include "core/efficiency_table.h"
+#include "core/profiler.h"
 #include "scenario/spec_io.h"
 #include "sim/cluster_sim.h"
 
@@ -179,6 +173,25 @@ tryLoadCachedTable(const std::string& path)
         std::printf("(cache %s is stale: re-profiling)\n\n",
                     path.c_str());
     return cached;
+}
+
+/**
+ * The full-catalog efficiency table the cluster-scheduling benches
+ * (Fig 16, Fig 17) share: bench_fig15's cache when present, else
+ * profiled here with the bench options and written back.
+ */
+inline core::EfficiencyTable
+loadOrProfile()
+{
+    if (auto cached = tryLoadCachedTable(efficiencyCachePath()))
+        return *cached;
+    std::printf("(profiling the full catalog — run "
+                "bench_fig15_server_arch first to avoid this)\n\n");
+    core::ProfilerOptions popt;
+    popt.search = benchSearchOptions();
+    core::EfficiencyTable t = core::offlineProfile(popt);
+    t.writeCsv(efficiencyCachePath());
+    return t;
 }
 
 /**

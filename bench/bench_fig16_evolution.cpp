@@ -15,36 +15,16 @@
 
 #include "bench/bench_common.h"
 #include "cluster/evolution.h"
-#include "core/profiler.h"
 #include "util/table.h"
 
 using namespace hercules;
-
-namespace {
-
-core::EfficiencyTable
-loadOrProfile()
-{
-    if (auto cached =
-            bench::tryLoadCachedTable(bench::efficiencyCachePath()))
-        return *cached;
-    std::printf("(profiling the full catalog — run "
-                "bench_fig15_server_arch first to avoid this)\n\n");
-    core::ProfilerOptions popt;
-    popt.search = bench::benchSearchOptions();
-    core::EfficiencyTable t = core::offlineProfile(popt);
-    t.writeCsv(bench::efficiencyCachePath());
-    return t;
-}
-
-}  // namespace
 
 int
 main()
 {
     bench::banner("Figure 16", "Model evolution and cluster capacity");
 
-    core::EfficiencyTable table = loadOrProfile();
+    core::EfficiencyTable table = bench::loadOrProfile();
     auto services = cluster::defaultEvolutionServices();
     // Size the service peaks against the simulated fleet (see
     // bench_common.h) so Day-D1 fits the CPU-only cluster comfortably.

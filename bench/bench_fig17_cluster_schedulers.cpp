@@ -12,29 +12,9 @@
 
 #include "bench/bench_common.h"
 #include "cluster/evolution.h"
-#include "core/profiler.h"
 #include "util/table.h"
 
 using namespace hercules;
-
-namespace {
-
-core::EfficiencyTable
-loadOrProfile()
-{
-    if (auto cached =
-            bench::tryLoadCachedTable(bench::efficiencyCachePath()))
-        return *cached;
-    std::printf("(profiling the full catalog — run "
-                "bench_fig15_server_arch first to avoid this)\n\n");
-    core::ProfilerOptions popt;
-    popt.search = bench::benchSearchOptions();
-    core::EfficiencyTable t = core::offlineProfile(popt);
-    t.writeCsv(bench::efficiencyCachePath());
-    return t;
-}
-
-}  // namespace
 
 int
 main()
@@ -43,7 +23,7 @@ main()
                   "NH vs greedy vs Hercules cluster scheduling "
                   "(Day-D2, accelerated cluster)");
 
-    core::EfficiencyTable table = loadOrProfile();
+    core::EfficiencyTable table = bench::loadOrProfile();
     auto services = cluster::defaultEvolutionServices();
     // Size the service peaks against the simulated fleet (see
     // bench_common.h) so Day-D1 fits the CPU-only cluster comfortably.

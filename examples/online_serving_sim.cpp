@@ -4,59 +4,33 @@
  * servers) rides a day of synchronized diurnal load, re-provisioned
  * every interval by a choice of cluster scheduler.
  *
- * Three modes:
- *  - analytic (default): the Fig 13 capacity view — efficiency-tuple
- *    lookup, over-provision-rate estimation, interval-by-interval
- *    activation/release, provisioned power;
- *  - --trace: end-to-end serving — a timestamped diurnal arrival trace
- *    flows through simulated server shards behind a query router, and
- *    the run reports real tail latency and SLA violations instead of
- *    only analytic capacity. The legacy flags below are a spec
- *    builder: they assemble a scenario::ScenarioSpec and hand it to
- *    scenario::run(), the same entry point every serving experiment
- *    uses;
+ * Two modes:
  *  - --scenario FILE: run a declarative scenario file (scenarios/
- *    *.scn, grammar in src/scenario/README.md) end to end and write
- *    its result to BENCH_scenario.json. All other experiment flags are
- *    ignored — the file is the whole experiment. With --parse-only the
- *    file is only parsed and validated (CI lints the shipped library
- *    this way).
+ *    *.scn, grammar in src/scenario/README.md) end to end through
+ *    scenario::run() — a timestamped diurnal arrival trace flows
+ *    through simulated server shards behind a query router, and the
+ *    run reports tail latency, SLA violations, per-service QoS lines
+ *    and any fault timeline, then writes BENCH_scenario.json. The file
+ *    is the whole experiment: fleet, services, router, admission,
+ *    power cap and faults are spec keys, not flags. --parse-only only
+ *    parses and validates the file (CI lints the shipped library this
+ *    way); --trace-out / --metrics-out override the spec's telemetry
+ *    files. --lint FILE statically analyzes a file without running it;
+ *  - analytic (default): the Fig 13 capacity view over a 24 h horizon
+ *    at 0.5 h intervals — efficiency-tuple lookup, over-provision-rate
+ *    estimation, interval-by-interval activation/release, provisioned
+ *    power — under the hercules, greedy or nh scheduler.
  *
- * Usage: online_serving_sim [hercules|greedy|nh] [--trace]
- *          [--horizon H] [--interval I]
- *          [--router rr|jsq|p2c|hercules|latency-feedback]
- *          [--services N] [--admission none|queue_cap|deadline]
- *          [--priorities p0,p1,...] [--power-cap W]
- *          [--faults SPEC] [--scenario FILE] [--parse-only]
- *
- * Fault injection: --faults takes comma-separated tokens — scripted
- * events crash@T:h:s, degrade@T:h:s:F, recover@T:h:s (trace hour T,
- * fleet index h, slot s, slowdown F) and seeded-process knobs seed=N,
- * crash_mtbf=H, crash_mttr=H, degrade_mtbf=H, degrade_mttr=H,
- * slowdown=F (src/fault/). Trace runs with faults print the shard
- * health-transition timeline next to the serving report.
- *
- * With --services N >= 2, trace mode co-serves N services (RMC1,
- * RMC2, RMC3 prefix) with phase-shifted diurnal peaks on the shared
- * fleet, reporting per-service tail latency and SLA violations next
- * to the cluster aggregate.
- *
- * QoS: --admission picks the per-shard admission policy (src/qos/),
- * --priorities assigns per-service shedding priorities (higher keeps
- * capacity longer when --power-cap forces shedding), and --router
- * latency-feedback routes on p99-feedback-adjusted weights.
- * Per-service admit / reject / drop / violation lines are printed for
- * every trace run.
+ * Usage: online_serving_sim [hercules|greedy|nh]
+ *        online_serving_sim --scenario FILE [--parse-only]
+ *          [--trace-out F] [--metrics-out F]
+ *        online_serving_sim --lint FILE
  *
  * Unknown or malformed flags are named on stderr and exit non-zero.
  */
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -75,20 +49,13 @@ using namespace hercules;
 
 namespace {
 
+/** Fig 13's analytic horizon and re-provisioning interval (hours). */
+constexpr double kHorizonHours = 24.0;
+constexpr double kIntervalHours = 0.5;
+
 struct Args
 {
     std::string policy = "hercules";
-    bool trace_mode = false;
-    double horizon_hours = 24.0;
-    double interval_hours = 0.5;
-    int num_services = 1;
-    sim::RouterPolicy router = sim::RouterPolicy::HerculesWeighted;
-    qos::AdmissionPolicy admission = qos::AdmissionPolicy::None;
-    std::vector<int> priorities;  ///< per service; empty = all equal
-    /** Global power cap (W); infinity = uncapped. */
-    double power_cap_w = std::numeric_limits<double>::infinity();
-    /** --faults: scripted events + seeded-process knobs (trace mode). */
-    fault::FaultSpec faults;
     std::string scenario_file;  ///< --scenario: run this spec file
     bool parse_only = false;    ///< with --scenario: parse, don't run
     std::string lint_file;      ///< --lint: statically analyze a spec
@@ -96,137 +63,23 @@ struct Args
     std::string metrics_out;    ///< --metrics-out: metrics export
 };
 
-/**
- * Parse one --faults token list (see the file header) into `out`.
- * @return false with `bad` set to the offending token on error.
- */
-bool
-parseFaultTokens(const std::string& list, fault::FaultSpec& out,
-                 std::string& bad)
-{
-    auto num = [](const std::string& s, double* v) {
-        char* end = nullptr;
-        *v = std::strtod(s.c_str(), &end);
-        return !s.empty() && end == s.c_str() + s.size() &&
-               std::isfinite(*v);
-    };
-    size_t pos = 0;
-    while (pos <= list.size()) {
-        size_t comma = list.find(',', pos);
-        if (comma == std::string::npos)
-            comma = list.size();
-        std::string tok = list.substr(pos, comma - pos);
-        pos = comma + 1;
-        bad = tok;
-        size_t at = tok.find('@');
-        size_t eq = tok.find('=');
-        if (at != std::string::npos) {
-            // crash@T:h:s | degrade@T:h:s:F | recover@T:h:s
-            std::string verb = tok.substr(0, at);
-            std::vector<std::string> parts;
-            std::string rest = tok.substr(at + 1);
-            size_t p = 0;
-            while (p <= rest.size()) {
-                size_t colon = rest.find(':', p);
-                if (colon == std::string::npos)
-                    colon = rest.size();
-                parts.push_back(rest.substr(p, colon - p));
-                p = colon + 1;
-            }
-            size_t want = verb == "degrade" ? 4 : 3;
-            if ((verb != "crash" && verb != "degrade" &&
-                 verb != "recover") ||
-                parts.size() != want)
-                return false;
-            fault::FaultEvent e;
-            double fi = 0.0, sl = 0.0;
-            if (!num(parts[0], &e.t_hours) || e.t_hours < 0.0)
-                return false;
-            if (!num(parts[1], &fi) || fi != std::floor(fi) ||
-                fi < 0.0)
-                return false;
-            if (!num(parts[2], &sl) || sl != std::floor(sl) ||
-                sl < 0.0)
-                return false;
-            e.fleet_index = static_cast<int>(fi);
-            e.slot = static_cast<int>(sl);
-            if (verb == "crash") {
-                e.state = fault::HealthState::Failed;
-            } else if (verb == "recover") {
-                e.state = fault::HealthState::Healthy;
-            } else {
-                e.state = fault::HealthState::Degraded;
-                if (!num(parts[3], &e.slowdown) || e.slowdown < 1.0)
-                    return false;
-            }
-            out.events.push_back(e);
-        } else if (eq != std::string::npos) {
-            std::string key = tok.substr(0, eq);
-            double v = 0.0;
-            if (!num(tok.substr(eq + 1), &v) || v < 0.0)
-                return false;
-            if (key == "seed") {
-                if (v != std::floor(v))
-                    return false;
-                out.seed = static_cast<uint64_t>(v);
-            } else if (key == "crash_mtbf") {
-                out.crash_mtbf_hours = v;
-            } else if (key == "crash_mttr") {
-                out.crash_mttr_hours = v;
-            } else if (key == "degrade_mtbf") {
-                out.degrade_mtbf_hours = v;
-            } else if (key == "degrade_mttr") {
-                out.degrade_mttr_hours = v;
-            } else if (key == "slowdown") {
-                if (v < 1.0)
-                    return false;
-                out.degrade_slowdown = v;
-            } else {
-                return false;
-            }
-        } else {
-            return false;
-        }
-    }
-    bad.clear();
-    return true;
-}
-
 void
 usage(const char* argv0)
 {
     std::fprintf(
         stderr,
-        "usage: %s [hercules|greedy|nh] [options]\n"
-        "  --trace         serve a diurnal arrival trace through\n"
-        "                  simulated server shards (reports tail\n"
-        "                  latency); default is the analytic view\n"
-        "  --horizon H     horizon in hours (default 24)\n"
-        "  --interval I    re-provisioning interval in hours (0.5)\n"
-        "  --router R      trace-mode query router: rr, jsq, p2c,\n"
-        "                  hercules, latency-feedback (default\n"
-        "                  hercules)\n"
-        "  --services N    co-serve N services (1-3) in trace mode:\n"
-        "                  phase-shifted diurnal peaks on one shared\n"
-        "                  fleet, per-service SLA accounting\n"
-        "  --admission A   per-shard admission policy: none,\n"
-        "                  queue_cap, deadline (default none)\n"
-        "  --priorities P  comma-separated per-service shedding\n"
-        "                  priorities, e.g. 2,1,0 (higher keeps\n"
-        "                  capacity longer; only bites under\n"
-        "                  --power-cap)\n"
-        "  --power-cap W   global power cap in watts: the interval\n"
-        "                  allocation is shed (lowest priority, then\n"
-        "                  worst QPS/W first) until it fits\n"
-        "  --faults SPEC   trace-mode fault injection, comma-separated\n"
-        "                  tokens: crash@T:h:s, degrade@T:h:s:F,\n"
-        "                  recover@T:h:s (trace hour T, fleet index h,\n"
-        "                  slot s, slowdown F) and seeded-process\n"
-        "                  knobs seed=N, crash_mtbf=H, crash_mttr=H,\n"
-        "                  degrade_mtbf=H, degrade_mttr=H, slowdown=F\n"
-        "  --scenario F    run scenario file F end to end (writes\n"
-        "                  BENCH_scenario.json); every other\n"
-        "                  experiment flag is ignored\n"
+        "usage: %s [hercules|greedy|nh]\n"
+        "       %s --scenario F [--parse-only] [--trace-out F]\n"
+        "                        [--metrics-out F]\n"
+        "       %s --lint F\n"
+        "  hercules|greedy|nh  analytic Fig 13 capacity view (24 h at\n"
+        "                  0.5 h intervals) under that cluster\n"
+        "                  scheduler (default hercules)\n"
+        "  --scenario F    run scenario file F end to end: trace-driven\n"
+        "                  serving with tail latency, SLA and QoS\n"
+        "                  accounting (writes BENCH_scenario.json).\n"
+        "                  Router, admission, priorities, power cap and\n"
+        "                  faults are spec keys (src/scenario/README.md)\n"
         "  --trace-out F   with --scenario: write sampled per-query\n"
         "                  spans as JSONL to F (overrides the spec's\n"
         "                  observability.trace_file)\n"
@@ -242,8 +95,9 @@ usage(const char* argv0)
         "                  and exit 1 when any error is found; the\n"
         "                  spec's table_cache, when present on disk,\n"
         "                  enables the hardware-feasibility checks\n"
-        "tip: --trace --horizon 6 finishes in seconds.\n",
-        argv0);
+        "tip: --scenario scenarios/single_service.scn finishes in "
+        "seconds.\n",
+        argv0, argv0, argv0);
 }
 
 bool
@@ -255,110 +109,39 @@ parseArgs(int argc, char** argv, Args& out)
     };
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
-        auto value = [&]() -> const char* {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
+        // Every flag but --parse-only takes a file operand.
+        std::string* file = a == "--scenario"      ? &out.scenario_file
+                            : a == "--lint"        ? &out.lint_file
+                            : a == "--trace-out"   ? &out.trace_out
+                            : a == "--metrics-out" ? &out.metrics_out
+                                                   : nullptr;
         if (a == "hercules" || a == "greedy" || a == "nh") {
             out.policy = a;
-        } else if (a == "--trace") {
-            out.trace_mode = true;
         } else if (a == "--parse-only") {
             out.parse_only = true;
-        } else if (a == "--scenario") {
-            const char* v = value();
-            if (v == nullptr)
+        } else if (file != nullptr) {
+            if (i + 1 >= argc)
                 return reject("missing file after", a);
-            out.scenario_file = v;
-        } else if (a == "--lint") {
-            const char* v = value();
-            if (v == nullptr)
-                return reject("missing file after", a);
-            out.lint_file = v;
-        } else if (a == "--trace-out") {
-            const char* v = value();
-            if (v == nullptr)
-                return reject("missing file after", a);
-            out.trace_out = v;
-        } else if (a == "--metrics-out") {
-            const char* v = value();
-            if (v == nullptr)
-                return reject("missing file after", a);
-            out.metrics_out = v;
-        } else if (a == "--horizon") {
-            const char* v = value();
-            if (v == nullptr || std::atof(v) <= 0.0)
-                return reject("missing or non-positive value for", a);
-            out.horizon_hours = std::atof(v);
-        } else if (a == "--interval") {
-            const char* v = value();
-            if (v == nullptr || std::atof(v) <= 0.0)
-                return reject("missing or non-positive value for", a);
-            out.interval_hours = std::atof(v);
-        } else if (a == "--router") {
-            const char* v = value();
-            auto p = v ? sim::parseRouterPolicy(v) : std::nullopt;
-            if (!p.has_value())
-                return reject("unknown router for", a);
-            out.router = *p;
-        } else if (a == "--services") {
-            const char* v = value();
-            if (v == nullptr || std::atoi(v) < 1 || std::atoi(v) > 3)
-                return reject("--services expects 1-3, got",
-                              v ? v : "(none)");
-            out.num_services = std::atoi(v);
-        } else if (a == "--admission") {
-            const char* v = value();
-            auto p = v ? qos::parseAdmissionPolicy(v) : std::nullopt;
-            if (!p.has_value())
-                return reject("unknown admission policy for", a);
-            out.admission = *p;
-        } else if (a == "--power-cap") {
-            const char* v = value();
-            if (v == nullptr || std::atof(v) <= 0.0)
-                return reject("missing or non-positive value for", a);
-            out.power_cap_w = std::atof(v);
-        } else if (a == "--faults") {
-            const char* v = value();
-            if (v == nullptr)
-                return reject("missing value for", a);
-            std::string bad;
-            if (!parseFaultTokens(v, out.faults, bad))
-                return reject("malformed --faults token", bad);
-        } else if (a == "--priorities") {
-            const char* v = value();
-            if (v == nullptr)
-                return reject("missing value for", a);
-            out.priorities.clear();
-            std::string list = v;
-            size_t pos = 0;
-            while (pos <= list.size()) {
-                size_t comma = list.find(',', pos);
-                if (comma == std::string::npos)
-                    comma = list.size();
-                std::string tok = list.substr(pos, comma - pos);
-                // Digits only (optional sign): atoi would silently
-                // read "high" as 0 and flatten the shedding order.
-                size_t d = tok.empty() ? 0
-                           : (tok[0] == '-' || tok[0] == '+') ? 1
-                                                              : 0;
-                if (d >= tok.size() ||
-                    tok.find_first_not_of("0123456789", d) !=
-                        std::string::npos)
-                    return reject("malformed priority list", list);
-                out.priorities.push_back(std::atoi(tok.c_str()));
-                pos = comma + 1;
-            }
+            *file = argv[++i];
         } else {
             return reject("unknown flag", a);
         }
     }
-    if (out.parse_only && out.scenario_file.empty())
-        return reject("--parse-only requires", "--scenario");
+    // The --scenario modifiers mean nothing to the analytic view:
+    // refuse them rather than exit 0 having written no file.
+    if (out.scenario_file.empty()) {
+        if (out.parse_only)
+            return reject("--parse-only requires", "--scenario");
+        if (!out.trace_out.empty())
+            return reject("--trace-out requires", "--scenario");
+        if (!out.metrics_out.empty())
+            return reject("--metrics-out requires", "--scenario");
+    }
     return true;
 }
 
 /**
- * The per-service QoS accounting lines every trace run prints:
+ * The per-service QoS accounting lines every scenario run prints:
  * admitted vs rejected (admission control) vs dropped (no capacity),
  * and the violation count behind the rate.
  */
@@ -378,59 +161,15 @@ printQosLines(const std::vector<sim::ServiceRunStats>& services,
     }
 }
 
-/** The legacy --trace flags, assembled into a scenario spec. */
-scenario::ScenarioSpec
-buildTraceSpec(const Args& args)
-{
-    scenario::ScenarioSpec spec;
-    spec.name = args.num_services > 1 ? "online_serving_multi"
-                                      : "online_serving";
-    spec.fleet = {{hw::ServerType::T2, 2},
-                  {hw::ServerType::T3, 2},
-                  {hw::ServerType::T7, 1}};
-    const std::vector<model::ModelId> all_models = {
-        model::ModelId::DlrmRmc1, model::ModelId::DlrmRmc2,
-        model::ModelId::DlrmRmc3};
-    const size_t S = static_cast<size_t>(args.num_services);
-    for (size_t s = 0; s < S; ++s) {
-        scenario::ServiceScenario svc;
-        svc.spec.model = all_models[s];
-        svc.spec.load.trough_frac = 0.35;
-        svc.spec.load.seed = 5 + s;
-        if (S == 1) {
-            svc.peak_qps_frac = 0.6;
-        } else {
-            svc.peak_qps_frac = 0.5 / static_cast<double>(S);
-            // Spread the daily peaks: co-serving rides the offsets.
-            svc.spec.load.peak_hour =
-                20.0 - 8.0 * static_cast<double>(s);
-            if (s < args.priorities.size())
-                svc.spec.qos.priority = args.priorities[s];
-        }
-        spec.services.push_back(std::move(svc));
-    }
-    auto kind = scenario::parseProvisionerKind(args.policy);
-    spec.provisioner = kind.value_or(scenario::ProvisionerKind::Hercules);
-    spec.serve.horizon_hours = args.horizon_hours;
-    spec.serve.interval_hours = args.interval_hours;
-    spec.serve.router = args.router;
-    spec.serve.admission.policy = args.admission;
-    spec.serve.power_cap_w = args.power_cap_w;
-    // One simulated second stands for 480 wall-clock seconds:
-    // instantaneous QPS (and so all queueing dynamics) is unchanged,
-    // only the simulated span and query count shrink.
-    spec.serve.trace.time_compression = 480.0;
-    spec.serve.trace.seed = 42;
-    spec.serve.faults = args.faults;
-    return spec;
-}
-
-/** Run one spec end to end and print the trace-mode report. */
+/**
+ * Run one spec end to end and print the serving report. scenario::run
+ * profiles (or loads) the table itself, so BENCH_scenario.json
+ * attributes that time to profile_wall_ms.
+ */
 int
-runSpec(scenario::ScenarioSpec spec, bool write_json)
+runSpec(const scenario::ScenarioSpec& spec)
 {
     std::printf("profiling the fleet...\n");
-    core::EfficiencyTable table = scenario::profileTable(spec);
 
     const size_t S = spec.services.size();
     std::printf("scenario '%s': fleet", spec.name.c_str());
@@ -444,7 +183,7 @@ runSpec(scenario::ScenarioSpec spec, bool write_json)
                 qos::admissionPolicyName(spec.serve.admission.policy),
                 scenario::provisionerKindName(spec.provisioner));
 
-    scenario::ScenarioResult r = scenario::run(spec, &table);
+    scenario::ScenarioResult r = scenario::run(spec);
     const sim::ClusterSimResult& sim = r.serve.sim;
     const scenario::ScenarioSpec& rs = r.resolved;
 
@@ -528,14 +267,9 @@ runSpec(scenario::ScenarioSpec spec, bool write_json)
     if (!rs.observability.metrics_file.empty())
         std::printf("wrote %s (metrics registry)\n",
                     rs.observability.metrics_file.c_str());
-    if (write_json) {
-        if (scenario::writeResultJson("BENCH_scenario.json", r,
-                                      bench::gitSha()))
-            std::printf("wrote BENCH_scenario.json\n");
-    } else {
-        std::printf("tip: put this experiment in a file — see "
-                    "scenarios/*.scn and --scenario.\n");
-    }
+    if (scenario::writeResultJson("BENCH_scenario.json", r,
+                                  bench::gitSha()))
+        std::printf("wrote BENCH_scenario.json\n");
     return 0;
 }
 
@@ -619,11 +353,11 @@ runScenarioFile(const Args& args)
         spec->observability.trace_file = args.trace_out;
     if (!args.metrics_out.empty())
         spec->observability.metrics_file = args.metrics_out;
-    return runSpec(std::move(*spec), /*write_json=*/true);
+    return runSpec(*spec);
 }
 
 int
-runAnalytic(const Args& args, cluster::Provisioner& policy,
+runAnalytic(cluster::Provisioner& policy,
             const core::EfficiencyTable& table,
             const std::vector<hw::ServerType>& fleet,
             const std::vector<model::ModelId>& services)
@@ -642,13 +376,12 @@ runAnalytic(const Args& args, cluster::Provisioner& policy,
     // The over-provision rate R comes from the load history (paper
     // §IV-C): the largest inter-interval increase.
     workload::DiurnalLoad probe(workloads[0].load);
-    double r = cluster::estimateOverprovisionRate(probe,
-                                                  args.interval_hours);
+    double r = cluster::estimateOverprovisionRate(probe, kIntervalHours);
     std::printf("estimated over-provision rate R = %.1f%%\n\n", r * 100.0);
 
     cluster::ClusterManagerOptions opt;
-    opt.horizon_hours = args.horizon_hours;
-    opt.interval_hours = args.interval_hours;
+    opt.horizon_hours = kHorizonHours;
+    opt.interval_hours = kIntervalHours;
     opt.overprovision_rate = r;
     cluster::ClusterRunResult run =
         cluster::runCluster(problem, workloads, policy, opt);
@@ -673,7 +406,8 @@ runAnalytic(const Args& args, cluster::Provisioner& policy,
                 run.avg_servers, run.avg_power_w / 1e3,
                 run.unsatisfied_intervals);
     std::printf("tip: run with 'greedy' or 'nh' to compare policies, or "
-                "--trace for end-to-end latency.\n");
+                "--scenario scenarios/<file>.scn for end-to-end "
+                "latency.\n");
     return 0;
 }
 
@@ -704,27 +438,11 @@ main(int argc, char** argv)
     if (!args.scenario_file.empty())
         return runScenarioFile(args);
 
-    if (args.trace_mode) {
-        scenario::ScenarioSpec spec = buildTraceSpec(args);
-        // Catch --faults events aimed outside the built-in fleet at
-        // the flag layer (exit 2 + usage) instead of a fatal() later.
-        std::string err;
-        if (!scenario::validateSpec(spec, &err)) {
-            std::fprintf(stderr, "error: %s\n", err.c_str());
-            usage(argv[0]);
-            return 2;
-        }
-        std::printf("== %.0fh online serving (%s scheduler, trace "
-                    "mode) ==\n\n",
-                    args.horizon_hours, args.policy.c_str());
-        return runSpec(std::move(spec), /*write_json=*/false);
-    }
-
     std::unique_ptr<cluster::Provisioner> policy =
         makePolicy(args.policy);
     std::printf("== %.0fh online serving (%s scheduler, analytic mode) "
                 "==\n\n",
-                args.horizon_hours, policy->name());
+                kHorizonHours, policy->name());
 
     const std::vector<hw::ServerType> fleet = {
         hw::ServerType::T2, hw::ServerType::T3, hw::ServerType::T7};
@@ -736,5 +454,5 @@ main(int argc, char** argv)
     popt.servers = fleet;
     popt.models = services;
     core::EfficiencyTable table = core::offlineProfile(popt);
-    return runAnalytic(args, *policy, table, fleet, services);
+    return runAnalytic(*policy, table, fleet, services);
 }

@@ -6,7 +6,7 @@
  * equivalence, the time-varying power-cap schedule, and the golden
  * pin that scenario::run() on a spec mirroring bench_multiservice's
  * joint-arm wiring reproduces a hand-wired cluster::serveTraces()
- * call bit-identically.
+ * call bit-identically, as does a run() that profiles its own table.
  */
 #include <gtest/gtest.h>
 
@@ -582,6 +582,36 @@ TEST(ScenarioRun, ValidateSpecCatchesUnrunnableSpecs)
     ScenarioSpec bad_interval = goldenSpec();
     bad_interval.serve.interval_hours = 0.0;
     EXPECT_FALSE(validateSpec(bad_interval, &err));
+}
+
+TEST(ScenarioRun, SelfProfiledRunMatchesProfileThenRun)
+{
+    // One fleet type x one model under small measurement knobs, no
+    // cache files: run() profiles its own table, and that must be the
+    // same table (so the same replay) as profiling first.
+    ScenarioSpec spec;
+    spec.name = "self_profiled";
+    spec.fleet = {{ServerType::T2, 2}};
+    ServiceScenario svc;
+    svc.spec.model = ModelId::DlrmRmc1;
+    svc.peak_qps_frac = 0.5;
+    spec.services.push_back(svc);
+    spec.serve.horizon_hours = 1.0;
+    spec.serve.interval_hours = 0.5;
+    spec.serve.trace.time_compression = 480.0;
+    spec.profile.num_queries = 200;
+    spec.profile.warmup_queries = 40;
+    spec.profile.bisect_iters = 3;
+
+    ScenarioResult self = run(spec);
+    core::EfficiencyTable table = profileTable(spec);
+    ScenarioResult given = run(spec, &table);
+
+    expectBitIdentical(self.serve, given.serve);
+    EXPECT_EQ(self.resolved.services[0].spec.load.peak_qps,
+              given.resolved.services[0].spec.load.peak_qps);
+    EXPECT_GT(self.serve.sim.completed, 0u);
+    EXPECT_GT(self.profile_wall_ms, 0.0);
 }
 
 TEST(ScenarioRun, ProvisionerNamesRoundTrip)
