@@ -9,6 +9,7 @@
 
 #include <optional>
 #include <string>
+#include <unordered_map>
 
 #include "hw/cost_model.h"
 #include "hw/server.h"
@@ -24,6 +25,18 @@
 namespace hercules::sim {
 
 /**
+ * CPU graph timings of one (pool, batch size) cell at pooling scales 1
+ * and 2; a chunk's service time interpolates linearly between them.
+ */
+struct CpuServiceMemoEntry
+{
+    double lat1 = 0.0, lat2 = 0.0;
+    double bytes1 = 0.0, bytes2 = 0.0;
+    double nmp1 = 0.0, nmp2 = 0.0;
+    double idle_frac = 0.0;
+};
+
+/**
  * A validated, ready-to-simulate workload placement.
  *
  * Which graphs are populated depends on the mapping:
@@ -32,6 +45,16 @@ namespace hercules::sim {
  *  - GpuModelBased: `full` on the device (embeddings scaled by the hot
  *    hit rate) and `sparse` on the host for the cold fraction;
  *  - GpuSdPipeline: `sparse` on the host, `dense` on the device.
+ *
+ * The placement fields are fixed by prepare(); treat them as read-only
+ * afterwards, because `cpu_service_memo` caches functions of them.
+ *
+ * Ownership: a PreparedWorkload is simulated by one thread at a time.
+ * Every ServerInstance built on it fills the shared memo without
+ * locking. EvalEngine builds one per evaluation on its worker thread,
+ * and ClusterSim (whose shards of one personality share one) is
+ * single-threaded. A parallel per-shard advance must give each thread
+ * its own PreparedWorkload rather than share one across threads.
  */
 struct PreparedWorkload
 {
@@ -47,6 +70,16 @@ struct PreparedWorkload
     hw::CpuExecContext cpu_cx;   ///< model-based / SparseNet threads
     hw::CpuExecContext cold_cx;  ///< host cold-sparse path (hot-split)
     hw::GpuExecContext gpu_cx;   ///< accelerator threads
+
+    /**
+     * CPU service memo, filled lazily by every ServerInstance simulated
+     * on this workload: [pool id][batch size] → timings, pool id 0 =
+     * full graph, 1 = sparse, 2 = dense, 3 = cold sparse (hot split).
+     * Entries are pure functions of (server, graph, exec context), so
+     * sharing them across runs changes no simulated value; a server's
+     * slowdown is applied where a sample is used, never stored here.
+     */
+    mutable std::unordered_map<int, CpuServiceMemoEntry> cpu_service_memo[4];
 };
 
 /**

@@ -54,7 +54,7 @@ ServerInstance::inject(const workload::Query& q)
     if (idx == opt_.warmup_queries)
         steady_start_ = st.arrival;
     queries_.push_back(st);
-    eq_.schedule(st.arrival, Event{Event::Kind::Arrival, idx, {}});
+    eq_.scheduleInOrder(st.arrival, Event{Event::Kind::Arrival, idx, {}});
     return idx;
 }
 
@@ -191,7 +191,10 @@ ServerInstance::poolContext(int pool_id) const
 ServerInstance::ServiceSample
 ServerInstance::cpuService(int pool_id, int items, double query_ps)
 {
-    auto& memo = memo_[pool_id];
+    // Linear-in-pooling-scale memo shared by every run on w_: timings
+    // at pooling scales 1 and 2 per batch size, interpolated below, keep
+    // cost-model calls out of the event loop.
+    auto& memo = w_.cpu_service_memo[pool_id];
     auto it = memo.find(items);
     if (it == memo.end()) {
         hw::CpuExecContext cx = poolContext(pool_id);
@@ -205,7 +208,7 @@ ServerInstance::cpuService(int pool_id, int items, double query_ps)
         cx.pooling_scale = base_scale * 2.0;
         hw::GraphTiming t2 =
             cost_.cpuGraphTiming(poolGraph(pool_id), items, cx);
-        ServiceMemoEntry e;
+        CpuServiceMemoEntry e;
         e.lat1 = t1.latency_us;
         e.lat2 = t2.latency_us;
         e.bytes1 = t1.dram_bytes;
@@ -215,7 +218,7 @@ ServerInstance::cpuService(int pool_id, int items, double query_ps)
         e.idle_frac = t1.idle_frac;
         it = memo.emplace(items, e).first;
     }
-    const ServiceMemoEntry& e = it->second;
+    const CpuServiceMemoEntry& e = it->second;
     double f = query_ps - 1.0;
     ServiceSample s;
     s.latency_us = std::max(1e-3, e.lat1 + (e.lat2 - e.lat1) * f);

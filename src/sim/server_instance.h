@@ -7,9 +7,12 @@
  * (the sharded ClusterSim, trace-driven serving) can interleave many
  * servers on one global clock. The contract:
  *
- *  - inject(query) schedules an arrival at query.arrival_s; arrivals
- *    must be injected in non-decreasing time order, never earlier than
- *    the instance's current clock (now());
+ *  - inject(query) schedules an arrival at query.arrival_s on the
+ *    event queue's sorted arrival lane; arrivals must be injected in
+ *    non-decreasing time order, never earlier than the instance's
+ *    current clock (now()), and inject() panics when one is not (the
+ *    order is checked against the arrivals still pending, so after a
+ *    killInFlight() only now() bounds the next one);
  *  - advanceTo(t) runs every pending event with timestamp <= t;
  *  - drain() runs the event queue dry (all in-flight work retires);
  *  - finalize() computes the ServerSimResult over the post-warmup
@@ -18,14 +21,16 @@
  * Determinism: given the same construction arguments and the same
  * injection sequence, every event fires in the same order (the event
  * queue breaks timestamp ties by scheduling order) and every statistic
- * is bit-identical across runs. simulateServer() is a thin wrapper
+ * is bit-identical across runs, whether or not earlier runs on the same
+ * PreparedWorkload already filled its CPU service memo. The arrival
+ * lane changes no order either: it shares the queue's (time,
+ * scheduling order) ordering. simulateServer() is a thin wrapper
  * over this class and is pinned bit-identical to the pre-extraction
  * engine by tests/test_sim_cluster.cc.
  */
 #pragma once
 
 #include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "hw/cost_model.h"
@@ -81,7 +86,8 @@ class ServerInstance
     }
 
     /**
-     * Inject one query; its arrival event fires at q.arrival_s.
+     * Inject one query; its arrival event fires at q.arrival_s. Panics
+     * when q.arrival_s is before now() or before a pending arrival.
      * @return the query's index (injection order).
      */
     int inject(const workload::Query& q);
@@ -133,9 +139,9 @@ class ServerInstance
     /**
      * Straggler knob: multiply every *subsequent* service and transfer
      * duration by `factor` (>= 1). Applied at the usage sites, never to
-     * the service memos, so setSlowdown(1.0) is bit-identical to a
-     * server that never degraded. Work already scheduled keeps its
-     * original finish time.
+     * the workload's shared CPU service memo, so setSlowdown(1.0) is
+     * bit-identical to a server that never degraded. Work already
+     * scheduled keeps its original finish time.
      */
     void setSlowdown(double factor);
 
@@ -204,19 +210,6 @@ class ServerInstance
         Kind kind = Kind::Arrival;
         int index = 0;
         Chunk chunk{};
-    };
-
-    /**
-     * Linear-in-pooling-scale service memo: CPU graph timings are
-     * computed at pooling scales 1 and 2 per batch size and
-     * interpolated, keeping cost-model calls out of the event loop.
-     */
-    struct ServiceMemoEntry
-    {
-        double lat1 = 0.0, lat2 = 0.0;
-        double bytes1 = 0.0, bytes2 = 0.0;
-        double nmp1 = 0.0, nmp2 = 0.0;
-        double idle_frac = 0.0;
     };
 
     struct ServiceSample
@@ -328,9 +321,6 @@ class ServerInstance
     double slowdown_ = 1.0;  ///< latency multiplier (fault injection)
     int shard_id_ = -1;      ///< observational tag (setIdentity)
     int service_id_ = 0;     ///< observational tag (setIdentity)
-
-    // pool_id: 0 = full graph, 1 = sparse, 2 = dense, 3 = cold sparse
-    std::unordered_map<int, ServiceMemoEntry> memo_[4];
 
     // resource usage bins
     static constexpr double kBinSeconds = 0.05;

@@ -8,9 +8,13 @@ namespace hercules::sim {
 /*
  * The one-shot entry point is a thin wrapper over the steppable
  * ServerInstance: generate the arrival stream, inject every query up
- * front (bit-identical event ordering to the pre-extraction engine,
- * which scheduled all arrivals before running), then run to completion
- * — or until the early-abort predicate fires.
+ * front, then run to completion — or until the early-abort predicate
+ * fires. The arrivals wait on the event queue's sorted arrival lane,
+ * not in its heap, so the heap holds only the work in flight; the lane
+ * shares the heap's (time, scheduling order) ordering, so events fire
+ * in the order one heap holding every arrival would give. Every run on
+ * one PreparedWorkload shares its CPU service memo (a measurement's
+ * saturation and load probes).
  */
 ServerSimResult
 simulateServer(const PreparedWorkload& w, const SimOptions& opt)

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "sim/cluster_sim.h"
+#include "sim/measure.h"
 #include "sim/server_instance.h"
 #include "sim/server_sim.h"
 #include "workload/trace_gen.h"
@@ -215,6 +216,228 @@ TEST(ServerInstance, BookkeepingAndCompletions)
     }
 }
 
+std::vector<workload::Query>
+uniformTrace(size_t n, double gap_s, int size = 40)
+{
+    std::vector<workload::Query> trace(n);
+    for (size_t i = 0; i < n; ++i) {
+        trace[i].id = i;
+        trace[i].arrival_s = static_cast<double>(i + 1) * gap_s;
+        trace[i].size = size;
+        trace[i].pooling_scale = 1.0;
+    }
+    return trace;
+}
+
+/*
+ * Crash with arrivals still waiting on the event queue's arrival lane:
+ * every injected query dies (conservation), nothing stays pending, and
+ * the instance then serves later arrivals exactly as a fresh server —
+ * including arrivals earlier than the discarded future ones.
+ */
+TEST(ServerInstance, KillDiscardsLaneArrivalsAndServesAfterwards)
+{
+    model::Model m = model::buildModel(ModelId::DlrmRmc1);
+    PreparedWorkload w = prepare(hw::serverSpec(ServerType::T2), m,
+                                 cpuConfig(2, 1, 64));
+    SimOptions opt = simOptions(500, 100, 0);
+    opt.record_completions = true;
+    ServerInstance inst(w, opt);
+    std::vector<workload::Query> before = uniformTrace(40, 0.01, 200);
+    for (const workload::Query& q : before)
+        inst.inject(q);  // arrivals up to t = 0.40 wait in the lane
+    inst.advanceTo(0.1);
+    const size_t retired = inst.completedAll();
+    ASSERT_LT(retired, before.size());
+    const size_t killed = inst.killInFlight();
+    EXPECT_FALSE(inst.hasPending());
+    EXPECT_EQ(killed, before.size() - retired);
+    EXPECT_EQ(inst.completedAll(), before.size());
+    EXPECT_EQ(inst.outstanding(), 0u);
+    EXPECT_EQ(inst.completions().size(), retired);
+
+    // Post-crash arrivals from t = 0.15: earlier than the discarded
+    // lane tail, later than now().
+    std::vector<workload::Query> after = uniformTrace(20, 0.01, 200);
+    for (workload::Query& q : after)
+        q.arrival_s += 0.14;
+    ServerInstance fresh(w, opt);
+    for (const workload::Query& q : after) {
+        inst.inject(q);
+        fresh.inject(q);
+    }
+    inst.drain();
+    fresh.drain();
+    EXPECT_EQ(inst.outstanding(), 0u);
+    EXPECT_EQ(inst.completedAll(), before.size() + after.size());
+    ASSERT_EQ(inst.completions().size(), retired + after.size());
+    ASSERT_EQ(fresh.completions().size(), after.size());
+    for (size_t i = 0; i < after.size(); ++i) {
+        const ServerInstance::Completion& c =
+            inst.completions()[retired + i];
+        const ServerInstance::Completion& f = fresh.completions()[i];
+        EXPECT_EQ(c.query, f.query + static_cast<int>(before.size()));
+        EXPECT_EQ(c.arrival_s, f.arrival_s);
+        EXPECT_EQ(c.finish_s, f.finish_s);
+        EXPECT_EQ(c.queue_wait_s, f.queue_wait_s);
+    }
+}
+
+void
+expectSameResult(const ServerSimResult& a, const ServerSimResult& b)
+{
+    EXPECT_EQ(a.offered_qps, b.offered_qps);
+    EXPECT_EQ(a.achieved_qps, b.achieved_qps);
+    EXPECT_EQ(a.mean_ms, b.mean_ms);
+    EXPECT_EQ(a.p50_ms, b.p50_ms);
+    EXPECT_EQ(a.p95_ms, b.p95_ms);
+    EXPECT_EQ(a.p99_ms, b.p99_ms);
+    EXPECT_EQ(a.tail_ms, b.tail_ms);
+    EXPECT_EQ(a.max_ms, b.max_ms);
+    EXPECT_EQ(a.cpu_util, b.cpu_util);
+    EXPECT_EQ(a.mem_bw_util, b.mem_bw_util);
+    EXPECT_EQ(a.gpu_util, b.gpu_util);
+    EXPECT_EQ(a.pcie_util, b.pcie_util);
+    EXPECT_EQ(a.nmp_util, b.nmp_util);
+    EXPECT_EQ(a.avg_power_w, b.avg_power_w);
+    EXPECT_EQ(a.peak_power_w, b.peak_power_w);
+    EXPECT_EQ(a.qps_per_watt, b.qps_per_watt);
+    EXPECT_EQ(a.mean_queue_ms, b.mean_queue_ms);
+    EXPECT_EQ(a.mean_host_ms, b.mean_host_ms);
+    EXPECT_EQ(a.mean_load_ms, b.mean_load_ms);
+    EXPECT_EQ(a.mean_exec_ms, b.mean_exec_ms);
+    EXPECT_EQ(a.completed, b.completed);
+    EXPECT_EQ(a.duration_s, b.duration_s);
+    EXPECT_EQ(a.aborted, b.aborted);
+    EXPECT_EQ(a.events_executed, b.events_executed);
+    EXPECT_EQ(a.peak_event_queue_depth, b.peak_event_queue_depth);
+}
+
+/** One configuration per mapping; GpuModelBased has a cold host pool. */
+struct MemoCase
+{
+    const char* name;
+    ServerType server;
+    SchedulingConfig cfg;
+};
+
+std::vector<MemoCase>
+memoCases()
+{
+    SchedulingConfig sd;
+    sd.mapping = Mapping::CpuSdPipeline;
+    sd.cpu_threads = 6;
+    sd.cores_per_thread = 2;
+    sd.dense_threads = 4;
+    sd.batch = 128;
+    SchedulingConfig gmb;  // 6 threads: partial hot split (pool 3)
+    gmb.mapping = Mapping::GpuModelBased;
+    gmb.gpu_threads = 6;
+    gmb.fusion_limit = 2000;
+    gmb.cpu_threads = 2;
+    SchedulingConfig gsd;
+    gsd.mapping = Mapping::GpuSdPipeline;
+    gsd.cpu_threads = 8;
+    gsd.cores_per_thread = 2;
+    gsd.batch = 128;
+    gsd.gpu_threads = 2;
+    gsd.fusion_limit = 2000;
+    return {{"cpu-model-based", ServerType::T2, cpuConfig(10, 2, 128)},
+            {"cpu-sd-pipeline", ServerType::T3, sd},
+            {"gpu-model-based", ServerType::T7, gmb},
+            {"gpu-sd-pipeline", ServerType::T7, gsd}};
+}
+
+/** A steppable run that degrades to `slowdown` half-way through. */
+ServerSimResult
+slowedRun(const PreparedWorkload& w, const SimOptions& opt, double slowdown)
+{
+    ServerInstance inst(w, opt);
+    workload::QueryGenerator gen(opt.offered_qps, opt.seed, opt.sizes,
+                                 opt.pooling);
+    for (int i = 0; i < opt.num_queries; ++i) {
+        workload::Query q = gen.next();
+        inst.advanceTo(q.arrival_s);
+        if (i == opt.num_queries / 2)
+            inst.setSlowdown(slowdown);
+        inst.inject(q);
+    }
+    inst.drain();
+    return inst.finalize();
+}
+
+/*
+ * The CPU service memo lives on the PreparedWorkload and is shared by
+ * every run on it. Back-to-back runs on one workload (slowed, then
+ * saturate, load probes and an abort probe, then slowed again on the
+ * warm memo) must each equal the same run on a freshly prepared one.
+ */
+TEST(SharedServiceMemo, ReusedWorkloadMatchesFresh)
+{
+    model::Model m = model::buildModel(ModelId::DlrmRmc1);
+    for (const MemoCase& mc : memoCases()) {
+        SCOPED_TRACE(mc.name);
+        const hw::ServerSpec& server = hw::serverSpec(mc.server);
+        PreparedWorkload shared = prepare(server, m, mc.cfg);
+
+        SimOptions sat = simOptions(1.0);
+        sat.saturate = true;
+        const double cap =
+            simulateServer(prepare(server, m, mc.cfg), sat).achieved_qps;
+        ASSERT_GT(cap, 0.0);
+        SimOptions abort_probe = simOptions(5.0 * cap);
+        abort_probe.abort_tail_ms = 1.0;
+        const std::vector<SimOptions> runs = {
+            sat, simOptions(0.3 * cap), simOptions(0.8 * cap, 300, 60, 7),
+            abort_probe};
+
+        const SimOptions slow_opt = simOptions(0.5 * cap);
+        expectSameResult(slowedRun(shared, slow_opt, 1.7),
+                         slowedRun(prepare(server, m, mc.cfg), slow_opt,
+                                   1.7));
+        for (const SimOptions& opt : runs)
+            expectSameResult(simulateServer(shared, opt),
+                             simulateServer(prepare(server, m, mc.cfg),
+                                            opt));
+        expectSameResult(slowedRun(shared, slow_opt, 1.7),
+                         slowedRun(prepare(server, m, mc.cfg), slow_opt,
+                                   1.7));
+        EXPECT_TRUE(simulateServer(shared, abort_probe).aborted);
+        if (mc.cfg.mapping == Mapping::GpuModelBased) {
+            ASSERT_LT(shared.gpu_cx.hot_hit_rate, 1.0);
+            EXPECT_FALSE(shared.cpu_service_memo[3].empty());
+        }
+    }
+}
+
+TEST(SharedServiceMemo, ReusedMeasurementMatchesFresh)
+{
+    model::Model m = model::buildModel(ModelId::DlrmRmc1);
+    MeasureOptions mo;
+    mo.sim = simOptions(1.0);
+    mo.bisect_iters = 5;
+    mo.abort_tail_factor = 2.0;
+    for (const MemoCase& mc : memoCases()) {
+        SCOPED_TRACE(mc.name);
+        const hw::ServerSpec& server = hw::serverSpec(mc.server);
+        PreparedWorkload shared = prepare(server, m, mc.cfg);
+        for (double sla_ms : {20.0, 8.0}) {
+            auto reused = measureLatencyBoundedQps(shared, sla_ms, mo);
+            auto fresh = measureLatencyBoundedQps(
+                prepare(server, m, mc.cfg), sla_ms, mo);
+            ASSERT_EQ(reused.has_value(), fresh.has_value());
+            if (!fresh)
+                continue;
+            EXPECT_EQ(reused->qps, fresh->qps);
+            EXPECT_EQ(reused->capacity, fresh->capacity);
+            EXPECT_EQ(reused->bracket_lo, fresh->bracket_lo);
+            EXPECT_EQ(reused->bracket_hi, fresh->bracket_hi);
+            EXPECT_EQ(reused->sims, fresh->sims);
+            expectSameResult(reused->result, fresh->result);
+        }
+    }
+}
+
 /*
  * Acceptance: a ClusterSim with one shard behind a round-robin router
  * reproduces the single-server latency distribution for the same
@@ -261,19 +484,6 @@ TEST(ClusterSim, OneShardRoundRobinMatchesSingleServer)
     EXPECT_DOUBLE_EQ(r.p99_ms, alone.p99_ms);
     EXPECT_DOUBLE_EQ(r.mean_ms, alone.mean_ms);
     EXPECT_DOUBLE_EQ(r.max_ms, alone.max_ms);
-}
-
-std::vector<workload::Query>
-uniformTrace(size_t n, double gap_s, int size = 40)
-{
-    std::vector<workload::Query> trace(n);
-    for (size_t i = 0; i < n; ++i) {
-        trace[i].id = i;
-        trace[i].arrival_s = static_cast<double>(i + 1) * gap_s;
-        trace[i].size = size;
-        trace[i].pooling_scale = 1.0;
-    }
-    return trace;
 }
 
 TEST(Router, RoundRobinCyclesEvenly)

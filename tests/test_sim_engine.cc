@@ -7,9 +7,13 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "sim/event_queue.h"
 #include "hw/power.h"
 #include "sim/server_sim.h"
+#include "util/rng.h"
 
 namespace hercules::sim {
 namespace {
@@ -123,6 +127,109 @@ TEST(EventQueueDeath, PopOnEmptyPanics)
     eq.schedule(1.0, 0);
     eq.pop();
     EXPECT_DEATH(eq.pop(), "empty");
+}
+
+/*
+ * The sorted arrival lane must be invisible to pop order: any mix of
+ * lane and heap pushes pops exactly as a single heap holding every
+ * event. Timestamps sit on a 0.25 s grid so ties across the two lanes
+ * are common, and clear() lands mid-run.
+ */
+TEST(EventQueue, ArrivalLaneMatchesSingleHeap)
+{
+    for (uint64_t seed = 1; seed <= 40; ++seed) {
+        Rng rng(seed);
+        EventQueue<int> lanes;  // lane + heap under test
+        EventQueue<int> ref;    // every event in the heap
+        double lane_back = 0.0;
+        int next_id = 0;
+        for (int op = 0; op < 600; ++op) {
+            const int64_t roll = rng.uniformInt(0, 99);
+            const double step = 0.25 * static_cast<double>(
+                                           rng.uniformInt(0, 3));
+            if (roll < 35) {
+                lane_back = std::max(lane_back, lanes.now()) + step;
+                lanes.scheduleInOrder(lane_back, next_id);
+                ref.schedule(lane_back, next_id++);
+            } else if (roll < 65) {
+                const double t = lanes.now() + step;
+                lanes.schedule(t, next_id);
+                ref.schedule(t, next_id++);
+            } else if (roll < 98) {
+                ASSERT_EQ(lanes.empty(), ref.empty());
+                if (ref.empty())
+                    continue;
+                ASSERT_EQ(lanes.nextTime(), ref.nextTime());
+                ASSERT_EQ(lanes.pop(), ref.pop()) << "seed " << seed;
+                ASSERT_EQ(lanes.now(), ref.now());
+            } else {
+                lanes.clear();
+                ref.clear();
+                lane_back = lanes.now();
+            }
+            ASSERT_EQ(lanes.peakDepth(), ref.peakDepth());
+        }
+        while (!ref.empty()) {
+            ASSERT_FALSE(lanes.empty());
+            ASSERT_EQ(lanes.pop(), ref.pop()) << "seed " << seed;
+        }
+        EXPECT_TRUE(lanes.empty());
+        EXPECT_EQ(lanes.eventsExecuted(), ref.eventsExecuted());
+        EXPECT_EQ(lanes.peakDepth(), ref.peakDepth());
+    }
+}
+
+TEST(EventQueue, ArrivalLaneTiesPopInSchedulingOrder)
+{
+    EventQueue<int> eq;
+    eq.scheduleInOrder(1.0, 0);
+    eq.schedule(1.0, 1);
+    eq.scheduleInOrder(1.0, 2);
+    eq.schedule(0.5, 3);
+    eq.scheduleInOrder(2.0, 4);
+    eq.schedule(1.0, 5);
+    std::vector<int> order;
+    while (!eq.empty())
+        order.push_back(eq.pop());
+    EXPECT_EQ(order, (std::vector<int>{3, 0, 1, 2, 5, 4}));
+}
+
+TEST(EventQueue, PeakDepthCountsBothLanes)
+{
+    EventQueue<int> eq;
+    eq.scheduleInOrder(1.0, 0);
+    eq.scheduleInOrder(2.0, 1);
+    eq.scheduleInOrder(3.0, 2);
+    eq.schedule(1.5, 3);
+    EXPECT_EQ(eq.peakDepth(), 4u);
+    EXPECT_EQ(eq.pop(), 0);
+    eq.schedule(4.0, 4);
+    EXPECT_EQ(eq.peakDepth(), 4u);
+    eq.schedule(5.0, 5);
+    EXPECT_EQ(eq.peakDepth(), 5u);
+    eq.clear();
+    EXPECT_TRUE(eq.empty());
+    EXPECT_EQ(eq.peakDepth(), 5u);  // survives clear()
+    // After clear() the lane is empty: only now() bounds the next push.
+    eq.scheduleInOrder(1.0, 6);
+    EXPECT_DOUBLE_EQ(eq.nextTime(), 1.0);
+    EXPECT_EQ(eq.pop(), 6);
+}
+
+TEST(EventQueueDeath, ArrivalLaneBackwardsPanics)
+{
+    EventQueue<int> eq;
+    eq.scheduleInOrder(2.0, 0);
+    eq.schedule(0.5, 1);  // the heap does not constrain the lane
+    EXPECT_DEATH(eq.scheduleInOrder(1.0, 2), "backwards");
+}
+
+TEST(EventQueueDeath, ArrivalLanePastSchedulingPanics)
+{
+    EventQueue<int> eq;
+    eq.schedule(5.0, 0);
+    eq.pop();
+    EXPECT_DEATH(eq.scheduleInOrder(4.0, 1), "past");
 }
 
 TEST(Validate, CoreOversubscriptionRejected)
