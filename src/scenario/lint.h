@@ -80,9 +80,11 @@ std::string formatDiagnostic(const Diagnostic& d);
  * hardware-feasibility checks (E130, W209). lint() never simulates:
  * tables come from ScenarioSpec::profile.table_cache or a prior run.
  *
- * Errors are a superset of validateSpec(): any spec validateSpec()
- * rejects lints with at least one E1xx, so a lint-clean spec never
- * fatals inside scenario::run() for structural reasons.
+ * Errors cover validateSpec()'s structural checks: a spec it rejects
+ * for its fleet, services, horizon, cap schedule or faults lints with
+ * at least one E1xx, so a lint-clean spec never fatals inside
+ * scenario::run() for structural reasons. Its value checks on query
+ * sizes, trace knobs and observability.sample_rate have no code yet.
  */
 std::vector<Diagnostic> lint(const ScenarioSpec& spec,
                              const core::EfficiencyTable* table = nullptr);

@@ -79,9 +79,28 @@ validateSpec(const ScenarioSpec& spec, std::string* error)
         if (e.shard_slots < 0)
             return fail(std::string("negative slots for ") +
                         hw::serverTypeName(e.type));
+    // Size and curve knobs the parser range-checks, for C++-built
+    // specs: past them the query generator calls std::clamp with
+    // lo > hi or takes the log of a non-positive median.
+    for (size_t i = 0; i < spec.services.size(); ++i) {
+        const cluster::ServiceSpec& s = spec.services[i].spec;
+        const std::string ctx = "services[" + std::to_string(i) + "]: ";
+        if (!(s.sizes.median > 0.0))
+            return fail(ctx + "size_median must be positive");
+        if (!(s.sizes.sigma >= 0.0) || !(s.pooling.sigma >= 0.0))
+            return fail(ctx + "negative (or NaN) size/pooling sigma");
+        if (!(s.load.trough_frac >= 0.0) || !(s.load.trough_frac <= 1.0))
+            return fail(ctx + "trough_frac must be in [0, 1]");
+        if (s.sizes.min_size > s.sizes.max_size)
+            return fail(ctx + "size_min > size_max");
+    }
     if (spec.serve.horizon_hours <= 0.0 ||
         spec.serve.interval_hours <= 0.0)
         return fail("non-positive horizon/interval");
+    const workload::TraceOptions& tr = spec.serve.trace;
+    if (!(tr.bucket_seconds > 0.0) || !(tr.time_compression >= 1.0))
+        return fail("trace: bucket_seconds must be positive and "
+                    "time_compression >= 1");
     const auto& sched = spec.serve.power_cap_schedule;
     for (size_t i = 0; i < sched.size(); ++i) {
         if (!(sched[i].from_hour >= 0.0) ||

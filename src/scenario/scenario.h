@@ -175,10 +175,11 @@ void resolvePeaks(ScenarioSpec& spec,
 
 /**
  * Semantic validation of a parsed spec — the same checks run()
- * enforces fatally (non-empty fleet/services, positive slots and
- * horizon/interval, sorted power-cap schedule), non-fatally so lint
- * paths (--parse-only, CI scenario-smoke) can reject a spec that
- * parses but cannot run.
+ * enforces fatally (non-empty fleet/services, positive horizon and
+ * interval, sorted power-cap schedule, query-size/trace knobs in the
+ * parser's ranges, size_min <= size_max), non-fatally so lint paths
+ * (--parse-only, CI scenario-smoke) can reject a spec that parses but
+ * cannot run, and a C++-built spec gets the parser's range checks.
  * @return true when the spec is runnable; else fills *error.
  */
 bool validateSpec(const ScenarioSpec& spec,

@@ -7,7 +7,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
 
 #include "fault/fault.h"
 #include "model/model_zoo.h"
@@ -36,7 +39,8 @@ struct Value
 struct Field
 {
     std::string key;
-    int line = 0;  ///< line of the key token
+    int line = 0;       ///< line of the key token
+    bool used = false;  ///< claimed by a schema key while binding
     Value value;
 };
 
@@ -91,15 +95,11 @@ class Parser
     std::string error;
 
   private:
+    template <typename... Args>
     bool
-    fail(const char* f, ...)
+    fail(const char* f, Args... args)
     {
-        char buf[200];
-        va_list ap;
-        va_start(ap, f);
-        std::vsnprintf(buf, sizeof buf, f, ap);
-        va_end(ap);
-        error = fmt("line %d: %s", line_, buf);
+        error = fmt("line %d: %.199s", line_, fmt(f, args...).c_str());
         return false;
     }
 
@@ -124,10 +124,15 @@ class Parser
             return fail("unexpected end of input");
         out.line = line_;
         char c = t_[pos_];
-        if (c == '{')
-            return parseObject(out);
-        if (c == '[')
-            return parseArray(out);
+        if (c == '{' || c == '[') {
+            // Bounded, so hostile input fails here instead of
+            // overflowing the stack; a spec nests four levels deep.
+            if (++depth_ > kMaxDepth)
+                return fail("nesting deeper than %d levels", kMaxDepth);
+            bool ok = c == '{' ? parseObject(out) : parseArray(out);
+            --depth_;
+            return ok;
+        }
         if (c == '"') {
             out.kind = Value::Kind::String;
             return parseString(out.str);
@@ -143,13 +148,7 @@ class Parser
     parseObject(Value& out)
     {
         out.kind = Value::Kind::Object;
-        ++pos_;  // '{'
-        skipWs();
-        if (pos_ < t_.size() && t_[pos_] == '}') {
-            ++pos_;
-            return true;
-        }
-        while (true) {
+        return parseList('}', "object", [&] {
             skipWs();
             if (pos_ >= t_.size() || t_[pos_] != '"')
                 return fail("expected a key string");
@@ -170,49 +169,44 @@ class Parser
             if (!parseValue(f.value))
                 return false;
             out.fields.push_back(std::move(f));
-            skipWs();
-            if (pos_ >= t_.size())
-                return fail("unterminated object");
-            if (t_[pos_] == ',') {
-                ++pos_;
-                continue;
-            }
-            if (t_[pos_] == '}') {
-                ++pos_;
-                return true;
-            }
-            return fail("expected ',' or '}' in object");
-        }
+            return true;
+        });
     }
 
     bool
     parseArray(Value& out)
     {
         out.kind = Value::Kind::Array;
-        ++pos_;  // '['
+        return parseList(']', "array", [&] {
+            out.items.emplace_back();
+            return parseValue(out.items.back());
+        });
+    }
+
+    /** Comma-separated `item`s after an opening bracket, to `close`. */
+    template <typename Item>
+    bool
+    parseList(char close, const char* what, Item item)
+    {
+        ++pos_;  // the opening bracket
         skipWs();
-        if (pos_ < t_.size() && t_[pos_] == ']') {
+        if (pos_ < t_.size() && t_[pos_] == close) {
             ++pos_;
             return true;
         }
-        while (true) {
-            Value item;
-            if (!parseValue(item))
-                return false;
-            out.items.push_back(std::move(item));
+        while (item()) {
             skipWs();
             if (pos_ >= t_.size())
-                return fail("unterminated array");
-            if (t_[pos_] == ',') {
-                ++pos_;
-                continue;
-            }
-            if (t_[pos_] == ']') {
+                return fail("unterminated %s", what);
+            if (t_[pos_] == close) {
                 ++pos_;
                 return true;
             }
-            return fail("expected ',' or ']' in array");
+            if (t_[pos_] != ',')
+                return fail("expected ',' or '%c' in %s", close, what);
+            ++pos_;
         }
+        return false;
     }
 
     bool
@@ -307,230 +301,58 @@ class Parser
         return fail("unexpected token");
     }
 
+    static constexpr int kMaxDepth = 64;
+
     const std::string& t_;
     size_t pos_ = 0;
     int line_ = 1;
+    int depth_ = 0;
 };
 
-// ---- binder --------------------------------------------------------------
+// ---- schema --------------------------------------------------------------
 
-/**
- * Reads one object's keys onto spec fields, tracking which keys were
- * consumed so finish() can reject unknown ones with their line.
- * Absent keys leave the (default-initialized) target untouched.
- */
-class ObjectReader
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/** Bind-time range of a number key; `desc` names it in errors. */
+struct Range
 {
-  public:
-    ObjectReader(const Value& v, std::string ctx, std::string* err)
-        : v_(v), ctx_(std::move(ctx)), err_(err),
-          used_(v.fields.size(), false)
+    double lo = -kInf;
+    double hi = kInf;
+    bool open_lo = false;        ///< lo itself is out of range
+    const char* desc = nullptr;  ///< null: any number the grammar reads
+};
+
+constexpr Range kNonNegative{0.0, kInf, false, "non-negative"};
+constexpr Range kPositive{0.0, kInf, true, "positive"};
+constexpr Range kAtLeastOne{1.0, kInf, false, ">= 1"};
+constexpr Range kUnit{0.0, 1.0, false, "in [0, 1]"};
+
+enum KeyFlags : unsigned {
+    kAlways = 1,               ///< emitted even when equal to the default
+    kRequired = 2 | kAlways,   ///< an absent key is a bind error
+};
+
+/** One key of a spec object: its name plus its bind and emit rules. */
+struct Key
+{
+    Key(const char* n, Range r = {}, unsigned f = 0)
+        : name(n), range(r), flags(f)
     {
     }
+    Key(const char* n, unsigned f) : name(n), flags(f) {}
 
-    const Value*
-    find(const char* key)
-    {
-        for (size_t i = 0; i < v_.fields.size(); ++i)
-            if (v_.fields[i].key == key) {
-                used_[i] = true;
-                return &v_.fields[i].value;
-            }
-        return nullptr;
-    }
+    std::string_view name;  ///< a literal, so data() is NUL-terminated
+    Range range;            ///< number keys only
+    unsigned flags = 0;
+};
 
-    bool
-    typeError(const Value& v, const char* key, const char* want)
-    {
-        *err_ = fmt("line %d: key '%s' in %s expects %s (got %s)",
-                    v.line, key, ctx_.c_str(), want, kindName(v.kind));
-        return false;
-    }
-
-    bool
-    number(const char* key, double* out)
-    {
-        const Value* v = find(key);
-        if (v == nullptr)
-            return true;
-        if (v->kind != Value::Kind::Number)
-            return typeError(*v, key, "a number");
-        *out = v->num;
-        return true;
-    }
-
-    /**
-     * number() that additionally rejects values below `lo` (strictly
-     * below, or equal when `strict`) with a "must be <desc>" error.
-     * The comparison is written to also reject NaN, which a hand-built
-     * Value could carry even though the grammar cannot produce one.
-     */
-    bool
-    numberMin(const char* key, double lo, bool strict,
-              const char* desc, double* out)
-    {
-        const Value* v = find(key);
-        if (v == nullptr)
-            return true;
-        if (v->kind != Value::Kind::Number)
-            return typeError(*v, key, "a number");
-        bool bad = strict ? !(v->num > lo) : !(v->num >= lo);
-        if (bad) {
-            *err_ = fmt("line %d: key '%s' in %s must be %s (got %g)",
-                        v->line, key, ctx_.c_str(), desc, v->num);
-            return false;
-        }
-        *out = v->num;
-        return true;
-    }
-
-    bool
-    nonNegative(const char* key, double* out)
-    {
-        return numberMin(key, 0.0, false, "non-negative", out);
-    }
-
-    bool
-    positive(const char* key, double* out)
-    {
-        return numberMin(key, 0.0, true, "positive", out);
-    }
-
-    bool
-    integer(const char* key, long long lo, long long hi,
-            long long* out)
-    {
-        const Value* v = find(key);
-        if (v == nullptr)
-            return true;
-        if (v->kind != Value::Kind::Number ||
-            v->num != std::floor(v->num))
-            return typeError(*v, key, "an integer");
-        if (v->num < static_cast<double>(lo) ||
-            v->num > static_cast<double>(hi)) {
-            *err_ = fmt("line %d: key '%s' in %s is out of range",
-                        v->line, key, ctx_.c_str());
-            return false;
-        }
-        *out = static_cast<long long>(v->num);
-        return true;
-    }
-
-    bool
-    intField(const char* key, int* out)
-    {
-        long long v = *out;
-        if (!integer(key, -2147483648LL, 2147483647LL, &v))
-            return false;
-        *out = static_cast<int>(v);
-        return true;
-    }
-
-    bool
-    u64Field(const char* key, uint64_t* out)
-    {
-        // Seeds ride through the number grammar: exact up to 2^53.
-        long long v = static_cast<long long>(*out);
-        if (!integer(key, 0, 9007199254740992LL, &v))
-            return false;
-        *out = static_cast<uint64_t>(v);
-        return true;
-    }
-
-    bool
-    sizeField(const char* key, size_t* out)
-    {
-        long long v = static_cast<long long>(*out);
-        if (!integer(key, 0, 9007199254740992LL, &v))
-            return false;
-        *out = static_cast<size_t>(v);
-        return true;
-    }
-
-    bool
-    str(const char* key, std::string* out)
-    {
-        const Value* v = find(key);
-        if (v == nullptr)
-            return true;
-        if (v->kind != Value::Kind::String)
-            return typeError(*v, key, "a string");
-        *out = v->str;
-        return true;
-    }
-
-    bool
-    boolean(const char* key, bool* out)
-    {
-        const Value* v = find(key);
-        if (v == nullptr)
-            return true;
-        if (v->kind != Value::Kind::Bool)
-            return typeError(*v, key, "a boolean");
-        *out = v->boolean;
-        return true;
-    }
-
-    /**
-     * Look up a string key and map it through `parse` (an enum-name
-     * parser); absent keys keep the default.
-     */
-    template <typename T, typename ParseFn>
-    bool
-    named(const char* key, const char* what, ParseFn parse, T* out)
-    {
-        const Value* v = find(key);
-        if (v == nullptr)
-            return true;
-        if (v->kind != Value::Kind::String)
-            return typeError(*v, key, "a string");
-        auto parsed = parse(v->str);
-        if (!parsed.has_value()) {
-            *err_ = fmt("line %d: unknown %s '%s' in %s", v->line,
-                        what, v->str.c_str(), ctx_.c_str());
-            return false;
-        }
-        *out = *parsed;
-        return true;
-    }
-
-    /** Typed sub-value lookup; null when absent, error on wrong kind. */
-    const Value*
-    sub(const char* key, Value::Kind kind, bool* ok)
-    {
-        *ok = true;
-        const Value* v = find(key);
-        if (v == nullptr)
-            return nullptr;
-        if (v->kind != kind) {
-            *ok = typeError(*v, key,
-                            kind == Value::Kind::Object ? "an object"
-                                                        : "an array");
-            return nullptr;
-        }
-        return v;
-    }
-
-    bool
-    finish()
-    {
-        for (size_t i = 0; i < v_.fields.size(); ++i)
-            if (!used_[i]) {
-                *err_ = fmt("line %d: unknown key '%s' in %s",
-                            v_.fields[i].line,
-                            v_.fields[i].key.c_str(), ctx_.c_str());
-                return false;
-            }
-        return true;
-    }
-
-    const std::string& ctx() const { return ctx_; }
-
-  private:
-    const Value& v_;
-    std::string ctx_;
-    std::string* err_;
-    std::vector<bool> used_;
+/** An enum key's names: its module's parse and name functions. */
+template <typename E>
+struct Names
+{
+    const char* what;  ///< noun in "unknown <what> 'x' in ..."
+    std::optional<E> (*parse)(const std::string&);
+    const char* (*name)(E);
 };
 
 std::optional<hw::ServerType>
@@ -551,280 +373,374 @@ parseModelName(const std::string& s)
     return std::nullopt;
 }
 
-// ---- per-section binders -------------------------------------------------
+constexpr Names<hw::ServerType> kServerTypes{
+    "server type", parseServerTypeName, hw::serverTypeName};
+constexpr Names<model::ModelId> kModels{"model", parseModelName,
+                                        model::modelName};
+constexpr Names<ProvisionerKind> kProvisioners{
+    "provisioner", parseProvisionerKind, provisionerKindName};
+constexpr Names<sim::RouterPolicy> kRouters{
+    "router policy", sim::parseRouterPolicy, sim::routerPolicyName};
+constexpr Names<qos::Tier> kTiers{"tier", qos::parseTier, qos::tierName};
+constexpr Names<qos::AdmissionPolicy> kAdmissionPolicies{
+    "admission policy", qos::parseAdmissionPolicy,
+    qos::admissionPolicyName};
+constexpr Names<fault::HealthState> kHealthStates{
+    "health state", fault::parseHealthState, fault::healthStateName};
 
-bool
-bindFleetEntry(const Value& v, const std::string& ctx, FleetEntry* out,
-               std::string* err)
+/** How the items of an array key are written. */
+enum class Layout { Inline, Lines };
+
+/**
+ * `Schema<T, S...>` is void when every S is T or const T. Each
+ * schema() below lists one spec struct's keys once, in canonical
+ * order, and is walked by three visitors: the Binder (one mutable
+ * object), the Emitter (the value and its default) and the Lister (a
+ * default object). A key line names the key, its rules and the field;
+ * the value kind follows from the method and the field's type:
+ *
+ *   num     double (range-checked) or an integer type (int: any int32;
+ *           uint64_t/size_t: [0, 2^53], where doubles stay exact)
+ *   str     std::string            flag    bool
+ *   choice  enum, through Names    object  a nested spec struct
+ *   array   std::vector of a spec struct, items laid out per Layout
+ */
+template <typename T, typename... S>
+using Schema = std::enable_if_t<
+    (std::is_same_v<std::remove_const_t<S>, T> && ...)>;
+
+template <typename V, typename... S>
+Schema<FleetEntry, S...>
+schema(V& v, S&... e)
 {
-    if (v.kind != Value::Kind::Object) {
-        *err = fmt("line %d: %s expects an object", v.line,
-                   ctx.c_str());
-        return false;
-    }
-    ObjectReader r(v, ctx, err);
-    if (r.find("type") == nullptr) {
-        *err = fmt("line %d: missing key 'type' in %s", v.line,
-                   ctx.c_str());
-        return false;
-    }
-    // find() only marks the key consumed, so re-reading it below is
-    // harmless.
-    if (!r.named("type", "server type", parseServerTypeName,
-                 &out->type))
-        return false;
-    if (!r.intField("slots", &out->shard_slots))
-        return false;
-    return r.finish();
+    v.choice({"type", kRequired}, kServerTypes, e.type...);
+    v.num("slots", e.shard_slots...);
 }
 
-bool
-bindCapPoint(const Value& v, const std::string& ctx,
-             cluster::PowerCapPoint* out, std::string* err)
+template <typename V, typename... S>
+Schema<ServiceScenario, S...>
+schema(V& v, S&... s)
 {
-    if (v.kind != Value::Kind::Object) {
-        *err = fmt("line %d: %s expects an object", v.line,
-                   ctx.c_str());
-        return false;
-    }
-    ObjectReader r(v, ctx, err);
-    if (!r.nonNegative("from_hour", &out->from_hour))
-        return false;
-    if (!r.nonNegative("cap_w", &out->cap_w))
-        return false;
-    return r.finish();
+    v.str("name", s.name...);
+    v.choice({"model", kRequired}, kModels, s.spec.model...);
+    v.num({"peak_qps_frac", kNonNegative}, s.peak_qps_frac...);
+    v.num({"peak_qps", kNonNegative}, s.spec.load.peak_qps...);
+    v.num({"trough_frac", kUnit}, s.spec.load.trough_frac...);
+    v.num("peak_hour", s.spec.load.peak_hour...);
+    v.num("noise_frac", s.spec.load.noise_frac...);
+    v.num("load_seed", s.spec.load.seed...);
+    v.num("surge_hour", s.spec.load.surge_hour...);
+    v.num({"surge_hours", kNonNegative}, s.spec.load.surge_hours...);
+    v.num({"surge_factor", kNonNegative}, s.spec.load.surge_factor...);
+    v.num({"sla_ms", kNonNegative}, s.spec.sla_ms...);
+    v.num("priority", s.spec.qos.priority...);
+    v.choice("tier", kTiers, s.spec.qos.tier...);
+    v.num({"qos_sla_ms", kNonNegative}, s.spec.qos.sla_ms...);
+    v.num({"size_median", kPositive}, s.spec.sizes.median...);
+    v.num({"size_sigma", kNonNegative}, s.spec.sizes.sigma...);
+    v.num("size_min", s.spec.sizes.min_size...);
+    v.num("size_max", s.spec.sizes.max_size...);
+    v.num({"pooling_sigma", kNonNegative}, s.spec.pooling.sigma...);
 }
 
-bool
-bindFaultEvent(const Value& v, const std::string& ctx,
-               fault::FaultEvent* out, std::string* err)
+template <typename V, typename... S>
+Schema<qos::FeedbackConfig, S...>
+schema(V& v, S&... f)
 {
-    if (v.kind != Value::Kind::Object) {
-        *err = fmt("line %d: %s expects an object", v.line,
-                   ctx.c_str());
-        return false;
-    }
-    ObjectReader r(v, ctx, err);
-    if (!r.nonNegative("at_hour", &out->t_hours))
-        return false;
-    if (!r.intField("fleet", &out->fleet_index))
-        return false;
-    if (!r.intField("slot", &out->slot))
-        return false;
-    if (!r.named("state", "health state", fault::parseHealthState,
-                 &out->state))
-        return false;
-    if (!r.numberMin("slowdown", 1.0, false, ">= 1", &out->slowdown))
-        return false;
-    return r.finish();
+    v.num("gain", f.gain...);
+    v.num("floor_frac", f.floor_frac...);
 }
 
-bool
-bindService(const Value& v, const std::string& ctx,
-            ServiceScenario* out, std::string* err)
+template <typename V, typename... S>
+Schema<qos::AdmissionConfig, S...>
+schema(V& v, S&... a)
 {
-    if (v.kind != Value::Kind::Object) {
-        *err = fmt("line %d: %s expects an object", v.line,
-                   ctx.c_str());
-        return false;
-    }
-    ObjectReader r(v, ctx, err);
-    if (r.find("model") == nullptr) {
-        *err = fmt("line %d: missing key 'model' in %s", v.line,
-                   ctx.c_str());
-        return false;
-    }
-    cluster::ServiceSpec& s = out->spec;
-    bool ok = r.str("name", &out->name) &&
-              r.named("model", "model", parseModelName, &s.model) &&
-              r.nonNegative("peak_qps_frac", &out->peak_qps_frac) &&
-              r.nonNegative("peak_qps", &s.load.peak_qps) &&
-              r.number("trough_frac", &s.load.trough_frac) &&
-              r.number("peak_hour", &s.load.peak_hour) &&
-              r.number("noise_frac", &s.load.noise_frac) &&
-              r.u64Field("load_seed", &s.load.seed) &&
-              r.number("surge_hour", &s.load.surge_hour) &&
-              r.nonNegative("surge_hours", &s.load.surge_hours) &&
-              r.nonNegative("surge_factor", &s.load.surge_factor) &&
-              r.nonNegative("sla_ms", &s.sla_ms) &&
-              r.intField("priority", &s.qos.priority) &&
-              r.named("tier", "tier", qos::parseTier, &s.qos.tier) &&
-              r.nonNegative("qos_sla_ms", &s.qos.sla_ms) &&
-              r.number("size_median", &s.sizes.median) &&
-              r.number("size_sigma", &s.sizes.sigma) &&
-              r.intField("size_min", &s.sizes.min_size) &&
-              r.intField("size_max", &s.sizes.max_size) &&
-              r.number("pooling_sigma", &s.pooling.sigma);
-    return ok && r.finish();
+    v.choice("policy", kAdmissionPolicies, a.policy...);
+    v.num("queue_cap", a.queue_cap...);
+    v.num("deadline_slack", a.deadline_slack...);
+    v.flag("cross_shard_retry", a.cross_shard_retry...);
 }
 
-bool
-bindSpec(const Value& root, ScenarioSpec* out, std::string* err)
+template <typename V, typename... S>
+Schema<cluster::PowerCapPoint, S...>
+schema(V& v, S&... p)
 {
-    ObjectReader r(root, "scenario", err);
-    bool ok;
+    v.num({"from_hour", kNonNegative, kAlways}, p.from_hour...);
+    v.num({"cap_w", kNonNegative, kAlways}, p.cap_w...);
+}
 
-    if (!r.str("name", &out->name) ||
-        !r.str("description", &out->description))
-        return false;
+template <typename V, typename... S>
+Schema<fault::FaultEvent, S...>
+schema(V& v, S&... e)
+{
+    v.num({"at_hour", kNonNegative, kAlways}, e.t_hours...);
+    v.num("fleet", e.fleet_index...);
+    v.num("slot", e.slot...);
+    // The state IS the event, even the (default) recovery to healthy.
+    v.choice({"state", kAlways}, kHealthStates, e.state...);
+    v.num({"slowdown", kAtLeastOne}, e.slowdown...);
+}
 
-    if (const Value* fleet = r.sub("fleet", Value::Kind::Array, &ok)) {
-        for (size_t i = 0; i < fleet->items.size(); ++i) {
-            FleetEntry e;
-            if (!bindFleetEntry(fleet->items[i],
-                                fmt("fleet[%zu]", i), &e, err))
-                return false;
-            out->fleet.push_back(e);
+template <typename V, typename... S>
+Schema<fault::FaultSpec, S...>
+schema(V& v, S&... f)
+{
+    v.num("seed", f.seed...);
+    v.num({"crash_mtbf_hours", kNonNegative}, f.crash_mtbf_hours...);
+    v.num({"crash_mttr_hours", kNonNegative}, f.crash_mttr_hours...);
+    v.num({"degrade_mtbf_hours", kNonNegative}, f.degrade_mtbf_hours...);
+    v.num({"degrade_mttr_hours", kNonNegative}, f.degrade_mttr_hours...);
+    v.num({"degrade_slowdown", kAtLeastOne}, f.degrade_slowdown...);
+    v.array("events", Layout::Inline, f.events...);
+}
+
+template <typename V, typename... S>
+Schema<workload::TraceOptions, S...>
+schema(V& v, S&... t)
+{
+    v.num({"bucket_seconds", kPositive}, t.bucket_seconds...);
+    v.num({"time_compression", kAtLeastOne}, t.time_compression...);
+    v.num("seed", t.seed...);
+}
+
+template <typename V, typename... S>
+Schema<ProfileSpec, S...>
+schema(V& v, S&... p)
+{
+    v.str("table_cache", p.table_cache...);
+    v.str("eval_memo", p.eval_memo...);
+    v.num("num_queries", p.num_queries...);
+    v.num("warmup_queries", p.warmup_queries...);
+    v.num("bisect_iters", p.bisect_iters...);
+    v.num("seed", p.seed...);
+}
+
+template <typename V, typename... S>
+Schema<obs::ObsSpec, S...>
+schema(V& v, S&... o)
+{
+    v.str("trace_file", o.trace_file...);
+    v.str("metrics_file", o.metrics_file...);
+    v.num("sample_rate", o.sample_rate...);
+}
+
+template <typename V, typename... S>
+Schema<ScenarioSpec, S...>
+schema(V& v, S&... s)
+{
+    v.str({"name", kAlways}, s.name...);
+    v.str("description", s.description...);
+    v.array("fleet", Layout::Inline, s.fleet...);
+    v.array("services", Layout::Lines, s.services...);
+    v.choice("provisioner", kProvisioners, s.provisioner...);
+    v.num("nh_seed", s.nh_seed...);
+    v.flag("lint", s.lint...);
+    v.choice("router", kRouters, s.serve.router...);
+    v.num("router_seed", s.serve.router_seed...);
+    v.object("feedback", s.serve.feedback...);
+    v.object("admission", s.serve.admission...);
+    v.num({"horizon_hours", kPositive}, s.serve.horizon_hours...);
+    v.num({"interval_hours", kPositive}, s.serve.interval_hours...);
+    v.num({"sla_ms", kNonNegative}, s.serve.sla_ms...);
+    // Negative means "estimate from the curve", so it stays unranged.
+    v.num("overprovision_rate", s.serve.overprovision_rate...);
+    v.num({"power_cap_w", kNonNegative}, s.serve.power_cap_w...);
+    v.array("power_cap_schedule", Layout::Inline,
+            s.serve.power_cap_schedule...);
+    v.object("faults", s.serve.faults...);
+    v.object("trace", s.serve.trace...);
+    v.object("profile", s.profile...);
+    v.object("observability", s.observability...);
+}
+
+// ---- binder --------------------------------------------------------------
+
+/**
+ * Binds one parsed object onto a spec struct, walking its schema.
+ * Absent keys keep the (default-initialized) target; keys no schema
+ * line claims are rejected by finish() with their line. The first
+ * error wins: once *err is set, every later visit is a no-op. The
+ * context ("services[1]", "faults.events[0]") is only formatted for
+ * an error.
+ */
+class Binder
+{
+  public:
+    Binder(Value& obj, std::string* err, const Binder* parent = nullptr,
+           std::string_view key = {}, size_t index = kNoIndex)
+        : obj_(obj), err_(err), parent_(parent), key_(key), index_(index)
+    {
+    }
+
+    template <typename F>
+    void
+    num(const Key& k, F& out)
+    {
+        constexpr bool real = std::is_floating_point_v<F>;
+        const Value* v =
+            get(k, Value::Kind::Number, real ? "a number" : "an integer");
+        if (v == nullptr)
+            return;
+        if constexpr (real) {
+            const Range& r = k.range;
+            bool above = r.open_lo ? v->num > r.lo : v->num >= r.lo;
+            if (r.desc != nullptr && !(above && v->num <= r.hi))
+                return fail(v->line, "key '%s' in %s must be %s (got %g)",
+                            k.name.data(), context().c_str(), r.desc,
+                            v->num);
+        } else {
+            // Unsigned keys (seeds, queue_cap) ride through the number
+            // grammar, so they are exact only up to 2^53.
+            constexpr double hi = std::is_signed_v<F>
+                                      ? std::numeric_limits<F>::max()
+                                      : 0x1p53;
+            if (v->num != std::floor(v->num))
+                return typeError(*v, k, "an integer");
+            if (v->num < std::numeric_limits<F>::min() || v->num > hi)
+                return fail(v->line, "key '%s' in %s is out of range",
+                            k.name.data(), context().c_str());
         }
-    } else if (!ok) {
-        return false;
+        out = static_cast<F>(v->num);
     }
 
-    if (const Value* svcs =
-            r.sub("services", Value::Kind::Array, &ok)) {
-        for (size_t i = 0; i < svcs->items.size(); ++i) {
-            ServiceScenario s;
-            if (!bindService(svcs->items[i], fmt("services[%zu]", i),
-                             &s, err))
-                return false;
-            out->services.push_back(std::move(s));
+    void
+    str(const Key& k, std::string& out)
+    {
+        if (const Value* v = get(k, Value::Kind::String, "a string"))
+            out = v->str;
+    }
+
+    void
+    flag(const Key& k, bool& out)
+    {
+        if (const Value* v = get(k, Value::Kind::Bool, "a boolean"))
+            out = v->boolean;
+    }
+
+    template <typename E>
+    void
+    choice(const Key& k, const Names<E>& names, E& out)
+    {
+        const Value* v = get(k, Value::Kind::String, "a string");
+        if (v == nullptr)
+            return;
+        std::optional<E> parsed = names.parse(v->str);
+        if (!parsed.has_value())
+            return fail(v->line, "unknown %s '%s' in %s", names.what,
+                        v->str.c_str(), context().c_str());
+        out = *parsed;
+    }
+
+    template <typename T>
+    void
+    object(const Key& k, T& out)
+    {
+        if (Value* v = get(k, Value::Kind::Object, "an object")) {
+            Binder child(*v, err_, this, k.name);
+            schema(child, out);
+            child.finish();
         }
-    } else if (!ok) {
-        return false;
     }
 
-    if (!r.named("provisioner", "provisioner", parseProvisionerKind,
-                 &out->provisioner) ||
-        !r.u64Field("nh_seed", &out->nh_seed) ||
-        !r.boolean("lint", &out->lint) ||
-        !r.named("router", "router policy", sim::parseRouterPolicy,
-                 &out->serve.router) ||
-        !r.u64Field("router_seed", &out->serve.router_seed) ||
-        !r.positive("horizon_hours", &out->serve.horizon_hours) ||
-        !r.positive("interval_hours", &out->serve.interval_hours) ||
-        !r.nonNegative("sla_ms", &out->serve.sla_ms) ||
-        // A negative overprovision_rate means "estimate from the
-        // curve", so it stays a plain number.
-        !r.number("overprovision_rate",
-                  &out->serve.overprovision_rate) ||
-        !r.nonNegative("power_cap_w", &out->serve.power_cap_w))
-        return false;
-
-    if (const Value* fb = r.sub("feedback", Value::Kind::Object, &ok)) {
-        ObjectReader fr(*fb, "feedback", err);
-        if (!fr.number("gain", &out->serve.feedback.gain) ||
-            !fr.number("floor_frac", &out->serve.feedback.floor_frac) ||
-            !fr.finish())
-            return false;
-    } else if (!ok) {
-        return false;
-    }
-
-    if (const Value* ad =
-            r.sub("admission", Value::Kind::Object, &ok)) {
-        ObjectReader ar(*ad, "admission", err);
-        qos::AdmissionConfig& a = out->serve.admission;
-        if (!ar.named("policy", "admission policy",
-                      qos::parseAdmissionPolicy, &a.policy) ||
-            !ar.sizeField("queue_cap", &a.queue_cap) ||
-            !ar.number("deadline_slack", &a.deadline_slack) ||
-            !ar.boolean("cross_shard_retry", &a.cross_shard_retry) ||
-            !ar.finish())
-            return false;
-    } else if (!ok) {
-        return false;
-    }
-
-    if (const Value* sched =
-            r.sub("power_cap_schedule", Value::Kind::Array, &ok)) {
-        for (size_t i = 0; i < sched->items.size(); ++i) {
-            cluster::PowerCapPoint p;
-            if (!bindCapPoint(sched->items[i],
-                              fmt("power_cap_schedule[%zu]", i), &p,
-                              err))
-                return false;
-            out->serve.power_cap_schedule.push_back(p);
+    template <typename T>
+    void
+    array(const Key& k, Layout, std::vector<T>& out)
+    {
+        Value* v = get(k, Value::Kind::Array, "an array");
+        for (size_t i = 0; v != nullptr && i < v->items.size(); ++i) {
+            Value& item = v->items[i];
+            Binder child(item, err_, this, k.name, i);
+            if (item.kind != Value::Kind::Object)
+                return fail(item.line, "%s expects an object",
+                            child.context().c_str());
+            out.emplace_back();
+            schema(child, out.back());
+            child.finish();
+            if (!err_->empty())
+                return;
         }
-    } else if (!ok) {
-        return false;
     }
 
-    if (const Value* fl = r.sub("faults", Value::Kind::Object, &ok)) {
-        ObjectReader fr(*fl, "faults", err);
-        fault::FaultSpec& fs = out->serve.faults;
-        if (!fr.u64Field("seed", &fs.seed) ||
-            !fr.nonNegative("crash_mtbf_hours",
-                            &fs.crash_mtbf_hours) ||
-            !fr.nonNegative("crash_mttr_hours",
-                            &fs.crash_mttr_hours) ||
-            !fr.nonNegative("degrade_mtbf_hours",
-                            &fs.degrade_mtbf_hours) ||
-            !fr.nonNegative("degrade_mttr_hours",
-                            &fs.degrade_mttr_hours) ||
-            !fr.numberMin("degrade_slowdown", 1.0, false, ">= 1",
-                          &fs.degrade_slowdown))
-            return false;
-        bool fok;
-        if (const Value* evs =
-                fr.sub("events", Value::Kind::Array, &fok)) {
-            for (size_t i = 0; i < evs->items.size(); ++i) {
-                fault::FaultEvent e;
-                if (!bindFaultEvent(evs->items[i],
-                                    fmt("faults.events[%zu]", i), &e,
-                                    err))
-                    return false;
-                fs.events.push_back(e);
-            }
-        } else if (!fok) {
-            return false;
+    /** Reject the first key (in source order) no schema line claimed. */
+    void
+    finish()
+    {
+        for (const Field& f : obj_.fields)
+            if (!f.used && err_->empty())
+                fail(f.line, "unknown key '%s' in %s", f.key.c_str(),
+                     context().c_str());
+    }
+
+  private:
+    static constexpr size_t kNoIndex = static_cast<size_t>(-1);
+
+    /**
+     * The value of key `k`, marked used; null when absent (an error
+     * for a required key), of another kind than `kind` (an error), or
+     * once an error is set. The scan resumes after the previous hit,
+     * so in a file in canonical order each present key is found at
+     * the first comparison.
+     */
+    Value*
+    get(const Key& k, Value::Kind kind, const char* want)
+    {
+        if (!err_->empty())
+            return nullptr;
+        std::vector<Field>& fields = obj_.fields;
+        for (size_t n = 0; n < fields.size(); ++n) {
+            Field& f = fields[next_];
+            next_ = next_ + 1 == fields.size() ? 0 : next_ + 1;
+            if (f.key != k.name)
+                continue;
+            f.used = true;
+            if (f.value.kind == kind)
+                return &f.value;
+            typeError(f.value, k, want);
+            return nullptr;
         }
-        if (!fr.finish())
-            return false;
-    } else if (!ok) {
-        return false;
+        if ((k.flags & kRequired) == kRequired)
+            fail(obj_.line, "missing key '%s' in %s", k.name.data(),
+                 context().c_str());
+        return nullptr;
     }
 
-    if (const Value* tr = r.sub("trace", Value::Kind::Object, &ok)) {
-        ObjectReader tro(*tr, "trace", err);
-        workload::TraceOptions& t = out->serve.trace;
-        if (!tro.number("bucket_seconds", &t.bucket_seconds) ||
-            !tro.number("time_compression", &t.time_compression) ||
-            !tro.u64Field("seed", &t.seed) || !tro.finish())
-            return false;
-    } else if (!ok) {
-        return false;
+    template <typename... Args>
+    void
+    fail(int line, const char* f, Args... args)
+    {
+        *err_ = fmt("line %d: %s", line, fmt(f, args...).c_str());
     }
 
-    if (const Value* pf = r.sub("profile", Value::Kind::Object, &ok)) {
-        ObjectReader pr(*pf, "profile", err);
-        ProfileSpec& p = out->profile;
-        if (!pr.str("table_cache", &p.table_cache) ||
-            !pr.str("eval_memo", &p.eval_memo) ||
-            !pr.intField("num_queries", &p.num_queries) ||
-            !pr.intField("warmup_queries", &p.warmup_queries) ||
-            !pr.intField("bisect_iters", &p.bisect_iters) ||
-            !pr.u64Field("seed", &p.seed) || !pr.finish())
-            return false;
-    } else if (!ok) {
-        return false;
+    void
+    typeError(const Value& v, const Key& k, const char* want)
+    {
+        fail(v.line, "key '%s' in %s expects %s (got %s)", k.name.data(),
+             context().c_str(), want, kindName(v.kind));
     }
 
-    if (const Value* ob = r.sub("observability", Value::Kind::Object,
-                                &ok)) {
-        ObjectReader obr(*ob, "observability", err);
-        obs::ObsSpec& o = out->observability;
-        if (!obr.str("trace_file", &o.trace_file) ||
-            !obr.str("metrics_file", &o.metrics_file) ||
-            !obr.number("sample_rate", &o.sample_rate) || !obr.finish())
-            return false;
-    } else if (!ok) {
-        return false;
+    /** "scenario", "feedback", "fleet[2]", "faults.events[0]". */
+    std::string
+    context() const
+    {
+        if (parent_ == nullptr)
+            return "scenario";
+        std::string out(key_);
+        if (parent_->parent_ != nullptr)
+            out = parent_->context() + "." + out;
+        if (index_ != kNoIndex)
+            out += "[" + std::to_string(index_) + "]";
+        return out;
     }
 
-    return r.finish();
-}
+    Value& obj_;
+    std::string* err_;
+    const Binder* parent_;
+    std::string_view key_;
+    size_t index_;
+    size_t next_ = 0;
+};
 
-// ---- serializer ----------------------------------------------------------
+// ---- emitter -------------------------------------------------------------
 
 /** Shortest decimal that round-trips through strtod. */
 std::string
@@ -863,100 +779,160 @@ quote(const std::string& s)
     return out;
 }
 
-/** "key": value fragments of one object, joined by the emitters. */
-class Fragments
+/**
+ * `open`, then one part per line, two spaces in, then `close`. Lines
+ * inside a part (a nested array) move two spaces further in.
+ */
+std::string
+block(char open, const std::vector<std::string>& parts, char close)
+{
+    std::string out = {open, '\n', ' ', ' '};
+    for (size_t i = 0; i < parts.size(); ++i) {
+        for (char c : parts[i]) {
+            out += c;
+            if (c == '\n')
+                out += "  ";
+        }
+        out += i + 1 < parts.size() ? ",\n  " : "\n";
+    }
+    return out + close;
+}
+
+/**
+ * Writes one object's keys in schema order: those that differ from
+ * the default, plus the kAlways ones. The object is one line unless
+ * its layout asks for lines or it holds an array (`faults` with
+ * `events`).
+ */
+class Emitter
 {
   public:
-    void
-    add(const char* key, std::string value)
+    explicit Emitter(Layout layout = Layout::Inline)
+        : lines_(layout == Layout::Lines)
     {
-        parts_.push_back(fmt("\"%s\": ", key) + std::move(value));
+    }
+
+    template <typename F>
+    void
+    num(const Key& k, F v, F def)
+    {
+        // The grammar has no spelling for a non-finite number, so one
+        // is omitted: that is how an uncapped power_cap_w serializes.
+        double x = static_cast<double>(v);
+        put(k, x != static_cast<double>(def) && std::isfinite(x),
+            fmtNumber(x));
     }
 
     void
-    num(const char* key, double v, double def)
+    str(const Key& k, const std::string& v, const std::string& def)
     {
-        if (v != def)
-            add(key, fmtNumber(v));
+        put(k, v != def, quote(v));
     }
 
     void
-    str(const char* key, const std::string& v, const std::string& def)
+    flag(const Key& k, bool v, bool def)
     {
-        if (v != def)
-            add(key, quote(v));
+        put(k, v != def, v ? "true" : "false");
     }
 
+    template <typename E>
     void
-    b(const char* key, bool v, bool def)
+    choice(const Key& k, const Names<E>& names, E v, E def)
     {
-        if (v != def)
-            add(key, v ? "true" : "false");
+        put(k, v != def, quote(names.name(v)));
     }
 
-    bool empty() const { return parts_.empty(); }
-
-    /** {"a": 1, "b": 2} */
-    std::string
-    inlineObj() const
+    template <typename T>
+    void
+    object(const Key& k, const T& v, const T& def)
     {
-        std::string out = "{";
-        for (size_t i = 0; i < parts_.size(); ++i) {
-            if (i > 0)
-                out += ", ";
-            out += parts_[i];
+        Emitter child;
+        schema(child, v, def);
+        put(k, !child.parts_.empty(), child.text());
+    }
+
+    template <typename T>
+    void
+    array(const Key& k, Layout layout, const std::vector<T>& v,
+          const std::vector<T>&)
+    {
+        static const T kDefault{};
+        std::vector<std::string> items;
+        for (const T& x : v) {
+            Emitter item(layout);
+            schema(item, x, kDefault);
+            items.push_back(item.text());
         }
+        if (!items.empty()) {
+            put(k, true, block('[', items, ']'));
+            lines_ = true;
+        }
+    }
+
+    /** {"a": 1, "b": 2}, or one key per line. */
+    std::string
+    text() const
+    {
+        if (lines_)
+            return block('{', parts_, '}');
+        std::string out = "{";
+        for (size_t i = 0; i < parts_.size(); ++i)
+            out += (i > 0 ? ", " : "") + parts_[i];
         return out + "}";
     }
 
-    /** Multi-line object at `indent` spaces (keys one level deeper). */
-    std::string
-    multiline(int indent) const
+  private:
+    /** Write `k` when it differs from its default or is kAlways. */
+    void
+    put(const Key& k, bool differs, const std::string& value)
     {
-        std::string pad(static_cast<size_t>(indent), ' ');
-        std::string out = "{\n";
-        for (size_t i = 0; i < parts_.size(); ++i) {
-            out += pad + "  " + parts_[i];
-            out += i + 1 < parts_.size() ? ",\n" : "\n";
-        }
-        return out + pad + "}";
+        if (differs || (k.flags & kAlways) != 0)
+            parts_.push_back("\"" + std::string(k.name) + "\": " + value);
     }
 
-  private:
+    bool lines_;
     std::vector<std::string> parts_;
 };
 
-std::string
-serviceText(const ServiceScenario& s)
+// ---- key lister ----------------------------------------------------------
+
+/** Appends every key's dotted path to `out`, in schema order. */
+struct Lister
 {
-    static const ServiceScenario kDef{};
-    const cluster::ServiceSpec& d = kDef.spec;
-    Fragments f;
-    f.str("name", s.name, kDef.name);
-    f.add("model", quote(model::modelName(s.spec.model)));
-    f.num("peak_qps_frac", s.peak_qps_frac, kDef.peak_qps_frac);
-    f.num("peak_qps", s.spec.load.peak_qps, d.load.peak_qps);
-    f.num("trough_frac", s.spec.load.trough_frac, d.load.trough_frac);
-    f.num("peak_hour", s.spec.load.peak_hour, d.load.peak_hour);
-    f.num("noise_frac", s.spec.load.noise_frac, d.load.noise_frac);
-    f.num("load_seed", static_cast<double>(s.spec.load.seed),
-          static_cast<double>(d.load.seed));
-    f.num("surge_hour", s.spec.load.surge_hour, d.load.surge_hour);
-    f.num("surge_hours", s.spec.load.surge_hours, d.load.surge_hours);
-    f.num("surge_factor", s.spec.load.surge_factor,
-          d.load.surge_factor);
-    f.num("sla_ms", s.spec.sla_ms, d.sla_ms);
-    f.num("priority", s.spec.qos.priority, d.qos.priority);
-    if (s.spec.qos.tier != d.qos.tier)
-        f.add("tier", quote(qos::tierName(s.spec.qos.tier)));
-    f.num("qos_sla_ms", s.spec.qos.sla_ms, d.qos.sla_ms);
-    f.num("size_median", s.spec.sizes.median, d.sizes.median);
-    f.num("size_sigma", s.spec.sizes.sigma, d.sizes.sigma);
-    f.num("size_min", s.spec.sizes.min_size, d.sizes.min_size);
-    f.num("size_max", s.spec.sizes.max_size, d.sizes.max_size);
-    f.num("pooling_sigma", s.spec.pooling.sigma, d.pooling.sigma);
-    return f.multiline(4);
-}
+    std::vector<std::string>* out;
+    std::string prefix;
+
+    template <typename F>
+    void num(const Key& k, const F&) { add(k); }
+    void str(const Key& k, const std::string&) { add(k); }
+    void flag(const Key& k, bool) { add(k); }
+
+    template <typename E>
+    void choice(const Key& k, const Names<E>&, E) { add(k); }
+
+    template <typename T>
+    void
+    object(const Key& k, const T& v)
+    {
+        Lister child{out, add(k) + "."};
+        schema(child, v);
+    }
+
+    template <typename T>
+    void
+    array(const Key& k, Layout, const std::vector<T>&)
+    {
+        const T item{};
+        Lister child{out, add(k) + "[]."};
+        schema(child, item);
+    }
+
+    const std::string&
+    add(const Key& k)
+    {
+        return out->emplace_back(prefix + std::string(k.name));
+    }
+};
 
 }  // namespace
 
@@ -965,19 +941,20 @@ parseSpec(const std::string& text, std::string* error)
 {
     Value root;
     Parser p(text);
-    if (!p.parse(root)) {
-        if (error != nullptr)
-            *error = p.error;
-        return std::nullopt;
-    }
-    ScenarioSpec spec;
     std::string err;
-    if (!bindSpec(root, &spec, &err)) {
-        if (error != nullptr)
-            *error = err;
-        return std::nullopt;
+    ScenarioSpec spec;
+    if (p.parse(root)) {
+        Binder b(root, &err);
+        schema(b, spec);
+        b.finish();
+    } else {
+        err = p.error;
     }
-    return spec;
+    if (err.empty())
+        return spec;
+    if (error != nullptr)
+        *error = err;
+    return std::nullopt;
 }
 
 std::optional<ScenarioSpec>
@@ -1001,182 +978,10 @@ loadSpecFile(const std::string& path, std::string* error)
 std::string
 toText(const ScenarioSpec& spec)
 {
-    static const ScenarioSpec kDef{};
-    const cluster::TraceServeOptions& dv = kDef.serve;
-    std::vector<std::string> lines;
-    auto put = [&](const char* key, const std::string& value) {
-        lines.push_back(fmt("  \"%s\": ", key) + value);
-    };
-
-    put("name", quote(spec.name));
-    if (!spec.description.empty())
-        put("description", quote(spec.description));
-
-    if (!spec.fleet.empty()) {
-        std::string out = "[\n";
-        for (size_t i = 0; i < spec.fleet.size(); ++i) {
-            Fragments f;
-            f.add("type",
-                  quote(hw::serverTypeName(spec.fleet[i].type)));
-            f.num("slots", spec.fleet[i].shard_slots,
-                  FleetEntry{}.shard_slots);
-            out += "    " + f.inlineObj();
-            out += i + 1 < spec.fleet.size() ? ",\n" : "\n";
-        }
-        put("fleet", out + "  ]");
-    }
-
-    if (!spec.services.empty()) {
-        std::string out = "[\n";
-        for (size_t i = 0; i < spec.services.size(); ++i) {
-            out += "    " + serviceText(spec.services[i]);
-            out += i + 1 < spec.services.size() ? ",\n" : "\n";
-        }
-        put("services", out + "  ]");
-    }
-
-    if (spec.provisioner != kDef.provisioner)
-        put("provisioner",
-            quote(provisionerKindName(spec.provisioner)));
-    if (spec.nh_seed != kDef.nh_seed)
-        put("nh_seed", fmtNumber(static_cast<double>(spec.nh_seed)));
-    if (spec.lint != kDef.lint)
-        put("lint", spec.lint ? "true" : "false");
-    if (spec.serve.router != dv.router)
-        put("router", quote(sim::routerPolicyName(spec.serve.router)));
-    if (spec.serve.router_seed != dv.router_seed)
-        put("router_seed",
-            fmtNumber(static_cast<double>(spec.serve.router_seed)));
-
-    {
-        Fragments f;
-        f.num("gain", spec.serve.feedback.gain, dv.feedback.gain);
-        f.num("floor_frac", spec.serve.feedback.floor_frac,
-              dv.feedback.floor_frac);
-        if (!f.empty())
-            put("feedback", f.inlineObj());
-    }
-    {
-        const qos::AdmissionConfig& a = spec.serve.admission;
-        const qos::AdmissionConfig& d = dv.admission;
-        Fragments f;
-        if (a.policy != d.policy)
-            f.add("policy", quote(qos::admissionPolicyName(a.policy)));
-        f.num("queue_cap", static_cast<double>(a.queue_cap),
-              static_cast<double>(d.queue_cap));
-        f.num("deadline_slack", a.deadline_slack, d.deadline_slack);
-        f.b("cross_shard_retry", a.cross_shard_retry,
-            d.cross_shard_retry);
-        if (!f.empty())
-            put("admission", f.inlineObj());
-    }
-
-    if (spec.serve.horizon_hours != dv.horizon_hours)
-        put("horizon_hours", fmtNumber(spec.serve.horizon_hours));
-    if (spec.serve.interval_hours != dv.interval_hours)
-        put("interval_hours", fmtNumber(spec.serve.interval_hours));
-    if (spec.serve.sla_ms != dv.sla_ms)
-        put("sla_ms", fmtNumber(spec.serve.sla_ms));
-    if (spec.serve.overprovision_rate != dv.overprovision_rate)
-        put("overprovision_rate",
-            fmtNumber(spec.serve.overprovision_rate));
-    if (std::isfinite(spec.serve.power_cap_w))
-        put("power_cap_w", fmtNumber(spec.serve.power_cap_w));
-
-    if (!spec.serve.power_cap_schedule.empty()) {
-        std::string out = "[\n";
-        const auto& sched = spec.serve.power_cap_schedule;
-        for (size_t i = 0; i < sched.size(); ++i) {
-            Fragments f;
-            f.add("from_hour", fmtNumber(sched[i].from_hour));
-            f.add("cap_w", fmtNumber(sched[i].cap_w));
-            out += "    " + f.inlineObj();
-            out += i + 1 < sched.size() ? ",\n" : "\n";
-        }
-        put("power_cap_schedule", out + "  ]");
-    }
-
-    {
-        const fault::FaultSpec& fs = spec.serve.faults;
-        const fault::FaultSpec& d = dv.faults;
-        Fragments f;
-        f.num("seed", static_cast<double>(fs.seed),
-              static_cast<double>(d.seed));
-        f.num("crash_mtbf_hours", fs.crash_mtbf_hours,
-              d.crash_mtbf_hours);
-        f.num("crash_mttr_hours", fs.crash_mttr_hours,
-              d.crash_mttr_hours);
-        f.num("degrade_mtbf_hours", fs.degrade_mtbf_hours,
-              d.degrade_mtbf_hours);
-        f.num("degrade_mttr_hours", fs.degrade_mttr_hours,
-              d.degrade_mttr_hours);
-        f.num("degrade_slowdown", fs.degrade_slowdown,
-              d.degrade_slowdown);
-        if (!fs.events.empty()) {
-            std::string ev = "[\n";
-            for (size_t i = 0; i < fs.events.size(); ++i) {
-                const fault::FaultEvent& e = fs.events[i];
-                Fragments g;
-                g.add("at_hour", fmtNumber(e.t_hours));
-                g.num("fleet", e.fleet_index, 0);
-                g.num("slot", e.slot, 0);
-                // Always emitted: the state IS the event, even when
-                // it is the (default) recovery back to healthy.
-                g.add("state", quote(fault::healthStateName(e.state)));
-                g.num("slowdown", e.slowdown, 1.0);
-                ev += "      " + g.inlineObj();
-                ev += i + 1 < fs.events.size() ? ",\n" : "\n";
-            }
-            f.add("events", ev + "    ]");
-            put("faults", f.multiline(2));
-        } else if (!f.empty()) {
-            put("faults", f.inlineObj());
-        }
-    }
-
-    {
-        const workload::TraceOptions& t = spec.serve.trace;
-        const workload::TraceOptions& d = dv.trace;
-        Fragments f;
-        f.num("bucket_seconds", t.bucket_seconds, d.bucket_seconds);
-        f.num("time_compression", t.time_compression,
-              d.time_compression);
-        f.num("seed", static_cast<double>(t.seed),
-              static_cast<double>(d.seed));
-        if (!f.empty())
-            put("trace", f.inlineObj());
-    }
-    {
-        const ProfileSpec& p = spec.profile;
-        const ProfileSpec& d = kDef.profile;
-        Fragments f;
-        f.str("table_cache", p.table_cache, d.table_cache);
-        f.str("eval_memo", p.eval_memo, d.eval_memo);
-        f.num("num_queries", p.num_queries, d.num_queries);
-        f.num("warmup_queries", p.warmup_queries, d.warmup_queries);
-        f.num("bisect_iters", p.bisect_iters, d.bisect_iters);
-        f.num("seed", static_cast<double>(p.seed),
-              static_cast<double>(d.seed));
-        if (!f.empty())
-            put("profile", f.inlineObj());
-    }
-    {
-        const obs::ObsSpec& o = spec.observability;
-        const obs::ObsSpec& d = kDef.observability;
-        Fragments f;
-        f.str("trace_file", o.trace_file, d.trace_file);
-        f.str("metrics_file", o.metrics_file, d.metrics_file);
-        f.num("sample_rate", o.sample_rate, d.sample_rate);
-        if (!f.empty())
-            put("observability", f.inlineObj());
-    }
-
-    std::string out = "{\n";
-    for (size_t i = 0; i < lines.size(); ++i) {
-        out += lines[i];
-        out += i + 1 < lines.size() ? ",\n" : "\n";
-    }
-    return out + "}\n";
+    static const ScenarioSpec kDefault{};
+    Emitter root(Layout::Lines);
+    schema(root, spec, kDefault);
+    return root.text() + "\n";
 }
 
 bool
@@ -1187,6 +992,16 @@ saveSpecFile(const std::string& path, const ScenarioSpec& spec)
         return false;
     out << toText(spec);
     return static_cast<bool>(out);
+}
+
+std::vector<std::string>
+schemaKeys()
+{
+    std::vector<std::string> keys;
+    const ScenarioSpec spec{};
+    Lister lister{&keys, ""};
+    schema(lister, spec);
+    return keys;
 }
 
 }  // namespace hercules::scenario

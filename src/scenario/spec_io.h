@@ -6,9 +6,13 @@
  *  - exact round-trip: toText(parse(toText(s))) == toText(s) for every
  *    spec, with doubles printed at the shortest precision that
  *    round-trips through strtod;
+ *  - one schema: spec_io.cc declares each key once, in canonical
+ *    order, with its kind, bind-time range, and whether it is
+ *    required or always written; parseSpec, toText and schemaKeys
+ *    all walk that declaration;
  *  - canonical output: fields appear in schema order and fields equal
- *    to their default are omitted (which is also how the format
- *    serializes infinities — an uncapped power_cap_w never appears);
+ *    to their default are omitted, as are non-finite numbers, which
+ *    the grammar cannot spell (an uncapped power_cap_w never appears);
  *  - line/key-precise errors: duplicate keys are rejected at parse
  *    time, unknown keys at bind time, both reporting the offending
  *    key and its 1-based line ("scenario.scn: line 12: unknown key
@@ -20,6 +24,7 @@
 
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "scenario/scenario.h"
 
@@ -51,5 +56,11 @@ std::string toText(const ScenarioSpec& spec);
  * @return true when the file was written.
  */
 bool saveSpecFile(const std::string& path, const ScenarioSpec& spec);
+
+/**
+ * Every key of the format as a dotted path, in canonical order:
+ * "fleet", "fleet[].type", ..., "faults.events[].state", ....
+ */
+std::vector<std::string> schemaKeys();
 
 }  // namespace hercules::scenario

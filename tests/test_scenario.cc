@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests of the declarative scenario API (src/scenario/): exact text
- * round-trip on every shipped .scn in scenarios/, duplicate/unknown-key
- * rejection with 1-based line numbers, default-spec == legacy-defaults
+ * round-trip on every shipped .scn in scenarios/ and of a spec setting
+ * every key, a golden corpus of line-precise parse errors, the README
+ * grammar against schemaKeys(), default-spec == legacy-defaults
  * equivalence, the time-varying power-cap schedule, and the golden
  * pin that scenario::run() on a spec mirroring bench_multiservice's
  * joint-arm wiring reproduces a hand-wired cluster::serveTraces()
@@ -10,6 +11,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -74,10 +76,90 @@ TEST(SpecIo, ShippedScenariosRoundTripExactly)
     EXPECT_GE(n, 6u) << "shipped scenario library shrank";
 }
 
+// Canonical text of a spec that sets all 65 leaf keys to non-default
+// values: multi-line `services` items, a multi-line `faults` (it holds
+// `events`) and, in the second spec, a `faults` without events, which
+// stays inline. The always-written keys also appear at their defaults
+// (`"from_hour": 0`, `"at_hour": 0`, `"state": "healthy"`).
+const char* const kEveryKeySpec = R"spec({
+  "name": "every_key",
+  "description": "escapes: \"quote\" \\ tab\t newline\n done",
+  "fleet": [
+    {"type": "T2", "slots": 2},
+    {"type": "T10", "slots": 3}
+  ],
+  "services": [
+    {
+      "name": "ranker",
+      "model": "DIEN",
+      "peak_qps_frac": 0.25,
+      "peak_qps": 123.5,
+      "trough_frac": 0.5,
+      "peak_hour": 7.25,
+      "noise_frac": 0.01,
+      "load_seed": 99,
+      "surge_hour": 6,
+      "surge_hours": 1.5,
+      "surge_factor": 2,
+      "sla_ms": 31,
+      "priority": 3,
+      "tier": "throughput",
+      "qos_sla_ms": 40,
+      "size_median": 70,
+      "size_sigma": 0.9,
+      "size_min": 5,
+      "size_max": 500,
+      "pooling_sigma": 0.5
+    },
+    {
+      "model": "DLRM-RMC3"
+    }
+  ],
+  "provisioner": "priority-aware",
+  "nh_seed": 23,
+  "lint": true,
+  "router": "p2c",
+  "router_seed": 9,
+  "feedback": {"gain": 0.2, "floor_frac": 0.1},
+  "admission": {"policy": "queue_cap", "queue_cap": 17, "deadline_slack": 1.25, "cross_shard_retry": false},
+  "horizon_hours": 6,
+  "interval_hours": 0.25,
+  "sla_ms": 33,
+  "overprovision_rate": 0.07,
+  "power_cap_w": 512.125,
+  "power_cap_schedule": [
+    {"from_hour": 0, "cap_w": 400},
+    {"from_hour": 5, "cap_w": 1000000000}
+  ],
+  "faults": {
+    "seed": 11,
+    "crash_mtbf_hours": 8,
+    "crash_mttr_hours": 0.75,
+    "degrade_mtbf_hours": 6,
+    "degrade_mttr_hours": 2,
+    "degrade_slowdown": 3.5,
+    "events": [
+      {"at_hour": 1.5, "fleet": 1, "slot": 2, "state": "failed"},
+      {"at_hour": 2.25, "fleet": 1, "slot": 2, "state": "healthy"},
+      {"at_hour": 0, "slot": 1, "state": "degraded", "slowdown": 2.5}
+    ]
+  },
+  "trace": {"bucket_seconds": 30, "time_compression": 480, "seed": 1234},
+  "profile": {"table_cache": "t.csv", "eval_memo": "m.tsv", "num_queries": 111, "warmup_queries": 22, "bisect_iters": 3, "seed": 77},
+  "observability": {"trace_file": "trace.jsonl", "metrics_file": "metrics.json", "sample_rate": 0.5}
+}
+)spec";
+
+const char* const kInlineFaultsSpec = R"spec({
+  "name": "inline_faults",
+  "faults": {"seed": 3, "crash_mtbf_hours": 12, "degrade_slowdown": 2}
+}
+)spec";
+
 TEST(SpecIo, EveryNonDefaultFieldRoundTrips)
 {
     ScenarioSpec s;
-    s.name = "all_knobs";
+    s.name = "every_key";
     s.description = "escapes: \"quote\" \\ tab\t newline\n done";
     s.fleet = {{ServerType::T2, 2}, {ServerType::T10, 3}};
     ServiceScenario svc;
@@ -102,8 +184,12 @@ TEST(SpecIo, EveryNonDefaultFieldRoundTrips)
     svc.spec.sizes.max_size = 500;
     svc.spec.pooling.sigma = 0.5;
     s.services.push_back(svc);
+    ServiceScenario minimal;
+    minimal.spec.model = ModelId::DlrmRmc3;
+    s.services.push_back(minimal);
     s.provisioner = ProvisionerKind::PriorityAware;
     s.nh_seed = 23;
+    s.lint = true;
     s.serve.router = sim::RouterPolicy::PowerOfTwo;
     s.serve.router_seed = 9;
     s.serve.feedback.gain = 0.2;
@@ -117,7 +203,7 @@ TEST(SpecIo, EveryNonDefaultFieldRoundTrips)
     s.serve.sla_ms = 33.0;
     s.serve.overprovision_rate = 0.07;
     s.serve.power_cap_w = 512.125;
-    s.serve.power_cap_schedule = {{3.0, 400.0}, {5.0, 1e9}};
+    s.serve.power_cap_schedule = {{0.0, 400.0}, {5.0, 1e9}};
     s.serve.faults.seed = 11;
     s.serve.faults.crash_mtbf_hours = 8.0;
     s.serve.faults.crash_mttr_hours = 0.75;
@@ -127,7 +213,7 @@ TEST(SpecIo, EveryNonDefaultFieldRoundTrips)
     s.serve.faults.events = {
         {1.5, 1, 2, fault::HealthState::Failed, 1.0},
         {2.25, 1, 2, fault::HealthState::Healthy, 1.0},
-        {4.0, 0, 1, fault::HealthState::Degraded, 2.5},
+        {0.0, 0, 1, fault::HealthState::Degraded, 2.5},
     };
     s.serve.trace.bucket_seconds = 30.0;
     s.serve.trace.time_compression = 480.0;
@@ -138,119 +224,311 @@ TEST(SpecIo, EveryNonDefaultFieldRoundTrips)
     s.profile.warmup_queries = 22;
     s.profile.bisect_iters = 3;
     s.profile.seed = 77;
+    s.observability.trace_file = "trace.jsonl";
+    s.observability.metrics_file = "metrics.json";
+    s.observability.sample_rate = 0.5;
 
-    std::string text = toText(s);
+    // Every C++ field lands on its key, in canonical order...
+    EXPECT_EQ(toText(s), kEveryKeySpec);
+    // ...and the text binds back onto the same fields.
+    for (const char* text : {kEveryKeySpec, kInlineFaultsSpec}) {
+        std::string err;
+        auto parsed = parseSpec(text, &err);
+        ASSERT_TRUE(parsed.has_value()) << err;
+        EXPECT_EQ(toText(*parsed), text);
+    }
+}
+
+TEST(SpecIo, KeysBindInAnyOrder)
+{
     std::string err;
-    auto parsed = parseSpec(text, &err);
-    ASSERT_TRUE(parsed.has_value()) << err;
-    EXPECT_EQ(toText(*parsed), text);
+    auto spec = parseSpec("{\"services\": [{\"size_max\": 900, \"model\": "
+                          "\"DLRM-RMC2\", \"name\": \"x\"}], "
+                          "\"name\": \"reordered\"}",
+                          &err);
+    ASSERT_TRUE(spec.has_value()) << err;
+    EXPECT_EQ(toText(*spec), "{\n"
+                             "  \"name\": \"reordered\",\n"
+                             "  \"services\": [\n"
+                             "    {\n"
+                             "      \"name\": \"x\",\n"
+                             "      \"model\": \"DLRM-RMC2\",\n"
+                             "      \"size_max\": 900\n"
+                             "    }\n"
+                             "  ]\n"
+                             "}\n");
+}
+
+TEST(SpecIo, NonFiniteNumbersAreOmitted)
+{
+    // The grammar cannot spell them, so a C++-built spec that holds one
+    // still serializes to text that parses.
+    const double inf = std::numeric_limits<double>::infinity();
+    ScenarioSpec s;
+    s.serve.power_cap_w = -inf;
+    s.serve.sla_ms = std::numeric_limits<double>::quiet_NaN();
+    s.serve.trace.time_compression = inf;
+    EXPECT_EQ(toText(s), "{\n  \"name\": \"scenario\"\n}\n");
 }
 
 // ---- line/key-precise rejection ------------------------------------------
 
-TEST(SpecIo, DuplicateKeyRejectedWithLine)
+/** One malformed spec and the exact error parseSpec reports for it. */
+struct ErrorRow
 {
-    std::string err;
-    auto s = parseSpec("{\n  \"name\": \"x\",\n  \"name\": \"y\"\n}",
-                       &err);
-    EXPECT_FALSE(s.has_value());
-    EXPECT_EQ(err, "line 3: duplicate key 'name'");
+    const char* text;
+    const char* error;
+};
+
+// Golden error strings: each must stay byte for byte. Rows hold one
+// defect each, so the order in which keys are checked cannot change
+// which error is reported.
+const ErrorRow kErrorCorpus[] = {
+    // Grammar.
+    {"[1, 2]", "line 1: top-level value must be an object"},
+    {"", "line 1: empty input"},
+    {"{\n  \"name\": \"unterminated\n}", "line 2: unterminated string"},
+    {"{\"name\": \"x\"} trailing",
+     "line 1: trailing content after the top-level object"},
+    {"{\"sla_ms\": 3.}", "line 1: malformed number"},
+    {"{\"sla_ms\": 1e999}", "line 1: number out of range"},
+    {"{\"name\": \"a\\qb\"}", "line 1: unsupported escape '\\q'"},
+    {"{\"lint\": tru}", "line 1: unexpected token"},
+    {"{\"sla_ms\": +1}", "line 1: unexpected character '+'"},
+    {"{\"fleet\": [{\"type\": \"T2\"} {\"type\": \"T3\"}]}",
+     "line 1: expected ',' or ']' in array"},
+    {"{\"name\" \"x\"}", "line 1: expected ':' after key 'name'"},
+    {"{\"name\": \"x\",}", "line 1: expected a key string"},
+    {"{\"name\": \"x\"", "line 1: unterminated object"},
+    {"{\"fleet\": [{\"type\": \"T2\"}", "line 1: unterminated array"},
+    {"{\"name\": \"x\" \"lint\": true}",
+     "line 1: expected ',' or '}' in object"},
+    {"{\n  \"name\":\n", "line 3: unexpected end of input"},
+    {"{\"name\": \"x", "line 1: unterminated string"},
+    {"{\"name\": \"x\\", "line 1: unterminated string"},
+    {"{\n  \"name\": \"x\",\n  \"name\": \"y\"\n}",
+     "line 3: duplicate key 'name'"},
+    {"{\"trace\": {\"seed\": 1, \"seed\": 2}}",
+     "line 1: duplicate key 'seed'"},
+    // A wrong value kind for each key kind.
+    {"{\n  \"horizon_hours\": \"six\"\n}",
+     "line 2: key 'horizon_hours' in scenario expects a number (got a "
+     "string)"},
+    {"{\"profile\": {\"num_queries\": true}}",
+     "line 1: key 'num_queries' in profile expects an integer (got a "
+     "boolean)"},
+    {"{\"nh_seed\": \"7\"}",
+     "line 1: key 'nh_seed' in scenario expects an integer (got a "
+     "string)"},
+    {"{\"admission\": {\"queue_cap\": [1]}}",
+     "line 1: key 'queue_cap' in admission expects an integer (got an "
+     "array)"},
+    {"{\"name\": 5}",
+     "line 1: key 'name' in scenario expects a string (got a number)"},
+    {"{\"lint\": 1}",
+     "line 1: key 'lint' in scenario expects a boolean (got a number)"},
+    {"{\"router\": {}}",
+     "line 1: key 'router' in scenario expects a string (got an "
+     "object)"},
+    {"{\"feedback\": []}",
+     "line 1: key 'feedback' in scenario expects an object (got an "
+     "array)"},
+    {"{\"fleet\": {}}",
+     "line 1: key 'fleet' in scenario expects an array (got an "
+     "object)"},
+    {"{\"faults\": {\"events\": 3}}",
+     "line 1: key 'events' in faults expects an array (got a number)"},
+    // Each range kind.
+    {"{\"services\": [{\"model\": \"DLRM-RMC1\", \"sla_ms\": -1}]}",
+     "line 1: key 'sla_ms' in services[0] must be non-negative (got "
+     "-1)"},
+    {"{\n  \"interval_hours\": 0\n}",
+     "line 2: key 'interval_hours' in scenario must be positive (got "
+     "0)"},
+    {"{\"faults\": {\"degrade_slowdown\": 0.5}}",
+     "line 1: key 'degrade_slowdown' in faults must be >= 1 (got 0.5)"},
+    {"{\"fleet\": [{\"type\": \"T2\", \"slots\": 3000000000}]}",
+     "line 1: key 'slots' in fleet[0] is out of range"},
+    {"{\"trace\": {\"seed\": -1}}",
+     "line 1: key 'seed' in trace is out of range"},
+    {"{\"nh_seed\": 9007199254740994}",
+     "line 1: key 'nh_seed' in scenario is out of range"},
+    {"{\"fleet\": [{\"type\": \"T2\", \"slots\": 1.5}]}",
+     "line 1: key 'slots' in fleet[0] expects an integer (got a "
+     "number)"},
+    {"{\"profile\": {\"seed\": 1.5}}",
+     "line 1: key 'seed' in profile expects an integer (got a number)"},
+    // An unknown key at every nesting level.
+    {"{\n  \"horizont\": 3\n}",
+     "line 2: unknown key 'horizont' in scenario"},
+    {"{\n"
+     "  \"services\": [\n"
+     "    {\"model\": \"DLRM-RMC1\"},\n"
+     "    {\"model\": \"DLRM-RMC1\",\n"
+     "     \"peek_qps\": 3}\n"
+     "  ]\n"
+     "}",
+     "line 5: unknown key 'peek_qps' in services[1]"},
+    {"{\"fleet\": [{\"type\": \"T2\", \"slot\": 2}]}",
+     "line 1: unknown key 'slot' in fleet[0]"},
+    {"{\"feedback\": {\"gain\": 1, \"floor\": 0}}",
+     "line 1: unknown key 'floor' in feedback"},
+    {"{\n  \"admission\": {\"polcy\": \"none\"}\n}",
+     "line 2: unknown key 'polcy' in admission"},
+    {"{\"faults\": {\"mtbf\": 3}}", "line 1: unknown key 'mtbf' in faults"},
+    {"{\"faults\": {\"events\": [{\"at_hour\": 1, \"slots\": 0}]}}",
+     "line 1: unknown key 'slots' in faults.events[0]"},
+    {"{\"trace\": {\"compression\": 2}}",
+     "line 1: unknown key 'compression' in trace"},
+    {"{\"profile\": {\"cache\": \"t.csv\"}}",
+     "line 1: unknown key 'cache' in profile"},
+    {"{\"observability\": {\"trace\": \"t.jsonl\"}}",
+     "line 1: unknown key 'trace' in observability"},
+    {"{\"power_cap_schedule\": [{\"from_hour\": 1, \"cap\": 300}]}",
+     "line 1: unknown key 'cap' in power_cap_schedule[0]"},
+    // Required keys.
+    {"{\"fleet\": [{\"slots\": 2}]}",
+     "line 1: missing key 'type' in fleet[0]"},
+    {"{\"services\": [{\"sla_ms\": 5}]}",
+     "line 1: missing key 'model' in services[0]"},
+    // A bad name for each enum.
+    {"{\"fleet\": [{\"type\": \"T99\"}]}",
+     "line 1: unknown server type 'T99' in fleet[0]"},
+    {"{\"services\": [{\"model\": \"GPT\"}]}",
+     "line 1: unknown model 'GPT' in services[0]"},
+    {"{\"router\": \"random\"}",
+     "line 1: unknown router policy 'random' in scenario"},
+    {"{\"provisioner\": \"magic\"}",
+     "line 1: unknown provisioner 'magic' in scenario"},
+    {"{\"services\": [{\"model\": \"DLRM-RMC1\", \"tier\": \"gold\"}]}",
+     "line 1: unknown tier 'gold' in services[0]"},
+    {"{\"admission\": {\"policy\": \"lifo\"}}",
+     "line 1: unknown admission policy 'lifo' in admission"},
+    {"{\"faults\": {\"events\": [{\"state\": \"zombie\"}]}}",
+     "line 1: unknown health state 'zombie' in faults.events[0]"},
+    // A non-object item in each array.
+    {"{\"fleet\": [\"T2\"]}", "line 1: fleet[0] expects an object"},
+    {"{\n  \"services\": [\n    {\"model\": \"DLRM-RMC1\"},\n    3\n  ]\n}",
+     "line 4: services[1] expects an object"},
+    {"{\"power_cap_schedule\": [[6, 300]]}",
+     "line 1: power_cap_schedule[0] expects an object"},
+    {"{\"faults\": {\"events\": [true]}}",
+     "line 1: faults.events[0] expects an object"},
+};
+
+TEST(SpecIo, ErrorMessageGoldenCorpus)
+{
+    for (const ErrorRow& row : kErrorCorpus) {
+        SCOPED_TRACE(row.text);
+        std::string err;
+        EXPECT_FALSE(parseSpec(row.text, &err).has_value());
+        EXPECT_EQ(err, row.error);
+    }
 }
 
-TEST(SpecIo, UnknownKeyRejectedWithLineAndContext)
+// Knobs that would reach undefined behaviour in query generation
+// (std::clamp with lo > hi, the log of a non-positive median) or a
+// fatal() only after a cold profile. The parser rejects each with its
+// line.
+const ErrorRow kLateFailureRows[] = {
+    {"{\"services\": [\n"
+     "  {\"model\": \"DLRM-RMC1\",\n   \"size_median\": 0}\n]}",
+     "line 3: key 'size_median' in services[0] must be positive (got 0)"},
+    {"{\"services\": [\n"
+     "  {\"model\": \"DLRM-RMC1\", \"size_median\": -5}\n]}",
+     "line 2: key 'size_median' in services[0] must be positive (got -5)"},
+    {"{\"services\": [{\"model\": \"DLRM-RMC1\", \"size_sigma\": -1}]}",
+     "line 1: key 'size_sigma' in services[0] must be non-negative (got "
+     "-1)"},
+    {"{\"services\": [{\"model\": \"DLRM-RMC1\", \"pooling_sigma\": -0.5}]}",
+     "line 1: key 'pooling_sigma' in services[0] must be non-negative "
+     "(got -0.5)"},
+    {"{\"services\": [{\"model\": \"DLRM-RMC1\", \"trough_frac\": 1.5}]}",
+     "line 1: key 'trough_frac' in services[0] must be in [0, 1] (got "
+     "1.5)"},
+    {"{\"services\": [{\"model\": \"DLRM-RMC1\", \"trough_frac\": -0.1}]}",
+     "line 1: key 'trough_frac' in services[0] must be in [0, 1] (got "
+     "-0.1)"},
+    {"{\n  \"trace\": {\"bucket_seconds\": 0}\n}",
+     "line 2: key 'bucket_seconds' in trace must be positive (got 0)"},
+    {"{\n  \"trace\": {\"time_compression\": 0.5}\n}",
+     "line 2: key 'time_compression' in trace must be >= 1 (got 0.5)"},
+};
+
+TEST(SpecIo, RejectsSizeAndTraceKnobsThatFailLate)
 {
+    for (const ErrorRow& row : kLateFailureRows) {
+        SCOPED_TRACE(row.text);
+        std::string err;
+        EXPECT_FALSE(parseSpec(row.text, &err).has_value());
+        EXPECT_EQ(err, row.error);
+    }
+
+    // size_min <= size_max spans two keys, so validateSpec (which
+    // --parse-only and run() apply) rejects it rather than the binder.
     std::string err;
-    auto s = parseSpec("{\n"
-                       "  \"services\": [\n"
-                       "    {\"model\": \"DLRM-RMC1\",\n"
-                       "     \"peek_qps\": 3}\n"
-                       "  ]\n"
-                       "}",
-                       &err);
-    EXPECT_FALSE(s.has_value());
-    EXPECT_EQ(err, "line 4: unknown key 'peek_qps' in services[0]");
-
-    auto t = parseSpec("{\n  \"admission\": {\"polcy\": \"none\"}\n}",
-                       &err);
-    EXPECT_FALSE(t.has_value());
-    EXPECT_EQ(err, "line 2: unknown key 'polcy' in admission");
-
-    auto u = parseSpec("{\n  \"horizont\": 3\n}", &err);
-    EXPECT_FALSE(u.has_value());
-    EXPECT_EQ(err, "line 2: unknown key 'horizont' in scenario");
+    auto crossed = parseSpec("{\n"
+                             "  \"name\": \"crossed\",\n"
+                             "  \"fleet\": [{\"type\": \"T2\"}],\n"
+                             "  \"services\": [\n"
+                             "    {\"model\": \"DLRM-RMC1\",\n"
+                             "     \"size_min\": 500, \"size_max\": 10}\n"
+                             "  ]\n"
+                             "}",
+                             &err);
+    ASSERT_TRUE(crossed.has_value()) << err;
+    EXPECT_FALSE(validateSpec(*crossed, &err));
+    EXPECT_EQ(err, "scenario 'crossed': services[0]: size_min > size_max");
 }
 
-TEST(SpecIo, UnknownEnumNamesRejected)
+TEST(SpecIo, SchemaKeysMatchReadmeGrammar)
 {
-    std::string err;
-    EXPECT_FALSE(parseSpec("{\"fleet\": [{\"type\": \"T99\"}]}", &err)
-                     .has_value());
-    EXPECT_EQ(err, "line 1: unknown server type 'T99' in fleet[0]");
+    // Every key the README's grammar block names, as a dotted path, in
+    // order of first appearance: a key line is `"key":`, and a key
+    // whose value opens `{` or `[` prefixes the keys inside it.
+    std::string readme = readFile(std::filesystem::path(scenarioDir()) /
+                                  ".." / "src" / "scenario" / "README.md");
+    size_t begin = readme.find("```jsonc", readme.find("## Grammar"));
+    size_t end = readme.find("```", begin + 8);
+    ASSERT_NE(begin, std::string::npos);
+    ASSERT_NE(end, std::string::npos);
+    std::istringstream block(readme.substr(begin, end - begin));
 
-    EXPECT_FALSE(
-        parseSpec("{\"services\": [{\"model\": \"GPT\"}]}", &err)
-            .has_value());
-    EXPECT_EQ(err, "line 1: unknown model 'GPT' in services[0]");
-
-    EXPECT_FALSE(parseSpec("{\"router\": \"random\"}", &err)
-                     .has_value());
-    EXPECT_EQ(err, "line 1: unknown router policy 'random' in scenario");
-
-    EXPECT_FALSE(parseSpec("{\"provisioner\": \"magic\"}", &err)
-                     .has_value());
-    EXPECT_EQ(err, "line 1: unknown provisioner 'magic' in scenario");
-}
-
-TEST(SpecIo, TypeMismatchNamesKeyAndLine)
-{
-    std::string err;
-    EXPECT_FALSE(
-        parseSpec("{\n  \"horizon_hours\": \"six\"\n}", &err)
-            .has_value());
-    EXPECT_EQ(err, "line 2: key 'horizon_hours' in scenario expects a "
-                   "number (got a string)");
-
-    // Integer keys reject fractional values.
-    EXPECT_FALSE(
-        parseSpec("{\"fleet\": [{\"type\": \"T2\", \"slots\": 1.5}]}",
-                  &err)
-            .has_value());
-    EXPECT_EQ(err, "line 1: key 'slots' in fleet[0] expects an "
-                   "integer (got a number)");
-}
-
-TEST(SpecIo, RequiredServiceAndFleetKeys)
-{
-    std::string err;
-    EXPECT_FALSE(parseSpec("{\"services\": [{\"sla_ms\": 5}]}", &err)
-                     .has_value());
-    EXPECT_EQ(err, "line 1: missing key 'model' in services[0]");
-
-    EXPECT_FALSE(
-        parseSpec("{\"fleet\": [{\"slots\": 2}]}", &err).has_value());
-    EXPECT_EQ(err, "line 1: missing key 'type' in fleet[0]");
-}
-
-TEST(SpecIo, SyntaxErrorsCarryLines)
-{
-    std::string err;
-    EXPECT_FALSE(parseSpec("[1, 2]", &err).has_value());
-    EXPECT_EQ(err, "line 1: top-level value must be an object");
-
-    EXPECT_FALSE(parseSpec("{\n  \"name\": \"unterminated\n}", &err)
-                     .has_value());
-    EXPECT_EQ(err, "line 2: unterminated string");
-
-    EXPECT_FALSE(parseSpec("{\"name\": \"x\"} trailing", &err)
-                     .has_value());
-    EXPECT_EQ(err,
-              "line 1: trailing content after the top-level object");
-
-    EXPECT_FALSE(parseSpec("{\"sla_ms\": 3.}", &err).has_value());
-    EXPECT_EQ(err, "line 1: malformed number");
-
-    EXPECT_FALSE(parseSpec("{\"sla_ms\": 1e999}", &err).has_value());
-    EXPECT_EQ(err, "line 1: number out of range");
+    std::vector<std::string> keys;
+    std::vector<std::string> prefixes = {""};
+    std::string pending;  // prefix for the next '{' or '['
+    std::string line;
+    while (std::getline(block, line)) {
+        line = line.substr(0, line.find("//"));
+        for (size_t i = 0; i < line.size(); ++i) {
+            char c = line[i];
+            if (c == '"') {
+                size_t close = line.find('"', i + 1);
+                std::string word = line.substr(i + 1, close - i - 1);
+                i = close;
+                size_t next = line.find_first_not_of(' ', close + 1);
+                if (next == std::string::npos || line[next] != ':')
+                    continue;  // a string value
+                std::string path = prefixes.back() + word;
+                if (std::find(keys.begin(), keys.end(), path) == keys.end())
+                    keys.push_back(path);
+                pending = path;
+            } else if (c == '{' || c == '[') {
+                // The top-level object and array items keep the prefix.
+                prefixes.push_back(pending.empty()
+                                       ? prefixes.back()
+                                       : pending + (c == '[' ? "[]." : "."));
+                pending.clear();
+            } else if (c == '}' || c == ']') {
+                prefixes.pop_back();
+                pending.clear();
+            } else if (c == ',') {
+                pending.clear();
+            }
+        }
+    }
+    EXPECT_EQ(keys, schemaKeys());
+    EXPECT_EQ(schemaKeys().size(), 75u);  // 65 leaves + 10 containers
 }
 
 // ---- defaults mirror the legacy entry points -----------------------------
@@ -582,6 +860,41 @@ TEST(ScenarioRun, ValidateSpecCatchesUnrunnableSpecs)
     ScenarioSpec bad_interval = goldenSpec();
     bad_interval.serve.interval_hours = 0.0;
     EXPECT_FALSE(validateSpec(bad_interval, &err));
+
+    // The parser's query-size and trace ranges, for C++-built specs.
+    struct Case
+    {
+        void (*breakSpec)(ScenarioSpec&);
+        const char* error;
+    };
+    const Case cases[] = {
+        {[](ScenarioSpec& s) { s.services[1].spec.sizes.median = 0.0; },
+         "services[1]: size_median must be positive"},
+        {[](ScenarioSpec& s) { s.services[0].spec.sizes.sigma = -1.0; },
+         "services[0]: negative (or NaN) size/pooling sigma"},
+        {[](ScenarioSpec& s) { s.services[0].spec.pooling.sigma = -0.1; },
+         "services[0]: negative (or NaN) size/pooling sigma"},
+        {[](ScenarioSpec& s) { s.services[0].spec.load.trough_frac = 2.0; },
+         "services[0]: trough_frac must be in [0, 1]"},
+        {[](ScenarioSpec& s) {
+             s.services[0].spec.sizes.min_size = 500;
+             s.services[0].spec.sizes.max_size = 10;
+         },
+         "services[0]: size_min > size_max"},
+        {[](ScenarioSpec& s) { s.serve.trace.bucket_seconds = 0.0; },
+         "trace: bucket_seconds must be positive and time_compression >= "
+         "1"},
+        {[](ScenarioSpec& s) { s.serve.trace.time_compression = 0.5; },
+         "trace: bucket_seconds must be positive and time_compression >= "
+         "1"},
+    };
+    for (const Case& c : cases) {
+        ScenarioSpec bad = goldenSpec();
+        c.breakSpec(bad);
+        EXPECT_FALSE(validateSpec(bad, &err));
+        EXPECT_EQ(err, "scenario 'golden_multiservice': " +
+                           std::string(c.error));
+    }
 }
 
 TEST(ScenarioRun, SelfProfiledRunMatchesProfileThenRun)
