@@ -253,11 +253,12 @@ serveTraces(const core::EfficiencyTable& table,
                               out.service_r.end());
     out.estimated_r = r;
 
+    // The merged trace is generated lazily: ClusterSim::run pulls one
+    // interval's arrivals at a time.
     workload::TraceOptions topt = opt.trace;
     topt.horizon_hours = opt.horizon_hours;
-    std::vector<workload::Query> trace =
-        workload::generateMultiServiceTrace(trace_specs, topt);
-    out.trace_queries = trace.size();
+    workload::MergedArrivals arrivals =
+        workload::multiServiceArrivals(trace_specs, topt);
 
     const double interval_s =
         opt.interval_hours * 3600.0 / topt.time_compression;
@@ -434,7 +435,8 @@ serveTraces(const core::EfficiencyTable& table,
         return p;
     };
 
-    out.sim = cluster.run(trace, interval_s, plan, horizon_s);
+    out.sim = cluster.run(arrivals, interval_s, plan, horizon_s);
+    out.trace_queries = arrivals.emitted();
     return out;
 }
 

@@ -52,18 +52,32 @@ class WallTimer
  * How hard the discrete-event core worked during one ClusterSim::run:
  * the baseline the parallel-DES roadmap item is gated on.
  *
- * events_executed and peak_event_queue_depth are deterministic
- * (functions of the simulated schedule); the *_wall_ms fields and
- * events_per_sec are wall-clock provenance and vary run to run.
+ * events_executed, peak_event_queue_depth and peak_live_queries are
+ * deterministic (functions of the simulated schedule); the *_wall_ms
+ * fields and events_per_sec are wall-clock provenance and vary run to
+ * run.
  */
 struct DesProfile
 {
     uint64_t events_executed = 0;       ///< events popped off EventQueues
     size_t peak_event_queue_depth = 0;  ///< max pending events, any shard
-    double route_wall_ms = 0.0;    ///< arrival feed + routing + admission
+    /**
+     * Live per-query records at the fullest interval end: the
+     * interval's arrival buffer + every shard's query-state slots +
+     * every shard's retained completion log. Bounded by the arrival
+     * rate x interval plus what is in flight, not by the horizon.
+     */
+    size_t peak_live_queries = 0;
+    /**
+     * Pulling each interval's arrivals from the arrival stream (trace
+     * generation). Not part of run_wall_ms or route_wall_ms, so trace
+     * generation is never counted as simulation.
+     */
+    double arrival_wall_ms = 0.0;
+    double route_wall_ms = 0.0;    ///< routing + admission + injection
     double advance_wall_ms = 0.0;  ///< interval-boundary advanceTo/drain
     double harvest_wall_ms = 0.0;  ///< completion harvest + stats
-    double run_wall_ms = 0.0;      ///< whole run() call
+    double run_wall_ms = 0.0;  ///< whole run() call minus arrival_wall_ms
     double events_per_sec = 0.0;   ///< events_executed / run wall seconds
 };
 

@@ -148,10 +148,9 @@ Telemetry::onAdmitted(int svc, int shard, int retry_hops, int inject_idx,
     size_t ri = newRecord(svc, t_s, TraceOutcome::InFlight);
     if (inject_idx < 0)
         panic("Telemetry: negative inject index %d", inject_idx);
-    if (static_cast<size_t>(inject_idx) >= sh.open.size())
-        sh.open.resize(inject_idx + 1, SIZE_MAX);
-    sh.open[inject_idx] = ri;
     if (ri != SIZE_MAX) {
+        // Injection indices only grow, so this appends at the end.
+        sh.open.emplace_hint(sh.open.end(), inject_idx, ri);
         records_[ri].shard = shard;
         records_[ri].retry_hops = retry_hops;
     }
@@ -174,16 +173,27 @@ Telemetry::drainShardCompletionsLocked(
     ShardIds& sh = shardIds(shard);
     while (sh.cursor < log.size() && log[sh.cursor].finish_s <= up_to_s) {
         const sim::ServerInstance::Completion& c = log[sh.cursor++];
-        size_t qi = static_cast<size_t>(c.query);
-        size_t ri = qi < sh.open.size() ? sh.open[qi] : SIZE_MAX;
-        if (ri == SIZE_MAX)
-            continue;
-        TraceRecord& r = records_[ri];
+        auto it = sh.open.find(c.query);
+        if (it == sh.open.end())
+            continue;  // not sampled
+        TraceRecord& r = records_[it->second];
+        sh.open.erase(it);
         r.outcome = TraceOutcome::Completed;
         r.queue_wait_ms = c.queue_wait_s * 1e3;
         r.service_start_s = c.arrival_s + c.queue_wait_s;
         r.finish_s = c.finish_s;
     }
+}
+
+void
+Telemetry::rebaseShardCompletions(int shard, size_t n)
+{
+    util::MutexLock lock(mu_);
+    ShardIds& sh = shardIds(shard);
+    if (sh.cursor < n)
+        panic("Telemetry: shard %d dropped %zu completions, %zu drained",
+              shard, n, sh.cursor);
+    sh.cursor -= n;
 }
 
 void
@@ -198,15 +208,12 @@ Telemetry::onCrash(int shard,
     // left open on this shard died with it.
     drainShardCompletionsLocked(shard, log, t_s);
     ShardIds& sh = shardIds(shard);
-    for (size_t ri : sh.open) {
-        if (ri == SIZE_MAX)
-            continue;
-        TraceRecord& r = records_[ri];
-        if (r.outcome != TraceOutcome::InFlight)
-            continue;
+    for (const auto& span : sh.open) {
+        TraceRecord& r = records_[span.second];
         r.outcome = TraceOutcome::Killed;
         r.finish_s = t_s;
     }
+    sh.open.clear();
 }
 
 void

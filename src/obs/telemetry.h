@@ -20,6 +20,7 @@
  */
 #pragma once
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -93,6 +94,13 @@ class Telemetry
         double up_to_s) EXCLUDES(mu_);
 
     /**
+     * The shard dropped the first `n` entries of its completion log
+     * (ServerInstance::releaseCompletions): move the drain cursor down
+     * with them. Panics when the cursor had not yet passed them.
+     */
+    void rebaseShardCompletions(int shard, size_t n) EXCLUDES(mu_);
+
+    /**
      * Shard crashed at `t_s` with `killed` queries in flight: close
      * spans that completed before the crash, then mark every span still
      * open on the shard as Killed.
@@ -128,8 +136,12 @@ class Telemetry
         int injected = -1;     ///< counter
         int queue_depth = -1;  ///< gauge
         int health = -1;       ///< gauge
-        /** injection index -> trace record index (SIZE_MAX = unsampled). */
-        std::vector<size_t> open;
+        /**
+         * Sampled spans still open: injection index -> trace record
+         * index. A span leaves when it completes or is killed, so this
+         * holds traced queries in flight only.
+         */
+        std::map<int, size_t> open;
         /** completion-log entries already drained into trace records. */
         size_t cursor = 0;
     };

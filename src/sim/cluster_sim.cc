@@ -6,6 +6,7 @@
 #include "obs/telemetry.h"
 #include "qos/feedback.h"
 #include "util/logging.h"
+#include "workload/trace_gen.h"
 
 namespace hercules::sim {
 
@@ -180,6 +181,10 @@ ClusterSim::ClusterSim(Options opt)
     shard_opt_.record_completions = true;
     shard_opt_.abort_tail_ms = 0.0;
     shard_opt_.saturate = false;
+    decision_reads_shards_ =
+        opt_.router == RouterPolicy::LeastOutstanding ||
+        opt_.router == RouterPolicy::PowerOfTwo ||
+        opt_.admission.policy != qos::AdmissionPolicy::None;
 }
 
 void
@@ -414,14 +419,19 @@ int
 ClusterSim::route(const workload::Query& q)
 {
     applyHealthEventsUpTo(q.arrival_s);
-    advanceTo(q.arrival_s);
     const int svc = q.service_id;
     if (svc < 0 || svc >= numServices())
         panic("ClusterSim::route: query for service %d but shards exist "
               "for %d services",
               svc, numServices());
-    int s = routers_[static_cast<size_t>(svc)].pick(
-        *this, active_by_service_[static_cast<size_t>(svc)]);
+    // Lazy advance: only the shards the decision reads need the clock
+    // (see route()'s contract in the header).
+    const std::vector<int>& candidates =
+        active_by_service_[static_cast<size_t>(svc)];
+    if (decision_reads_shards_)
+        for (int id : candidates)
+            shards_[static_cast<size_t>(id)].inst->advanceTo(q.arrival_s);
+    int s = routers_[static_cast<size_t>(svc)].pick(*this, candidates);
     if (s < 0) {
         ++dropped_;
         ++service_state_[static_cast<size_t>(svc)].dropped;
@@ -446,8 +456,7 @@ ClusterSim::route(const workload::Query& q)
         int retry = -1;
         if (opt_.admission.cross_shard_retry) {
             double best_est = 0.0;
-            for (int id :
-                 active_by_service_[static_cast<size_t>(svc)]) {
+            for (int id : candidates) {
                 if (id == s || !admits(id))
                     continue;
                 const Shard& sh = shards_[static_cast<size_t>(id)];
@@ -472,6 +481,7 @@ ClusterSim::route(const workload::Query& q)
         ++retry_hops;
     }
     Shard& sh = shards_[static_cast<size_t>(s)];
+    sh.inst->advanceTo(q.arrival_s);
     int inject_idx = sh.inst->inject(q);
     ++injected_;
     ++service_state_[static_cast<size_t>(svc)].injected;
@@ -526,8 +536,10 @@ ClusterSim::harvest(double t0_s, double t1_s)
             : 0.0;
     st.active_shards = static_cast<int>(active_.size());
 
-    PercentileTracker lat;
-    std::vector<PercentileTracker> svc_lat(num_services);
+    // Each window latency is stored once, in its service's window
+    // buffer; the cluster window tails select over their union.
+    for (ServiceState& ss : service_state_)
+        ss.window_ms.reset();
     // This shard's window latencies; only the feedback router reads them.
     const bool feedback = opt_.router == RouterPolicy::LatencyFeedback;
     PercentileTracker shard_lat;
@@ -543,11 +555,10 @@ ClusterSim::harvest(double t0_s, double t1_s)
                done[s.harvest_cursor].finish_s <= t1_s) {
             const auto& c = done[s.harvest_cursor++];
             double ms = c.latencyMs();
-            lat.add(ms);
-            svc_lat[v].add(ms);
+            service_state_[v].window_ms.add(ms);
             if (feedback)
                 shard_lat.add(ms);
-            all_latency_ms_.add(ms);
+            all_latency_sum_ += ms;
             service_state_[v].latency_ms.add(ms);
             if (ms > sla) {
                 ++st.services[v].sla_violations;
@@ -564,6 +575,12 @@ ClusterSim::harvest(double t0_s, double t1_s)
         }
         if (opt_.telemetry)
             opt_.telemetry->drainShardCompletions(sid, done, t1_s);
+        // Both cursors have passed the window's completions: let the
+        // shard drop them.
+        const size_t dropped = s.inst->releaseCompletions(s.harvest_cursor);
+        s.harvest_cursor -= dropped;
+        if (opt_.telemetry && dropped > 0)
+            opt_.telemetry->rebaseShardCompletions(sid, dropped);
         // Latency feedback: fold this window's observed p99 into the
         // shard's routing weight (multiplicative, bounded by the tuple
         // weight above and the configured floor below). A window with
@@ -607,16 +624,20 @@ ClusterSim::harvest(double t0_s, double t1_s)
         if (span_end > t0_s && t1_s > t0_s)
             consumed += s.inst->avgPowerBetween(t0_s, span_end) *
                         (span_end - t0_s) / (t1_s - t0_s);
+        // Windows are harvested in order: no later one reads before t0.
+        s.inst->releaseBinsBefore(t0_s);
     }
-    st.completions = lat.count();
-    st.p50_ms = lat.p50();
-    st.p99_ms = lat.p99();
-    st.max_ms = lat.max();
+    const Tails window = unionTails(&ServiceState::window_ms);
+    st.completions = window.count;
+    st.p50_ms = window.p50;
+    st.p99_ms = window.p99;
+    st.max_ms = window.max;
     for (size_t v = 0; v < num_services; ++v) {
         ServiceIntervalStats& svc = st.services[v];
-        svc.completions = svc_lat[v].count();
-        svc.p50_ms = svc_lat[v].p50();
-        svc.p99_ms = svc_lat[v].p99();
+        const PercentileTracker& lat = service_state_[v].window_ms;
+        svc.completions = lat.count();
+        svc.p50_ms = lat.p50();
+        svc.p99_ms = lat.p99();
         // A dropped or rejected arrival — or an in-flight query killed
         // by a crash — missed its SLA by definition.
         svc.sla_violations +=
@@ -639,10 +660,37 @@ ClusterSim::harvest(double t0_s, double t1_s)
     return st;
 }
 
+ClusterSim::Tails
+ClusterSim::unionTails(PercentileTracker ServiceState::*buf)
+{
+    union_buf_.clear();
+    for (const ServiceState& ss : service_state_) {
+        const std::vector<double>& xs = (ss.*buf).samples();
+        union_buf_.insert(union_buf_.end(), xs.begin(), xs.end());
+    }
+    Tails t;
+    t.count = union_buf_.size();
+    t.p50 = nearestRankPercentile(union_buf_, 50.0);
+    t.p95 = nearestRankPercentile(union_buf_, 95.0);
+    t.p99 = nearestRankPercentile(union_buf_, 99.0);
+    if (!union_buf_.empty())
+        t.max = *std::max_element(union_buf_.begin(),
+                                  union_buf_.end());
+    return t;
+}
+
 ClusterSimResult
 ClusterSim::run(const std::vector<workload::Query>& trace,
                 double interval_s, const IntervalPlanFn& plan,
                 double horizon_s)
+{
+    workload::VectorArrivals arrivals(trace);
+    return run(arrivals, interval_s, plan, horizon_s);
+}
+
+ClusterSimResult
+ClusterSim::run(workload::ArrivalStream& arrivals, double interval_s,
+                const IntervalPlanFn& plan, double horizon_s)
 {
     if (interval_s <= 0.0)
         fatal("ClusterSim::run: non-positive interval %f", interval_s);
@@ -650,7 +698,8 @@ ClusterSim::run(const std::vector<workload::Query>& trace,
     // Self-profiling wall timers: provenance only (ClusterSimResult::
     // des), never fed back into simulated state.
     obs::WallTimer run_timer;
-    double route_wall = 0.0, advance_wall = 0.0, harvest_wall = 0.0;
+    double arrival_wall = 0.0, route_wall = 0.0, advance_wall = 0.0,
+           harvest_wall = 0.0;
 
     // Interval-boundary gauge snapshot (after the plan's provisioned
     // power is known); null telemetry makes this a no-op.
@@ -671,14 +720,37 @@ ClusterSim::run(const std::vector<workload::Query>& trace,
         tel->commitSample(st.t1_s);
     };
 
+    // Live per-query records right before a harvest: the interval's
+    // arrival buffer plus what every shard still holds.
+    std::vector<workload::Query> pending;  // one interval's arrivals
+    auto liveQueries = [&]() {
+        size_t live = pending.size();
+        for (const Shard& s : shards_)
+            live += s.inst->retainedQuerySlots() +
+                    s.inst->completions().size();
+        return live;
+    };
+
     ClusterSimResult r;
-    size_t cursor = 0;
     int k = 0;
-    while (cursor < trace.size() ||
-           static_cast<double>(k) * interval_s < horizon_s - 1e-9) {
+    obs::WallTimer phase_timer;
+    for (;; ++k) {
         double t0 = static_cast<double>(k) * interval_s;
         double t1 = t0 + interval_s;
-        obs::WallTimer phase_timer;
+        phase_timer.restart();
+        const bool more = arrivals.peek() != nullptr;
+        if (!more && !(t0 < horizon_s - 1e-9)) {
+            arrival_wall += phase_timer.elapsedMs();
+            break;
+        }
+        pending.clear();
+        for (const workload::Query* q = arrivals.peek();
+             q && q->arrival_s < t1; q = arrivals.peek()) {
+            pending.push_back(*q);
+            arrivals.pop();
+        }
+        arrival_wall += phase_timer.elapsedMs();
+        phase_timer.restart();
         // Boundary health transitions apply before the plan: the
         // planner that produced it already saw the surviving capacity.
         applyHealthEventsUpTo(t0);
@@ -694,8 +766,8 @@ ClusterSim::run(const std::vector<workload::Query>& trace,
             for (size_t i = 0; i < shards_.size(); ++i)
                 setActive(static_cast<int>(i), want[i] != 0, t0);
         }
-        while (cursor < trace.size() && trace[cursor].arrival_s < t1)
-            route(trace[cursor++]);
+        for (const workload::Query& q : pending)
+            route(q);
         // Transitions after the window's last arrival but strictly
         // inside it (a crash at an exact boundary belongs to the next
         // interval's plan step).
@@ -707,6 +779,8 @@ ClusterSim::run(const std::vector<workload::Query>& trace,
         advanceTo(t1);
         advance_wall += phase_timer.elapsedMs();
         phase_timer.restart();
+        r.des.peak_live_queries =
+            std::max(r.des.peak_live_queries, liveQueries());
         IntervalStats st = harvest(t0, t1);
         harvest_wall += phase_timer.elapsedMs();
         if (plan) {
@@ -716,8 +790,8 @@ ClusterSim::run(const std::vector<workload::Query>& trace,
         }
         sampleTelemetry(st);
         r.intervals.push_back(st);
-        ++k;
     }
+    pending.clear();  // the drain tail holds no arrivals
 
     // Tail: retire whatever is still in flight past the last interval.
     const size_t planned_intervals = r.intervals.size();
@@ -730,6 +804,8 @@ ClusterSim::run(const std::vector<workload::Query>& trace,
         tail_end = std::max(tail_end, s.inst->now());
     if (tail_end > tail_start) {
         tail_timer.restart();
+        r.des.peak_live_queries =
+            std::max(r.des.peak_live_queries, liveQueries());
         IntervalStats tail = harvest(tail_start, tail_end);
         harvest_wall += tail_timer.elapsedMs();
         if (tail.completions > 0 || tail.arrivals > 0) {
@@ -743,12 +819,15 @@ ClusterSim::run(const std::vector<workload::Query>& trace,
     r.rejected = rejected_;
     r.failed_inflight = failed_inflight_;
     r.admission_retries = admission_retries_;
-    r.completed = all_latency_ms_.count();
-    r.mean_ms = all_latency_ms_.mean();
-    r.p50_ms = all_latency_ms_.p50();
-    r.p95_ms = all_latency_ms_.p95();
-    r.p99_ms = all_latency_ms_.p99();
-    r.max_ms = all_latency_ms_.max();
+    const Tails all = unionTails(&ServiceState::latency_ms);
+    r.completed = all.count;
+    r.mean_ms = all.count > 0
+                    ? all_latency_sum_ / static_cast<double>(all.count)
+                    : 0.0;
+    r.p50_ms = all.p50;
+    r.p95_ms = all.p95;
+    r.p99_ms = all.p99;
+    r.max_ms = all.max;
     // Dropped and rejected arrivals — and in-flight queries killed by
     // crashes — are SLA violations: an outage (or admission throttling,
     // or a crash) shows up in the run-level rate instead of silently
@@ -805,10 +884,11 @@ ClusterSim::run(const std::vector<workload::Query>& trace,
         r.des.peak_event_queue_depth = std::max(
             r.des.peak_event_queue_depth, s.inst->peakEventQueueDepth());
     }
+    r.des.arrival_wall_ms = arrival_wall;
     r.des.route_wall_ms = route_wall;
     r.des.advance_wall_ms = advance_wall;
     r.des.harvest_wall_ms = harvest_wall;
-    r.des.run_wall_ms = run_timer.elapsedMs();
+    r.des.run_wall_ms = run_timer.elapsedMs() - arrival_wall;
     r.des.events_per_sec =
         r.des.run_wall_ms > 0.0
             ? static_cast<double>(r.des.events_executed) /

@@ -66,6 +66,10 @@ namespace hercules::obs {
 class Telemetry;
 }  // namespace hercules::obs
 
+namespace hercules::workload {
+class ArrivalStream;
+}  // namespace hercules::workload
+
 namespace hercules::sim {
 
 /** The query-routing policies. */
@@ -421,12 +425,25 @@ class ClusterSim
     void advanceTo(double t_s);
 
     /**
-     * Route one arrival (shards are first advanced to its timestamp)
-     * via its service's router to that service's active shards, then
-     * through the picked shard's admission controller. When the picked
-     * shard refuses and admission.cross_shard_retry is set, the query
-     * is re-offered to the service's other active shards (ascending
-     * estimated completion) before it counts as rejected.
+     * Route one arrival via its service's router to that service's
+     * active shards, then through the picked shard's admission
+     * controller. When the picked shard refuses and
+     * admission.cross_shard_retry is set, the query is re-offered to
+     * the service's other active shards (ascending estimated
+     * completion) before it counts as rejected.
+     *
+     * Shards advance lazily. Health events up to the arrival are
+     * applied first (each advances every shard to its own time). Then
+     * only the shards the decision reads are advanced to the arrival:
+     * the service's active set when the router reads queue lengths
+     * (jsq, p2c) or admission is not `none`, no shard otherwise. The
+     * picked shard is advanced to the arrival before the inject. A
+     * shard's events are scheduled only by its own dispatches and
+     * injects, so advancing it later, in one go, runs the same events
+     * in the same order: every statistic equals that of advancing all
+     * shards to every arrival. Between routes, outstanding() of a
+     * shard the decision did not read may therefore lag the arrival
+     * clock; advanceTo() brings every shard up to date.
      * @return the shard id the query was injected into; -1 when the
      * service has no active shard (dropped); -2 when admission control
      * refused the query on every eligible shard (rejected). Panics
@@ -440,21 +457,36 @@ class ClusterSim
     /**
      * Collect the statistics of window [t0_s, t1_s): completions that
      * retired inside it, power consumed by active/draining shards.
-     * Windows must be harvested in order, after advanceTo(t1_s).
+     * Windows must be harvested in order, after advanceTo(t1_s): a
+     * harvest lets every shard drop the completions it consumed and
+     * the utilization bins before t0_s, so no later window can reach
+     * back before it.
      */
     IntervalStats harvest(double t0_s, double t1_s);
 
     /**
-     * Replay a full trace: at each interval boundary apply `plan`
-     * (nullptr keeps every shard active), feed the interval's
-     * arrivals, advance, harvest. After the last interval all shards
-     * drain and a final tail window is harvested.
+     * Replay an arrival stream: at each interval boundary apply `plan`
+     * (nullptr keeps every shard active), pull the interval's arrivals
+     * from the stream into one reused buffer, route them, advance,
+     * harvest. After the last interval all shards drain and a final
+     * tail window is harvested. Only one interval's arrivals are held
+     * at a time, and harvested completions are released from the
+     * shards, so live state is O(arrival rate x interval + in flight);
+     * the whole-run percentiles keep one latency sample per completion
+     * (8 B) per service.
      *
+     * @param arrivals  arrivals in non-decreasing time order; drained.
      * @param horizon_s with a positive value, intervals (and the plan)
-     * keep running to this time even after the trace is exhausted —
+     * keep running to this time even after the stream is exhausted —
      * trailing low-traffic intervals still get provisioned and
      * reported. 0 stops at the last arrival's interval.
      */
+    ClusterSimResult run(workload::ArrivalStream& arrivals,
+                         double interval_s,
+                         const IntervalPlanFn& plan = nullptr,
+                         double horizon_s = 0.0);
+
+    /** run() over a materialised trace (a workload::VectorArrivals). */
     ClusterSimResult run(const std::vector<workload::Query>& trace,
                          double interval_s,
                          const IntervalPlanFn& plan = nullptr,
@@ -498,11 +530,24 @@ class ClusterSim
         size_t rejected_harvested = 0;
         size_t failed_inflight_harvested = 0;
         PercentileTracker latency_ms;  ///< whole-run latencies
+        PercentileTracker window_ms;   ///< this harvest's latencies
         size_t violations = 0;         ///< whole-run late completions
     };
 
     void ensureService(int service);
     void rebuildActive();
+    /** Cluster-wide tail statistics of one latency population. */
+    struct Tails
+    {
+        size_t count = 0;
+        double p50 = 0.0, p95 = 0.0, p99 = 0.0, max = 0.0;
+    };
+    /**
+     * Tails of the union of every service's `buf` samples. Nearest-rank
+     * percentiles are found by selection, so the order in which the
+     * service buffers are concatenated does not matter.
+     */
+    Tails unionTails(PercentileTracker ServiceState::*buf);
 
     Options opt_;
     SimOptions shard_opt_;  ///< shared by all shard instances
@@ -524,8 +569,17 @@ class ClusterSim
     size_t health_cursor_ = 0;                ///< next event to apply
     std::vector<HealthTransition> health_log_;
 
+    /** The router or admission reads shard queues on every arrival. */
+    bool decision_reads_shards_ = false;
+    std::vector<double> union_buf_;  ///< unionTails() buffer
+
     // run() aggregates
-    PercentileTracker all_latency_ms_;
+    /**
+     * Sum of every harvested latency, in harvest order, for the
+     * whole-run mean: unlike a percentile, a float sum depends on the
+     * order of its terms.
+     */
+    double all_latency_sum_ = 0.0;
     size_t all_violations_ = 0;  ///< late completions (drops added later)
 };
 

@@ -46,7 +46,12 @@ ServerInstance::ServerInstance(const PreparedWorkload& w,
 int
 ServerInstance::inject(const workload::Query& q)
 {
-    int idx = static_cast<int>(queries_.size());
+    // Compact only when the slot vector would otherwise grow: the scan
+    // and the move are then paid for by the injects since the last one.
+    if (queries_.size() == queries_.capacity() &&
+        queries_.size() >= kCompactMinSlots)
+        compactQueries();
+    int idx = static_cast<int>(injected());
     QueryState st;
     st.arrival = q.arrival_s;
     st.size = q.size;
@@ -56,6 +61,50 @@ ServerInstance::inject(const workload::Query& q)
     queries_.push_back(st);
     eq_.scheduleInOrder(st.arrival, Event{Event::Kind::Arrival, idx, {}});
     return idx;
+}
+
+void
+ServerInstance::compactQueries()
+{
+    size_t n = 0;
+    while (n < queries_.size() && queries_[n].done)
+        ++n;
+    if (2 * n < queries_.size())
+        return;  // mostly in flight: let the vector grow instead
+    queries_.erase(queries_.begin(),
+                   queries_.begin() + static_cast<std::ptrdiff_t>(n));
+    query_base_ += n;
+}
+
+void
+ServerInstance::releaseBinsBefore(double t_s)
+{
+    const size_t upto = binIndex(t_s);
+    // Amortised: move the kept tail only once a long prefix is dead.
+    if (upto < bin_base_ + kReleaseMinBins)
+        return;
+    const size_t n = upto - bin_base_;
+    for (std::vector<double>* bins :
+         {&cpu_busy_s_, &gpu_busy_s_, &pcie_busy_s_, &nmp_busy_s_,
+          &mem_bytes_})
+        bins->erase(bins->begin(),
+                    bins->begin() + static_cast<std::ptrdiff_t>(
+                                        std::min(n, bins->size())));
+    bin_base_ = upto;
+}
+
+size_t
+ServerInstance::releaseCompletions(size_t n)
+{
+    if (n > completions_.size())
+        panic("ServerInstance::releaseCompletions: %zu of %zu entries", n,
+              completions_.size());
+    if (n == 0 || 2 * n < completions_.size())
+        return 0;
+    completions_.erase(completions_.begin(),
+                       completions_.begin() + static_cast<std::ptrdiff_t>(n));
+    completions_dropped_ += n;
+    return n;
 }
 
 void
@@ -162,11 +211,14 @@ ServerInstance::killInFlight()
 bool
 ServerInstance::abortTriggered()
 {
-    while (abort_scan_ < queries_.size() && queries_[abort_scan_].done)
+    // A compacted prefix was all done.
+    abort_scan_ = std::max(abort_scan_, query_base_);
+    while (abort_scan_ < injected() &&
+           query(static_cast<int>(abort_scan_)).done)
         ++abort_scan_;
-    if (abort_scan_ >= queries_.size())
+    if (abort_scan_ >= injected())
         return false;
-    const QueryState& q = queries_[abort_scan_];
+    const QueryState& q = query(static_cast<int>(abort_scan_));
     return eq_.now() - q.arrival > opt_.abort_tail_ms * 1e-3;
 }
 
@@ -236,21 +288,24 @@ ServerInstance::chargeBins(std::vector<double>& bins, double start_s,
         return;
     size_t first = binIndex(start_s);
     size_t last = binIndex(end_s);
-    if (bins.size() <= last)
-        bins.resize(last + 1, 0.0);
+    if (first < bin_base_)
+        panic("ServerInstance: work at %f charged to released bins",
+              start_s);
+    if (bins.size() <= last - bin_base_)
+        bins.resize(last - bin_base_ + 1, 0.0);
     for (size_t b = first; b <= last; ++b) {
         double lo = std::max(start_s, static_cast<double>(b) * kBinSeconds);
         double hi = std::min(end_s,
                              static_cast<double>(b + 1) * kBinSeconds);
         if (hi > lo)
-            bins[b] += (hi - lo) * weight;
+            bins[b - bin_base_] += (hi - lo) * weight;
     }
 }
 
 void
 ServerInstance::splitToPool(int qidx, Pool& pool, int batch)
 {
-    QueryState& q = queries_[static_cast<size_t>(qidx)];
+    QueryState& q = query(qidx);
     int remaining = q.size;
     while (remaining > 0) {
         int take = std::min(remaining, batch);
@@ -277,7 +332,7 @@ ServerInstance::poolServe(Pool& pool, Chunk c)
     int pool_id = (&pool == &cpu_pool_)
                       ? (mapping() == Mapping::CpuModelBased ? 0 : 1)
                       : 2;
-    QueryState& q = queries_[static_cast<size_t>(c.query)];
+    QueryState& q = query(c.query);
     if (!q.started) {
         q.started = true;
         q.enqueue_done = eq_.now();
@@ -331,7 +386,7 @@ ServerInstance::poolDone(Pool& pool, Chunk c)
 void
 ServerInstance::queryPartDone(int qidx)
 {
-    QueryState& q = queries_[static_cast<size_t>(qidx)];
+    QueryState& q = query(qidx);
     if (--q.pending > 0)
         return;
     q.done = true;
@@ -349,7 +404,9 @@ ServerInstance::queryPartDone(int qidx)
         completions_.push_back(c);
     }
     if (qidx >= opt_.warmup_queries) {
-        latency_ms_.add((now - q.arrival) * 1e3);
+        // A recording instance's latencies are its completion log.
+        if (!opt_.record_completions)
+            latency_ms_.add((now - q.arrival) * 1e3);
         ++measured_completed_;
     }
 }
@@ -357,7 +414,7 @@ ServerInstance::queryPartDone(int qidx)
 void
 ServerInstance::arrival(int qidx)
 {
-    QueryState& q = queries_[static_cast<size_t>(qidx)];
+    QueryState& q = query(qidx);
     switch (mapping()) {
       case Mapping::CpuModelBased:
       case Mapping::CpuSdPipeline:
@@ -410,7 +467,7 @@ ServerInstance::tryFormGpuBatch(size_t tid)
     double ps_weighted = 0.0;
     for (const Chunk& c : b.chunks) {
         ps_weighted += c.ps * c.items;
-        QueryState& q = queries_[static_cast<size_t>(c.query)];
+        QueryState& q = query(c.query);
         if (!q.started) {
             q.started = true;
             q.enqueue_done = eq_.now();
@@ -552,7 +609,10 @@ ServerInstance::onExecDone(size_t tid)
 ServerInstance::BinUtil
 ServerInstance::binUtil(size_t b, double mem_denom) const
 {
+    if (b < bin_base_)
+        panic("ServerInstance: power read from released bin %zu", b);
     auto binVal = [&](const std::vector<double>& bins, size_t i) {
+        i -= bin_base_;
         return i < bins.size() ? bins[i] : 0.0;
     };
     int cores = w_.server->cpu.cores;
@@ -602,12 +662,26 @@ ServerInstance::finalize() const
     r.achieved_qps =
         static_cast<double>(measured_completed_) / r.duration_s;
 
-    r.mean_ms = latency_ms_.mean();
-    r.p50_ms = latency_ms_.p50();
-    r.p95_ms = latency_ms_.p95();
-    r.p99_ms = latency_ms_.p99();
-    r.tail_ms = latency_ms_.percentile(opt_.tail_percentile);
-    r.max_ms = latency_ms_.max();
+    // The log holds the same samples in the same (finish) order, so its
+    // mean is the same double.
+    PercentileTracker logged;
+    if (opt_.record_completions) {
+        if (completions_dropped_ > 0)
+            panic("ServerInstance::finalize: %zu completions already "
+                  "released",
+                  completions_dropped_);
+        for (const Completion& c : completions_)
+            if (c.query >= opt_.warmup_queries)
+                logged.add(c.latencyMs());
+    }
+    const PercentileTracker& lat =
+        opt_.record_completions ? logged : latency_ms_;
+    r.mean_ms = lat.mean();
+    r.p50_ms = lat.p50();
+    r.p95_ms = lat.p95();
+    r.p99_ms = lat.p99();
+    r.tail_ms = lat.percentile(opt_.tail_percentile);
+    r.max_ms = lat.max();
     r.mean_queue_ms = queue_ms_.mean();
     r.mean_host_ms = host_ms_.mean();
     r.mean_load_ms = load_ms_.mean();

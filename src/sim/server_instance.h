@@ -18,6 +18,18 @@
  *  - finalize() computes the ServerSimResult over the post-warmup
  *    window exactly as the one-shot simulateServer() does.
  *
+ * Indices and storage: a query's index is its *injection index* (0 for
+ * the first inject(), 1 for the next, ...), and it stays that for the
+ * life of the instance: events, chunks, Completion::query and the
+ * telemetry keys all carry it. Storage is compacted underneath. The
+ * per-query state of a retired prefix is dropped once enough of it
+ * piles up (never below kCompactMinSlots slots, so a short probe never
+ * compacts), the completion log drops the prefix its owner released
+ * (releaseCompletions()), and the utilization bins drop the span the
+ * owner will not read again (releaseBinsBefore()). Live state is
+ * therefore O(queries in flight + completions not yet consumed), not
+ * O(queries injected).
+ *
  * Determinism: given the same construction arguments and the same
  * injection sequence, every event fires in the same order (the event
  * queue breaks timestamp ties by scheduling order) and every statistic
@@ -108,17 +120,34 @@ class ServerInstance
     double now() const { return eq_.now(); }
 
     /** @return total queries injected so far. */
-    size_t injected() const { return queries_.size(); }
+    size_t injected() const { return query_base_ + queries_.size(); }
 
     /** @return queries fully retired (warmup included). */
     size_t completedAll() const { return done_count_; }
 
     /** @return queries injected but not yet retired. */
-    size_t outstanding() const { return queries_.size() - done_count_; }
+    size_t outstanding() const { return injected() - done_count_; }
 
-    /** @return the completion log (empty unless record_completions). */
+    /**
+     * @return the retained completion log, in finish order (empty
+     * unless record_completions): every completion not yet dropped by
+     * releaseCompletions().
+     */
     const std::vector<Completion>& completions() const
     { return completions_; }
+
+    /**
+     * The owner has consumed completions()[0, n). The instance drops
+     * that prefix when it is at least half the log (amortised O(1) per
+     * entry), so positions in completions() shift down.
+     * @return entries dropped: 0 or n. Cursors into completions()
+     * move down by this much.
+     */
+    size_t releaseCompletions(size_t n);
+
+    /** @return per-query state slots held (in flight + retired, not
+     *  yet compacted). */
+    size_t retainedQuerySlots() const { return queries_.size(); }
 
     /** @return events executed by this instance's queue (lifetime). */
     uint64_t eventsExecuted() const { return eq_.eventsExecuted(); }
@@ -167,12 +196,32 @@ class ServerInstance
     /**
      * Mean server power (W) over [t0_s, t1_s), integrating the binned
      * resource-utilization profile through the power model. Windows the
-     * server spent idle contribute idle power.
+     * server spent idle contribute idle power. Panics when the window
+     * reaches into bins released by releaseBinsBefore().
      */
     double avgPowerBetween(double t0_s, double t1_s) const;
 
-    /** Compute the post-warmup measurements (call after the run). */
+    /**
+     * The owner reads power only at or after `t_s` from now on: the
+     * utilization bins wholly before it may be dropped (in batches of
+     * at least kReleaseMinBins). Work is never charged before the
+     * clock, so a caller that has advanced past `t_s` loses nothing.
+     * finalize() must not follow a release.
+     */
+    void releaseBinsBefore(double t_s);
+
+    /**
+     * Compute the post-warmup measurements (call after the run). With
+     * record_completions the latency samples live only in the
+     * completion log, so finalize() reads them from there and panics
+     * once releaseCompletions() has dropped any.
+     */
     ServerSimResult finalize() const;
+
+    /** Fewest per-query state slots before a retired prefix is dropped. */
+    static constexpr size_t kCompactMinSlots = 4096;
+    /** Fewest dead utilization bins releaseBinsBefore() drops at once. */
+    static constexpr size_t kReleaseMinBins = 1024;
 
   private:
     // ---- work units -----------------------------------------------------
@@ -260,6 +309,12 @@ class ServerInstance
         Batch running;
     };
 
+    /** The state of the query with injection index `qidx`. */
+    QueryState& query(int qidx)
+    { return queries_[static_cast<size_t>(qidx) - query_base_]; }
+    /** Drop the retired prefix of queries_ when it is half or more. */
+    void compactQueries();
+
     void dispatch(const Event& ev);
 
     void arrival(int qidx);
@@ -305,9 +360,12 @@ class ServerInstance
     hw::PowerModel power_;
     EventQueue<Event> eq_;
 
+    /** Queries query_base_, query_base_ + 1, ... (injection index). */
     std::vector<QueryState> queries_;
-    std::vector<Completion> completions_;   ///< all, when recording
-    size_t done_count_ = 0;                 ///< all retired queries
+    size_t query_base_ = 0;  ///< injection index of queries_[0]
+    std::vector<Completion> completions_;  ///< retained, when recording
+    size_t completions_dropped_ = 0;       ///< released log prefix
+    size_t done_count_ = 0;                ///< all retired queries
 
     Pool cpu_pool_;    ///< model-based threads or SparseNet threads
     Pool dense_pool_;  ///< CpuSdPipeline DenseNet threads
@@ -322,21 +380,26 @@ class ServerInstance
     int shard_id_ = -1;      ///< observational tag (setIdentity)
     int service_id_ = 0;     ///< observational tag (setIdentity)
 
-    // resource usage bins
+    // resource usage bins; bins[i] covers absolute bin bin_base_ + i
     static constexpr double kBinSeconds = 0.05;
+    size_t bin_base_ = 0;  ///< bins before it were released
     std::vector<double> cpu_busy_s_;
     std::vector<double> gpu_busy_s_;
     std::vector<double> pcie_busy_s_;
     std::vector<double> nmp_busy_s_;
     std::vector<double> mem_bytes_;
 
+    /** Post-warmup latencies; empty with record_completions. */
     PercentileTracker latency_ms_;
     OnlineStats queue_ms_, host_ms_, load_ms_, exec_ms_;
     double steady_start_ = 0.0;
     double last_finish_ = 0.0;
     size_t measured_completed_ = 0;
 
-    /** Oldest possibly-incomplete post-warmup query (abort check). */
+    /**
+     * Injection index of the oldest possibly-incomplete post-warmup
+     * query (abort check).
+     */
     size_t abort_scan_ = 0;
     bool aborted_ = false;
 };

@@ -47,19 +47,25 @@ PercentileTracker::addAll(const std::vector<double>& xs)
 }
 
 double
-PercentileTracker::percentile(double p) const
+nearestRankPercentile(std::vector<double>& samples, double p)
 {
-    if (samples_.empty())
+    if (samples.empty())
         return 0.0;
     if (p < 0.0 || p > 100.0)
         panic("percentile out of range: %f", p);
     // Nearest-rank definition: ceil(p/100 * N), 1-indexed.
-    double rank = std::ceil(p / 100.0 * static_cast<double>(samples_.size()));
+    double rank = std::ceil(p / 100.0 * static_cast<double>(samples.size()));
     size_t idx = rank < 1.0 ? 0 : static_cast<size_t>(rank) - 1;
-    idx = std::min(idx, samples_.size() - 1);
-    auto nth = samples_.begin() + static_cast<std::ptrdiff_t>(idx);
-    std::nth_element(samples_.begin(), nth, samples_.end());
+    idx = std::min(idx, samples.size() - 1);
+    auto nth = samples.begin() + static_cast<std::ptrdiff_t>(idx);
+    std::nth_element(samples.begin(), nth, samples.end());
     return *nth;
+}
+
+double
+PercentileTracker::percentile(double p) const
+{
+    return nearestRankPercentile(samples_, p);
 }
 
 double

@@ -52,6 +52,14 @@ class OnlineStats
 };
 
 /**
+ * The p-th percentile of `samples` by nearest rank (the
+ * ceil(p/100 * N)-th smallest; 0 when empty), found by selection
+ * (std::nth_element, O(N)). The value does not depend on the order of
+ * `samples`, which the selection reorders.
+ */
+double nearestRankPercentile(std::vector<double>& samples, double p);
+
+/**
  * Exact percentile tracker: stores all samples and selects on demand.
  *
  * Exact storage avoids quantile-sketch approximation error in tests
@@ -96,6 +104,9 @@ class PercentileTracker
 
     /** @return largest sample (0 when empty). */
     double max() const;
+
+    /** @return the samples, in no particular order. */
+    const std::vector<double>& samples() const { return samples_; }
 
     /** Remove all samples. */
     void reset();

@@ -11,13 +11,16 @@
 
 namespace hercules::workload {
 
-/** One inference request. */
+/**
+ * One inference request. The two ints sit together, so a query packs
+ * into 32 bytes (a replay buffers a whole interval of them).
+ */
 struct Query
 {
     uint64_t id = 0;
     double arrival_s = 0.0;      ///< arrival time (seconds)
-    int size = 0;                ///< number of candidate items to rank
     double pooling_scale = 1.0;  ///< per-query pooling multiplier
+    int size = 0;                ///< number of candidate items to rank
     /**
      * The service (co-served model) this query belongs to. Single-
      * service traces leave it 0; multi-service traces tag each query
@@ -26,5 +29,7 @@ struct Query
      */
     int service_id = 0;
 };
+
+static_assert(sizeof(Query) == 32, "Query should pack into 32 bytes");
 
 }  // namespace hercules::workload

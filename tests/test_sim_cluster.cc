@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "sim/cluster_sim.h"
@@ -992,6 +994,275 @@ TEST(ClusterSim, IntervalStatsAreConsistent)
     EXPECT_GT(r.intervals[0].consumed_power_w, 0.0);
     EXPECT_GT(r.peak_consumed_power_w,
               r.intervals.back().consumed_power_w);
+}
+
+
+/** Every simulated field of two interval windows, bit for bit. */
+void
+expectSameInterval(const IntervalStats& a, const IntervalStats& b)
+{
+    EXPECT_EQ(a.t0_s, b.t0_s);
+    EXPECT_EQ(a.t1_s, b.t1_s);
+    EXPECT_EQ(a.arrivals, b.arrivals);
+    EXPECT_EQ(a.completions, b.completions);
+    EXPECT_EQ(a.dropped, b.dropped);
+    EXPECT_EQ(a.rejected, b.rejected);
+    EXPECT_EQ(a.failed_inflight, b.failed_inflight);
+    EXPECT_EQ(a.offered_qps, b.offered_qps);
+    EXPECT_EQ(a.p50_ms, b.p50_ms);
+    EXPECT_EQ(a.p99_ms, b.p99_ms);
+    EXPECT_EQ(a.max_ms, b.max_ms);
+    EXPECT_EQ(a.sla_violations, b.sla_violations);
+    EXPECT_EQ(a.sla_violation_rate, b.sla_violation_rate);
+    EXPECT_EQ(a.active_shards, b.active_shards);
+    EXPECT_EQ(a.consumed_power_w, b.consumed_power_w);
+    EXPECT_EQ(a.provisioned_power_w, b.provisioned_power_w);
+    EXPECT_EQ(a.budget_power_w, b.budget_power_w);
+    EXPECT_EQ(a.power_capped, b.power_capped);
+    ASSERT_EQ(a.services.size(), b.services.size());
+    for (size_t v = 0; v < a.services.size(); ++v) {
+        const ServiceIntervalStats& x = a.services[v];
+        const ServiceIntervalStats& y = b.services[v];
+        EXPECT_EQ(x.arrivals, y.arrivals);
+        EXPECT_EQ(x.completions, y.completions);
+        EXPECT_EQ(x.dropped, y.dropped);
+        EXPECT_EQ(x.rejected, y.rejected);
+        EXPECT_EQ(x.p50_ms, y.p50_ms);
+        EXPECT_EQ(x.p99_ms, y.p99_ms);
+        EXPECT_EQ(x.failed_inflight, y.failed_inflight);
+        EXPECT_EQ(x.sla_violations, y.sla_violations);
+        EXPECT_EQ(x.sla_violation_rate, y.sla_violation_rate);
+        EXPECT_EQ(x.active_shards, y.active_shards);
+    }
+}
+
+/**
+ * Every field of two run results, bit for bit, except the wall-clock
+ * provenance in `des`.
+ */
+void
+expectSameClusterResult(const ClusterSimResult& a, const ClusterSimResult& b)
+{
+    ASSERT_EQ(a.intervals.size(), b.intervals.size());
+    for (size_t i = 0; i < a.intervals.size(); ++i) {
+        SCOPED_TRACE("interval " + std::to_string(i));
+        expectSameInterval(a.intervals[i], b.intervals[i]);
+    }
+    EXPECT_EQ(a.injected, b.injected);
+    EXPECT_EQ(a.completed, b.completed);
+    EXPECT_EQ(a.dropped, b.dropped);
+    EXPECT_EQ(a.rejected, b.rejected);
+    EXPECT_EQ(a.failed_inflight, b.failed_inflight);
+    EXPECT_EQ(a.admission_retries, b.admission_retries);
+    EXPECT_EQ(a.mean_ms, b.mean_ms);
+    EXPECT_EQ(a.p50_ms, b.p50_ms);
+    EXPECT_EQ(a.p95_ms, b.p95_ms);
+    EXPECT_EQ(a.p99_ms, b.p99_ms);
+    EXPECT_EQ(a.max_ms, b.max_ms);
+    EXPECT_EQ(a.sla_violations, b.sla_violations);
+    EXPECT_EQ(a.sla_violation_rate, b.sla_violation_rate);
+    EXPECT_EQ(a.avg_consumed_power_w, b.avg_consumed_power_w);
+    EXPECT_EQ(a.peak_consumed_power_w, b.peak_consumed_power_w);
+    EXPECT_EQ(a.avg_provisioned_power_w, b.avg_provisioned_power_w);
+    EXPECT_EQ(a.peak_provisioned_power_w, b.peak_provisioned_power_w);
+    ASSERT_EQ(a.services.size(), b.services.size());
+    for (size_t v = 0; v < a.services.size(); ++v) {
+        const ServiceRunStats& x = a.services[v];
+        const ServiceRunStats& y = b.services[v];
+        EXPECT_EQ(x.injected, y.injected);
+        EXPECT_EQ(x.completed, y.completed);
+        EXPECT_EQ(x.dropped, y.dropped);
+        EXPECT_EQ(x.rejected, y.rejected);
+        EXPECT_EQ(x.failed_inflight, y.failed_inflight);
+        EXPECT_EQ(x.p50_ms, y.p50_ms);
+        EXPECT_EQ(x.p99_ms, y.p99_ms);
+        EXPECT_EQ(x.max_ms, y.max_ms);
+        EXPECT_EQ(x.sla_ms, y.sla_ms);
+        EXPECT_EQ(x.sla_violations, y.sla_violations);
+        EXPECT_EQ(x.sla_violation_rate, y.sla_violation_rate);
+    }
+    ASSERT_EQ(a.health_transitions.size(), b.health_transitions.size());
+    for (size_t i = 0; i < a.health_transitions.size(); ++i) {
+        const HealthTransition& x = a.health_transitions[i];
+        const HealthTransition& y = b.health_transitions[i];
+        EXPECT_EQ(x.t_s, y.t_s);
+        EXPECT_EQ(x.shard, y.shard);
+        EXPECT_EQ(x.service, y.service);
+        EXPECT_EQ(x.from, y.from);
+        EXPECT_EQ(x.to, y.to);
+        EXPECT_EQ(x.slowdown, y.slowdown);
+        EXPECT_EQ(x.killed_inflight, y.killed_inflight);
+    }
+    EXPECT_EQ(a.des.events_executed, b.des.events_executed);
+    EXPECT_EQ(a.des.peak_event_queue_depth, b.des.peak_event_queue_depth);
+    EXPECT_EQ(a.des.peak_live_queries, b.des.peak_live_queries);
+}
+
+/** A flat two-service load near the shards' capacity. */
+std::vector<workload::Query>
+flatTwoServiceTrace(double seconds)
+{
+    std::vector<workload::ServiceTraceSpec> specs(2);
+    specs[0].load.peak_qps = 2400.0;
+    specs[1].load.peak_qps = 1300.0;
+    for (workload::ServiceTraceSpec& sp : specs) {
+        sp.load.trough_frac = 1.0;
+        sp.load.noise_frac = 0.0;
+    }
+    workload::TraceOptions topt;
+    topt.horizon_hours = seconds / 3600.0;
+    topt.bucket_seconds = 1.0;
+    topt.seed = 11;
+    return workload::generateMultiServiceTrace(specs, topt);
+}
+
+/*
+ * route() advances only the shards its decision reads (and the picked
+ * one); advancing every shard to every arrival first — what route()
+ * itself used to do — must change nothing, for every policy, with and
+ * without admission control and with a crash (and a straggler)
+ * mid-interval. Both sims are driven interval by interval through the
+ * public API; a final run() over no arrivals drains them and folds the
+ * whole-run aggregates.
+ */
+TEST(ClusterSim, LazyAdvanceMatchesEagerAdvance)
+{
+    model::Model m = model::buildModel(ModelId::DlrmRmc1);
+    PreparedWorkload big = prepare(hw::serverSpec(ServerType::T2), m,
+                                   cpuConfig(4, 2, 128));
+    PreparedWorkload small = prepare(hw::serverSpec(ServerType::T2), m,
+                                     cpuConfig(2, 1, 64));
+    const double interval_s = 0.25;
+    const std::vector<workload::Query> trace = flatTwoServiceTrace(1.5);
+    ASSERT_GT(trace.size(), 3000u);
+
+    const std::vector<RouterPolicy> policies = {
+        RouterPolicy::RoundRobin, RouterPolicy::LeastOutstanding,
+        RouterPolicy::PowerOfTwo, RouterPolicy::HerculesWeighted,
+        RouterPolicy::LatencyFeedback};
+    for (RouterPolicy policy : policies)
+        for (qos::AdmissionPolicy admission :
+             {qos::AdmissionPolicy::None, qos::AdmissionPolicy::Deadline})
+            for (bool crash : {false, true}) {
+                SCOPED_TRACE(std::string(routerPolicyName(policy)) +
+                             (admission == qos::AdmissionPolicy::None
+                                  ? " none"
+                                  : " deadline") +
+                             (crash ? " crash" : ""));
+                auto drive = [&](bool eager,
+                                 std::vector<IntervalStats>* windows) {
+                    ClusterSim::Options copt;
+                    copt.router = policy;
+                    copt.sla_ms = 4.0;
+                    copt.admission.policy = admission;
+                    copt.admission.cross_shard_retry = true;
+                    auto cluster = std::make_unique<ClusterSim>(copt);
+                    cluster->addShard(big, 1200.0, 0);
+                    cluster->addShard(small, 500.0, 0);
+                    cluster->addShard(big, 1200.0, 0);
+                    cluster->addShard(small, 500.0, 1);
+                    cluster->addShard(big, 1200.0, 1);
+                    if (crash)
+                        cluster->scheduleHealth({
+                            {0.31, 2, fault::HealthState::Failed, 1.0},
+                            {0.52, 4, fault::HealthState::Degraded, 3.0},
+                            {0.83, 2, fault::HealthState::Healthy, 1.0},
+                        });
+                    size_t next = 0;
+                    for (int k = 0; next < trace.size(); ++k) {
+                        const double t0 = k * interval_s;
+                        const double t1 = t0 + interval_s;
+                        cluster->applyHealthEventsUpTo(t0);
+                        for (; next < trace.size() &&
+                               trace[next].arrival_s < t1;
+                             ++next) {
+                            const workload::Query& q = trace[next];
+                            if (eager) {
+                                cluster->applyHealthEventsUpTo(q.arrival_s);
+                                cluster->advanceTo(q.arrival_s);
+                            }
+                            cluster->route(q);
+                        }
+                        cluster->applyHealthEventsUpTo(
+                            std::nextafter(t1, t0));
+                        cluster->advanceTo(t1);
+                        windows->push_back(cluster->harvest(t0, t1));
+                    }
+                    ClusterSimResult r = cluster->run(
+                        std::vector<workload::Query>{}, interval_s);
+                    EXPECT_EQ(r.injected + r.dropped + r.rejected,
+                              trace.size());
+                    return r;
+                };
+                std::vector<IntervalStats> lazy_w, eager_w;
+                ClusterSimResult lazy = drive(false, &lazy_w);
+                ClusterSimResult eager = drive(true, &eager_w);
+                ASSERT_EQ(lazy_w.size(), eager_w.size());
+                for (size_t i = 0; i < lazy_w.size(); ++i) {
+                    SCOPED_TRACE("window " + std::to_string(i));
+                    expectSameInterval(lazy_w[i], eager_w[i]);
+                }
+                expectSameClusterResult(lazy, eager);
+                if (admission == qos::AdmissionPolicy::Deadline) {
+                    EXPECT_GT(lazy.rejected + lazy.admission_retries, 0u);
+                }
+                if (crash) {
+                    EXPECT_GT(lazy.failed_inflight, 0u);
+                }
+            }
+}
+
+/*
+ * run() over a lazily generated arrival stream equals run() over the
+ * same trace materialised, including interval boundaries that fall
+ * exactly on arrivals and the trailing horizon intervals.
+ */
+TEST(ClusterSim, StreamedRunMatchesVectorRun)
+{
+    model::Model m = model::buildModel(ModelId::DlrmRmc1);
+    PreparedWorkload w = prepare(hw::serverSpec(ServerType::T2), m,
+                                 cpuConfig(4, 2, 128));
+    auto makeCluster = [&]() {
+        ClusterSim::Options copt;
+        copt.router = RouterPolicy::HerculesWeighted;
+        auto c = std::make_unique<ClusterSim>(copt);
+        c->addShard(w, 1200.0, 0);
+        c->addShard(w, 900.0, 0);
+        c->addShard(w, 1200.0, 1);
+        return c;
+    };
+    const double interval_s = 0.25;
+    std::vector<workload::ServiceTraceSpec> specs(2);
+    specs[0].load.peak_qps = 1800.0;
+    specs[1].load.peak_qps = 700.0;
+    workload::TraceOptions topt;
+    topt.horizon_hours = 1.0 / 3600.0;
+    topt.bucket_seconds = 0.5;
+    topt.seed = 5;
+    std::vector<workload::Query> trace =
+        workload::generateMultiServiceTrace(specs, topt);
+    ASSERT_GT(trace.size(), 1000u);
+    workload::MergedArrivals arrivals =
+        workload::multiServiceArrivals(specs, topt);
+    ClusterSimResult streamed =
+        makeCluster()->run(arrivals, interval_s, nullptr, 2.0);
+    ClusterSimResult vectored =
+        makeCluster()->run(trace, interval_s, nullptr, 2.0);
+    expectSameClusterResult(streamed, vectored);
+    EXPECT_EQ(streamed.injected, trace.size());
+    EXPECT_GE(streamed.intervals.size(), 8u);
+
+    // Arrivals exactly on interval boundaries open the next window.
+    std::vector<workload::Query> on_edges = uniformTrace(400, 0.0025);
+    for (size_t i = 0; i < on_edges.size(); ++i)
+        on_edges[i].arrival_s = interval_s * static_cast<double>(i / 100) +
+                                0.0025 * static_cast<double>(i % 100);
+    workload::VectorArrivals edge_stream(on_edges);
+    ClusterSimResult a = makeCluster()->run(edge_stream, interval_s);
+    ClusterSimResult b = makeCluster()->run(on_edges, interval_s);
+    expectSameClusterResult(a, b);
+    ASSERT_GE(a.intervals.size(), 4u);
+    EXPECT_EQ(a.intervals[0].arrivals, 100u);
 }
 
 }  // namespace

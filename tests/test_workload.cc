@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <memory>
 
 #include "util/stats.h"
 #include "workload/diurnal.h"
@@ -607,6 +608,138 @@ TEST(MultiTrace, MergeOfOneStreamOnlyRenumbersAndTags)
     expectSameTrace(merged, stableSortMerge(streams));
     EXPECT_TRUE(mergeServiceStreams({}).empty());
     EXPECT_TRUE(mergeServiceStreams({{}, {}}).empty());
+}
+
+/** Pull every arrival before `t1` off `s`, the way ClusterSim::run does. */
+std::vector<Query>
+pullUntil(ArrivalStream& s, double t1)
+{
+    std::vector<Query> out;
+    for (const Query* q = s.peek(); q && q->arrival_s < t1; q = s.peek()) {
+        out.push_back(*q);
+        s.pop();
+    }
+    return out;
+}
+
+/*
+ * The resumable cursor yields generate()'s trace arrival for arrival,
+ * however it is pulled: interval by interval with repeated peeks, and
+ * generate() on a half-consumed cursor still returns the whole trace.
+ */
+TEST(TraceGenStream, CursorMatchesGenerate)
+{
+    DiurnalConfig dc;
+    dc.peak_qps = 1200.0;
+    dc.trough_frac = 0.3;
+    DiurnalLoad load(dc);
+    TraceOptions opt;
+    opt.horizon_hours = 0.01;
+    opt.bucket_seconds = 5.0;
+    opt.seed = 23;
+    TraceGenerator gen(load, opt);
+    const std::vector<Query> whole = gen.generate();
+    ASSERT_GT(whole.size(), 1000u);
+
+    std::vector<Query> pulled;
+    const double interval_s = 7.0;
+    bool checked_midway = false;
+    for (double t1 = interval_s; gen.peek(); t1 += interval_s) {
+        ASSERT_EQ(gen.peek(), gen.peek());  // peeking consumes nothing
+        for (const Query& q : pullUntil(gen, t1)) {
+            EXPECT_LT(q.arrival_s, t1);
+            EXPECT_GE(q.arrival_s, t1 - interval_s);
+            pulled.push_back(q);
+        }
+        if (!checked_midway && pulled.size() > whole.size() / 2) {
+            expectSameTrace(gen.generate(), whole);
+            checked_midway = true;
+        }
+    }
+    EXPECT_TRUE(checked_midway);
+    expectSameTrace(pulled, whole);
+    EXPECT_EQ(gen.peek(), nullptr);
+}
+
+/*
+ * The streamed multi-service merge equals the drained one, pulled per
+ * interval, and the vector-backed MergedArrivals equals
+ * mergeServiceStreams over the same per-service vectors.
+ */
+TEST(TraceGenStream, StreamedMergeMatchesVectorMerge)
+{
+    std::vector<ServiceTraceSpec> specs(3);
+    specs[0].load.peak_qps = 1500.0;
+    specs[1].load.peak_qps = 900.0;
+    specs[1].load.peak_hour = 8.0;
+    specs[1].load.seed = 2;
+    specs[2].load.peak_qps = 400.0;
+    specs[2].load.peak_hour = 14.0;
+    specs[2].load.seed = 5;
+    TraceOptions opt;
+    opt.horizon_hours = 0.05;
+    opt.bucket_seconds = 10.0;
+    opt.seed = 17;
+    const std::vector<Query> whole = generateMultiServiceTrace(specs, opt);
+    ASSERT_GT(whole.size(), 100u);
+
+    MergedArrivals merged = multiServiceArrivals(specs, opt);
+    std::vector<Query> pulled;
+    for (double t1 = 3.0; merged.peek(); t1 += 3.0) {
+        std::vector<Query> chunk = pullUntil(merged, t1);
+        pulled.insert(pulled.end(), chunk.begin(), chunk.end());
+        EXPECT_EQ(merged.emitted(), pulled.size());
+    }
+    expectSameTrace(pulled, whole);
+
+    std::vector<std::vector<Query>> streams(specs.size());
+    for (const Query& q : whole)
+        streams[static_cast<size_t>(q.service_id)].push_back(q);
+    std::vector<std::unique_ptr<ArrivalStream>> views;
+    for (const std::vector<Query>& st : streams)
+        views.push_back(std::make_unique<VectorArrivals>(st));
+    MergedArrivals over_vectors(std::move(views));
+    expectSameTrace(drain(over_vectors), mergeServiceStreams(streams));
+    expectSameTrace(mergeServiceStreams(streams), whole);
+}
+
+/*
+ * Exact cross-service ties, and an interval boundary that falls exactly
+ * on arrivals: those arrivals belong to the next interval (arrival < t1
+ * closes a window), ties still go to the lower service index, and the
+ * pulled chunks concatenate to the vector merge.
+ */
+TEST(TraceGenStream, TiesAndBoundaryOnAnArrival)
+{
+    std::vector<std::vector<Query>> streams = {
+        stream({0.1, 0.2, 0.2, 0.5}, 0),
+        stream({}, 1),
+        stream({0.0, 0.2, 0.3, 0.5, 0.5}, 2),
+        stream({0.2, 0.2, 0.7}, 3),
+    };
+    const std::vector<Query> whole = mergeServiceStreams(streams);
+    std::vector<std::unique_ptr<ArrivalStream>> views;
+    for (const std::vector<Query>& st : streams)
+        views.push_back(std::make_unique<VectorArrivals>(st));
+    MergedArrivals merged(std::move(views));
+
+    std::vector<Query> first = pullUntil(merged, 0.2);   // on a 4-way tie
+    std::vector<Query> second = pullUntil(merged, 0.5);  // on a 3-way tie
+    std::vector<Query> rest = pullUntil(merged, 1.0);
+    EXPECT_EQ(merged.peek(), nullptr);
+    ASSERT_EQ(first.size(), 2u);
+    ASSERT_EQ(second.size(), 6u);
+    ASSERT_EQ(rest.size(), 4u);
+    for (const Query& q : second)
+        EXPECT_TRUE(q.arrival_s >= 0.2 && q.arrival_s < 0.5);
+    EXPECT_EQ(rest.front().arrival_s, 0.5);
+    EXPECT_EQ(rest.front().service_id, 0);  // the tie's lowest index
+
+    std::vector<Query> pulled = first;
+    pulled.insert(pulled.end(), second.begin(), second.end());
+    pulled.insert(pulled.end(), rest.begin(), rest.end());
+    expectSameTrace(pulled, whole);
+    expectSameTrace(pulled, stableSortMerge(streams));
 }
 
 TEST(MultiTraceDeath, NoServices)
