@@ -180,56 +180,33 @@ main()
                 rr ? rr->r.serve.sim.sla_violation_rate * 100 : -1.0);
 
     // ---- JSON trajectory ----------------------------------------------
-    FILE* f = std::fopen("BENCH_cluster.json", "w");
-    if (f) {
-        std::fprintf(f, "{\n");
-        bench::writeJsonProvenance(f);
-        std::fprintf(f, "  \"scenario\": \"%s\",\n",
-                     spec.name.c_str());
-        std::fprintf(f, "  \"horizon_hours\": %.2f,\n",
-                     spec.serve.horizon_hours);
-        std::fprintf(f, "  \"interval_hours\": %.2f,\n",
-                     spec.serve.interval_hours);
-        std::fprintf(f, "  \"time_compression\": %.0f,\n",
-                     spec.serve.trace.time_compression);
-        std::fprintf(f, "  \"sla_ms\": %.2f,\n", sla_ms);
-        std::fprintf(f, "  \"peak_qps\": %.1f,\n",
-                     spec.services[0].spec.load.peak_qps);
-        std::fprintf(f, "  \"fleet_capacity_qps\": %.1f,\n",
-                     fleet_qps);
-        std::fprintf(f, "  \"hercules_router_dominates_rr\": %s,\n",
-                     ok ? "true" : "false");
-        std::fprintf(f, "  \"combos\": [\n");
-        for (size_t i = 0; i < results.size(); ++i) {
-            const ComboResult& c = results[i];
-            const sim::ClusterSimResult& s = c.r.serve.sim;
-            std::fprintf(f, "    {\n");
-            std::fprintf(f, "      \"provisioner\": \"%s\",\n",
-                         c.provisioner);
-            std::fprintf(f, "      \"router\": \"%s\",\n", c.router);
-            std::fprintf(f, "      \"wall_ms\": %.1f,\n", c.wall_ms);
-            std::fprintf(f, "      \"queries\": %zu,\n",
-                         c.r.serve.trace_queries);
-            std::fprintf(f, "      \"completed\": %zu,\n", s.completed);
-            std::fprintf(f, "      \"dropped\": %zu,\n", s.dropped);
-            std::fprintf(f, "      \"p50_ms\": %.4f,\n", s.p50_ms);
-            std::fprintf(f, "      \"p99_ms\": %.4f,\n", s.p99_ms);
-            std::fprintf(f, "      \"sla_violation_rate\": %.6f,\n",
-                         s.sla_violation_rate);
-            std::fprintf(f, "      \"avg_provisioned_power_w\": %.2f,\n",
-                         s.avg_provisioned_power_w);
-            std::fprintf(f, "      \"avg_consumed_power_w\": %.2f,\n",
-                         s.avg_consumed_power_w);
-            std::fprintf(f, "      \"reprovisions\": %d,\n",
-                         c.r.serve.reprovisions);
-            bench::writeIntervalArrays(f, s.intervals);
-            std::fprintf(f, "    }%s\n",
-                         i + 1 < results.size() ? "," : "");
-        }
-        std::fprintf(f, "  ]\n}\n");
-        std::fclose(f);
-        std::printf("\nwrote BENCH_cluster.json\n");
+    util::JsonWriter w("BENCH_cluster.json");
+    w.beginObject();
+    w.key("git_sha").str(bench::gitSha());
+    w.key("generated_at").str(isoUtcTimestamp());
+    w.key("scenario").str(spec.name);
+    w.key("horizon_hours").fixed(spec.serve.horizon_hours, 2);
+    w.key("interval_hours").fixed(spec.serve.interval_hours, 2);
+    w.key("time_compression")
+        .fixed(spec.serve.trace.time_compression, 0);
+    w.key("sla_ms").fixed(sla_ms, 2);
+    w.key("peak_qps").fixed(spec.services[0].spec.load.peak_qps, 1);
+    w.key("fleet_capacity_qps").fixed(fleet_qps, 1);
+    w.key("hercules_router_dominates_rr").boolean(ok);
+    w.key("combos").beginArray();
+    for (const ComboResult& c : results) {
+        w.beginObject();
+        w.key("provisioner").str(c.provisioner);
+        w.key("router").str(c.router);
+        w.key("wall_ms").fixed(c.wall_ms, 1);
+        w.key("queries").integer(c.r.serve.trace_queries);
+        w.key("reprovisions").integer(c.r.serve.reprovisions);
+        bench::writeArmSummary(w, c.r.serve.sim, {model});
+        w.endObject();
     }
+    w.endArray();
+    w.endObject();
+    bench::closeJson(w, "BENCH_cluster.json");
 
     return ok ? 0 : 1;
 }

@@ -32,19 +32,6 @@ gitSha()
 #endif
 }
 
-/**
- * Write the provenance preamble every emitted BENCH_*.json starts
- * with, so the perf trajectory stays attributable across PRs. Call
- * right after the opening '{'.
- */
-inline void
-writeJsonProvenance(FILE* f)
-{
-    std::fprintf(f, "  \"git_sha\": \"%s\",\n", gitSha());
-    std::fprintf(f, "  \"generated_at\": \"%s\",\n",
-                 isoUtcTimestamp().c_str());
-}
-
 /** @return true when HERCULES_BENCH_FAST=1 (reduced sweep sizes). */
 inline bool
 fastMode()
@@ -109,8 +96,9 @@ banner(const char* experiment, const char* what)
 #include "cluster/evolution.h"
 #include "core/efficiency_table.h"
 #include "core/profiler.h"
+#include "scenario/scenario.h"
 #include "scenario/spec_io.h"
-#include "sim/cluster_sim.h"
+#include "util/json.h"
 
 namespace hercules::bench {
 
@@ -145,14 +133,29 @@ loadScenario(const std::string& file)
 }
 
 /**
- * Emit the per-interval trajectory arrays every serving bench's JSON
- * carries, comma-terminated except the last — the shared
- * sim::writeIntervalArraysJson emitter at the benches' indent depth.
+ * Write one serving arm's run summary (scenario::writeRunSummary) into
+ * the object open in `w`, each "per_service" entry led by its model.
  */
 inline void
-writeIntervalArrays(FILE* f, const std::vector<sim::IntervalStats>& ivs)
+writeArmSummary(util::JsonWriter& w, const sim::ClusterSimResult& r,
+                const std::vector<model::ModelId>& models)
 {
-    sim::writeIntervalArraysJson(f, ivs, "      ");
+    scenario::writeRunSummary(w, r, "per_service", [&](size_t s) {
+        w.key("model").str(model::modelName(models[s]));
+    });
+}
+
+/**
+ * Close a bench's JSON artifact: "wrote PATH" on stdout, or a warning
+ * on stderr when it could not be opened, written or closed.
+ */
+inline void
+closeJson(util::JsonWriter& w, const char* path)
+{
+    if (w.close())
+        std::printf("\nwrote %s\n", path);
+    else
+        std::fprintf(stderr, "bench: cannot write %s\n", path);
 }
 
 /**

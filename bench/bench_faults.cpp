@@ -51,52 +51,12 @@ constexpr double kRecoveryTol = 0.02;
 /** Extra over-provision rate the STATIC arm burns at all times. */
 constexpr double kStaticExtraR = 0.5;
 
-/** One arm's aggregate view. */
-struct ArmResult
-{
-    std::string name;
-    double avg_provisioned_w = 0.0;
-    double avg_consumed_w = 0.0;
-    size_t completed = 0;
-    size_t dropped = 0;
-    size_t rejected = 0;
-    size_t failed_inflight = 0;
-    size_t sla_violations = 0;
-    double sla_violation_rate = 0.0;
-    double p99_ms = 0.0;
-    double wall_ms = 0.0;
-    size_t health_transitions = 0;
-    std::vector<sim::ServiceRunStats> services;
-    std::vector<sim::IntervalStats> intervals;
-};
-
-ArmResult
-runArm(const std::string& name, const scenario::ScenarioSpec& spec,
-       const core::EfficiencyTable& table)
-{
-    scenario::ScenarioResult r = scenario::run(spec, &table);
-    ArmResult out;
-    out.name = name;
-    out.wall_ms = r.serve_wall_ms;
-    out.avg_provisioned_w = r.serve.sim.avg_provisioned_power_w;
-    out.avg_consumed_w = r.serve.sim.avg_consumed_power_w;
-    out.completed = r.serve.sim.completed;
-    out.dropped = r.serve.sim.dropped;
-    out.rejected = r.serve.sim.rejected;
-    out.failed_inflight = r.serve.sim.failed_inflight;
-    out.sla_violations = r.serve.sim.sla_violations;
-    out.sla_violation_rate = r.serve.sim.sla_violation_rate;
-    out.p99_ms = r.serve.sim.p99_ms;
-    out.health_transitions = r.serve.sim.health_transitions.size();
-    out.services = r.serve.sim.services;
-    out.intervals = r.serve.sim.intervals;
-    return out;
-}
-
 void
-printArm(const ArmResult& r, const std::vector<model::ModelId>& models)
+printArm(const char* name, const scenario::ScenarioResult& arm,
+         const std::vector<model::ModelId>& models)
 {
-    std::printf("%s:\n", r.name.c_str());
+    const sim::ClusterSimResult& r = arm.serve.sim;
+    std::printf("%s:\n", name);
     TablePrinter t({"Service", "Completed", "Rejected", "Dropped",
                     "Killed", "p99 (ms)", "Viol rate"});
     for (size_t s = 0; s < r.services.size(); ++s) {
@@ -113,51 +73,10 @@ printArm(const ArmResult& r, const std::vector<model::ModelId>& models)
     std::printf("  avg power %.3f kW provisioned / %.3f kW consumed, "
                 "violation rate %.2f%%, %zu killed in-flight, %zu "
                 "health transitions, wall %.0f ms\n\n",
-                r.avg_provisioned_w / 1e3, r.avg_consumed_w / 1e3,
+                r.avg_provisioned_power_w / 1e3,
+                r.avg_consumed_power_w / 1e3,
                 r.sla_violation_rate * 100.0, r.failed_inflight,
-                r.health_transitions, r.wall_ms);
-}
-
-void
-writeArmJson(FILE* f, const ArmResult& r,
-             const std::vector<model::ModelId>& models, bool last)
-{
-    std::fprintf(f, "  \"%s\": {\n", r.name.c_str());
-    std::fprintf(f, "      \"avg_provisioned_power_w\": %.2f,\n",
-                 r.avg_provisioned_w);
-    std::fprintf(f, "      \"avg_consumed_power_w\": %.2f,\n",
-                 r.avg_consumed_w);
-    std::fprintf(f, "      \"completed\": %zu,\n", r.completed);
-    std::fprintf(f, "      \"rejected\": %zu,\n", r.rejected);
-    std::fprintf(f, "      \"dropped\": %zu,\n", r.dropped);
-    std::fprintf(f, "      \"failed_inflight\": %zu,\n",
-                 r.failed_inflight);
-    std::fprintf(f, "      \"sla_violations\": %zu,\n",
-                 r.sla_violations);
-    std::fprintf(f, "      \"sla_violation_rate\": %.6f,\n",
-                 r.sla_violation_rate);
-    std::fprintf(f, "      \"p99_ms\": %.4f,\n", r.p99_ms);
-    std::fprintf(f, "      \"health_transitions\": %zu,\n",
-                 r.health_transitions);
-    std::fprintf(f, "      \"wall_ms\": %.1f,\n", r.wall_ms);
-    std::fprintf(f, "      \"per_service\": [\n");
-    for (size_t s = 0; s < r.services.size(); ++s) {
-        const sim::ServiceRunStats& svc = r.services[s];
-        std::fprintf(
-            f,
-            "        {\"model\": \"%s\", \"completed\": %zu, "
-            "\"rejected\": %zu, \"dropped\": %zu, "
-            "\"failed_inflight\": %zu, \"p99_ms\": %.4f, "
-            "\"sla_violations\": %zu, "
-            "\"sla_violation_rate\": %.6f}%s\n",
-            model::modelName(models[s]), svc.completed, svc.rejected,
-            svc.dropped, svc.failed_inflight, svc.p99_ms,
-            svc.sla_violations, svc.sla_violation_rate,
-            s + 1 < r.services.size() ? "," : "");
-    }
-    std::fprintf(f, "      ],\n");
-    bench::writeIntervalArrays(f, r.intervals);
-    std::fprintf(f, "  }%s\n", last ? "" : ",");
+                r.health_transitions.size(), arm.serve_wall_ms);
 }
 
 /**
@@ -166,8 +85,9 @@ writeArmJson(FILE* f, const ArmResult& r,
  * @return -1 when it never recovers inside the horizon.
  */
 int
-recoveryIntervals(const ArmResult& arm, const ArmResult& healthy,
-                  size_t svc, size_t crash_iv)
+recoveryIntervals(const sim::ClusterSimResult& arm,
+                  const sim::ClusterSimResult& healthy, size_t svc,
+                  size_t crash_iv)
 {
     for (size_t i = crash_iv; i < arm.intervals.size(); ++i) {
         double ref =
@@ -269,12 +189,18 @@ main()
                 (r_shared + kStaticExtraR) * 100.0,
                 kRecoveryIntervals);
 
-    ArmResult healthy = runArm("healthy", healthy_spec, table);
-    printArm(healthy, model_ids);
-    ArmResult selfheal = runArm("selfheal", selfheal_spec, table);
-    printArm(selfheal, model_ids);
-    ArmResult static_op = runArm("static", static_spec, table);
-    printArm(static_op, model_ids);
+    const scenario::ScenarioResult healthy_run =
+        scenario::run(healthy_spec, &table);
+    printArm("healthy", healthy_run, model_ids);
+    const scenario::ScenarioResult selfheal_run =
+        scenario::run(selfheal_spec, &table);
+    printArm("selfheal", selfheal_run, model_ids);
+    const scenario::ScenarioResult static_run =
+        scenario::run(static_spec, &table);
+    printArm("static", static_run, model_ids);
+    const sim::ClusterSimResult& healthy = healthy_run.serve.sim;
+    const sim::ClusterSimResult& selfheal = selfheal_run.serve.sim;
+    const sim::ClusterSimResult& static_op = static_run.serve.sim;
 
     // The high-priority service's trajectory through the outage.
     {
@@ -319,8 +245,8 @@ main()
         recoveryIntervals(static_op, healthy, 0, crash_iv);
     bool recovery_ok =
         rec_selfheal >= 0 && rec_selfheal <= kRecoveryIntervals;
-    bool power_ok = selfheal.avg_provisioned_w <=
-                    static_op.avg_provisioned_w + 1e-6;
+    bool power_ok = selfheal.avg_provisioned_power_w <=
+                    static_op.avg_provisioned_power_w + 1e-6;
     bool ok = recovery_ok && power_ok;
 
     std::printf("self-healing recovery, high-priority %s: %s "
@@ -332,46 +258,42 @@ main()
     std::printf("steady-state power, selfheal vs static: %s (%.3f vs "
                 "%.3f kW provisioned)\n",
                 power_ok ? "PASS" : "FAIL",
-                selfheal.avg_provisioned_w / 1e3,
-                static_op.avg_provisioned_w / 1e3);
+                selfheal.avg_provisioned_power_w / 1e3,
+                static_op.avg_provisioned_power_w / 1e3);
 
     // ---- JSON trajectory ----------------------------------------------
-    FILE* f = std::fopen("BENCH_faults.json", "w");
-    if (f) {
-        std::fprintf(f, "{\n");
-        bench::writeJsonProvenance(f);
-        std::fprintf(f, "  \"scenario\": \"%s\",\n",
-                     selfheal_spec.name.c_str());
-        std::fprintf(f, "  \"horizon_hours\": %.2f,\n",
-                     selfheal_spec.serve.horizon_hours);
-        std::fprintf(f, "  \"interval_hours\": %.2f,\n",
-                     selfheal_spec.serve.interval_hours);
-        std::fprintf(f, "  \"time_compression\": %.0f,\n",
-                     selfheal_spec.serve.trace.time_compression);
-        std::fprintf(f, "  \"crash_hour\": %.2f,\n", crash_hour);
-        std::fprintf(f, "  \"repair_hour\": %.2f,\n", repair_hour);
-        std::fprintf(f, "  \"overprovision_rate\": %.4f,\n", r_shared);
-        std::fprintf(f, "  \"static_overprovision_rate\": %.4f,\n",
-                     r_shared + kStaticExtraR);
-        std::fprintf(f, "  \"recovery_budget_intervals\": %d,\n",
-                     kRecoveryIntervals);
-        std::fprintf(f, "  \"recovery_intervals_selfheal\": %d,\n",
-                     rec_selfheal);
-        std::fprintf(f, "  \"recovery_intervals_static\": %d,\n",
-                     rec_static);
-        std::fprintf(f, "  \"recovery_ok\": %s,\n",
-                     recovery_ok ? "true" : "false");
-        std::fprintf(f, "  \"power_ok\": %s,\n",
-                     power_ok ? "true" : "false");
-        std::fprintf(f, "  \"selfheal_beats_static\": %s,\n",
-                     ok ? "true" : "false");
-        writeArmJson(f, healthy, model_ids, false);
-        writeArmJson(f, selfheal, model_ids, false);
-        writeArmJson(f, static_op, model_ids, true);
-        std::fprintf(f, "}\n");
-        std::fclose(f);
-        std::printf("\nwrote BENCH_faults.json\n");
-    }
+    util::JsonWriter w("BENCH_faults.json");
+    w.beginObject();
+    w.key("git_sha").str(bench::gitSha());
+    w.key("generated_at").str(isoUtcTimestamp());
+    w.key("scenario").str(selfheal_spec.name);
+    w.key("horizon_hours").fixed(selfheal_spec.serve.horizon_hours, 2);
+    w.key("interval_hours").fixed(selfheal_spec.serve.interval_hours, 2);
+    w.key("time_compression")
+        .fixed(selfheal_spec.serve.trace.time_compression, 0);
+    w.key("crash_hour").fixed(crash_hour, 2);
+    w.key("repair_hour").fixed(repair_hour, 2);
+    w.key("overprovision_rate").fixed(r_shared, 4);
+    w.key("static_overprovision_rate").fixed(r_shared + kStaticExtraR, 4);
+    w.key("recovery_budget_intervals").integer(kRecoveryIntervals);
+    w.key("recovery_intervals_selfheal").integer(rec_selfheal);
+    w.key("recovery_intervals_static").integer(rec_static);
+    w.key("recovery_ok").boolean(recovery_ok);
+    w.key("power_ok").boolean(power_ok);
+    w.key("selfheal_beats_static").boolean(ok);
+    auto arm = [&](const char* name, const scenario::ScenarioResult& r) {
+        w.key(name).beginObject();
+        bench::writeArmSummary(w, r.serve.sim, model_ids);
+        w.key("health_transitions")
+            .integer(r.serve.sim.health_transitions.size());
+        w.key("wall_ms").fixed(r.serve_wall_ms, 1);
+        w.endObject();
+    };
+    arm("healthy", healthy_run);
+    arm("selfheal", selfheal_run);
+    arm("static", static_run);
+    w.endObject();
+    bench::closeJson(w, "BENCH_faults.json");
 
     return ok ? 0 : 1;
 }

@@ -231,35 +231,27 @@ void
 writeDesProbeJson(const std::vector<DesProbe>& probes)
 {
     const char* path = "BENCH_micro_des.json";
-    FILE* f = std::fopen(path, "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "bench: cannot open %s\n", path);
-        return;
+    util::JsonWriter w(path);
+    w.beginObject();
+    w.key("git_sha").str(bench::gitSha());
+    w.key("generated_at").str(isoUtcTimestamp());
+    w.key("experiment").str("micro_des");
+    w.key("probes").beginArray();
+    for (const DesProbe& p : probes) {
+        w.beginObject();
+        w.key("name").str(p.name);
+        w.key("events_executed").integer(p.events_executed);
+        w.key("peak_event_queue_depth").integer(p.peak_event_queue_depth);
+        w.key("repetitions").integer(kProbeReps);
+        w.key("wall_ms").fixed(p.wall_ms, 3);
+        w.key("wall_ms_min").fixed(p.wall_ms_min, 3);
+        w.key("wall_ms_max").fixed(p.wall_ms_max, 3);
+        w.key("events_per_sec").fixed(p.events_per_sec, 0);
+        w.endObject();
     }
-    std::fprintf(f, "{\n");
-    bench::writeJsonProvenance(f);
-    std::fprintf(f, "  \"experiment\": \"micro_des\",\n");
-    std::fprintf(f, "  \"probes\": [\n");
-    for (size_t i = 0; i < probes.size(); ++i) {
-        const DesProbe& p = probes[i];
-        std::fprintf(f, "    {\n");
-        std::fprintf(f, "      \"name\": \"%s\",\n", p.name);
-        std::fprintf(f, "      \"events_executed\": %llu,\n",
-                     static_cast<unsigned long long>(p.events_executed));
-        std::fprintf(f, "      \"peak_event_queue_depth\": %zu,\n",
-                     p.peak_event_queue_depth);
-        std::fprintf(f, "      \"repetitions\": %d,\n", kProbeReps);
-        std::fprintf(f, "      \"wall_ms\": %.3f,\n", p.wall_ms);
-        std::fprintf(f, "      \"wall_ms_min\": %.3f,\n", p.wall_ms_min);
-        std::fprintf(f, "      \"wall_ms_max\": %.3f,\n", p.wall_ms_max);
-        std::fprintf(f, "      \"events_per_sec\": %.0f\n",
-                     p.events_per_sec);
-        std::fprintf(f, "    }%s\n", i + 1 < probes.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n");
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    std::printf("\nwrote %s\n", path);
+    w.endArray();
+    w.endObject();
+    bench::closeJson(w, path);
 }
 
 }  // namespace

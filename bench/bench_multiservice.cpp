@@ -42,24 +42,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/** Aggregate view of one scenario (joint run or summed partitions). */
-struct ScenarioView
-{
-    double avg_provisioned_w = 0.0;
-    double avg_consumed_w = 0.0;
-    size_t completed = 0;
-    size_t dropped = 0;
-    size_t sla_violations = 0;
-    double sla_violation_rate = 0.0;
-    double p99_ms = 0.0;
-    double wall_ms = 0.0;
-    std::vector<sim::ServiceRunStats> services;
-    std::vector<sim::IntervalStats> intervals;
-};
-
 void
-printScenario(const char* name, const ScenarioView& r,
-              const std::vector<model::ModelId>& models)
+printScenario(const char* name, const sim::ClusterSimResult& r,
+              double wall_ms, const std::vector<model::ModelId>& models)
 {
     std::printf("%s:\n", name);
     TablePrinter t({"Service", "Completed", "Dropped", "p50 (ms)",
@@ -76,8 +61,9 @@ printScenario(const char* name, const ScenarioView& r,
     t.print();
     std::printf("  avg power %.3f kW provisioned / %.3f kW consumed, "
                 "violation rate %.2f%%, p99 %.2f ms, wall %.0f ms\n\n",
-                r.avg_provisioned_w / 1e3, r.avg_consumed_w / 1e3,
-                r.sla_violation_rate * 100.0, r.p99_ms, r.wall_ms);
+                r.avg_provisioned_power_w / 1e3,
+                r.avg_consumed_power_w / 1e3,
+                r.sla_violation_rate * 100.0, r.p99_ms, wall_ms);
 }
 
 }  // namespace
@@ -178,18 +164,9 @@ main()
     // ---- scenario 1: shared fleet, joint provisioning -----------------
     scenario::ScenarioResult joint_run = scenario::run(spec, &table);
     const cluster::MultiServeResult& joint = joint_run.serve;
-    ScenarioView jr;
-    jr.wall_ms = joint_run.serve_wall_ms;
-    jr.avg_provisioned_w = joint.sim.avg_provisioned_power_w;
-    jr.avg_consumed_w = joint.sim.avg_consumed_power_w;
-    jr.completed = joint.sim.completed;
-    jr.dropped = joint.sim.dropped;
-    jr.sla_violations = joint.sim.sla_violations;
-    jr.sla_violation_rate = joint.sim.sla_violation_rate;
-    jr.p99_ms = joint.sim.p99_ms;
-    jr.services = joint.sim.services;
-    jr.intervals = joint.sim.intervals;
-    printScenario("JOINT (shared fleet)", jr, model_ids);
+    const sim::ClusterSimResult& jr = joint.sim;
+    printScenario("JOINT (shared fleet)", jr, joint_run.serve_wall_ms,
+                  model_ids);
 
     // ---- scenario 2: static per-service partitions --------------------
     // Each service gets a dedicated, always-on slice sized for its own
@@ -225,11 +202,11 @@ main()
     for (size_t s = 0; s < S; ++s)
         models.push_back(model::buildModel(model_ids[s]));
 
-    ScenarioView pr;
+    // The silos summed into one result. Percentiles are the worst
+    // silo's: the partitions keep no shared latency distribution.
+    sim::ClusterSimResult pr;
     pr.services.resize(S);
-    double static_prov_w = 0.0;
     size_t static_denom = 0;
-    OnlineStats static_p99;
     // Partition sizing, two passes so a scarce fleet still gives every
     // silo at least one server: (1) each service claims one server of
     // its best QPS/W type; (2) greedy top-up, best types first, until
@@ -353,9 +330,13 @@ main()
         pr.dropped += rr.dropped;
         pr.sla_violations += rr.sla_violations;
         static_denom += rr.completed + rr.dropped;
-        static_prov_w += rr.avg_provisioned_power_w;
-        pr.avg_consumed_w += rr.avg_consumed_power_w;
-        static_p99.add(rr.p99_ms);
+        pr.avg_provisioned_power_w += rr.avg_provisioned_power_w;
+        pr.avg_consumed_power_w += rr.avg_consumed_power_w;
+        pr.p50_ms = std::max(pr.p50_ms, rr.p50_ms);
+        pr.p99_ms = std::max(pr.p99_ms, rr.p99_ms);
+        pr.des.events_executed += rr.des.events_executed;
+        pr.des.peak_event_queue_depth = std::max(
+            pr.des.peak_event_queue_depth, rr.des.peak_event_queue_depth);
         std::printf("  partition %s:", model::modelName(model_ids[s]));
         for (size_t h = 0; h < fleet.size(); ++h)
             if (take[h] > 0)
@@ -365,100 +346,68 @@ main()
                     target, part_power);
     }
     std::printf("\n");
-    pr.wall_ms =
+    const double pr_wall_ms =
         std::chrono::duration<double, std::milli>(Clock::now() - t0)
             .count();
-    pr.avg_provisioned_w = static_prov_w;
     pr.sla_violation_rate =
         static_denom > 0
             ? static_cast<double>(pr.sla_violations) /
                   static_cast<double>(static_denom)
             : 0.0;
-    pr.p99_ms = static_p99.max();
-    printScenario("PARTITION (static per-service silos)", pr, model_ids);
+    pr.des.events_per_sec =
+        pr_wall_ms > 0.0 ? static_cast<double>(pr.des.events_executed) /
+                               (pr_wall_ms * 1e-3)
+                         : 0.0;
+    printScenario("PARTITION (static per-service silos)", pr, pr_wall_ms,
+                  model_ids);
 
     // ---- the co-serving gate ------------------------------------------
-    bool power_ok =
-        jr.avg_provisioned_w <= pr.avg_provisioned_w + 1e-6;
+    bool power_ok = jr.avg_provisioned_power_w <=
+                    pr.avg_provisioned_power_w + 1e-6;
     bool sla_ok =
         jr.sla_violation_rate <= pr.sla_violation_rate + 1e-12;
     bool ok = power_ok && sla_ok;
     std::printf("joint vs static partitions: %s (power %.3f vs %.3f "
                 "kW, violations %.3f%% vs %.3f%%)\n",
                 ok ? "DOMINATES" : "FAIL",
-                jr.avg_provisioned_w / 1e3, pr.avg_provisioned_w / 1e3,
+                jr.avg_provisioned_power_w / 1e3,
+                pr.avg_provisioned_power_w / 1e3,
                 jr.sla_violation_rate * 100.0,
                 pr.sla_violation_rate * 100.0);
 
     // ---- JSON trajectory ----------------------------------------------
-    FILE* f = std::fopen("BENCH_multiservice.json", "w");
-    if (f) {
-        std::fprintf(f, "{\n");
-        bench::writeJsonProvenance(f);
-        std::fprintf(f, "  \"scenario\": \"%s\",\n",
-                     spec.name.c_str());
-        std::fprintf(f, "  \"horizon_hours\": %.2f,\n",
-                     opt.horizon_hours);
-        std::fprintf(f, "  \"interval_hours\": %.2f,\n",
-                     opt.interval_hours);
-        std::fprintf(f, "  \"time_compression\": %.0f,\n",
-                     opt.trace.time_compression);
-        std::fprintf(f, "  \"num_services\": %zu,\n", S);
-        std::fprintf(f, "  \"joint_dominates_partitions\": %s,\n",
-                     ok ? "true" : "false");
-        std::fprintf(f, "  \"services\": [\n");
-        for (size_t s = 0; s < S; ++s) {
-            std::fprintf(
-                f,
-                "    {\"model\": \"%s\", \"peak_qps\": %.1f, "
-                "\"peak_hour\": %.2f, \"sla_ms\": %.2f, "
-                "\"capacity_qps\": %.1f, \"estimated_r\": %.4f}%s\n",
-                model::modelName(model_ids[s]),
-                spec.services[s].spec.load.peak_qps,
-                spec.services[s].spec.load.peak_hour,
-                joint.service_sla_ms[s], capacity[s],
-                joint.service_r[s], s + 1 < S ? "," : "");
-        }
-        std::fprintf(f, "  ],\n");
-        auto scenario_json = [&](const char* name,
-                                 const ScenarioView& r, bool last) {
-            std::fprintf(f, "  \"%s\": {\n", name);
-            std::fprintf(f, "      \"avg_provisioned_power_w\": %.2f,\n",
-                         r.avg_provisioned_w);
-            std::fprintf(f, "      \"avg_consumed_power_w\": %.2f,\n",
-                         r.avg_consumed_w);
-            std::fprintf(f, "      \"completed\": %zu,\n", r.completed);
-            std::fprintf(f, "      \"dropped\": %zu,\n", r.dropped);
-            std::fprintf(f, "      \"sla_violations\": %zu,\n",
-                         r.sla_violations);
-            std::fprintf(f, "      \"sla_violation_rate\": %.6f,\n",
-                         r.sla_violation_rate);
-            std::fprintf(f, "      \"p99_ms\": %.4f,\n", r.p99_ms);
-            std::fprintf(f, "      \"wall_ms\": %.1f,\n", r.wall_ms);
-            std::fprintf(f, "      \"per_service\": [\n");
-            for (size_t s = 0; s < r.services.size(); ++s) {
-                const sim::ServiceRunStats& svc = r.services[s];
-                std::fprintf(
-                    f,
-                    "        {\"model\": \"%s\", \"completed\": %zu, "
-                    "\"dropped\": %zu, \"p50_ms\": %.4f, "
-                    "\"p99_ms\": %.4f, \"sla_violation_rate\": "
-                    "%.6f}%s\n",
-                    model::modelName(model_ids[s]), svc.completed,
-                    svc.dropped, svc.p50_ms, svc.p99_ms,
-                    svc.sla_violation_rate,
-                    s + 1 < r.services.size() ? "," : "");
-            }
-            std::fprintf(f, "      ],\n");
-            bench::writeIntervalArrays(f, r.intervals);
-            std::fprintf(f, "  }%s\n", last ? "" : ",");
-        };
-        scenario_json("joint", jr, false);
-        scenario_json("partition", pr, true);
-        std::fprintf(f, "}\n");
-        std::fclose(f);
-        std::printf("\nwrote BENCH_multiservice.json\n");
+    util::JsonWriter w("BENCH_multiservice.json");
+    w.beginObject();
+    w.key("git_sha").str(bench::gitSha());
+    w.key("generated_at").str(isoUtcTimestamp());
+    w.key("scenario").str(spec.name);
+    w.key("horizon_hours").fixed(opt.horizon_hours, 2);
+    w.key("interval_hours").fixed(opt.interval_hours, 2);
+    w.key("time_compression").fixed(opt.trace.time_compression, 0);
+    w.key("num_services").integer(S);
+    w.key("joint_dominates_partitions").boolean(ok);
+    w.key("services").beginArray();
+    for (size_t s = 0; s < S; ++s) {
+        w.beginObject(util::JsonWriter::Inline);
+        w.key("model").str(model::modelName(model_ids[s]));
+        w.key("peak_qps").fixed(spec.services[s].spec.load.peak_qps, 1);
+        w.key("peak_hour").fixed(spec.services[s].spec.load.peak_hour, 2);
+        w.key("sla_ms").fixed(joint.service_sla_ms[s], 2);
+        w.key("capacity_qps").fixed(capacity[s], 1);
+        w.key("estimated_r").fixed(joint.service_r[s], 4);
+        w.endObject();
     }
+    w.endArray();
+    w.key("joint").beginObject();
+    bench::writeArmSummary(w, jr, model_ids);
+    w.key("wall_ms").fixed(joint_run.serve_wall_ms, 1);
+    w.endObject();
+    w.key("partition").beginObject();
+    bench::writeArmSummary(w, pr, model_ids);
+    w.key("wall_ms").fixed(pr_wall_ms, 1);
+    w.endObject();
+    w.endObject();
+    bench::closeJson(w, "BENCH_multiservice.json");
 
     return ok ? 0 : 1;
 }

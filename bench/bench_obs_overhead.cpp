@@ -39,20 +39,11 @@ constexpr double kMaxTraceOverhead = 1.15;
 /** Below this OFF wall time the overhead ratio is noise: skip gate. */
 constexpr double kMinGateWallMs = 200.0;
 
-struct ArmResult
+/** One telemetry arm: its run and the trace records it exported. */
+struct Arm
 {
     std::string name;
-    double serve_wall_ms = 0.0;
-    size_t completed = 0;
-    size_t dropped = 0;
-    size_t rejected = 0;
-    size_t sla_violations = 0;
-    double sla_violation_rate = 0.0;
-    double p99_ms = 0.0;
-    double avg_provisioned_w = 0.0;
-    double avg_consumed_w = 0.0;
-    uint64_t des_events = 0;
-    double des_events_per_sec = 0.0;
+    scenario::ScenarioResult r;
     size_t trace_records = 0;
 };
 
@@ -72,32 +63,19 @@ countLines(const std::string& path)
     return n;
 }
 
-ArmResult
+Arm
 runArm(const std::string& name, const scenario::ScenarioSpec& spec,
        const core::EfficiencyTable& table)
 {
-    scenario::ScenarioResult r = scenario::run(spec, &table);
-    ArmResult out;
-    out.name = name;
-    out.serve_wall_ms = r.serve_wall_ms;
-    out.completed = r.serve.sim.completed;
-    out.dropped = r.serve.sim.dropped;
-    out.rejected = r.serve.sim.rejected;
-    out.sla_violations = r.serve.sim.sla_violations;
-    out.sla_violation_rate = r.serve.sim.sla_violation_rate;
-    out.p99_ms = r.serve.sim.p99_ms;
-    out.avg_provisioned_w = r.serve.sim.avg_provisioned_power_w;
-    out.avg_consumed_w = r.serve.sim.avg_consumed_power_w;
-    out.des_events = r.serve.sim.des.events_executed;
-    out.des_events_per_sec = r.serve.sim.des.events_per_sec;
+    Arm arm{name, scenario::run(spec, &table)};
     if (!spec.observability.trace_file.empty())
-        out.trace_records = countLines(spec.observability.trace_file);
-    return out;
+        arm.trace_records = countLines(spec.observability.trace_file);
+    return arm;
 }
 
 /** @return mismatch description, empty when the arms agree exactly. */
 std::string
-compareArms(const ArmResult& a, const ArmResult& b)
+compareArms(const Arm& a, const Arm& b)
 {
     char buf[160];
     auto fail = [&](const char* what) {
@@ -105,70 +83,56 @@ compareArms(const ArmResult& a, const ArmResult& b)
                       what, a.name.c_str(), b.name.c_str());
         return std::string(buf);
     };
-    if (a.completed != b.completed)
-        return fail("completed");
-    if (a.dropped != b.dropped)
-        return fail("dropped");
-    if (a.rejected != b.rejected)
-        return fail("rejected");
-    if (a.sla_violations != b.sla_violations)
-        return fail("sla_violations");
-    if (a.p99_ms != b.p99_ms)
-        return fail("p99_ms");
-    if (a.sla_violation_rate != b.sla_violation_rate)
-        return fail("sla_violation_rate");
-    if (a.avg_provisioned_w != b.avg_provisioned_w)
-        return fail("avg_provisioned_power_w");
-    if (a.avg_consumed_w != b.avg_consumed_w)
-        return fail("avg_consumed_power_w");
-    if (a.des_events != b.des_events)
-        return fail("des_events_executed");
+    const sim::ClusterSimResult& x = a.r.serve.sim;
+    const sim::ClusterSimResult& y = b.r.serve.sim;
+    const std::pair<const char*, bool> same[] = {
+        {"completed", x.completed == y.completed},
+        {"dropped", x.dropped == y.dropped},
+        {"rejected", x.rejected == y.rejected},
+        {"sla_violations", x.sla_violations == y.sla_violations},
+        {"p99_ms", x.p99_ms == y.p99_ms},
+        {"sla_violation_rate",
+         x.sla_violation_rate == y.sla_violation_rate},
+        {"avg_provisioned_power_w",
+         x.avg_provisioned_power_w == y.avg_provisioned_power_w},
+        {"avg_consumed_power_w",
+         x.avg_consumed_power_w == y.avg_consumed_power_w},
+        {"des_events_executed",
+         x.des.events_executed == y.des.events_executed},
+    };
+    for (const auto& [what, ok] : same)
+        if (!ok)
+            return fail(what);
     return "";
 }
 
 void
-writeJson(const std::vector<ArmResult>& arms, bool gated,
+writeJson(const std::vector<Arm>& arms,
+          const std::vector<model::ModelId>& models, bool gated,
           double overhead_frac)
 {
     const char* path = "BENCH_obs.json";
-    FILE* f = std::fopen(path, "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "bench: cannot open %s\n", path);
-        return;
+    util::JsonWriter w(path);
+    w.beginObject();
+    w.key("git_sha").str(bench::gitSha());
+    w.key("generated_at").str(isoUtcTimestamp());
+    w.key("experiment").str("obs_overhead");
+    w.key("scenario").str("three_service_phase_shift");
+    w.key("bit_identical").boolean(true);
+    w.key("overhead_gated").boolean(gated);
+    w.key("trace_overhead_frac").fixed(overhead_frac, 4);
+    w.key("arms").beginArray();
+    for (const Arm& a : arms) {
+        w.beginObject();
+        w.key("name").str(a.name);
+        w.key("serve_wall_ms").fixed(a.r.serve_wall_ms, 1);
+        bench::writeArmSummary(w, a.r.serve.sim, models);
+        w.key("trace_records").integer(a.trace_records);
+        w.endObject();
     }
-    std::fprintf(f, "{\n");
-    bench::writeJsonProvenance(f);
-    std::fprintf(f, "  \"experiment\": \"obs_overhead\",\n");
-    std::fprintf(f, "  \"scenario\": \"three_service_phase_shift\",\n");
-    std::fprintf(f, "  \"bit_identical\": true,\n");
-    std::fprintf(f, "  \"overhead_gated\": %s,\n",
-                 gated ? "true" : "false");
-    std::fprintf(f, "  \"trace_overhead_frac\": %.4f,\n", overhead_frac);
-    std::fprintf(f, "  \"arms\": [\n");
-    for (size_t i = 0; i < arms.size(); ++i) {
-        const ArmResult& a = arms[i];
-        std::fprintf(f, "    {\n");
-        std::fprintf(f, "      \"name\": \"%s\",\n", a.name.c_str());
-        std::fprintf(f, "      \"serve_wall_ms\": %.1f,\n",
-                     a.serve_wall_ms);
-        std::fprintf(f, "      \"completed\": %zu,\n", a.completed);
-        std::fprintf(f, "      \"dropped\": %zu,\n", a.dropped);
-        std::fprintf(f, "      \"rejected\": %zu,\n", a.rejected);
-        std::fprintf(f, "      \"sla_violation_rate\": %.6f,\n",
-                     a.sla_violation_rate);
-        std::fprintf(f, "      \"p99_ms\": %.4f,\n", a.p99_ms);
-        std::fprintf(f, "      \"des_events_executed\": %llu,\n",
-                     static_cast<unsigned long long>(a.des_events));
-        std::fprintf(f, "      \"des_events_per_sec\": %.0f,\n",
-                     a.des_events_per_sec);
-        std::fprintf(f, "      \"trace_records\": %zu\n",
-                     a.trace_records);
-        std::fprintf(f, "    }%s\n", i + 1 < arms.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n");
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    std::printf("\nwrote %s\n", path);
+    w.endArray();
+    w.endObject();
+    bench::closeJson(w, path);
 }
 
 }  // namespace
@@ -202,17 +166,18 @@ main()
     trace.observability.trace_file = "obs_overhead_trace.jsonl";
     trace.observability.sample_rate = 1.0;
 
-    std::vector<ArmResult> arms;
+    std::vector<Arm> arms;
     arms.push_back(runArm("off", off, table));
     arms.push_back(runArm("metrics", metrics, table));
     arms.push_back(runArm("trace", trace, table));
 
     TablePrinter t({"Arm", "Wall (ms)", "Completed", "p99 (ms)",
                     "Viol rate", "Trace recs"});
-    for (const ArmResult& a : arms)
-        t.addRow({a.name, fmtDouble(a.serve_wall_ms, 1),
-                  std::to_string(a.completed), fmtDouble(a.p99_ms, 2),
-                  fmtPercent(a.sla_violation_rate, 2),
+    for (const Arm& a : arms)
+        t.addRow({a.name, fmtDouble(a.r.serve_wall_ms, 1),
+                  std::to_string(a.r.serve.sim.completed),
+                  fmtDouble(a.r.serve.sim.p99_ms, 2),
+                  fmtPercent(a.r.serve.sim.sla_violation_rate, 2),
                   std::to_string(a.trace_records)});
     t.print();
 
@@ -231,8 +196,8 @@ main()
 
     // Gate 2: full tracing stays cheap. The ratio is only meaningful
     // once the baseline wall time dominates timer noise.
-    double base_wall = arms[0].serve_wall_ms;
-    double trace_wall = arms[2].serve_wall_ms;
+    double base_wall = arms[0].r.serve_wall_ms;
+    double trace_wall = arms[2].r.serve_wall_ms;
     double overhead =
         base_wall > 0.0 ? trace_wall / base_wall - 1.0 : 0.0;
     bool gated = base_wall >= kMinGateWallMs;
@@ -254,6 +219,9 @@ main()
                     base_wall, kMinGateWallMs);
     }
 
-    writeJson(arms, gated, overhead);
+    std::vector<model::ModelId> models;
+    for (const scenario::ServiceScenario& s : base.services)
+        models.push_back(s.spec.model);
+    writeJson(arms, models, gated, overhead);
     return 0;
 }

@@ -46,50 +46,12 @@ using namespace hercules;
 
 namespace {
 
-/** One scenario arm's aggregate view. */
-struct ArmResult
-{
-    std::string name;
-    double avg_provisioned_w = 0.0;
-    double avg_consumed_w = 0.0;
-    size_t completed = 0;
-    size_t dropped = 0;
-    size_t rejected = 0;
-    size_t admission_retries = 0;
-    size_t sla_violations = 0;
-    double sla_violation_rate = 0.0;
-    double p99_ms = 0.0;
-    double wall_ms = 0.0;
-    std::vector<sim::ServiceRunStats> services;
-    std::vector<sim::IntervalStats> intervals;
-};
-
-ArmResult
-runArm(const std::string& name, const scenario::ScenarioSpec& spec,
-       const core::EfficiencyTable& table)
-{
-    scenario::ScenarioResult r = scenario::run(spec, &table);
-    ArmResult out;
-    out.name = name;
-    out.wall_ms = r.serve_wall_ms;
-    out.avg_provisioned_w = r.serve.sim.avg_provisioned_power_w;
-    out.avg_consumed_w = r.serve.sim.avg_consumed_power_w;
-    out.completed = r.serve.sim.completed;
-    out.dropped = r.serve.sim.dropped;
-    out.rejected = r.serve.sim.rejected;
-    out.admission_retries = r.serve.sim.admission_retries;
-    out.sla_violations = r.serve.sim.sla_violations;
-    out.sla_violation_rate = r.serve.sim.sla_violation_rate;
-    out.p99_ms = r.serve.sim.p99_ms;
-    out.services = r.serve.sim.services;
-    out.intervals = r.serve.sim.intervals;
-    return out;
-}
-
 void
-printArm(const ArmResult& r, const std::vector<model::ModelId>& models)
+printArm(const char* name, const scenario::ScenarioResult& arm,
+         const std::vector<model::ModelId>& models)
 {
-    std::printf("%s:\n", r.name.c_str());
+    const sim::ClusterSimResult& r = arm.serve.sim;
+    std::printf("%s:\n", name);
     TablePrinter t({"Service", "Completed", "Rejected", "Dropped",
                     "p99 (ms)", "SLA (ms)", "Viol rate"});
     for (size_t s = 0; s < r.services.size(); ++s) {
@@ -105,48 +67,10 @@ printArm(const ArmResult& r, const std::vector<model::ModelId>& models)
     std::printf("  avg power %.3f kW provisioned / %.3f kW consumed, "
                 "violation rate %.2f%%, p99 %.2f ms, retries %zu, "
                 "wall %.0f ms\n\n",
-                r.avg_provisioned_w / 1e3, r.avg_consumed_w / 1e3,
+                r.avg_provisioned_power_w / 1e3,
+                r.avg_consumed_power_w / 1e3,
                 r.sla_violation_rate * 100.0, r.p99_ms,
-                r.admission_retries, r.wall_ms);
-}
-
-void
-writeArmJson(FILE* f, const ArmResult& r,
-             const std::vector<model::ModelId>& models, bool last)
-{
-    std::fprintf(f, "  \"%s\": {\n", r.name.c_str());
-    std::fprintf(f, "      \"avg_provisioned_power_w\": %.2f,\n",
-                 r.avg_provisioned_w);
-    std::fprintf(f, "      \"avg_consumed_power_w\": %.2f,\n",
-                 r.avg_consumed_w);
-    std::fprintf(f, "      \"completed\": %zu,\n", r.completed);
-    std::fprintf(f, "      \"rejected\": %zu,\n", r.rejected);
-    std::fprintf(f, "      \"admission_retries\": %zu,\n",
-                 r.admission_retries);
-    std::fprintf(f, "      \"dropped\": %zu,\n", r.dropped);
-    std::fprintf(f, "      \"sla_violations\": %zu,\n",
-                 r.sla_violations);
-    std::fprintf(f, "      \"sla_violation_rate\": %.6f,\n",
-                 r.sla_violation_rate);
-    std::fprintf(f, "      \"p99_ms\": %.4f,\n", r.p99_ms);
-    std::fprintf(f, "      \"wall_ms\": %.1f,\n", r.wall_ms);
-    std::fprintf(f, "      \"per_service\": [\n");
-    for (size_t s = 0; s < r.services.size(); ++s) {
-        const sim::ServiceRunStats& svc = r.services[s];
-        std::fprintf(
-            f,
-            "        {\"model\": \"%s\", \"completed\": %zu, "
-            "\"rejected\": %zu, \"dropped\": %zu, \"p50_ms\": %.4f, "
-            "\"p99_ms\": %.4f, \"sla_violations\": %zu, "
-            "\"sla_violation_rate\": %.6f}%s\n",
-            model::modelName(models[s]), svc.completed, svc.rejected,
-            svc.dropped, svc.p50_ms, svc.p99_ms, svc.sla_violations,
-            svc.sla_violation_rate,
-            s + 1 < r.services.size() ? "," : "");
-    }
-    std::fprintf(f, "      ],\n");
-    bench::writeIntervalArrays(f, r.intervals);
-    std::fprintf(f, "  }%s\n", last ? "" : ",");
+                r.admission_retries, arm.serve_wall_ms);
 }
 
 /**
@@ -306,20 +230,25 @@ main()
                 r_shared * 100.0);
 
     // ---- the three arms -----------------------------------------------
-    ArmResult baseline = runArm("baseline", base, table);
-    printArm(baseline, model_ids);
-    ArmResult qos_run = runArm("qos", qos_spec, table);
-    printArm(qos_run, model_ids);
-    ArmResult fb_run = runArm("qos_feedback", fb_spec, table);
-    printArm(fb_run, model_ids);
+    const scenario::ScenarioResult baseline_run =
+        scenario::run(base, &table);
+    printArm("baseline", baseline_run, model_ids);
+    const scenario::ScenarioResult qos_run =
+        scenario::run(qos_spec, &table);
+    printArm("qos", qos_run, model_ids);
+    const scenario::ScenarioResult fb_run = scenario::run(fb_spec, &table);
+    printArm("qos_feedback", fb_run, model_ids);
+    const sim::ClusterSimResult& baseline = baseline_run.serve.sim;
+    const sim::ClusterSimResult& qos_sim = qos_run.serve.sim;
+    const sim::ClusterSimResult& fb_sim = fb_run.serve.sim;
 
     // ---- the QoS gate --------------------------------------------------
     const sim::ServiceRunStats& hi_base = baseline.services[0];
-    const sim::ServiceRunStats& hi_qos = qos_run.services[0];
+    const sim::ServiceRunStats& hi_qos = qos_sim.services[0];
     bool sla_ok =
         hi_qos.sla_violation_rate < hi_base.sla_violation_rate;
-    bool power_ok =
-        qos_run.avg_provisioned_w <= baseline.avg_provisioned_w + 1e-6;
+    bool power_ok = qos_sim.avg_provisioned_power_w <=
+                    baseline.avg_provisioned_power_w + 1e-6;
     bool ok = sla_ok && power_ok;
     std::printf("qos vs baseline, high-priority %s: %s "
                 "(violation+drop rate %.3f%% vs %.3f%%, avg power "
@@ -327,59 +256,55 @@ main()
                 model::modelName(model_ids[0]), ok ? "WINS" : "FAIL",
                 hi_qos.sla_violation_rate * 100.0,
                 hi_base.sla_violation_rate * 100.0,
-                qos_run.avg_provisioned_w / 1e3,
-                baseline.avg_provisioned_w / 1e3);
+                qos_sim.avg_provisioned_power_w / 1e3,
+                baseline.avg_provisioned_power_w / 1e3);
     std::printf("router head-to-head under QoS, cluster-wide: "
                 "hercules %.3f%% vs latency-feedback %.3f%% violations "
                 "(p99 %.2f vs %.2f ms)\n",
-                qos_run.sla_violation_rate * 100.0,
-                fb_run.sla_violation_rate * 100.0, qos_run.p99_ms,
-                fb_run.p99_ms);
+                qos_sim.sla_violation_rate * 100.0,
+                fb_sim.sla_violation_rate * 100.0, qos_sim.p99_ms,
+                fb_sim.p99_ms);
 
     // ---- JSON trajectory ----------------------------------------------
-    FILE* f = std::fopen("BENCH_qos.json", "w");
-    if (f) {
-        std::fprintf(f, "{\n");
-        bench::writeJsonProvenance(f);
-        std::fprintf(f, "  \"scenarios\": [\"%s\", \"%s\", \"%s\"],\n",
-                     base.name.c_str(), qos_spec.name.c_str(),
-                     fb_spec.name.c_str());
-        std::fprintf(f, "  \"horizon_hours\": %.2f,\n",
-                     base.serve.horizon_hours);
-        std::fprintf(f, "  \"interval_hours\": %.2f,\n",
-                     base.serve.interval_hours);
-        std::fprintf(f, "  \"time_compression\": %.0f,\n",
-                     base.serve.trace.time_compression);
-        std::fprintf(f, "  \"num_services\": %zu,\n", S);
-        std::fprintf(f, "  \"surge_hour\": %.2f,\n", surge_hour);
-        std::fprintf(f, "  \"surge_hours\": %.2f,\n", surge_hours);
-        std::fprintf(f, "  \"surge_factor\": %.2f,\n",
-                     base.services[0].spec.load.surge_factor);
-        std::fprintf(f, "  \"power_cap_w\": %.2f,\n", cap_w);
-        std::fprintf(f, "  \"qos_beats_baseline\": %s,\n",
-                     ok ? "true" : "false");
-        std::fprintf(f, "  \"services\": [\n");
-        for (size_t s = 0; s < S; ++s) {
-            const scenario::ServiceScenario& qs = qos_spec.services[s];
-            std::fprintf(
-                f,
-                "    {\"model\": \"%s\", \"peak_qps\": %.1f, "
-                "\"peak_hour\": %.2f, \"priority\": %d, "
-                "\"tier\": \"%s\"}%s\n",
-                model::modelName(model_ids[s]),
-                base.services[s].spec.load.peak_qps,
-                base.services[s].spec.load.peak_hour,
-                qs.spec.qos.priority, qos::tierName(qs.spec.qos.tier),
-                s + 1 < S ? "," : "");
-        }
-        std::fprintf(f, "  ],\n");
-        writeArmJson(f, baseline, model_ids, false);
-        writeArmJson(f, qos_run, model_ids, false);
-        writeArmJson(f, fb_run, model_ids, true);
-        std::fprintf(f, "}\n");
-        std::fclose(f);
-        std::printf("\nwrote BENCH_qos.json\n");
+    util::JsonWriter w("BENCH_qos.json");
+    w.beginObject();
+    w.key("git_sha").str(bench::gitSha());
+    w.key("generated_at").str(isoUtcTimestamp());
+    w.key("scenarios").beginArray(util::JsonWriter::Inline);
+    w.str(base.name).str(qos_spec.name).str(fb_spec.name);
+    w.endArray();
+    w.key("horizon_hours").fixed(base.serve.horizon_hours, 2);
+    w.key("interval_hours").fixed(base.serve.interval_hours, 2);
+    w.key("time_compression").fixed(base.serve.trace.time_compression, 0);
+    w.key("num_services").integer(S);
+    w.key("surge_hour").fixed(surge_hour, 2);
+    w.key("surge_hours").fixed(surge_hours, 2);
+    w.key("surge_factor").fixed(base.services[0].spec.load.surge_factor, 2);
+    w.key("power_cap_w").fixed(cap_w, 2);
+    w.key("qos_beats_baseline").boolean(ok);
+    w.key("services").beginArray();
+    for (size_t s = 0; s < S; ++s) {
+        const cluster::ServiceSpec& qs = qos_spec.services[s].spec;
+        w.beginObject(util::JsonWriter::Inline);
+        w.key("model").str(model::modelName(model_ids[s]));
+        w.key("peak_qps").fixed(base.services[s].spec.load.peak_qps, 1);
+        w.key("peak_hour").fixed(base.services[s].spec.load.peak_hour, 2);
+        w.key("priority").integer(qs.qos.priority);
+        w.key("tier").str(qos::tierName(qs.qos.tier));
+        w.endObject();
     }
+    w.endArray();
+    auto arm = [&](const char* name, const scenario::ScenarioResult& r) {
+        w.key(name).beginObject();
+        bench::writeArmSummary(w, r.serve.sim, model_ids);
+        w.key("wall_ms").fixed(r.serve_wall_ms, 1);
+        w.endObject();
+    };
+    arm("baseline", baseline_run);
+    arm("qos", qos_run);
+    arm("qos_feedback", fb_run);
+    w.endObject();
+    bench::closeJson(w, "BENCH_qos.json");
 
     return ok ? 0 : 1;
 }

@@ -181,45 +181,33 @@ main()
                 table_speedup, table_identical ? "yes" : "no");
 
     // ---- JSON trajectory ----------------------------------------------
-    FILE* f = std::fopen("BENCH_search.json", "w");
-    if (f) {
-        std::fprintf(f, "{\n");
-        bench::writeJsonProvenance(f);
-        std::fprintf(f, "  \"hardware_threads\": %d,\n", hw_threads);
-        std::fprintf(f, "  \"search\": {\n");
-        std::fprintf(f,
-                     "    \"serial_ms\": %.2f,\n    \"pooled_ms\": %.2f,"
-                     "\n    \"memoized_ms\": %.2f,\n",
-                     serial.wall_ms, pooled.wall_ms, memo.wall_ms);
-        std::fprintf(f,
-                     "    \"pooled_speedup\": %.3f,\n    "
-                     "\"memoized_speedup\": %.3f,\n",
-                     pool_speedup, memo_speedup);
-        std::fprintf(f,
-                     "    \"evals\": %d,\n    \"memoized_hit_rate\": "
-                     "%.4f,\n",
-                     serial.evals, memo.hitRate());
-        std::fprintf(f,
-                     "    \"pooled_identical\": %s,\n    "
-                     "\"memoized_identical\": %s,\n",
-                     pooled.identical_to_serial ? "true" : "false",
-                     memo.identical_to_serial ? "true" : "false");
-        std::fprintf(f,
-                     "    \"shortcut_sims\": %llu,\n    "
-                     "\"baseline_sims\": %llu\n  },\n",
-                     static_cast<unsigned long long>(fast.simulations),
-                     static_cast<unsigned long long>(serial.simulations));
-        std::fprintf(f, "  \"efficiency_table\": {\n");
-        std::fprintf(f,
-                     "    \"cells\": %zu,\n    \"serial_ms\": %.2f,\n"
-                     "    \"pooled_ms\": %.2f,\n    \"speedup\": %.3f,\n"
-                     "    \"identical\": %s\n  }\n}\n",
-                     table_serial.size(), table_serial_ms,
-                     table_pooled_ms, table_speedup,
-                     table_identical ? "true" : "false");
-        std::fclose(f);
-        std::printf("\nwrote BENCH_search.json\n");
-    }
+    util::JsonWriter w("BENCH_search.json");
+    w.beginObject();
+    w.key("git_sha").str(bench::gitSha());
+    w.key("generated_at").str(isoUtcTimestamp());
+    w.key("hardware_threads").integer(hw_threads);
+    w.key("search").beginObject();
+    w.key("serial_ms").fixed(serial.wall_ms, 2);
+    w.key("pooled_ms").fixed(pooled.wall_ms, 2);
+    w.key("memoized_ms").fixed(memo.wall_ms, 2);
+    w.key("pooled_speedup").fixed(pool_speedup, 3);
+    w.key("memoized_speedup").fixed(memo_speedup, 3);
+    w.key("evals").integer(serial.evals);
+    w.key("memoized_hit_rate").fixed(memo.hitRate(), 4);
+    w.key("pooled_identical").boolean(pooled.identical_to_serial);
+    w.key("memoized_identical").boolean(memo.identical_to_serial);
+    w.key("shortcut_sims").integer(fast.simulations);
+    w.key("baseline_sims").integer(serial.simulations);
+    w.endObject();
+    w.key("efficiency_table").beginObject();
+    w.key("cells").integer(table_serial.size());
+    w.key("serial_ms").fixed(table_serial_ms, 2);
+    w.key("pooled_ms").fixed(table_pooled_ms, 2);
+    w.key("speedup").fixed(table_speedup, 3);
+    w.key("identical").boolean(table_identical);
+    w.endObject();
+    w.endObject();
+    bench::closeJson(w, "BENCH_search.json");
 
     bool ok = pooled.identical_to_serial && memo.identical_to_serial &&
               table_identical;

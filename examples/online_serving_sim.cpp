@@ -260,17 +260,27 @@ runSpec(const scenario::ScenarioSpec& spec)
                 r.serve.reprovisions,
                 sim.avg_provisioned_power_w / 1e3,
                 sim.avg_consumed_power_w / 1e3);
-    if (rs.observability.tracing())
+    // A "wrote" line only for files that were written; any failed
+    // artifact (already warned about) makes the run exit 1.
+    auto written = [&](const std::string& path) {
+        return !path.empty() &&
+               std::find(r.failed_writes.begin(), r.failed_writes.end(),
+                         path) == r.failed_writes.end();
+    };
+    if (written(rs.observability.trace_file))
         std::printf("wrote %s (per-query trace, sample rate %g)\n",
                     rs.observability.trace_file.c_str(),
                     rs.observability.sample_rate);
-    if (!rs.observability.metrics_file.empty())
+    if (written(rs.observability.metrics_file))
         std::printf("wrote %s (metrics registry)\n",
                     rs.observability.metrics_file.c_str());
-    if (scenario::writeResultJson("BENCH_scenario.json", r,
-                                  bench::gitSha()))
+    bool ok = scenario::writeResultJson("BENCH_scenario.json", r,
+                                        bench::gitSha());
+    if (ok)
         std::printf("wrote BENCH_scenario.json\n");
-    return 0;
+    else
+        warn("cannot write 'BENCH_scenario.json'");
+    return ok && r.failed_writes.empty() ? 0 : 1;
 }
 
 /**

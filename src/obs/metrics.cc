@@ -1,8 +1,8 @@
 #include "obs/metrics.h"
 
 #include <cmath>
-#include <cstring>
 
+#include "util/json.h"
 #include "util/logging.h"
 
 namespace hercules::obs {
@@ -13,14 +13,19 @@ namespace {
  * Deterministic human-friendly number formatting: integral values print
  * without a fraction, everything else with six decimals.
  */
+int
+decimalsOf(double v)
+{
+    return std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 1e15
+               ? 0
+               : 6;
+}
+
 std::string
 fmtNum(double v)
 {
     char buf[64];
-    if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 1e15)
-        std::snprintf(buf, sizeof buf, "%.0f", v);
-    else
-        std::snprintf(buf, sizeof buf, "%.6f", v);
+    std::snprintf(buf, sizeof buf, "%.*f", decimalsOf(v), v);
     return buf;
 }
 
@@ -222,13 +227,6 @@ MetricsRegistry::histogramSum(int id) const
 }
 
 void
-MetricsRegistry::writePrometheus(std::FILE* f) const
-{
-    util::MutexLock lock(mu_);
-    writePrometheusLocked(f);
-}
-
-void
 MetricsRegistry::writePrometheusLocked(std::FILE* f) const
 {
     const std::vector<double>& bounds = bucketBounds();
@@ -260,13 +258,6 @@ MetricsRegistry::writePrometheusLocked(std::FILE* f) const
 }
 
 void
-MetricsRegistry::writeCsv(std::FILE* f) const
-{
-    util::MutexLock lock(mu_);
-    writeCsvLocked(f);
-}
-
-void
 MetricsRegistry::writeCsvLocked(std::FILE* f) const
 {
     // Long-form time series: histograms have no series and are omitted
@@ -280,70 +271,69 @@ MetricsRegistry::writeCsvLocked(std::FILE* f) const
 }
 
 void
-MetricsRegistry::writeJson(std::FILE* f) const
+MetricsRegistry::writeJsonLocked(util::JsonWriter& w) const
 {
-    util::MutexLock lock(mu_);
-    writeJsonLocked(f);
-}
-
-void
-MetricsRegistry::writeJsonLocked(std::FILE* f) const
-{
-    const std::vector<double>& bounds = bucketBounds();
-    std::fprintf(f, "{\n  \"sample_times_s\": [");
-    for (size_t i = 0; i < sample_times_.size(); ++i)
-        std::fprintf(f, "%s%.6f", i ? ", " : "", sample_times_[i]);
-    std::fprintf(f, "],\n  \"metrics\": [\n");
-    for (size_t i = 0; i < metrics_.size(); ++i) {
-        const Metric& m = metrics_[i];
-        std::fprintf(f, "    {\"name\": \"%s\", \"kind\": \"%s\"",
-                     m.name.c_str(), metricKindName(m.kind));
+    auto num = [&](const char* key, double v) {
+        w.key(key).fixed(v, decimalsOf(v));
+    };
+    w.beginObject();
+    w.key("sample_times_s").beginArray(util::JsonWriter::Inline);
+    for (double t : sample_times_)
+        w.fixed(t, 6);
+    w.endArray();
+    w.key("metrics").beginArray();
+    for (const Metric& m : metrics_) {
+        w.beginObject(util::JsonWriter::Inline);
+        w.key("name").str(m.name);
+        w.key("kind").str(metricKindName(m.kind));
         if (m.kind != MetricKind::Histogram) {
-            std::fprintf(f, ", \"value\": %s, \"series\": [",
-                         fmtNum(m.value).c_str());
-            for (size_t s = 0; s < m.series.size(); ++s)
-                std::fprintf(f, "%s%s", s ? ", " : "",
-                             fmtNum(m.series[s]).c_str());
-            std::fprintf(f, "]}");
+            num("value", m.value);
+            w.key("series").beginArray();
+            for (double v : m.series)
+                w.fixed(v, decimalsOf(v));
+            w.endArray();
         } else {
-            std::fprintf(
-                f, ", \"count\": %llu, \"sum\": %s, \"min\": %s, \"max\": %s",
-                static_cast<unsigned long long>(m.count),
-                fmtNum(m.sum).c_str(), fmtNum(m.count ? m.min : 0.0).c_str(),
-                fmtNum(m.count ? m.max : 0.0).c_str());
-            std::fprintf(f, ", \"bounds\": [");
-            for (size_t b = 0; b < bounds.size(); ++b)
-                std::fprintf(f, "%s%g", b ? ", " : "", bounds[b]);
-            std::fprintf(f, "], \"buckets\": [");
-            for (size_t b = 0; b < m.buckets.size(); ++b)
-                std::fprintf(f, "%s%llu", b ? ", " : "",
-                             static_cast<unsigned long long>(m.buckets[b]));
-            std::fprintf(f, "]}");
+            w.key("count").integer(m.count);
+            num("sum", m.sum);
+            num("min", m.count ? m.min : 0.0);
+            num("max", m.count ? m.max : 0.0);
+            w.key("bounds").beginArray();
+            for (double b : bucketBounds())
+                w.general(b, 6);
+            w.endArray();
+            w.key("buckets").beginArray();
+            for (uint64_t c : m.buckets)
+                w.integer(c);
+            w.endArray();
         }
-        std::fprintf(f, "%s\n", i + 1 < metrics_.size() ? "," : "");
+        w.endObject();
     }
-    std::fprintf(f, "  ]\n}\n");
+    w.endArray();
+    w.endObject();
 }
 
 bool
 MetricsRegistry::writeFile(const std::string& path) const
 {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        warn("metrics: cannot open '%s' for writing", path.c_str());
-        return false;
-    }
     size_t dot = path.rfind('.');
     std::string ext = dot == std::string::npos ? "" : path.substr(dot);
+    bool ok = false;
     util::MutexLock lock(mu_);
-    if (ext == ".csv")
-        writeCsvLocked(f);
-    else if (ext == ".json")
-        writeJsonLocked(f);
-    else
-        writePrometheusLocked(f);
-    std::fclose(f);
-    return true;
+    if (ext == ".json") {
+        util::JsonWriter w(path);
+        writeJsonLocked(w);
+        ok = w.close();
+    } else {
+        std::FILE* f = std::fopen(path.c_str(), "w");
+        if (f != nullptr && ext == ".csv")
+            writeCsvLocked(f);
+        else if (f != nullptr)
+            writePrometheusLocked(f);
+        ok = util::closeFile(f);
+    }
+    if (!ok)
+        warn("metrics: cannot write '%s'", path.c_str());
+    return ok;
 }
 
 }  // namespace hercules::obs

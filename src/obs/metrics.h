@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "util/json.h"
 #include "util/thread_annotations.h"
 
 namespace hercules::obs {
@@ -112,13 +113,10 @@ class MetricsRegistry
      */
     static const std::vector<double>& bucketBounds();
 
-    void writePrometheus(std::FILE* f) const EXCLUDES(mu_);
-    void writeCsv(std::FILE* f) const EXCLUDES(mu_);
-    void writeJson(std::FILE* f) const EXCLUDES(mu_);
-
     /**
      * Write to `path`, format chosen by extension (.csv, .json, else
-     * Prometheus text). @return false when the file cannot be opened.
+     * Prometheus text). @return false (with a warning) when the file
+     * could not be opened, written or closed.
      */
     bool writeFile(const std::string& path) const EXCLUDES(mu_);
 
@@ -142,7 +140,7 @@ class MetricsRegistry
     /** Unlocked bodies of the exporters (writeFile holds mu_ once). */
     void writePrometheusLocked(std::FILE* f) const REQUIRES(mu_);
     void writeCsvLocked(std::FILE* f) const REQUIRES(mu_);
-    void writeJsonLocked(std::FILE* f) const REQUIRES(mu_);
+    void writeJsonLocked(util::JsonWriter& w) const REQUIRES(mu_);
 
     mutable util::Mutex mu_;
     std::vector<Metric> metrics_ GUARDED_BY(mu_);  ///< registration order

@@ -1,7 +1,6 @@
 #include "obs/telemetry.h"
 
-#include <cstdio>
-
+#include "util/json.h"
 #include "util/logging.h"
 #include "util/thread_annotations.h"
 
@@ -276,18 +275,15 @@ Telemetry::writeTraceFile() const
 {
     if (spec_.trace_file.empty())
         return true;
-    std::FILE* f = std::fopen(spec_.trace_file.c_str(), "w");
-    if (!f) {
-        warn("telemetry: cannot open '%s' for writing",
-             spec_.trace_file.c_str());
-        return false;
-    }
+    util::JsonWriter w(spec_.trace_file);
     {
         util::MutexLock lock(mu_);
-        writeTraceJsonl(f, records_);
+        writeTraceJsonl(w, records_);
     }
-    std::fclose(f);
-    return true;
+    if (w.close())
+        return true;
+    warn("telemetry: cannot write '%s'", spec_.trace_file.c_str());
+    return false;
 }
 
 bool

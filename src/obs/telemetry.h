@@ -125,7 +125,10 @@ class Telemetry
     /** Record crash-killed in-flight count (cluster.failed_inflight). */
     void addFailedInflight(size_t killed);
 
-    /** Emit the configured files; no-ops when the path is empty. */
+    /**
+     * Emit the configured files; no-ops when the path is empty.
+     * @return false (with a warning) when the file could not be written.
+     */
     bool writeTraceFile() const EXCLUDES(mu_);
     bool writeMetricsFile() const;
 

@@ -1,5 +1,7 @@
 #include "obs/trace.h"
 
+#include "util/json.h"
+
 namespace hercules::obs {
 
 const char*
@@ -39,31 +41,28 @@ traceSampled(uint64_t id, double sample_rate)
 }
 
 void
-writeTraceJsonl(std::FILE* f, const std::vector<TraceRecord>& records)
+writeTraceJsonl(util::JsonWriter& w, const std::vector<TraceRecord>& records)
 {
     for (const TraceRecord& r : records) {
-        std::fprintf(f, "{\"id\": %llu, \"service\": %d, \"outcome\": \"%s\"",
-                     static_cast<unsigned long long>(r.id), r.service,
-                     traceOutcomeName(r.outcome));
-        if (r.shard >= 0)
-            std::fprintf(f, ", \"shard\": %d", r.shard);
-        else
-            std::fprintf(f, ", \"shard\": null");
-        std::fprintf(f, ", \"retry_hops\": %d, \"arrival_s\": %.6f",
-                     r.retry_hops, r.arrival_s);
-        if (r.queue_wait_ms >= 0.0)
-            std::fprintf(f, ", \"queue_wait_ms\": %.6f", r.queue_wait_ms);
-        else
-            std::fprintf(f, ", \"queue_wait_ms\": null");
-        if (r.service_start_s >= 0.0)
-            std::fprintf(f, ", \"service_start_s\": %.6f", r.service_start_s);
-        else
-            std::fprintf(f, ", \"service_start_s\": null");
-        if (r.finish_s >= 0.0)
-            std::fprintf(f, ", \"finish_s\": %.6f, \"latency_ms\": %.6f}\n",
-                         r.finish_s, r.latencyMs());
-        else
-            std::fprintf(f, ", \"finish_s\": null, \"latency_ms\": null}\n");
+        w.beginObject(util::JsonWriter::Inline);
+        w.key("id").integer(r.id);
+        w.key("service").integer(r.service);
+        w.key("outcome").str(traceOutcomeName(r.outcome));
+        w.key("shard");
+        r.shard >= 0 ? w.integer(r.shard) : w.null();
+        w.key("retry_hops").integer(r.retry_hops);
+        w.key("arrival_s").fixed(r.arrival_s, 6);
+        // Null marks a stage the query never reached.
+        auto stage = [&](const char* key, bool reached, double v) {
+            w.key(key);
+            reached ? w.fixed(v, 6) : w.null();
+        };
+        stage("queue_wait_ms", r.queue_wait_ms >= 0.0, r.queue_wait_ms);
+        stage("service_start_s", r.service_start_s >= 0.0,
+              r.service_start_s);
+        stage("finish_s", r.finish_s >= 0.0, r.finish_s);
+        stage("latency_ms", r.finish_s >= 0.0, r.latencyMs());
+        w.endObject();
     }
 }
 

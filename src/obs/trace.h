@@ -12,8 +12,9 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <vector>
+
+#include "util/json.h"
 
 namespace hercules::obs {
 
@@ -63,6 +64,7 @@ bool traceSampled(uint64_t id, double sample_rate);
  * (null for fields a query never reached). Parse with one
  * json.loads() per line.
  */
-void writeTraceJsonl(std::FILE* f, const std::vector<TraceRecord>& records);
+void writeTraceJsonl(util::JsonWriter& w,
+                     const std::vector<TraceRecord>& records);
 
 }  // namespace hercules::obs

@@ -7,6 +7,7 @@
 
 #include "obs/self_profile.h"
 #include "scenario/lint.h"
+#include "util/json.h"
 #include "util/logging.h"
 
 namespace hercules::scenario {
@@ -259,132 +260,136 @@ run(const ScenarioSpec& spec, const core::EfficiencyTable* table)
                                      *policy, sopt);
     out.serve_wall_ms = serve_timer.elapsedMs();
 
-    if (spec.observability.enabled()) {
-        telemetry.writeTraceFile();
-        telemetry.writeMetricsFile();
-    }
+    if (!telemetry.writeTraceFile())
+        out.failed_writes.push_back(spec.observability.trace_file);
+    if (!telemetry.writeMetricsFile())
+        out.failed_writes.push_back(spec.observability.metrics_file);
     return out;
+}
+
+void
+writeRunSummary(util::JsonWriter& w, const sim::ClusterSimResult& r,
+                const char* services_key,
+                const std::function<void(size_t)>& service_head)
+{
+    // The outcome counts and latency of one service, or of the run.
+    auto stats = [&](const auto& st) {
+        w.key("completed").integer(st.completed);
+        w.key("rejected").integer(st.rejected);
+        w.key("dropped").integer(st.dropped);
+        w.key("failed_inflight").integer(st.failed_inflight);
+        w.key("p50_ms").fixed(st.p50_ms, 4);
+        w.key("p99_ms").fixed(st.p99_ms, 4);
+        w.key("sla_violations").integer(st.sla_violations);
+        w.key("sla_violation_rate").fixed(st.sla_violation_rate, 6);
+    };
+    w.key(services_key).beginArray();
+    for (size_t s = 0; s < r.services.size(); ++s) {
+        w.beginObject(util::JsonWriter::Inline);
+        service_head(s);
+        stats(r.services[s]);
+        w.endObject();
+    }
+    w.endArray();
+    stats(r);
+    w.key("admission_retries").integer(r.admission_retries);
+    w.key("avg_provisioned_power_w").fixed(r.avg_provisioned_power_w, 2);
+    w.key("avg_consumed_power_w").fixed(r.avg_consumed_power_w, 2);
+
+    // DES self-profile: event counts are deterministic, the rate is
+    // provenance (varies run to run).
+    w.key("des_events_executed").integer(r.des.events_executed);
+    w.key("des_peak_event_queue_depth")
+        .integer(r.des.peak_event_queue_depth);
+    w.key("des_events_per_sec").fixed(r.des.events_per_sec, 0);
+
+    // The per-interval trajectory, one inline array per field.
+    auto arr = [&](const char* key, auto field, int decimals) {
+        w.key(key).beginArray(util::JsonWriter::Inline);
+        for (const sim::IntervalStats& iv : r.intervals)
+            w.fixed(static_cast<double>(iv.*field), decimals);
+        w.endArray();
+    };
+    arr("interval_p99_ms", &sim::IntervalStats::p99_ms, 3);
+    arr("interval_sla_violation_rate",
+        &sim::IntervalStats::sla_violation_rate, 5);
+    arr("interval_dropped", &sim::IntervalStats::dropped, 0);
+    arr("interval_provisioned_power_w",
+        &sim::IntervalStats::provisioned_power_w, 1);
+    arr("interval_consumed_power_w",
+        &sim::IntervalStats::consumed_power_w, 1);
 }
 
 bool
 writeResultJson(const std::string& path, const ScenarioResult& r,
                 const char* git_sha, const std::string& generated_at)
 {
-    FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr)
-        return false;
     const ScenarioSpec& spec = r.resolved;
     const sim::ClusterSimResult& sim = r.serve.sim;
 
-    std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"git_sha\": \"%s\",\n", git_sha);
-    std::fprintf(
-        f, "  \"generated_at\": \"%s\",\n",
-        generated_at.empty() ? isoUtcTimestamp().c_str()
-                             : generated_at.c_str());
-    std::fprintf(f, "  \"scenario\": \"%s\",\n", spec.name.c_str());
-    std::fprintf(f, "  \"provisioner\": \"%s\",\n",
-                 provisionerKindName(spec.provisioner));
-    std::fprintf(f, "  \"router\": \"%s\",\n",
-                 sim::routerPolicyName(spec.serve.router));
-    std::fprintf(f, "  \"admission\": \"%s\",\n",
-                 qos::admissionPolicyName(spec.serve.admission.policy));
-    std::fprintf(f, "  \"horizon_hours\": %.2f,\n",
-                 spec.serve.horizon_hours);
-    std::fprintf(f, "  \"interval_hours\": %.2f,\n",
-                 spec.serve.interval_hours);
-    std::fprintf(f, "  \"time_compression\": %.0f,\n",
-                 spec.serve.trace.time_compression);
+    util::JsonWriter w(path);
+    w.beginObject();
+    w.key("git_sha").str(git_sha);
+    w.key("generated_at")
+        .str(generated_at.empty() ? isoUtcTimestamp() : generated_at);
+    w.key("scenario").str(spec.name);
+    w.key("provisioner").str(provisionerKindName(spec.provisioner));
+    w.key("router").str(sim::routerPolicyName(spec.serve.router));
+    w.key("admission")
+        .str(qos::admissionPolicyName(spec.serve.admission.policy));
+    w.key("horizon_hours").fixed(spec.serve.horizon_hours, 2);
+    w.key("interval_hours").fixed(spec.serve.interval_hours, 2);
+    w.key("time_compression")
+        .fixed(spec.serve.trace.time_compression, 0);
     if (std::isfinite(spec.serve.power_cap_w))
-        std::fprintf(f, "  \"power_cap_w\": %.2f,\n",
-                     spec.serve.power_cap_w);
+        w.key("power_cap_w").fixed(spec.serve.power_cap_w, 2);
     if (!spec.serve.power_cap_schedule.empty()) {
-        std::fprintf(f, "  \"power_cap_schedule\": [");
-        const auto& sched = spec.serve.power_cap_schedule;
-        for (size_t i = 0; i < sched.size(); ++i)
-            std::fprintf(f, "%s{\"from_hour\": %.2f, \"cap_w\": %.2f}",
-                         i ? ", " : "", sched[i].from_hour,
-                         sched[i].cap_w);
-        std::fprintf(f, "],\n");
+        w.key("power_cap_schedule").beginArray(util::JsonWriter::Inline);
+        for (const cluster::PowerCapPoint& p :
+             spec.serve.power_cap_schedule) {
+            w.beginObject();
+            w.key("from_hour").fixed(p.from_hour, 2);
+            w.key("cap_w").fixed(p.cap_w, 2);
+            w.endObject();
+        }
+        w.endArray();
     }
-    std::fprintf(f, "  \"estimated_r\": %.4f,\n", r.serve.estimated_r);
-    std::fprintf(f, "  \"trace_queries\": %zu,\n",
-                 r.serve.trace_queries);
-    std::fprintf(f, "  \"reprovisions\": %d,\n", r.serve.reprovisions);
-    std::fprintf(f, "  \"shard_slots\": %d,\n", r.serve.shard_slots);
-    std::fprintf(f, "  \"profile_wall_ms\": %.1f,\n",
-                 r.profile_wall_ms);
-    std::fprintf(f, "  \"serve_wall_ms\": %.1f,\n", r.serve_wall_ms);
-
-    std::fprintf(f, "  \"services\": [\n");
-    for (size_t s = 0; s < spec.services.size(); ++s) {
-        const ServiceScenario& svc = spec.services[s];
-        const sim::ServiceRunStats& st = sim.services[s];
-        std::fprintf(
-            f,
-            "    {\"name\": \"%s\", \"model\": \"%s\", "
-            "\"peak_qps\": %.1f, \"peak_hour\": %.2f, "
-            "\"priority\": %d, \"tier\": \"%s\", \"sla_ms\": %.2f, "
-            "\"capacity_qps\": %.1f, \"completed\": %zu, "
-            "\"rejected\": %zu, \"dropped\": %zu, \"p50_ms\": %.4f, "
-            "\"p99_ms\": %.4f, \"sla_violation_rate\": %.6f}%s\n",
-            svc.name.c_str(), model::modelName(svc.spec.model),
-            svc.spec.load.peak_qps, svc.spec.load.peak_hour,
-            svc.spec.qos.priority, qos::tierName(svc.spec.qos.tier),
-            r.serve.service_sla_ms[s],
-            r.serve.service_capacity_qps[s], st.completed,
-            st.rejected, st.dropped, st.p50_ms, st.p99_ms,
-            st.sla_violation_rate,
-            s + 1 < spec.services.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n");
-
-    std::fprintf(f, "  \"completed\": %zu,\n", sim.completed);
-    std::fprintf(f, "  \"rejected\": %zu,\n", sim.rejected);
-    std::fprintf(f, "  \"dropped\": %zu,\n", sim.dropped);
-    std::fprintf(f, "  \"admission_retries\": %zu,\n",
-                 sim.admission_retries);
-    std::fprintf(f, "  \"p50_ms\": %.4f,\n", sim.p50_ms);
-    std::fprintf(f, "  \"p99_ms\": %.4f,\n", sim.p99_ms);
-    std::fprintf(f, "  \"sla_violations\": %zu,\n",
-                 sim.sla_violations);
-    std::fprintf(f, "  \"sla_violation_rate\": %.6f,\n",
-                 sim.sla_violation_rate);
-    std::fprintf(f, "  \"avg_provisioned_power_w\": %.2f,\n",
-                 sim.avg_provisioned_power_w);
-    std::fprintf(f, "  \"avg_consumed_power_w\": %.2f,\n",
-                 sim.avg_consumed_power_w);
+    w.key("estimated_r").fixed(r.serve.estimated_r, 4);
+    w.key("trace_queries").integer(r.serve.trace_queries);
+    w.key("reprovisions").integer(r.serve.reprovisions);
+    w.key("shard_slots").integer(r.serve.shard_slots);
+    w.key("profile_wall_ms").fixed(r.profile_wall_ms, 1);
+    w.key("serve_wall_ms").fixed(r.serve_wall_ms, 1);
 
     // Fault timeline: every applied health transition. Always emitted
     // (empty array on fault-free runs) so consumers never key-check.
-    std::fprintf(f, "  \"health_transitions\": [");
-    for (size_t i = 0; i < sim.health_transitions.size(); ++i) {
-        const sim::HealthTransition& ht = sim.health_transitions[i];
-        std::fprintf(f,
-                     "%s\n    {\"t_s\": %.2f, \"shard\": %d, "
-                     "\"service\": %d, \"from\": \"%s\", \"to\": \"%s\", "
-                     "\"slowdown\": %.2f, \"killed_inflight\": %zu}",
-                     i ? "," : "", ht.t_s, ht.shard, ht.service,
-                     fault::healthStateName(ht.from),
-                     fault::healthStateName(ht.to), ht.slowdown,
-                     ht.killed_inflight);
+    w.key("health_transitions").beginArray();
+    for (const sim::HealthTransition& ht : sim.health_transitions) {
+        w.beginObject(util::JsonWriter::Inline);
+        w.key("t_s").fixed(ht.t_s, 2);
+        w.key("shard").integer(ht.shard);
+        w.key("service").integer(ht.service);
+        w.key("from").str(fault::healthStateName(ht.from));
+        w.key("to").str(fault::healthStateName(ht.to));
+        w.key("slowdown").fixed(ht.slowdown, 2);
+        w.key("killed_inflight").integer(ht.killed_inflight);
+        w.endObject();
     }
-    std::fprintf(f, "%s],\n",
-                 sim.health_transitions.empty() ? "" : "\n  ");
+    w.endArray();
 
-    // DES self-profile: event counts are deterministic, wall timings
-    // are provenance (vary run to run).
-    std::fprintf(f, "  \"des_events_executed\": %llu,\n",
-                 static_cast<unsigned long long>(sim.des.events_executed));
-    std::fprintf(f, "  \"des_peak_event_queue_depth\": %zu,\n",
-                 sim.des.peak_event_queue_depth);
-    std::fprintf(f, "  \"des_events_per_sec\": %.0f,\n",
-                 sim.des.events_per_sec);
-
-    hercules::sim::writeIntervalArraysJson(f, sim.intervals, "  ");
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    return true;
+    writeRunSummary(w, sim, "services", [&](size_t s) {
+        const ServiceScenario& svc = spec.services[s];
+        w.key("name").str(svc.name);
+        w.key("model").str(model::modelName(svc.spec.model));
+        w.key("peak_qps").fixed(svc.spec.load.peak_qps, 1);
+        w.key("peak_hour").fixed(svc.spec.load.peak_hour, 2);
+        w.key("priority").integer(svc.spec.qos.priority);
+        w.key("tier").str(qos::tierName(svc.spec.qos.tier));
+        w.key("sla_ms").fixed(r.serve.service_sla_ms[s], 2);
+        w.key("capacity_qps").fixed(r.serve.service_capacity_qps[s], 1);
+    });
+    w.endObject();
+    return w.close();
 }
 
 }  // namespace hercules::scenario

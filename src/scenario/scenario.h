@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -32,6 +33,7 @@
 #include "core/efficiency_table.h"
 #include "core/profiler.h"
 #include "obs/telemetry.h"
+#include "util/json.h"
 
 namespace hercules::scenario {
 
@@ -154,6 +156,8 @@ struct ScenarioResult
     cluster::MultiServeResult serve;
     double profile_wall_ms = 0.0;  ///< table profile/load wall time
     double serve_wall_ms = 0.0;    ///< serveTraces wall time
+    /** Telemetry files that could not be opened, written or closed. */
+    std::vector<std::string> failed_writes;
 };
 
 /**
@@ -198,11 +202,23 @@ ScenarioResult run(const ScenarioSpec& spec,
                    const core::EfficiencyTable* table = nullptr);
 
 /**
+ * Write one serving run's summary as members of the object open in
+ * `w`: the per-service stats (array `services_key`, each entry led by
+ * the members `service_head(s)` writes), run totals, percentiles,
+ * power, DES counts and the per-interval trajectory arrays — the keys
+ * BENCH_scenario.json and the serving benches' arms share (listed in
+ * src/scenario/README.md).
+ */
+void writeRunSummary(util::JsonWriter& w, const sim::ClusterSimResult& r,
+                     const char* services_key,
+                     const std::function<void(size_t)>& service_head);
+
+/**
  * Write a BENCH_scenario.json-style result file: provenance header
  * (caller-supplied git SHA + ISO timestamp), the resolved spec's
- * headline knobs, run aggregates, per-service stats and the
- * per-interval trajectory arrays.
- * @return true when the file was written.
+ * headline knobs, the fault timeline, and the run summary with each
+ * "services" entry led by the service's spec.
+ * @return true when the file was opened, written and closed.
  */
 bool writeResultJson(const std::string& path, const ScenarioResult& r,
                      const char* git_sha = "unknown",

@@ -5,7 +5,6 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -14,6 +13,7 @@
 
 #include "fault/fault.h"
 #include "model/model_zoo.h"
+#include "util/json.h"
 
 namespace hercules::scenario {
 
@@ -742,43 +742,6 @@ class Binder
 
 // ---- emitter -------------------------------------------------------------
 
-/** Shortest decimal that round-trips through strtod. */
-std::string
-fmtNumber(double v)
-{
-    if (v == std::floor(v) && std::fabs(v) < 1e15) {
-        char buf[32];
-        std::snprintf(buf, sizeof buf, "%lld",
-                      static_cast<long long>(v));
-        return buf;
-    }
-    for (int prec = 1; prec <= 17; ++prec) {
-        char buf[40];
-        std::snprintf(buf, sizeof buf, "%.*g", prec, v);
-        if (std::strtod(buf, nullptr) == v)
-            return buf;
-    }
-    return "0";
-}
-
-std::string
-quote(const std::string& s)
-{
-    std::string out = "\"";
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default: out.push_back(c);
-        }
-    }
-    out.push_back('"');
-    return out;
-}
-
 /**
  * `open`, then one part per line, two spaces in, then `close`. Lines
  * inside a part (a nested array) move two spaces further in.
@@ -820,13 +783,13 @@ class Emitter
         // is omitted: that is how an uncapped power_cap_w serializes.
         double x = static_cast<double>(v);
         put(k, x != static_cast<double>(def) && std::isfinite(x),
-            fmtNumber(x));
+            util::shortestDecimal(x));
     }
 
     void
     str(const Key& k, const std::string& v, const std::string& def)
     {
-        put(k, v != def, quote(v));
+        put(k, v != def, util::jsonQuote(v));
     }
 
     void
@@ -839,7 +802,7 @@ class Emitter
     void
     choice(const Key& k, const Names<E>& names, E v, E def)
     {
-        put(k, v != def, quote(names.name(v)));
+        put(k, v != def, util::jsonQuote(names.name(v)));
     }
 
     template <typename T>
@@ -887,7 +850,7 @@ class Emitter
     put(const Key& k, bool differs, const std::string& value)
     {
         if (differs || (k.flags & kAlways) != 0)
-            parts_.push_back("\"" + std::string(k.name) + "\": " + value);
+            parts_.push_back(util::jsonQuote(k.name) + ": " + value);
     }
 
     bool lines_;

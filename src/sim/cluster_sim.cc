@@ -138,38 +138,6 @@ Router::pick(const ClusterSim& cluster, const std::vector<int>& active)
     panic("Router::pick: bad policy %d", static_cast<int>(policy_));
 }
 
-// ---- JSON reporting ------------------------------------------------------
-
-void
-writeIntervalArraysJson(std::FILE* f,
-                        const std::vector<IntervalStats>& ivs,
-                        const char* indent)
-{
-    auto arr = [&](const char* key, auto get, int prec, bool last) {
-        std::fprintf(f, "%s\"%s\": [", indent, key);
-        for (size_t k = 0; k < ivs.size(); ++k)
-            std::fprintf(f, "%s%.*f", k ? ", " : "", prec,
-                         get(ivs[k]));
-        std::fprintf(f, "]%s\n", last ? "" : ",");
-    };
-    arr("interval_p99_ms",
-        [](const IntervalStats& iv) { return iv.p99_ms; }, 3, false);
-    arr("interval_sla_violation_rate",
-        [](const IntervalStats& iv) { return iv.sla_violation_rate; },
-        5, false);
-    arr("interval_dropped",
-        [](const IntervalStats& iv) {
-            return static_cast<double>(iv.dropped);
-        },
-        0, false);
-    arr("interval_provisioned_power_w",
-        [](const IntervalStats& iv) { return iv.provisioned_power_w; },
-        1, false);
-    arr("interval_consumed_power_w",
-        [](const IntervalStats& iv) { return iv.consumed_power_w; },
-        1, true);
-}
-
 // ---- cluster -------------------------------------------------------------
 
 ClusterSim::ClusterSim(Options opt)

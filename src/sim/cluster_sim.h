@@ -47,7 +47,6 @@
  */
 #pragma once
 
-#include <cstdio>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -264,17 +263,6 @@ struct ClusterSimResult
     /** DES self-profile of the run (events + wall-time provenance). */
     obs::DesProfile des;
 };
-
-/**
- * Emit the per-interval trajectory arrays every serving report's JSON
- * carries (p99, SLA-violation rate, dropped arrivals, provisioned and
- * consumed power), each line prefixed with `indent`, comma-terminated
- * except the last. One emitter keeps the BENCH_*.json schemas (bench
- * harnesses, scenario::writeResultJson) in lockstep.
- */
-void writeIntervalArraysJson(std::FILE* f,
-                             const std::vector<IntervalStats>& ivs,
-                             const char* indent);
 
 /** What one provisioning interval activates. */
 struct IntervalPlan

@@ -3,12 +3,13 @@
  * Telemetry layer tests: metrics-registry determinism and exports,
  * trace sampling + JSONL schema, leveled logging, the pinned
  * off-vs-on bit-identity of a telemetry-attached ClusterSim run, the
- * observability spec round-trip, and the writeIntervalArraysJson
- * schema pin.
+ * observability spec round-trip, and the schema pin of the run
+ * summary's per-interval arrays.
  */
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "scenario/scenario.h"
 #include "scenario/spec_io.h"
 #include "sim/cluster_sim.h"
+#include "util/json.h"
 #include "util/logging.h"
 #include "workload/trace_gen.h"
 
@@ -150,6 +152,53 @@ TEST(MetricsRegistry, CsvExportIsLongForm)
     std::remove(path.c_str());
 }
 
+// ---- write failures are reported ---------------------------------------
+
+/**
+ * Paths no export can be written to, each ending in `ext`: one in a
+ * missing directory, and (when the system has /dev/full) a symlink to
+ * it, where every write fails once the stream is flushed.
+ */
+std::vector<std::string>
+unwritablePaths(const std::string& ext)
+{
+    std::vector<std::string> paths = {"/nonexistent-dir/out" + ext};
+    if (std::filesystem::exists("/dev/full")) {
+        std::string link = "obs_test_full" + ext;
+        std::filesystem::remove(link);
+        std::filesystem::create_symlink("/dev/full", link);
+        paths.push_back(link);
+    }
+    return paths;
+}
+
+TEST(MetricsRegistry, WriteFileReportsEveryFailure)
+{
+    obs::MetricsRegistry reg;
+    reg.add(reg.counter("c"), 1.0);
+    reg.sample(1.0);
+    for (const char* ext : {".json", ".csv", ".txt"}) {
+        for (const std::string& path : unwritablePaths(ext)) {
+            EXPECT_FALSE(reg.writeFile(path)) << path;
+            std::filesystem::remove(path);  // the symlink, not /dev/full
+        }
+    }
+}
+
+TEST(Telemetry, WriteTraceFileReportsEveryFailure)
+{
+    for (const std::string& path : unwritablePaths(".jsonl")) {
+        obs::ObsSpec spec;
+        spec.trace_file = path;
+        obs::Telemetry telemetry(spec);
+        telemetry.declareService(0);
+        telemetry.onDropped(0, 1.0);
+        ASSERT_EQ(telemetry.traceRecords().size(), 1u);
+        EXPECT_FALSE(telemetry.writeTraceFile()) << path;
+        std::filesystem::remove(path);
+    }
+}
+
 // ---- trace sampling + JSONL ----------------------------------------------
 
 TEST(Trace, SamplingIsDeterministicWithExactEdges)
@@ -189,10 +238,9 @@ TEST(Trace, JsonlSchemaPinsKeyOrderAndNulls)
     rejected.outcome = obs::TraceOutcome::Rejected;
 
     std::string path = "obs_test_trace.jsonl";
-    FILE* f = std::fopen(path.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    obs::writeTraceJsonl(f, {done, rejected});
-    std::fclose(f);
+    util::JsonWriter w(path);
+    obs::writeTraceJsonl(w, {done, rejected});
+    ASSERT_TRUE(w.close());
     std::string text = readFile(path);
     EXPECT_EQ(text,
               "{\"id\": 17, \"service\": 0, \"outcome\": \"completed\", "
@@ -374,7 +422,7 @@ TEST(SpecIo, ObservabilitySampleRateValidated)
     EXPECT_NE(err.find("sample_rate"), std::string::npos);
 }
 
-// ---- writeIntervalArraysJson schema pin ----------------------------------
+// ---- run-summary trajectory arrays schema pin -----------------------------
 
 TEST(IntervalArrays, JsonSchemaIsPinned)
 {
@@ -390,15 +438,24 @@ TEST(IntervalArrays, JsonSchemaIsPinned)
     ivs[1].provisioned_power_w = 50.5;
     ivs[1].consumed_power_w = 40.0;
 
+    // The arrays close every run summary: write one for a result
+    // holding only these intervals and cut them out of the file.
+    sim::ClusterSimResult r;
+    r.intervals = ivs;
     std::string path = "obs_test_intervals.json";
-    FILE* f = std::fopen(path.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    sim::writeIntervalArraysJson(f, ivs, "  ");
-    std::fclose(f);
+    util::JsonWriter w(path);
+    w.beginObject();
+    scenario::writeRunSummary(w, r, "services", [](size_t) {});
+    w.endObject();
+    ASSERT_TRUE(w.close());
+    const std::string text = readFile(path);
+    const size_t at = text.find("  \"interval_p99_ms\"");
+    ASSERT_NE(at, std::string::npos);
+    ASSERT_EQ(text.substr(text.size() - 2), "}\n");
 
     // The exact bytes: key set, array lengths, precision, and comma
     // placement (last array unterminated) are all schema.
-    EXPECT_EQ(readFile(path),
+    EXPECT_EQ(text.substr(at, text.size() - 2 - at),
               "  \"interval_p99_ms\": [1.500, 2.000],\n"
               "  \"interval_sla_violation_rate\": [0.12500, 0.00000],\n"
               "  \"interval_dropped\": [3, 0],\n"

@@ -927,6 +927,47 @@ TEST(ScenarioRun, SelfProfiledRunMatchesProfileThenRun)
     EXPECT_GT(self.profile_wall_ms, 0.0);
 }
 
+// ---- result JSON --------------------------------------------------------
+
+TEST(ResultJson, NamesAreEscaped)
+{
+    core::EfficiencyTable table = goldenTable();
+    ScenarioSpec spec = goldenSpec();
+    spec.name = "a \"b\" \\ c";
+    spec.services[0].name = spec.name;
+    ScenarioResult r = run(spec, &table);
+    EXPECT_TRUE(r.failed_writes.empty());
+
+    const std::string path = "scenario_test_escaped.json";
+    ASSERT_TRUE(writeResultJson(path, r));
+    const std::string text = readFile(path);
+    EXPECT_NE(text.find("\"scenario\": \"a \\\"b\\\" \\\\ c\","),
+              std::string::npos)
+        << text;
+    EXPECT_NE(text.find("{\"name\": \"a \\\"b\\\" \\\\ c\", "),
+              std::string::npos)
+        << text;
+    std::filesystem::remove(path);
+}
+
+TEST(ResultJson, WriteFailuresAreReported)
+{
+    core::EfficiencyTable table = goldenTable();
+    ScenarioSpec spec = goldenSpec();
+    spec.serve.horizon_hours = 1.0;
+    spec.observability.trace_file = "/nonexistent-dir/t.jsonl";
+    spec.observability.metrics_file = "/nonexistent-dir/m.json";
+    ScenarioResult r = run(spec, &table);
+    EXPECT_EQ(r.failed_writes,
+              (std::vector<std::string>{"/nonexistent-dir/t.jsonl",
+                                        "/nonexistent-dir/m.json"}));
+
+    EXPECT_FALSE(writeResultJson("/nonexistent-dir/r.json", r));
+    if (std::filesystem::exists("/dev/full")) {
+        EXPECT_FALSE(writeResultJson("/dev/full", r));
+    }
+}
+
 TEST(ScenarioRun, ProvisionerNamesRoundTrip)
 {
     for (ProvisionerKind k :
