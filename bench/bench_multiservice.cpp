@@ -12,7 +12,8 @@
  *  - PARTITION: per-service static partitions — each service gets a
  *               dedicated slice of the fleet sized for its own peak
  *               (greedy best-QPS/W types first), always on, no
- *               cross-service sharing.
+ *               cross-service sharing. The silos replay together in
+ *               one ClusterSim, each service routing only to its own.
  *
  * The gate: joint provisioning must use no more average provisioned
  * power than the static partitions at an equal-or-lower SLA-violation
@@ -170,9 +171,10 @@ main()
 
     // ---- scenario 2: static per-service partitions --------------------
     // Each service gets a dedicated, always-on slice sized for its own
-    // peak * (1 + R): greedily the best remaining QPS/W types. The
-    // merged trace is replayed per partition (each service sees exactly
-    // the arrivals it saw in the joint run).
+    // peak * (1 + R): greedily the best remaining QPS/W types. All the
+    // silos replay the merged trace in one ClusterSim where each service
+    // routes only to its own shards (each service sees exactly the
+    // arrivals it saw in the joint run).
     std::vector<hw::ServerType> fleet;
     std::vector<int> slots;
     for (const scenario::FleetEntry& e : spec.fleet) {
@@ -199,14 +201,19 @@ main()
     std::vector<int> remaining = slots;
     std::vector<model::Model> models;
     models.reserve(S);
-    for (size_t s = 0; s < S; ++s)
+    sim::ClusterSim::Options copt;
+    copt.router = opt.router;
+    copt.router_seed = opt.router_seed;
+    copt.sla_ms = opt.sla_ms;
+    for (size_t s = 0; s < S; ++s) {
         models.push_back(model::buildModel(model_ids[s]));
-
-    // The silos summed into one result. Percentiles are the worst
-    // silo's: the partitions keep no shared latency distribution.
-    sim::ClusterSimResult pr;
-    pr.services.resize(S);
-    size_t static_denom = 0;
+        copt.service_sla_ms.push_back(models[s].sla_ms);
+    }
+    sim::ClusterSim part(copt);
+    part.declareServices(static_cast<int>(S));
+    std::vector<sim::PreparedWorkload> prepared;
+    prepared.reserve(S * fleet.size());  // shards point into it
+    double static_power = 0.0;
     // Partition sizing, two passes so a scarce fleet still gives every
     // silo at least one server: (1) each service claims one server of
     // its best QPS/W type; (2) greedy top-up, best types first, until
@@ -263,16 +270,6 @@ main()
             }
         }
 
-        sim::ClusterSim::Options copt;
-        copt.router = opt.router;
-        copt.router_seed = opt.router_seed;
-        copt.sla_ms = opt.sla_ms;
-        copt.service_sla_ms.assign(s + 1, 0.0);
-        copt.service_sla_ms[s] = models[s].sla_ms;
-        sim::ClusterSim part(copt);
-        part.declareServices(static_cast<int>(s) + 1);
-        std::vector<sim::PreparedWorkload> prepared;
-        prepared.reserve(fleet.size());
         for (size_t h = 0; h < fleet.size(); ++h) {
             if (take[h] <= 0)
                 continue;
@@ -283,60 +280,7 @@ main()
                 part.addShard(prepared.back(), e->qps,
                               static_cast<int>(s));
         }
-
-        std::vector<workload::Query> sub;
-        for (const workload::Query& q : merged)
-            if (q.service_id == static_cast<int>(s))
-                sub.push_back(q);
-
-        // Static partition: every shard always on, constant power.
-        std::vector<int> all_ids(part.numShards());
-        for (size_t i = 0; i < all_ids.size(); ++i)
-            all_ids[i] = static_cast<int>(i);
-        auto static_plan = [&](int, double) {
-            sim::IntervalPlan pl;
-            pl.active = all_ids;
-            pl.provisioned_power_w = part_power;
-            return pl;
-        };
-        sim::ClusterSimResult rr =
-            part.run(sub, interval_s, static_plan, horizon_s);
-
-        // Fold this partition's trajectory into the combined one (the
-        // partitions share the interval grid; drain tails may differ).
-        if (pr.intervals.size() < rr.intervals.size())
-            pr.intervals.resize(rr.intervals.size());
-        for (size_t k = 0; k < rr.intervals.size(); ++k) {
-            sim::IntervalStats& acc = pr.intervals[k];
-            const sim::IntervalStats& iv = rr.intervals[k];
-            acc.t0_s = iv.t0_s;
-            acc.t1_s = std::max(acc.t1_s, iv.t1_s);
-            acc.arrivals += iv.arrivals;
-            acc.completions += iv.completions;
-            acc.dropped += iv.dropped;
-            acc.sla_violations += iv.sla_violations;
-            acc.p99_ms = std::max(acc.p99_ms, iv.p99_ms);
-            acc.provisioned_power_w += iv.provisioned_power_w;
-            acc.consumed_power_w += iv.consumed_power_w;
-            size_t d = acc.completions + acc.dropped;
-            acc.sla_violation_rate =
-                d > 0 ? static_cast<double>(acc.sla_violations) /
-                            static_cast<double>(d)
-                      : 0.0;
-        }
-
-        pr.services[s] = rr.services[static_cast<size_t>(s)];
-        pr.completed += rr.completed;
-        pr.dropped += rr.dropped;
-        pr.sla_violations += rr.sla_violations;
-        static_denom += rr.completed + rr.dropped;
-        pr.avg_provisioned_power_w += rr.avg_provisioned_power_w;
-        pr.avg_consumed_power_w += rr.avg_consumed_power_w;
-        pr.p50_ms = std::max(pr.p50_ms, rr.p50_ms);
-        pr.p99_ms = std::max(pr.p99_ms, rr.p99_ms);
-        pr.des.events_executed += rr.des.events_executed;
-        pr.des.peak_event_queue_depth = std::max(
-            pr.des.peak_event_queue_depth, rr.des.peak_event_queue_depth);
+        static_power += part_power;
         std::printf("  partition %s:", model::modelName(model_ids[s]));
         for (size_t h = 0; h < fleet.size(); ++h)
             if (take[h] > 0)
@@ -346,18 +290,21 @@ main()
                     target, part_power);
     }
     std::printf("\n");
+    // Static partitions: every shard always on, constant power.
+    std::vector<int> all_ids(part.numShards());
+    for (size_t i = 0; i < all_ids.size(); ++i)
+        all_ids[i] = static_cast<int>(i);
+    auto static_plan = [&](int, double) {
+        sim::IntervalPlan pl;
+        pl.active = all_ids;
+        pl.provisioned_power_w = static_power;
+        return pl;
+    };
+    const sim::ClusterSimResult pr =
+        part.run(merged, interval_s, static_plan, horizon_s);
     const double pr_wall_ms =
         std::chrono::duration<double, std::milli>(Clock::now() - t0)
             .count();
-    pr.sla_violation_rate =
-        static_denom > 0
-            ? static_cast<double>(pr.sla_violations) /
-                  static_cast<double>(static_denom)
-            : 0.0;
-    pr.des.events_per_sec =
-        pr_wall_ms > 0.0 ? static_cast<double>(pr.des.events_executed) /
-                               (pr_wall_ms * 1e-3)
-                         : 0.0;
     printScenario("PARTITION (static per-service silos)", pr, pr_wall_ms,
                   model_ids);
 

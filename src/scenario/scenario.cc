@@ -39,6 +39,20 @@ makeProvisioner(const ScenarioSpec& spec)
           static_cast<int>(spec.provisioner));
 }
 
+/** The outcome counts and latency of one service, or of the run. */
+void
+writeRunStats(util::JsonWriter& w, const sim::RunStats& st)
+{
+    w.key("completed").integer(st.completed);
+    w.key("rejected").integer(st.rejected);
+    w.key("dropped").integer(st.dropped);
+    w.key("failed_inflight").integer(st.failed_inflight);
+    w.key("p50_ms").fixed(st.p50_ms, 4);
+    w.key("p99_ms").fixed(st.p99_ms, 4);
+    w.key("sla_violations").integer(st.sla_violations);
+    w.key("sla_violation_rate").fixed(st.sla_violation_rate, 6);
+}
+
 }  // namespace
 
 const char*
@@ -272,26 +286,15 @@ writeRunSummary(util::JsonWriter& w, const sim::ClusterSimResult& r,
                 const char* services_key,
                 const std::function<void(size_t)>& service_head)
 {
-    // The outcome counts and latency of one service, or of the run.
-    auto stats = [&](const auto& st) {
-        w.key("completed").integer(st.completed);
-        w.key("rejected").integer(st.rejected);
-        w.key("dropped").integer(st.dropped);
-        w.key("failed_inflight").integer(st.failed_inflight);
-        w.key("p50_ms").fixed(st.p50_ms, 4);
-        w.key("p99_ms").fixed(st.p99_ms, 4);
-        w.key("sla_violations").integer(st.sla_violations);
-        w.key("sla_violation_rate").fixed(st.sla_violation_rate, 6);
-    };
     w.key(services_key).beginArray();
     for (size_t s = 0; s < r.services.size(); ++s) {
         w.beginObject(util::JsonWriter::Inline);
         service_head(s);
-        stats(r.services[s]);
+        writeRunStats(w, r.services[s]);
         w.endObject();
     }
     w.endArray();
-    stats(r);
+    writeRunStats(w, r);
     w.key("admission_retries").integer(r.admission_retries);
     w.key("avg_provisioned_power_w").fixed(r.avg_provisioned_power_w, 2);
     w.key("avg_consumed_power_w").fixed(r.avg_consumed_power_w, 2);

@@ -10,6 +10,63 @@
 
 namespace hercules::sim {
 
+// ---- outcome accounting ----------------------------------------------------
+
+Tally&
+Tally::operator+=(const Tally& o)
+{
+    return *this = {injected + o.injected, completed + o.completed,
+                    dropped + o.dropped, rejected + o.rejected,
+                    failed_inflight + o.failed_inflight, late + o.late};
+}
+
+Tally
+Tally::operator-(const Tally& o) const
+{
+    return {injected - o.injected, completed - o.completed,
+            dropped - o.dropped, rejected - o.rejected,
+            failed_inflight - o.failed_inflight, late - o.late};
+}
+
+double
+Tally::violationRate() const
+{
+    const size_t outcomes = completed + dropped + rejected + failed_inflight;
+    return outcomes > 0 ? static_cast<double>(slaViolations()) /
+                              static_cast<double>(outcomes)
+                        : 0.0;
+}
+
+namespace {
+
+/** Fill a window's counts and violation rate from its tally. */
+void
+report(const Tally& t, ServiceIntervalStats& out)
+{
+    out.arrivals = t.injected;
+    out.completions = t.completed;
+    out.dropped = t.dropped;
+    out.rejected = t.rejected;
+    out.failed_inflight = t.failed_inflight;
+    out.sla_violations = t.slaViolations();
+    out.sla_violation_rate = t.violationRate();
+}
+
+/** Fill a run's counts and violation rate from its tally. */
+void
+report(const Tally& t, RunStats& out)
+{
+    out.injected = t.injected;
+    out.completed = t.completed;
+    out.dropped = t.dropped;
+    out.rejected = t.rejected;
+    out.failed_inflight = t.failed_inflight;
+    out.sla_violations = t.slaViolations();
+    out.sla_violation_rate = t.violationRate();
+}
+
+}  // namespace
+
 // ---- router policies -----------------------------------------------------
 
 const char*
@@ -289,9 +346,8 @@ ClusterSim::applyHealthEventsUpTo(double t_s)
         if (ev.state == fault::HealthState::Failed &&
             from != fault::HealthState::Failed) {
             killed = s.inst->killInFlight();
-            failed_inflight_ += killed;
             service_state_[static_cast<size_t>(s.service)]
-                .failed_inflight += killed;
+                .total.failed_inflight += killed;
             s.failed_at = ev.t_s;
             if (opt_.telemetry)
                 opt_.telemetry->onCrash(ev.shard, s.inst->completions(),
@@ -401,8 +457,7 @@ ClusterSim::route(const workload::Query& q)
             shards_[static_cast<size_t>(id)].inst->advanceTo(q.arrival_s);
     int s = routers_[static_cast<size_t>(svc)].pick(*this, candidates);
     if (s < 0) {
-        ++dropped_;
-        ++service_state_[static_cast<size_t>(svc)].dropped;
+        ++service_state_[static_cast<size_t>(svc)].total.dropped;
         if (opt_.telemetry)
             opt_.telemetry->onDropped(svc, q.arrival_s);
         return -1;
@@ -438,8 +493,7 @@ ClusterSim::route(const workload::Query& q)
             }
         }
         if (retry < 0) {
-            ++rejected_;
-            ++service_state_[static_cast<size_t>(svc)].rejected;
+            ++service_state_[static_cast<size_t>(svc)].total.rejected;
             if (opt_.telemetry)
                 opt_.telemetry->onRejected(svc, q.arrival_s);
             return -2;
@@ -451,8 +505,7 @@ ClusterSim::route(const workload::Query& q)
     Shard& sh = shards_[static_cast<size_t>(s)];
     sh.inst->advanceTo(q.arrival_s);
     int inject_idx = sh.inst->inject(q);
-    ++injected_;
-    ++service_state_[static_cast<size_t>(svc)].injected;
+    ++service_state_[static_cast<size_t>(svc)].total.injected;
     ++injected_per_shard_[static_cast<size_t>(s)];
     if (opt_.telemetry)
         opt_.telemetry->onAdmitted(svc, s, retry_hops, inject_idx,
@@ -473,48 +526,23 @@ ClusterSim::harvest(double t0_s, double t1_s)
     IntervalStats st;
     st.t0_s = t0_s;
     st.t1_s = t1_s;
-    const size_t num_services = active_by_service_.size();
-    st.services.resize(num_services);
-    for (size_t v = 0; v < num_services; ++v) {
-        ServiceState& ss = service_state_[v];
-        ServiceIntervalStats& svc = st.services[v];
-        svc.arrivals = ss.injected - ss.injected_harvested;
-        ss.injected_harvested = ss.injected;
-        svc.dropped = ss.dropped - ss.dropped_harvested;
-        ss.dropped_harvested = ss.dropped;
-        svc.rejected = ss.rejected - ss.rejected_harvested;
-        ss.rejected_harvested = ss.rejected;
-        svc.failed_inflight =
-            ss.failed_inflight - ss.failed_inflight_harvested;
-        ss.failed_inflight_harvested = ss.failed_inflight;
-        svc.active_shards = static_cast<int>(active_by_service_[v].size());
-        st.arrivals += svc.arrivals;
-        st.dropped += svc.dropped;
-        st.rejected += svc.rejected;
-        st.failed_inflight += svc.failed_inflight;
-    }
-    // Offered load includes dropped and rejected arrivals: an outage
-    // (or admission-throttled) interval must still show the traffic it
-    // shed.
-    st.offered_qps =
-        t1_s > t0_s
-            ? static_cast<double>(st.arrivals + st.dropped +
-                                  st.rejected) /
-                  (t1_s - t0_s)
-            : 0.0;
     st.active_shards = static_cast<int>(active_.size());
+    const size_t num_services = service_state_.size();
 
     // Each window latency is stored once, in its service's window
     // buffer; the cluster window tails select over their union.
     for (ServiceState& ss : service_state_)
         ss.window_ms.reset();
+    // Queries each service's shards still hold: in flight, or retired
+    // after t1_s and not yet harvested.
+    std::vector<size_t> held(num_services, 0);
     // This shard's window latencies; only the feedback router reads them.
     const bool feedback = opt_.router == RouterPolicy::LatencyFeedback;
     PercentileTracker shard_lat;
     double consumed = 0.0;
     for (Shard& s : shards_) {
         const int sid = static_cast<int>(&s - shards_.data());
-        const size_t v = static_cast<size_t>(s.service);
+        ServiceState& ss = service_state_[static_cast<size_t>(s.service)];
         const double sla = slaMs(s.service);
         const auto& done = s.inst->completions();
         double last_finish_in_window = t0_s;
@@ -523,16 +551,14 @@ ClusterSim::harvest(double t0_s, double t1_s)
                done[s.harvest_cursor].finish_s <= t1_s) {
             const auto& c = done[s.harvest_cursor++];
             double ms = c.latencyMs();
-            service_state_[v].window_ms.add(ms);
+            ss.window_ms.add(ms);
             if (feedback)
                 shard_lat.add(ms);
             all_latency_sum_ += ms;
-            service_state_[v].latency_ms.add(ms);
-            if (ms > sla) {
-                ++st.services[v].sla_violations;
-                ++service_state_[v].violations;
-                ++all_violations_;
-            }
+            ss.latency_ms.add(ms);
+            ++ss.total.completed;
+            if (ms > sla)
+                ++ss.total.late;
             last_finish_in_window = std::max(last_finish_in_window,
                                              c.finish_s);
             if (opt_.telemetry) {
@@ -549,6 +575,8 @@ ClusterSim::harvest(double t0_s, double t1_s)
         s.harvest_cursor -= dropped;
         if (opt_.telemetry && dropped > 0)
             opt_.telemetry->rebaseShardCompletions(sid, dropped);
+        held[static_cast<size_t>(s.service)] +=
+            s.inst->outstanding() + done.size() - s.harvest_cursor;
         // Latency feedback: fold this window's observed p99 into the
         // shard's routing weight (multiplicative, bounded by the tuple
         // weight above and the configured floor below). A window with
@@ -596,34 +624,38 @@ ClusterSim::harvest(double t0_s, double t1_s)
         s.inst->releaseBinsBefore(t0_s);
     }
     const Tails window = unionTails(&ServiceState::window_ms);
-    st.completions = window.count;
     st.p50_ms = window.p50;
     st.p99_ms = window.p99;
     st.max_ms = window.max;
+    st.services.resize(num_services);
+    Tally cluster;
     for (size_t v = 0; v < num_services; ++v) {
+        ServiceState& ss = service_state_[v];
+        const Tally& t = ss.total;
+        if (t.injected != t.completed + t.failed_inflight + held[v])
+            panic("ClusterSim::harvest: window [%f, %f) service %zu "
+                  "injected %zu != completed %zu + killed %zu + held %zu",
+                  t0_s, t1_s, v, t.injected, t.completed,
+                  t.failed_inflight, held[v]);
+        const Tally w = t - ss.harvested;
+        ss.harvested = t;
+        cluster += w;
         ServiceIntervalStats& svc = st.services[v];
-        const PercentileTracker& lat = service_state_[v].window_ms;
-        svc.completions = lat.count();
-        svc.p50_ms = lat.p50();
-        svc.p99_ms = lat.p99();
-        // A dropped or rejected arrival — or an in-flight query killed
-        // by a crash — missed its SLA by definition.
-        svc.sla_violations +=
-            svc.dropped + svc.rejected + svc.failed_inflight;
-        size_t denom = svc.completions + svc.dropped + svc.rejected +
-                       svc.failed_inflight;
-        svc.sla_violation_rate =
-            denom > 0 ? static_cast<double>(svc.sla_violations) /
-                            static_cast<double>(denom)
-                      : 0.0;
-        st.sla_violations += svc.sla_violations;
+        report(w, svc);
+        svc.p50_ms = ss.window_ms.p50();
+        svc.p99_ms = ss.window_ms.p99();
+        svc.active_shards = static_cast<int>(active_by_service_[v].size());
     }
-    size_t denom =
-        st.completions + st.dropped + st.rejected + st.failed_inflight;
-    st.sla_violation_rate =
-        denom > 0 ? static_cast<double>(st.sla_violations) /
-                        static_cast<double>(denom)
-                  : 0.0;
+    report(cluster, st);
+    // Offered load includes dropped and rejected arrivals: an outage
+    // (or admission-throttled) interval must still show the traffic it
+    // shed.
+    st.offered_qps =
+        t1_s > t0_s
+            ? static_cast<double>(st.arrivals + st.dropped +
+                                  st.rejected) /
+                  (t1_s - t0_s)
+            : 0.0;
     st.consumed_power_w = consumed;
     return st;
 }
@@ -637,7 +669,6 @@ ClusterSim::unionTails(PercentileTracker ServiceState::*buf)
         union_buf_.insert(union_buf_.end(), xs.begin(), xs.end());
     }
     Tails t;
-    t.count = union_buf_.size();
     t.p50 = nearestRankPercentile(union_buf_, 50.0);
     t.p95 = nearestRankPercentile(union_buf_, 95.0);
     t.p99 = nearestRankPercentile(union_buf_, 99.0);
@@ -782,54 +813,29 @@ ClusterSim::run(workload::ArrivalStream& arrivals, double interval_s,
         }
     }
 
-    r.injected = injected_;
-    r.dropped = dropped_;
-    r.rejected = rejected_;
-    r.failed_inflight = failed_inflight_;
+    // Every cluster count is the sum of the service tallies.
+    Tally total;
+    r.services.resize(service_state_.size());
+    for (size_t v = 0; v < service_state_.size(); ++v) {
+        const ServiceState& ss = service_state_[v];
+        ServiceRunStats& out = r.services[v];
+        report(ss.total, out);
+        out.p50_ms = ss.latency_ms.p50();
+        out.p99_ms = ss.latency_ms.p99();
+        out.max_ms = ss.latency_ms.max();
+        out.sla_ms = slaMs(static_cast<int>(v));
+        total += ss.total;
+    }
+    report(total, r);
     r.admission_retries = admission_retries_;
     const Tails all = unionTails(&ServiceState::latency_ms);
-    r.completed = all.count;
-    r.mean_ms = all.count > 0
-                    ? all_latency_sum_ / static_cast<double>(all.count)
+    r.mean_ms = r.completed > 0
+                    ? all_latency_sum_ / static_cast<double>(r.completed)
                     : 0.0;
     r.p50_ms = all.p50;
     r.p95_ms = all.p95;
     r.p99_ms = all.p99;
     r.max_ms = all.max;
-    // Dropped and rejected arrivals — and in-flight queries killed by
-    // crashes — are SLA violations: an outage (or admission throttling,
-    // or a crash) shows up in the run-level rate instead of silently
-    // vanishing from the denominator.
-    r.sla_violations =
-        all_violations_ + dropped_ + rejected_ + failed_inflight_;
-    size_t denom =
-        r.completed + r.dropped + r.rejected + r.failed_inflight;
-    r.sla_violation_rate =
-        denom > 0 ? static_cast<double>(r.sla_violations) /
-                        static_cast<double>(denom)
-                  : 0.0;
-    r.services.resize(service_state_.size());
-    for (size_t v = 0; v < service_state_.size(); ++v) {
-        ServiceState& ss = service_state_[v];
-        ServiceRunStats& out = r.services[v];
-        out.injected = ss.injected;
-        out.completed = ss.latency_ms.count();
-        out.dropped = ss.dropped;
-        out.rejected = ss.rejected;
-        out.failed_inflight = ss.failed_inflight;
-        out.p50_ms = ss.latency_ms.p50();
-        out.p99_ms = ss.latency_ms.p99();
-        out.max_ms = ss.latency_ms.max();
-        out.sla_ms = slaMs(static_cast<int>(v));
-        out.sla_violations = ss.violations + ss.dropped + ss.rejected +
-                             ss.failed_inflight;
-        size_t sdenom = out.completed + out.dropped + out.rejected +
-                        out.failed_inflight;
-        out.sla_violation_rate =
-            sdenom > 0 ? static_cast<double>(out.sla_violations) /
-                             static_cast<double>(sdenom)
-                       : 0.0;
-    }
     // Power aggregates skip the drain-tail pseudo-interval: it never
     // went through the plan (provisioned power 0) and its span differs
     // from interval_s, so averaging it in would bias the trajectory.

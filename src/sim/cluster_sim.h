@@ -127,59 +127,69 @@ class Router
     std::vector<double> credit_;  ///< smooth-WRR credit, by shard id
 };
 
-/** Per-interval serving statistics of one service. */
+/**
+ * Outcome counts of one population of queries (a service or the
+ * cluster, over a window or a whole run), and the one SLA-violation
+ * rule. An arrival is injected, dropped (no active shard) or rejected
+ * (admission control); an injected query completes or is killed by a
+ * shard crash; a completion past its service's SLA is also late.
+ */
+struct Tally
+{
+    size_t injected = 0;
+    size_t completed = 0;
+    size_t dropped = 0;
+    size_t rejected = 0;
+    size_t failed_inflight = 0;  ///< killed in flight by shard crashes
+    size_t late = 0;             ///< completions past the SLA
+
+    Tally& operator+=(const Tally& o);
+    Tally operator-(const Tally& o) const;
+    /**
+     * Late completions plus every drop, reject and crash kill: a query
+     * shed because no shard was active, refused by admission control
+     * or killed by a crash missed its SLA by definition, so a fully
+     * dark outage reports a 100% violation rate, not a vacuous 0%.
+     */
+    size_t slaViolations() const
+    { return late + dropped + rejected + failed_inflight; }
+    /**
+     * slaViolations() / (completed + dropped + rejected +
+     * failed_inflight); 0 when no query got an outcome.
+     */
+    double violationRate() const;
+};
+
+/**
+ * Per-interval serving statistics of one service. The counts and the
+ * rate come from the window's Tally; arrivals and completions are its
+ * `injected` and `completed`.
+ */
 struct ServiceIntervalStats
 {
     size_t arrivals = 0;     ///< queries routed in the window
     size_t completions = 0;  ///< queries retired in the window
     size_t dropped = 0;      ///< arrivals with no active shard
     size_t rejected = 0;     ///< arrivals refused by admission control
+    size_t failed_inflight = 0;  ///< killed in flight by shard crashes
+    size_t sla_violations = 0;       ///< Tally::slaViolations()
+    double sla_violation_rate = 0.0;  ///< Tally::violationRate()
     double p50_ms = 0.0;
     double p99_ms = 0.0;
-    /** In-flight queries killed by a shard crash in the window. */
-    size_t failed_inflight = 0;
-    /**
-     * SLA-breaching completions plus dropped + rejected arrivals plus
-     * crash-killed in-flight queries.
-     */
-    size_t sla_violations = 0;
-    /**
-     * sla_violations /
-     * (completions + dropped + rejected + failed_inflight).
-     */
-    double sla_violation_rate = 0.0;
-    int active_shards = 0;  ///< serving this service, at window start
+    int active_shards = 0;  ///< serving the slice, at window start
 };
 
-/** Per-interval serving statistics of one cluster run. */
-struct IntervalStats
+/**
+ * Per-interval serving statistics of one cluster run: the services'
+ * window tallies summed, tails over the union of their latencies, the
+ * cluster's active shards (post-plan), and the window's load and power.
+ */
+struct IntervalStats : ServiceIntervalStats
 {
     double t0_s = 0.0, t1_s = 0.0;  ///< window (simulated seconds)
-    size_t arrivals = 0;            ///< queries routed in the window
-    size_t completions = 0;         ///< queries retired in the window
-    size_t dropped = 0;             ///< arrivals with no active shard
-    size_t rejected = 0;  ///< arrivals refused by admission control
-    /** In-flight queries killed by shard crashes in the window. */
-    size_t failed_inflight = 0;
     /** (arrivals + dropped + rejected) / window. */
     double offered_qps = 0.0;
-    double p50_ms = 0.0;
-    double p99_ms = 0.0;
     double max_ms = 0.0;
-    /**
-     * SLA-breaching completions plus dropped and rejected arrivals
-     * plus crash-killed in-flight queries: a query shed because no
-     * shard was active — or refused by admission control, or killed by
-     * a crash — missed its SLA by definition, so a fully-dark outage
-     * interval reports a 100% violation rate instead of a vacuous 0%.
-     */
-    size_t sla_violations = 0;
-    /**
-     * sla_violations /
-     * (completions + dropped + rejected + failed_inflight).
-     */
-    double sla_violation_rate = 0.0;
-    int active_shards = 0;          ///< at window start (post-plan)
     double consumed_power_w = 0.0;  ///< mean over active+draining shards
     double provisioned_power_w = 0.0;  ///< from the interval plan
     double budget_power_w = 0.0;       ///< enforced cap (plan)
@@ -188,22 +198,28 @@ struct IntervalStats
     std::vector<ServiceIntervalStats> services;
 };
 
-/** Whole-run aggregates of one service. */
-struct ServiceRunStats
+/**
+ * Whole-run outcome counts and latency tails, of one service or of the
+ * cluster. The counts and the rate come from the run's Tally.
+ */
+struct RunStats
 {
     size_t injected = 0;
     size_t completed = 0;
     size_t dropped = 0;
     size_t rejected = 0;  ///< refused by admission control
     size_t failed_inflight = 0;  ///< killed in flight by shard crashes
+    size_t sla_violations = 0;       ///< Tally::slaViolations()
+    double sla_violation_rate = 0.0;  ///< Tally::violationRate()
     double p50_ms = 0.0;
     double p99_ms = 0.0;
     double max_ms = 0.0;
-    double sla_ms = 0.0;       ///< the SLA the service was held to
-    /** Late completions + drops + rejects + crash-killed in flight. */
-    size_t sla_violations = 0;
-    /** violations / (completed + dropped + rejected + failed_inflight). */
-    double sla_violation_rate = 0.0;
+};
+
+/** Whole-run aggregates of one service. */
+struct ServiceRunStats : RunStats
+{
+    double sla_ms = 0.0;  ///< the SLA the service was held to
 };
 
 /**
@@ -232,26 +248,14 @@ struct HealthTransition
     size_t killed_inflight = 0;  ///< queries a crash killed
 };
 
-/** Whole-run aggregates. */
-struct ClusterSimResult
+/** Whole-run aggregates of the cluster, and every interval window. */
+struct ClusterSimResult : RunStats
 {
     std::vector<IntervalStats> intervals;
-    size_t injected = 0;
-    size_t completed = 0;
-    size_t dropped = 0;
-    size_t rejected = 0;  ///< refused by admission control
-    size_t failed_inflight = 0;  ///< killed in flight by shard crashes
     /** Queries saved from rejection by cross-shard admission retry. */
     size_t admission_retries = 0;
     double mean_ms = 0.0;
-    double p50_ms = 0.0;
     double p95_ms = 0.0;
-    double p99_ms = 0.0;
-    double max_ms = 0.0;
-    /** Late completions + drops + rejects + crash-killed in flight. */
-    size_t sla_violations = 0;
-    /** violations / (completed + dropped + rejected + failed_inflight). */
-    double sla_violation_rate = 0.0;
     double avg_consumed_power_w = 0.0;   ///< mean over intervals
     double peak_consumed_power_w = 0.0;
     double avg_provisioned_power_w = 0.0;
@@ -448,7 +452,9 @@ class ClusterSim
      * Windows must be harvested in order, after advanceTo(t1_s): a
      * harvest lets every shard drop the completions it consumed and
      * the utilization bins before t0_s, so no later window can reach
-     * back before it.
+     * back before it. Panics when a service's queries are not
+     * conserved: every injected query has completed, been killed by a
+     * crash, or is still held by one of the service's shards.
      */
     IntervalStats harvest(double t0_s, double t1_s);
 
@@ -506,20 +512,16 @@ class ClusterSim
         double failed_at = 0.0;  ///< time of the last crash
     };
 
-    /** Per-service routing + accounting state. */
+    /**
+     * Per-service accounting. Each event bumps one count of `total`;
+     * a window is `total - harvested`.
+     */
     struct ServiceState
     {
-        size_t injected = 0;
-        size_t dropped = 0;
-        size_t rejected = 0;
-        size_t failed_inflight = 0;  ///< crash-killed in-flight queries
-        size_t injected_harvested = 0;
-        size_t dropped_harvested = 0;
-        size_t rejected_harvested = 0;
-        size_t failed_inflight_harvested = 0;
+        Tally total;      ///< every outcome so far
+        Tally harvested;  ///< `total` at the last harvest
         PercentileTracker latency_ms;  ///< whole-run latencies
         PercentileTracker window_ms;   ///< this harvest's latencies
-        size_t violations = 0;         ///< whole-run late completions
     };
 
     void ensureService(int service);
@@ -527,7 +529,6 @@ class ClusterSim
     /** Cluster-wide tail statistics of one latency population. */
     struct Tails
     {
-        size_t count = 0;
         double p50 = 0.0, p95 = 0.0, p99 = 0.0, max = 0.0;
     };
     /**
@@ -546,10 +547,6 @@ class ClusterSim
     std::vector<ServiceState> service_state_;
     std::vector<size_t> injected_per_shard_;
 
-    size_t injected_ = 0;
-    size_t dropped_ = 0;
-    size_t rejected_ = 0;
-    size_t failed_inflight_ = 0;  ///< crash-killed in-flight queries
     size_t admission_retries_ = 0;  ///< rejects saved by re-offering
 
     // fault injection
@@ -568,7 +565,6 @@ class ClusterSim
      * order of its terms.
      */
     double all_latency_sum_ = 0.0;
-    size_t all_violations_ = 0;  ///< late completions (drops added later)
 };
 
 }  // namespace hercules::sim

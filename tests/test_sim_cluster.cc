@@ -1265,5 +1265,111 @@ TEST(ClusterSim, StreamedRunMatchesVectorRun)
     EXPECT_EQ(a.intervals[0].arrivals, 100u);
 }
 
+/** sla_violations / (completed + dropped + rejected + failed), or 0. */
+double
+expectedRate(size_t violations, size_t completed, size_t dropped,
+             size_t rejected, size_t failed_inflight)
+{
+    const size_t outcomes = completed + dropped + rejected + failed_inflight;
+    return outcomes > 0 ? static_cast<double>(violations) /
+                              static_cast<double>(outcomes)
+                        : 0.0;
+}
+
+TEST(Tally, ArithmeticAndEmptyRate)
+{
+    EXPECT_EQ(Tally{}.violationRate(), 0.0);
+    EXPECT_EQ(Tally{}.slaViolations(), 0u);
+    const Tally a{10, 7, 1, 2, 1, 3};
+    const Tally b{4, 3, 2, 0, 1, 1};
+    EXPECT_EQ(a.slaViolations(), 3u + 1u + 2u + 1u);
+    EXPECT_EQ(a.violationRate(), expectedRate(7, 7, 1, 2, 1));
+    Tally c = a;
+    const Tally d = (c += b) - b;
+    for (auto field : {&Tally::injected, &Tally::completed, &Tally::dropped,
+                       &Tally::rejected, &Tally::failed_inflight,
+                       &Tally::late}) {
+        EXPECT_EQ(d.*field, a.*field);
+        EXPECT_EQ(c.*field, a.*field + b.*field);
+    }
+}
+
+/*
+ * The interval windows partition the run: for every service and for
+ * the cluster, each outcome count summed over the windows equals the
+ * run's count, and every rate follows the one violation rule. The
+ * replay drops (a dark interval), rejects (deadline admission) and
+ * kills (a scripted crash), so no count is vacuously zero.
+ */
+TEST(ClusterSim, WindowsPartitionTheRun)
+{
+    model::Model m = model::buildModel(ModelId::DlrmRmc1);
+    PreparedWorkload big = prepare(hw::serverSpec(ServerType::T2), m,
+                                   cpuConfig(4, 2, 128));
+    PreparedWorkload small = prepare(hw::serverSpec(ServerType::T2), m,
+                                     cpuConfig(2, 1, 64));
+    ClusterSim::Options copt;
+    copt.router = RouterPolicy::HerculesWeighted;
+    copt.sla_ms = 4.0;
+    copt.admission.policy = qos::AdmissionPolicy::Deadline;
+    ClusterSim cluster(copt);
+    cluster.addShard(big, 1200.0, 0);
+    cluster.addShard(small, 500.0, 0);
+    cluster.addShard(big, 1200.0, 0);
+    cluster.addShard(small, 500.0, 1);
+    cluster.addShard(big, 1200.0, 1);
+    cluster.scheduleHealth({{0.31, 2, fault::HealthState::Failed, 1.0},
+                            {0.6, 2, fault::HealthState::Healthy, 1.0}});
+    auto plan = [](int k, double) {
+        IntervalPlan p;
+        if (k != 3)  // [0.75, 1.0) is dark: every arrival drops
+            p.active = {0, 1, 2, 3, 4};
+        return p;
+    };
+    const std::vector<workload::Query> trace = flatTwoServiceTrace(1.5);
+    ClusterSimResult r = cluster.run(trace, 0.25, plan);
+    EXPECT_GT(r.dropped, 0u);
+    EXPECT_GT(r.rejected, 0u);
+    EXPECT_GT(r.failed_inflight, 0u);
+    EXPECT_EQ(r.injected + r.dropped + r.rejected, trace.size());
+
+    using Counts = std::vector<size_t>;
+    auto windowCounts = [](const ServiceIntervalStats& w) {
+        return Counts{w.arrivals, w.completions, w.dropped,
+                      w.rejected, w.failed_inflight, w.sla_violations};
+    };
+    auto runCounts = [](const RunStats& s) {
+        return Counts{s.injected, s.completed, s.dropped,
+                      s.rejected, s.failed_inflight, s.sla_violations};
+    };
+    auto add = [](Counts& acc, const Counts& x) {
+        for (size_t i = 0; i < acc.size(); ++i)
+            acc[i] += x[i];
+    };
+    auto expectRule = [](const auto& st, const Counts& c) {
+        EXPECT_EQ(st.sla_violation_rate,
+                  expectedRate(c[5], c[1], c[2], c[3], c[4]));
+    };
+    ASSERT_EQ(r.services.size(), 2u);
+    Counts cluster_sum(6, 0);
+    std::vector<Counts> service_sum(2, Counts(6, 0));
+    for (const IntervalStats& iv : r.intervals) {
+        add(cluster_sum, windowCounts(iv));
+        expectRule(iv, windowCounts(iv));
+        ASSERT_EQ(iv.services.size(), 2u);
+        for (size_t v = 0; v < 2; ++v) {
+            add(service_sum[v], windowCounts(iv.services[v]));
+            expectRule(iv.services[v], windowCounts(iv.services[v]));
+        }
+    }
+    EXPECT_EQ(cluster_sum, runCounts(r));
+    expectRule(r, runCounts(r));
+    for (size_t v = 0; v < 2; ++v) {
+        SCOPED_TRACE("service " + std::to_string(v));
+        EXPECT_EQ(service_sum[v], runCounts(r.services[v]));
+        expectRule(r.services[v], runCounts(r.services[v]));
+    }
+}
+
 }  // namespace
 }  // namespace hercules::sim
