@@ -338,9 +338,9 @@ runScenarioFile(const Args& args)
         return 1;
     }
     // Parsing alone accepts specs that cannot run (empty fleet,
-    // unsorted cap schedule, ...): lint with the same semantic checks
-    // run() enforces, so --parse-only catches them at exit 1 instead
-    // of CI discovering a fatal() later.
+    // unsorted cap schedule, ...): validateSpec lints table-free, as
+    // run() does before profiling, so --parse-only catches them at
+    // exit 1 instead of CI discovering a fatal() later.
     if (!scenario::validateSpec(*spec, &err)) {
         std::fprintf(stderr, "error: %s: %s\n",
                      args.scenario_file.c_str(), err.c_str());

@@ -7,6 +7,7 @@
 #include "hw/power.h"
 #include "hw/server.h"
 #include "model/model_zoo.h"
+#include "scenario/spec_io.h"
 
 namespace hercules::scenario {
 
@@ -24,8 +25,8 @@ class Linter
     std::vector<Diagnostic>
     run()
     {
+        out_ = rangeDiagnostics(spec_);
         checkFleet();
-        checkHorizon();
         checkPowerCap();
         checkServices();
         checkAdmission();
@@ -85,22 +86,6 @@ class Linter
         return best;
     }
 
-    /** True when the cap schedule parses as a usable timeline. */
-    bool
-    scheduleWellFormed() const
-    {
-        const auto& sched = spec_.serve.power_cap_schedule;
-        for (size_t i = 0; i < sched.size(); ++i) {
-            if (!(sched[i].from_hour >= 0.0) ||
-                !std::isfinite(sched[i].from_hour) ||
-                !(sched[i].cap_w >= 0.0))
-                return false;
-            if (i > 0 && sched[i].from_hour < sched[i - 1].from_hour)
-                return false;
-        }
-        return true;
-    }
-
     // ---- checks ----------------------------------------------------------
 
     void
@@ -133,33 +118,17 @@ class Linter
     }
 
     void
-    checkHorizon()
-    {
-        if (!(spec_.serve.horizon_hours > 0.0))
-            error("E104", "horizon_hours",
-                  "horizon_hours must be positive (got " +
-                      num(spec_.serve.horizon_hours) + ")");
-        if (!(spec_.serve.interval_hours > 0.0))
-            error("E104", "interval_hours",
-                  "interval_hours must be positive (got " +
-                      num(spec_.serve.interval_hours) + ")");
-    }
-
-    void
     checkPowerCap()
     {
         const auto& sched = spec_.serve.power_cap_schedule;
         for (size_t i = 0; i < sched.size(); ++i) {
             std::string path =
                 "power_cap_schedule[" + std::to_string(i) + "]";
-            if (!(sched[i].from_hour >= 0.0) ||
-                !std::isfinite(sched[i].from_hour) ||
-                !(sched[i].cap_w >= 0.0))
-                error("E105", path,
-                      "non-finite or negative schedule point "
-                      "(from_hour " +
-                          num(sched[i].from_hour) + ", cap_w " +
-                          num(sched[i].cap_w) + ")");
+            if (sched[i].from_hour ==
+                std::numeric_limits<double>::infinity())
+                error("E105", path + ".from_hour",
+                      "from_hour must be finite (got " +
+                          num(sched[i].from_hour) + ")");
             else if (i > 0 &&
                      sched[i].from_hour < sched[i - 1].from_hour)
                 error("E105", path,
@@ -167,8 +136,15 @@ class Linter
                           num(sched[i].from_hour) + " after " +
                           num(sched[i - 1].from_hour) + ")");
         }
-        if (!scheduleWellFormed())
-            return;  // E105 already reported; derived checks would lie
+        // A cap out of range (E105, E114) or a schedule that is not a
+        // timeline makes the derived checks below lie: skip them.
+        caps_valid_ = std::none_of(
+            out_.begin(), out_.end(), [](const Diagnostic& d) {
+                return d.severity == Severity::Error &&
+                       d.path.rfind("power_cap", 0) == 0;
+            });
+        if (!caps_valid_)
+            return;
 
         hw::ServerType cheapest = hw::ServerType::T1;
         double idle_w = cheapestIdleW(&cheapest);
@@ -226,6 +202,12 @@ class Linter
                 any_frac = true;
                 frac_sum += s.peak_qps_frac;
             }
+            const workload::QuerySizeDist& sz = s.spec.sizes;
+            if (sz.min_size > sz.max_size)
+                error("E115", ctx + ".size_min",
+                      "size_min " + std::to_string(sz.min_size) +
+                          " > size_max " + std::to_string(sz.max_size) +
+                          ": no query size fits the clip range");
             if (table_ != nullptr)
                 checkServiceFeasible(i, ctx);
         }
@@ -295,7 +277,7 @@ class Linter
         // trace_file there is nothing to thin. Rate 1.0 is the
         // default (indistinguishable from "unset"), so only a
         // non-default rate is a dead knob.
-        if (!o.tracing() && o.sample_rate != 1.0 && o.sample_rate > 0.0)
+        if (!o.tracing() && o.sample_rate > 0.0 && o.sample_rate < 1.0)
             warning("W211", "observability.sample_rate",
                     "sample_rate " + num(o.sample_rate) +
                         " is set but no trace_file is configured: "
@@ -313,22 +295,6 @@ class Linter
     checkFaults()
     {
         const fault::FaultSpec& fs = spec_.serve.faults;
-        auto bad_knob = [&](double v, const char* name) {
-            if (!(v >= 0.0))
-                error("E107", std::string("faults.") + name,
-                      std::string(name) +
-                          " must be non-negative (got " + num(v) +
-                          ")");
-        };
-        bad_knob(fs.crash_mtbf_hours, "crash_mtbf_hours");
-        bad_knob(fs.crash_mttr_hours, "crash_mttr_hours");
-        bad_knob(fs.degrade_mtbf_hours, "degrade_mtbf_hours");
-        bad_knob(fs.degrade_mttr_hours, "degrade_mttr_hours");
-        if (!(fs.degrade_slowdown >= 1.0))
-            error("E108", "faults.degrade_slowdown",
-                  "degrade_slowdown must be >= 1 (got " +
-                      num(fs.degrade_slowdown) + ")");
-
         if (fs.crash_mtbf_hours > 0.0 &&
             fs.crash_mttr_hours >= fs.crash_mtbf_hours)
             warning("W203", "faults.crash_mttr_hours",
@@ -349,9 +315,6 @@ class Linter
             const fault::FaultEvent& e = fs.events[i];
             std::string ctx =
                 "faults.events[" + std::to_string(i) + "]";
-            if (!(e.t_hours >= 0.0))
-                error("E110", ctx + ".at_hour",
-                      "negative (or NaN) at_hour " + num(e.t_hours));
             if (e.fleet_index < 0 ||
                 e.fleet_index >= static_cast<int>(spec_.fleet.size())) {
                 error("E111", ctx + ".fleet",
@@ -372,11 +335,6 @@ class Linter
                               spec_.fleet[e.fleet_index].shard_slots) +
                           " slots)");
             }
-            if (e.state == fault::HealthState::Degraded &&
-                !(e.slowdown >= 1.0))
-                error("E113", ctx + ".slowdown",
-                      "degraded slowdown must be >= 1 (got " +
-                          num(e.slowdown) + ")");
             if (e.t_hours >= horizon && horizon > 0.0 &&
                 e.t_hours >= 0.0)
                 warning("W202", ctx + ".at_hour",
@@ -395,8 +353,7 @@ class Linter
     void
     checkPeakDemand()
     {
-        if (table_ == nullptr || spec_.services.empty() ||
-            !scheduleWellFormed())
+        if (table_ == nullptr || spec_.services.empty() || !caps_valid_)
             return;
 
         double min_cap = spec_.serve.power_cap_w;
@@ -452,6 +409,7 @@ class Linter
     const ScenarioSpec& spec_;
     const core::EfficiencyTable* table_;
     std::vector<Diagnostic> out_;
+    bool caps_valid_ = false;  ///< set by checkPowerCap()
 };
 
 }  // namespace

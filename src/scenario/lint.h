@@ -19,11 +19,13 @@
  * simulation-free either way — a table is only ever *read*, typically
  * from a CSV cache.
  *
- * Three surfaces consume this pass:
+ * lint() is the only validator, and these surfaces consume it:
  *  - `online_serving_sim --lint FILE` (exit 1 on errors, 0 otherwise,
  *    all diagnostics printed);
- *  - the opt-in `"lint": true` spec key: scenario::run() rejects a
- *    spec with lint errors before profiling;
+ *  - scenario::validateSpec() (so `--parse-only`): false on any
+ *    table-free error;
+ *  - scenario::run(), which rejects a spec with an error against the
+ *    table it is given before profiling;
  *  - CI lints every shipped .scn in scenarios/ expecting zero
  *    diagnostics (pinned by tests/test_lint.cc too).
  */
@@ -80,11 +82,9 @@ std::string formatDiagnostic(const Diagnostic& d);
  * hardware-feasibility checks (E130, W209). lint() never simulates:
  * tables come from ScenarioSpec::profile.table_cache or a prior run.
  *
- * Errors cover validateSpec()'s structural checks: a spec it rejects
- * for its fleet, services, horizon, cap schedule or faults lints with
- * at least one E1xx, so a lint-clean spec never fatals inside
- * scenario::run() for structural reasons. Its value checks on query
- * sizes, trace knobs and observability.sample_rate have no code yet.
+ * The range errors come first: every number outside the range its
+ * schema key declares (rangeDiagnostics() in spec_io.h, the ranges
+ * parseSpec applies), then the checks no single key declares.
  */
 std::vector<Diagnostic> lint(const ScenarioSpec& spec,
                              const core::EfficiencyTable* table = nullptr);

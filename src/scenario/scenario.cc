@@ -14,11 +14,29 @@ namespace hercules::scenario {
 
 namespace {
 
+/**
+ * False when lint(spec, table) reports an error; *error then holds
+ * "scenario '<name>': " and every error's formatDiagnostic line,
+ * joined by "; ".
+ */
+bool
+lintClean(const ScenarioSpec& spec, const core::EfficiencyTable* table,
+          std::string* error)
+{
+    std::string errs;
+    for (const Diagnostic& d : lint(spec, table))
+        if (d.severity == Severity::Error)
+            errs += (errs.empty() ? "" : "; ") + formatDiagnostic(d);
+    if (!errs.empty() && error != nullptr)
+        *error = "scenario '" + spec.name + "': " + errs;
+    return errs.empty();
+}
+
 void
-validate(const ScenarioSpec& spec)
+validate(const ScenarioSpec& spec, const core::EfficiencyTable* table)
 {
     std::string err;
-    if (!validateSpec(spec, &err))
+    if (!lintClean(spec, table, &err))
         fatal("%s", err.c_str());
 }
 
@@ -81,85 +99,13 @@ parseProvisionerKind(const std::string& name)
 bool
 validateSpec(const ScenarioSpec& spec, std::string* error)
 {
-    auto fail = [&](const std::string& msg) {
-        if (error != nullptr)
-            *error = "scenario '" + spec.name + "': " + msg;
-        return false;
-    };
-    if (spec.fleet.empty())
-        return fail("empty fleet");
-    if (spec.services.empty())
-        return fail("no services");
-    for (const FleetEntry& e : spec.fleet)
-        if (e.shard_slots < 0)
-            return fail(std::string("negative slots for ") +
-                        hw::serverTypeName(e.type));
-    // Size and curve knobs the parser range-checks, for C++-built
-    // specs: past them the query generator calls std::clamp with
-    // lo > hi or takes the log of a non-positive median.
-    for (size_t i = 0; i < spec.services.size(); ++i) {
-        const cluster::ServiceSpec& s = spec.services[i].spec;
-        const std::string ctx = "services[" + std::to_string(i) + "]: ";
-        if (!(s.sizes.median > 0.0))
-            return fail(ctx + "size_median must be positive");
-        if (!(s.sizes.sigma >= 0.0) || !(s.pooling.sigma >= 0.0))
-            return fail(ctx + "negative (or NaN) size/pooling sigma");
-        if (!(s.load.trough_frac >= 0.0) || !(s.load.trough_frac <= 1.0))
-            return fail(ctx + "trough_frac must be in [0, 1]");
-        if (s.sizes.min_size > s.sizes.max_size)
-            return fail(ctx + "size_min > size_max");
-    }
-    if (spec.serve.horizon_hours <= 0.0 ||
-        spec.serve.interval_hours <= 0.0)
-        return fail("non-positive horizon/interval");
-    const workload::TraceOptions& tr = spec.serve.trace;
-    if (!(tr.bucket_seconds > 0.0) || !(tr.time_compression >= 1.0))
-        return fail("trace: bucket_seconds must be positive and "
-                    "time_compression >= 1");
-    const auto& sched = spec.serve.power_cap_schedule;
-    for (size_t i = 0; i < sched.size(); ++i) {
-        if (!(sched[i].from_hour >= 0.0) ||
-            !std::isfinite(sched[i].from_hour) ||
-            !(sched[i].cap_w >= 0.0))
-            return fail("power_cap_schedule[" + std::to_string(i) +
-                        "]: non-finite or negative point");
-        if (i > 0 && sched[i].from_hour < sched[i - 1].from_hour)
-            return fail("power_cap_schedule not sorted by from_hour");
-    }
-    const fault::FaultSpec& fs = spec.serve.faults;
-    if (!(fs.crash_mtbf_hours >= 0.0) ||
-        !(fs.crash_mttr_hours >= 0.0) ||
-        !(fs.degrade_mtbf_hours >= 0.0) ||
-        !(fs.degrade_mttr_hours >= 0.0))
-        return fail("faults: negative (or NaN) MTBF/MTTR");
-    if (!(fs.degrade_slowdown >= 1.0))
-        return fail("faults: degrade_slowdown must be >= 1");
-    for (size_t i = 0; i < fs.events.size(); ++i) {
-        const fault::FaultEvent& e = fs.events[i];
-        const std::string ctx =
-            "faults.events[" + std::to_string(i) + "]: ";
-        if (!(e.t_hours >= 0.0))
-            return fail(ctx + "negative (or NaN) at_hour");
-        if (e.fleet_index < 0 ||
-            e.fleet_index >= static_cast<int>(spec.fleet.size()))
-            return fail(ctx + "fleet index out of range");
-        if (e.slot < 0 ||
-            e.slot >= spec.fleet[e.fleet_index].shard_slots)
-            return fail(ctx + "slot out of range");
-        if (e.state == fault::HealthState::Degraded &&
-            !(e.slowdown >= 1.0))
-            return fail(ctx + "degraded slowdown must be >= 1");
-    }
-    const obs::ObsSpec& ob = spec.observability;
-    if (!(ob.sample_rate >= 0.0) || !(ob.sample_rate <= 1.0))
-        return fail("observability.sample_rate must be in [0, 1]");
-    return true;
+    return lintClean(spec, nullptr, error);
 }
 
 core::EfficiencyTable
 profileTable(const ScenarioSpec& spec)
 {
-    validate(spec);
+    validate(spec, nullptr);
     if (!spec.profile.table_cache.empty() &&
         std::filesystem::exists(spec.profile.table_cache)) {
         auto cached =
@@ -223,20 +169,9 @@ resolvePeaks(ScenarioSpec& spec, const core::EfficiencyTable& table)
 ScenarioResult
 run(const ScenarioSpec& spec, const core::EfficiencyTable* table)
 {
-    // Opt-in lint gate: reject statically-broken specs before any
-    // profiling or trace generation spends time on them.
-    if (spec.lint) {
-        std::vector<Diagnostic> ds = lint(spec, table);
-        std::string errs;
-        for (const Diagnostic& d : ds)
-            if (d.severity == Severity::Error)
-                errs += (errs.empty() ? "" : "; ") +
-                        formatDiagnostic(d);
-        if (!errs.empty())
-            fatal("scenario '%s' rejected by lint gate: %s",
-                  spec.name.c_str(), errs.c_str());
-    }
-    validate(spec);
+    // Reject a spec lint finds an error in before any profiling or
+    // trace generation spends time on it.
+    validate(spec, table);
 
     ScenarioResult out;
     obs::WallTimer profile_timer;

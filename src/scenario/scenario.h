@@ -115,14 +115,6 @@ struct ScenarioSpec
     ProvisionerKind provisioner = ProvisionerKind::Hercules;
     /** Seed of the heterogeneity-oblivious NH provisioner. */
     uint64_t nh_seed = 17;
-    /**
-     * Opt-in lint gate (spec key "lint"): run() statically analyzes
-     * the spec (scenario/lint.h) and rejects it on any E1xx error
-     * before profiling — a malformed 24h replay fails in microseconds
-     * instead of minutes. Warnings never block. Default off: legacy
-     * specs run exactly as before.
-     */
-    bool lint = false;
     ProfileSpec profile;
     /**
      * Everything cluster::serveTraces consumes: horizon/interval,
@@ -178,13 +170,11 @@ void resolvePeaks(ScenarioSpec& spec,
                   const core::EfficiencyTable& table);
 
 /**
- * Semantic validation of a parsed spec — the same checks run()
- * enforces fatally (non-empty fleet/services, positive horizon and
- * interval, sorted power-cap schedule, query-size/trace knobs in the
- * parser's ranges, size_min <= size_max), non-fatally so lint paths
- * (--parse-only, CI scenario-smoke) can reject a spec that parses but
- * cannot run, and a C++-built spec gets the parser's range checks.
- * @return true when the spec is runnable; else fills *error.
+ * Table-free validation: true exactly when lint(spec) (scenario/lint.h)
+ * reports no error. Otherwise *error is "scenario '<name>': " followed
+ * by each error's formatDiagnostic line, joined by "; ". --parse-only
+ * and CI scenario-smoke use it to reject a spec that parses but cannot
+ * run; a C++-built spec gets the parser's range checks through it.
  */
 bool validateSpec(const ScenarioSpec& spec,
                   std::string* error = nullptr);
@@ -195,8 +185,9 @@ bool validateSpec(const ScenarioSpec& spec,
  *
  * With `table` null the efficiency table comes from profileTable();
  * passing one (e.g. shared across a sweep of spec deltas) skips
- * profiling. Fatals on an invalid spec (empty fleet/services,
- * non-positive horizon, unsorted cap schedule).
+ * profiling. Before profiling, fatals with validateSpec's message
+ * when lint(spec, table) reports an error, so a malformed 24h replay
+ * fails in microseconds instead of minutes; warnings never block.
  */
 ScenarioResult run(const ScenarioSpec& spec,
                    const core::EfficiencyTable* table = nullptr);

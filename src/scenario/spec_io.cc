@@ -313,13 +313,30 @@ class Parser
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/** Bind-time range of a number key; `desc` names it in errors. */
+/** A number key's range: `desc` names it in errors, `code` in lint. */
 struct Range
 {
     double lo = -kInf;
     double hi = kInf;
     bool open_lo = false;        ///< lo itself is out of range
     const char* desc = nullptr;  ///< null: any number the grammar reads
+    const char* code = "E114";
+
+    constexpr Range
+    coded(const char* c) const
+    {
+        Range r = *this;
+        r.code = c;
+        return r;
+    }
+
+    /** False for NaN and for any value outside [lo, hi]. */
+    bool
+    contains(double v) const
+    {
+        return desc == nullptr ||
+               ((open_lo ? v > lo : v >= lo) && v <= hi);
+    }
 };
 
 constexpr Range kNonNegative{0.0, kInf, false, "non-negative"};
@@ -394,10 +411,11 @@ enum class Layout { Inline, Lines };
 /**
  * `Schema<T, S...>` is void when every S is T or const T. Each
  * schema() below lists one spec struct's keys once, in canonical
- * order, and is walked by three visitors: the Binder (one mutable
- * object), the Emitter (the value and its default) and the Lister (a
- * default object). A key line names the key, its rules and the field;
- * the value kind follows from the method and the field's type:
+ * order, and is walked by four visitors: the Binder (one mutable
+ * object), the Emitter (the value and its default), the Lister (a
+ * default object) and the RangeChecker (a built object). A key line
+ * names the key, its rules and the field; the value kind follows from
+ * the method and the field's type:
  *
  *   num     double (range-checked) or an integer type (int: any int32;
  *           uint64_t/size_t: [0, 2^53], where doubles stay exact)
@@ -465,20 +483,22 @@ template <typename V, typename... S>
 Schema<cluster::PowerCapPoint, S...>
 schema(V& v, S&... p)
 {
-    v.num({"from_hour", kNonNegative, kAlways}, p.from_hour...);
-    v.num({"cap_w", kNonNegative, kAlways}, p.cap_w...);
+    v.num({"from_hour", kNonNegative.coded("E105"), kAlways},
+          p.from_hour...);
+    v.num({"cap_w", kNonNegative.coded("E105"), kAlways}, p.cap_w...);
 }
 
 template <typename V, typename... S>
 Schema<fault::FaultEvent, S...>
 schema(V& v, S&... e)
 {
-    v.num({"at_hour", kNonNegative, kAlways}, e.t_hours...);
+    v.num({"at_hour", kNonNegative.coded("E110"), kAlways},
+          e.t_hours...);
     v.num("fleet", e.fleet_index...);
     v.num("slot", e.slot...);
     // The state IS the event, even the (default) recovery to healthy.
     v.choice({"state", kAlways}, kHealthStates, e.state...);
-    v.num({"slowdown", kAtLeastOne}, e.slowdown...);
+    v.num({"slowdown", kAtLeastOne.coded("E113")}, e.slowdown...);
 }
 
 template <typename V, typename... S>
@@ -486,11 +506,16 @@ Schema<fault::FaultSpec, S...>
 schema(V& v, S&... f)
 {
     v.num("seed", f.seed...);
-    v.num({"crash_mtbf_hours", kNonNegative}, f.crash_mtbf_hours...);
-    v.num({"crash_mttr_hours", kNonNegative}, f.crash_mttr_hours...);
-    v.num({"degrade_mtbf_hours", kNonNegative}, f.degrade_mtbf_hours...);
-    v.num({"degrade_mttr_hours", kNonNegative}, f.degrade_mttr_hours...);
-    v.num({"degrade_slowdown", kAtLeastOne}, f.degrade_slowdown...);
+    v.num({"crash_mtbf_hours", kNonNegative.coded("E107")},
+          f.crash_mtbf_hours...);
+    v.num({"crash_mttr_hours", kNonNegative.coded("E107")},
+          f.crash_mttr_hours...);
+    v.num({"degrade_mtbf_hours", kNonNegative.coded("E107")},
+          f.degrade_mtbf_hours...);
+    v.num({"degrade_mttr_hours", kNonNegative.coded("E107")},
+          f.degrade_mttr_hours...);
+    v.num({"degrade_slowdown", kAtLeastOne.coded("E108")},
+          f.degrade_slowdown...);
     v.array("events", Layout::Inline, f.events...);
 }
 
@@ -521,7 +546,7 @@ schema(V& v, S&... o)
 {
     v.str("trace_file", o.trace_file...);
     v.str("metrics_file", o.metrics_file...);
-    v.num("sample_rate", o.sample_rate...);
+    v.num({"sample_rate", kUnit}, o.sample_rate...);
 }
 
 template <typename V, typename... S>
@@ -534,13 +559,14 @@ schema(V& v, S&... s)
     v.array("services", Layout::Lines, s.services...);
     v.choice("provisioner", kProvisioners, s.provisioner...);
     v.num("nh_seed", s.nh_seed...);
-    v.flag("lint", s.lint...);
     v.choice("router", kRouters, s.serve.router...);
     v.num("router_seed", s.serve.router_seed...);
     v.object("feedback", s.serve.feedback...);
     v.object("admission", s.serve.admission...);
-    v.num({"horizon_hours", kPositive}, s.serve.horizon_hours...);
-    v.num({"interval_hours", kPositive}, s.serve.interval_hours...);
+    v.num({"horizon_hours", kPositive.coded("E104")},
+          s.serve.horizon_hours...);
+    v.num({"interval_hours", kPositive.coded("E104")},
+          s.serve.interval_hours...);
     v.num({"sla_ms", kNonNegative}, s.serve.sla_ms...);
     // Negative means "estimate from the curve", so it stays unranged.
     v.num("overprovision_rate", s.serve.overprovision_rate...);
@@ -582,12 +608,10 @@ class Binder
         if (v == nullptr)
             return;
         if constexpr (real) {
-            const Range& r = k.range;
-            bool above = r.open_lo ? v->num > r.lo : v->num >= r.lo;
-            if (r.desc != nullptr && !(above && v->num <= r.hi))
+            if (!k.range.contains(v->num))
                 return fail(v->line, "key '%s' in %s must be %s (got %g)",
-                            k.name.data(), context().c_str(), r.desc,
-                            v->num);
+                            k.name.data(), context().c_str(),
+                            k.range.desc, v->num);
         } else {
             // Unsigned keys (seeds, queue_cap) ride through the number
             // grammar, so they are exact only up to 2^53.
@@ -780,10 +804,12 @@ class Emitter
     num(const Key& k, F v, F def)
     {
         // The grammar has no spelling for a non-finite number, so one
-        // is omitted: that is how an uncapped power_cap_w serializes.
+        // is omitted, even for a kAlways key: that is how an uncapped
+        // power_cap_w or schedule point's cap_w serializes.
         double x = static_cast<double>(v);
-        put(k, x != static_cast<double>(def) && std::isfinite(x),
-            util::shortestDecimal(x));
+        if (std::isfinite(x))
+            put(k, x != static_cast<double>(def),
+                util::shortestDecimal(x));
     }
 
     void
@@ -897,6 +923,56 @@ struct Lister
     }
 };
 
+// ---- range checker -------------------------------------------------------
+
+/**
+ * Appends a lint error for every real number outside its key's Range,
+ * at the key's path ("services[1].size_median"), in schema order.
+ */
+struct RangeChecker
+{
+    std::vector<Diagnostic>* out;
+    std::string prefix;
+
+    template <typename F>
+    void
+    num(const Key& k, F v)
+    {
+        if constexpr (std::is_floating_point_v<F>) {
+            if (!k.range.contains(v))
+                out->push_back(Diagnostic{
+                    k.range.code, Severity::Error,
+                    fmt("%s must be %s (got %g)", k.name.data(),
+                        k.range.desc, v),
+                    prefix + std::string(k.name)});
+        }
+    }
+    void str(const Key&, const std::string&) {}
+    void flag(const Key&, bool) {}
+
+    template <typename E>
+    void choice(const Key&, const Names<E>&, E) {}
+
+    template <typename T>
+    void
+    object(const Key& k, const T& v)
+    {
+        RangeChecker child{out, prefix + std::string(k.name) + "."};
+        schema(child, v);
+    }
+
+    template <typename T>
+    void
+    array(const Key& k, Layout, const std::vector<T>& v)
+    {
+        for (size_t i = 0; i < v.size(); ++i) {
+            RangeChecker child{out, prefix + std::string(k.name) + "[" +
+                                        std::to_string(i) + "]."};
+            schema(child, v[i]);
+        }
+    }
+};
+
 }  // namespace
 
 std::optional<ScenarioSpec>
@@ -965,6 +1041,15 @@ schemaKeys()
     Lister lister{&keys, ""};
     schema(lister, spec);
     return keys;
+}
+
+std::vector<Diagnostic>
+rangeDiagnostics(const ScenarioSpec& spec)
+{
+    std::vector<Diagnostic> out;
+    RangeChecker checker{&out, ""};
+    schema(checker, spec);
+    return out;
 }
 
 }  // namespace hercules::scenario

@@ -7,12 +7,13 @@
  *    spec, with doubles printed at the shortest precision that
  *    round-trips through strtod;
  *  - one schema: spec_io.cc declares each key once, in canonical
- *    order, with its kind, bind-time range, and whether it is
- *    required or always written; parseSpec, toText and schemaKeys
- *    all walk that declaration;
+ *    order, with its kind, range (and that range's lint code), and
+ *    whether it is required or always written; parseSpec, toText,
+ *    schemaKeys and rangeDiagnostics all walk that declaration;
  *  - canonical output: fields appear in schema order and fields equal
  *    to their default are omitted, as are non-finite numbers, which
- *    the grammar cannot spell (an uncapped power_cap_w never appears);
+ *    the grammar cannot spell (an uncapped power_cap_w or cap_w never
+ *    appears);
  *  - line/key-precise errors: duplicate keys are rejected at parse
  *    time, unknown keys at bind time, both reporting the offending
  *    key and its 1-based line ("scenario.scn: line 12: unknown key
@@ -26,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "scenario/lint.h"
 #include "scenario/scenario.h"
 
 namespace hercules::scenario {
@@ -62,5 +64,12 @@ bool saveSpecFile(const std::string& path, const ScenarioSpec& spec);
  * "fleet", "fleet[].type", ..., "faults.events[].state", ....
  */
 std::vector<std::string> schemaKeys();
+
+/**
+ * Every number outside its key's range, as lint errors in schema order
+ * ("services[1].size_median": "size_median must be positive (got 0)").
+ * parseSpec applies the same ranges, so a parsed spec has none.
+ */
+std::vector<Diagnostic> rangeDiagnostics(const ScenarioSpec& spec);
 
 }  // namespace hercules::scenario

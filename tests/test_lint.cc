@@ -4,15 +4,17 @@
  * diagnostic code fires with its exact code/path/message on a
  * C++-seeded defective spec, every seeded-defect file in
  * tests/lint_specs/ yields exactly the one diagnostic its filename
- * names, every shipped .scn in scenarios/ lints to zero diagnostics, and
- * the opt-in `lint` gate in scenario::run() rejects an erroneous spec
- * before profiling.
+ * names, every shipped .scn in scenarios/ lints to zero diagnostics,
+ * every ranged schema key is rejected alike by lint, validateSpec and
+ * the parser, and scenario::run() rejects an erroneous spec before
+ * profiling.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cctype>
 #include <filesystem>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -180,7 +182,17 @@ TEST(Lint, E105NegativeSchedulePoint)
     std::vector<Diagnostic> ds = lint(s);
     const Diagnostic* d = findCode(ds, "E105");
     ASSERT_NE(d, nullptr);
-    EXPECT_EQ(d->path, "power_cap_schedule[0]");
+    EXPECT_EQ(d->path, "power_cap_schedule[0].from_hour");
+}
+
+TEST(Lint, E105InfiniteScheduleHour)
+{
+    ScenarioSpec s = cleanSpec();
+    s.serve.power_cap_schedule = {
+        {std::numeric_limits<double>::infinity(), 500.0}};
+    expectDiagnostic(s, "E105", Severity::Error,
+                     "power_cap_schedule[0].from_hour",
+                     "from_hour must be finite (got inf)");
 }
 
 TEST(Lint, E106ScalarCapBelowIdleDraw)
@@ -376,7 +388,7 @@ TEST(Lint, E110NegativeEventHour)
     s.serve.faults.events = {e};
     expectDiagnostic(s, "E110", Severity::Error,
                      "faults.events[0].at_hour",
-                     "negative (or NaN) at_hour -2");
+                     "at_hour must be non-negative (got -2)");
 }
 
 TEST(Lint, E111FleetIndexOutOfRange)
@@ -417,7 +429,17 @@ TEST(Lint, E113DegradedEventSlowdownBelowOne)
     s.serve.faults.events = {e};
     expectDiagnostic(s, "E113", Severity::Error,
                      "faults.events[0].slowdown",
-                     "degraded slowdown must be >= 1 (got 0.5)");
+                     "slowdown must be >= 1 (got 0.5)");
+}
+
+TEST(Lint, E115SizeMinAboveSizeMax)
+{
+    ScenarioSpec s = cleanSpec();
+    s.services[0].spec.sizes.min_size = 500;
+    s.services[0].spec.sizes.max_size = 10;
+    expectDiagnostic(s, "E115", Severity::Error, "services[0].size_min",
+                     "size_min 500 > size_max 10: no query size fits "
+                     "the clip range");
 }
 
 TEST(Lint, W202EventAtOrAfterHorizon)
@@ -582,28 +604,126 @@ TEST(Lint, ShippedScenariosLintClean)
     EXPECT_GE(n, 6u) << "shipped scenario library shrank";
 }
 
+// ---- one range rule -------------------------------------------------------
+
+/** One ranged schema key, an out-of-range value for it and its code. */
+struct RangedKey
+{
+    const char* path;
+    const char* code;  ///< as the README's code table gives it
+    void (*breakSpec)(ScenarioSpec&);
+};
+
+// One row per ranged key of the schema (spec_io.cc), in schema order.
+// Every value is finite, so toText writes it.
+const RangedKey kRangedKeys[] = {
+    {"services[0].peak_qps_frac", "E114",
+     [](ScenarioSpec& s) { s.services[0].peak_qps_frac = -0.5; }},
+    {"services[0].peak_qps", "E114",
+     [](ScenarioSpec& s) { s.services[0].spec.load.peak_qps = -1.0; }},
+    {"services[0].trough_frac", "E114",
+     [](ScenarioSpec& s) { s.services[0].spec.load.trough_frac = 1.5; }},
+    {"services[0].surge_hours", "E114",
+     [](ScenarioSpec& s) { s.services[0].spec.load.surge_hours = -1.0; }},
+    {"services[0].surge_factor", "E114",
+     [](ScenarioSpec& s) { s.services[0].spec.load.surge_factor = -1.0; }},
+    {"services[0].sla_ms", "E114",
+     [](ScenarioSpec& s) { s.services[0].spec.sla_ms = -1.0; }},
+    {"services[0].qos_sla_ms", "E114",
+     [](ScenarioSpec& s) { s.services[0].spec.qos.sla_ms = -1.0; }},
+    {"services[0].size_median", "E114",
+     [](ScenarioSpec& s) { s.services[0].spec.sizes.median = 0.0; }},
+    {"services[0].size_sigma", "E114",
+     [](ScenarioSpec& s) { s.services[0].spec.sizes.sigma = -1.0; }},
+    {"services[0].pooling_sigma", "E114",
+     [](ScenarioSpec& s) { s.services[0].spec.pooling.sigma = -0.5; }},
+    {"horizon_hours", "E104",
+     [](ScenarioSpec& s) { s.serve.horizon_hours = 0.0; }},
+    {"interval_hours", "E104",
+     [](ScenarioSpec& s) { s.serve.interval_hours = -0.25; }},
+    {"sla_ms", "E114", [](ScenarioSpec& s) { s.serve.sla_ms = -1.0; }},
+    {"power_cap_w", "E114",
+     [](ScenarioSpec& s) { s.serve.power_cap_w = -1.0; }},
+    {"power_cap_schedule[0].from_hour", "E105",
+     [](ScenarioSpec& s) { s.serve.power_cap_schedule[0].from_hour = -1.0; }},
+    {"power_cap_schedule[0].cap_w", "E105",
+     [](ScenarioSpec& s) { s.serve.power_cap_schedule[0].cap_w = -1.0; }},
+    {"faults.crash_mtbf_hours", "E107",
+     [](ScenarioSpec& s) { s.serve.faults.crash_mtbf_hours = -1.0; }},
+    {"faults.crash_mttr_hours", "E107",
+     [](ScenarioSpec& s) { s.serve.faults.crash_mttr_hours = -1.0; }},
+    {"faults.degrade_mtbf_hours", "E107",
+     [](ScenarioSpec& s) { s.serve.faults.degrade_mtbf_hours = -1.0; }},
+    {"faults.degrade_mttr_hours", "E107",
+     [](ScenarioSpec& s) { s.serve.faults.degrade_mttr_hours = -1.0; }},
+    {"faults.degrade_slowdown", "E108",
+     [](ScenarioSpec& s) { s.serve.faults.degrade_slowdown = 0.5; }},
+    {"faults.events[0].at_hour", "E110",
+     [](ScenarioSpec& s) { s.serve.faults.events[0].t_hours = -2.0; }},
+    // On a failed event: the range holds whatever the state.
+    {"faults.events[0].slowdown", "E113",
+     [](ScenarioSpec& s) { s.serve.faults.events[0].slowdown = 0.5; }},
+    {"trace.bucket_seconds", "E114",
+     [](ScenarioSpec& s) { s.serve.trace.bucket_seconds = 0.0; }},
+    {"trace.time_compression", "E114",
+     [](ScenarioSpec& s) { s.serve.trace.time_compression = 0.5; }},
+    {"observability.sample_rate", "E114",
+     [](ScenarioSpec& s) { s.observability.sample_rate = 2.0; }},
+};
+
+/**
+ * lint, validateSpec and the parser reject the same out-of-range
+ * value, each naming the key: the schema's ranges are the one rule.
+ */
+TEST(Lint, RangedKeysAgreeAcrossSurfaces)
+{
+    ScenarioSpec base = cleanSpec();
+    base.serve.power_cap_schedule = {{0.0, 1e6}};
+    base.serve.faults.events = {
+        {1.0, 0, 0, fault::HealthState::Failed, 1.0}};
+    ASSERT_TRUE(lint(base).empty());
+    EXPECT_EQ(std::size(kRangedKeys), 26u);
+
+    for (const RangedKey& row : kRangedKeys) {
+        SCOPED_TRACE(row.path);
+        ScenarioSpec s = base;
+        row.breakSpec(s);
+
+        std::string err;
+        EXPECT_FALSE(validateSpec(s, &err));
+        EXPECT_NE(err.find(std::string(" at ") + row.path + ": "),
+                  std::string::npos)
+            << err;
+
+        std::vector<Diagnostic> errors;
+        std::string listed;
+        for (const Diagnostic& d : lint(s))
+            if (d.severity == Severity::Error) {
+                errors.push_back(d);
+                listed += formatDiagnostic(d) + "\n";
+            }
+        ASSERT_EQ(errors.size(), 1u) << listed;
+        EXPECT_EQ(errors[0].code, row.code);
+        EXPECT_EQ(errors[0].path, row.path);
+
+        // "services[0].sla_ms" binds as key 'sla_ms' in services[0].
+        std::string path = row.path;
+        size_t dot = path.rfind('.');
+        std::string key = "key '" + path.substr(dot + 1) + "' in " +
+                          (dot == std::string::npos ? "scenario"
+                                                    : path.substr(0, dot));
+        EXPECT_FALSE(parseSpec(toText(s), &err).has_value());
+        EXPECT_NE(err.find(key + " must be "), std::string::npos) << err;
+    }
+}
+
 // ---- the run() gate ------------------------------------------------------
 
 TEST(LintGateDeathTest, RunRejectsErroneousSpecBeforeProfiling)
 {
     ScenarioSpec s = cleanSpec();
-    s.lint = true;
     s.fleet.clear();
-    EXPECT_DEATH(run(s), "rejected by lint gate.*E101");
-}
-
-TEST(Lint, SpecKeyRoundTrips)
-{
-    ScenarioSpec s;
-    EXPECT_EQ(toText(s).find("\"lint\""), std::string::npos)
-        << "default-off lint key must not serialize";
-    s.lint = true;
-    std::string text = toText(s);
-    EXPECT_NE(text.find("\"lint\": true"), std::string::npos);
-    std::string err;
-    auto back = parseSpec(text, &err);
-    ASSERT_TRUE(back.has_value()) << err;
-    EXPECT_TRUE(back->lint);
+    EXPECT_DEATH(run(s), "scenario 'clean': E101 error at fleet");
 }
 
 }  // namespace

@@ -76,7 +76,7 @@ TEST(SpecIo, ShippedScenariosRoundTripExactly)
     EXPECT_GE(n, 6u) << "shipped scenario library shrank";
 }
 
-// Canonical text of a spec that sets all 65 leaf keys to non-default
+// Canonical text of a spec that sets all 64 leaf keys to non-default
 // values: multi-line `services` items, a multi-line `faults` (it holds
 // `events`) and, in the second spec, a `faults` without events, which
 // stays inline. The always-written keys also appear at their defaults
@@ -117,7 +117,6 @@ const char* const kEveryKeySpec = R"spec({
   ],
   "provisioner": "priority-aware",
   "nh_seed": 23,
-  "lint": true,
   "router": "p2c",
   "router_seed": 9,
   "feedback": {"gain": 0.2, "floor_frac": 0.1},
@@ -189,7 +188,6 @@ TEST(SpecIo, EveryNonDefaultFieldRoundTrips)
     s.services.push_back(minimal);
     s.provisioner = ProvisionerKind::PriorityAware;
     s.nh_seed = 23;
-    s.lint = true;
     s.serve.router = sim::RouterPolicy::PowerOfTwo;
     s.serve.router_seed = 9;
     s.serve.feedback.gain = 0.2;
@@ -271,6 +269,24 @@ TEST(SpecIo, NonFiniteNumbersAreOmitted)
     EXPECT_EQ(toText(s), "{\n  \"name\": \"scenario\"\n}\n");
 }
 
+TEST(SpecIo, UncappedSchedulePointRoundTrips)
+{
+    // cap_w is always written, but its +inf default has no spelling:
+    // the point is written without it and binds back to +inf.
+    ScenarioSpec s;
+    s.serve.power_cap_schedule = {{18.0, 330.0}, {30.0}};
+    std::string text = toText(s);
+    EXPECT_NE(text.find("{\"from_hour\": 30}"), std::string::npos) << text;
+    std::string err;
+    auto back = parseSpec(text, &err);
+    ASSERT_TRUE(back.has_value()) << err;
+    ASSERT_EQ(back->serve.power_cap_schedule.size(), 2u);
+    EXPECT_EQ(back->serve.power_cap_schedule[1].from_hour, 30.0);
+    EXPECT_EQ(back->serve.power_cap_schedule[1].cap_w,
+              std::numeric_limits<double>::infinity());
+    EXPECT_EQ(toText(*back), text);
+}
+
 // ---- line/key-precise rejection ------------------------------------------
 
 /** One malformed spec and the exact error parseSpec reports for it. */
@@ -325,8 +341,9 @@ const ErrorRow kErrorCorpus[] = {
      "array)"},
     {"{\"name\": 5}",
      "line 1: key 'name' in scenario expects a string (got a number)"},
-    {"{\"lint\": 1}",
-     "line 1: key 'lint' in scenario expects a boolean (got a number)"},
+    {"{\"admission\": {\"cross_shard_retry\": 1}}",
+     "line 1: key 'cross_shard_retry' in admission expects a boolean "
+     "(got a number)"},
     {"{\"router\": {}}",
      "line 1: key 'router' in scenario expects a string (got an "
      "object)"},
@@ -347,6 +364,9 @@ const ErrorRow kErrorCorpus[] = {
      "0)"},
     {"{\"faults\": {\"degrade_slowdown\": 0.5}}",
      "line 1: key 'degrade_slowdown' in faults must be >= 1 (got 0.5)"},
+    {"{\"observability\": {\"sample_rate\": 2}}",
+     "line 1: key 'sample_rate' in observability must be in [0, 1] (got "
+     "2)"},
     {"{\"fleet\": [{\"type\": \"T2\", \"slots\": 3000000000}]}",
      "line 1: key 'slots' in fleet[0] is out of range"},
     {"{\"trace\": {\"seed\": -1}}",
@@ -464,8 +484,9 @@ TEST(SpecIo, RejectsSizeAndTraceKnobsThatFailLate)
         EXPECT_EQ(err, row.error);
     }
 
-    // size_min <= size_max spans two keys, so validateSpec (which
-    // --parse-only and run() apply) rejects it rather than the binder.
+    // size_min <= size_max spans two keys, so lint's E115 (which
+    // validateSpec, --parse-only and run() apply) rejects it rather
+    // than the binder.
     std::string err;
     auto crossed = parseSpec("{\n"
                              "  \"name\": \"crossed\",\n"
@@ -478,7 +499,9 @@ TEST(SpecIo, RejectsSizeAndTraceKnobsThatFailLate)
                              &err);
     ASSERT_TRUE(crossed.has_value()) << err;
     EXPECT_FALSE(validateSpec(*crossed, &err));
-    EXPECT_EQ(err, "scenario 'crossed': services[0]: size_min > size_max");
+    EXPECT_EQ(err, "scenario 'crossed': E115 error at services[0].size_min: "
+                   "size_min 500 > size_max 10: no query size fits the "
+                   "clip range");
 }
 
 TEST(SpecIo, SchemaKeysMatchReadmeGrammar)
@@ -528,7 +551,7 @@ TEST(SpecIo, SchemaKeysMatchReadmeGrammar)
         }
     }
     EXPECT_EQ(keys, schemaKeys());
-    EXPECT_EQ(schemaKeys().size(), 75u);  // 65 leaves + 10 containers
+    EXPECT_EQ(schemaKeys().size(), 74u);  // 64 leaves + 10 containers
 }
 
 // ---- defaults mirror the legacy entry points -----------------------------
@@ -869,24 +892,29 @@ TEST(ScenarioRun, ValidateSpecCatchesUnrunnableSpecs)
     };
     const Case cases[] = {
         {[](ScenarioSpec& s) { s.services[1].spec.sizes.median = 0.0; },
-         "services[1]: size_median must be positive"},
+         "E114 error at services[1].size_median: size_median must be "
+         "positive (got 0)"},
         {[](ScenarioSpec& s) { s.services[0].spec.sizes.sigma = -1.0; },
-         "services[0]: negative (or NaN) size/pooling sigma"},
+         "E114 error at services[0].size_sigma: size_sigma must be "
+         "non-negative (got -1)"},
         {[](ScenarioSpec& s) { s.services[0].spec.pooling.sigma = -0.1; },
-         "services[0]: negative (or NaN) size/pooling sigma"},
+         "E114 error at services[0].pooling_sigma: pooling_sigma must be "
+         "non-negative (got -0.1)"},
         {[](ScenarioSpec& s) { s.services[0].spec.load.trough_frac = 2.0; },
-         "services[0]: trough_frac must be in [0, 1]"},
+         "E114 error at services[0].trough_frac: trough_frac must be in "
+         "[0, 1] (got 2)"},
         {[](ScenarioSpec& s) {
              s.services[0].spec.sizes.min_size = 500;
              s.services[0].spec.sizes.max_size = 10;
          },
-         "services[0]: size_min > size_max"},
+         "E115 error at services[0].size_min: size_min 500 > size_max "
+         "10: no query size fits the clip range"},
         {[](ScenarioSpec& s) { s.serve.trace.bucket_seconds = 0.0; },
-         "trace: bucket_seconds must be positive and time_compression >= "
-         "1"},
+         "E114 error at trace.bucket_seconds: bucket_seconds must be "
+         "positive (got 0)"},
         {[](ScenarioSpec& s) { s.serve.trace.time_compression = 0.5; },
-         "trace: bucket_seconds must be positive and time_compression >= "
-         "1"},
+         "E114 error at trace.time_compression: time_compression must be "
+         ">= 1 (got 0.5)"},
     };
     for (const Case& c : cases) {
         ScenarioSpec bad = goldenSpec();

@@ -4,7 +4,8 @@
  * scenarios/ and tests/lint_specs/: random byte flips, truncation at
  * every 7th offset, and each key line duplicated. For every mutant,
  * parseSpec must either return a spec whose canonical text re-parses
- * to that same text, or an error that starts with "line N:". It must
+ * to that same text and that holds no value outside its key's range,
+ * or an error that starts with "line N:". It must
  * never crash, which the sanitizer CI job checks by running this test
  * under ASan+UBSan; nesting deep enough to overflow the stack is an
  * error too.
@@ -78,6 +79,8 @@ checkMutant(const std::string& text, const std::string& what)
         EXPECT_TRUE(hasLinePrefix(err)) << what << ": " << err;
         return false;
     }
+    for (const Diagnostic& d : rangeDiagnostics(*spec))
+        ADD_FAILURE() << what << ": " << formatDiagnostic(d);
     std::string canonical = toText(*spec);
     auto again = parseSpec(canonical, &err);
     EXPECT_TRUE(again.has_value())
