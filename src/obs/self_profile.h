@@ -62,20 +62,34 @@ struct DesProfile
     uint64_t events_executed = 0;       ///< events popped off EventQueues
     size_t peak_event_queue_depth = 0;  ///< max pending events, any shard
     /**
-     * Live per-query records at the fullest interval end: the
-     * interval's arrival buffer + every shard's query-state slots +
-     * every shard's retained completion log. Bounded by the arrival
-     * rate x interval plus what is in flight, not by the horizon.
+     * Live per-query records at the fullest interval end: both arrival
+     * buffers (the interval's and the next one's, pulled ahead) +
+     * every shard's query-state slots + every shard's retained
+     * completion log. Bounded by the arrival rate x interval plus what
+     * is in flight, not by the horizon.
      */
     size_t peak_live_queries = 0;
     /**
-     * Pulling each interval's arrivals from the arrival stream (trace
-     * generation). Not part of run_wall_ms or route_wall_ms, so trace
-     * generation is never counted as simulation.
+     * Time the replay waited on the arrival producer: the first
+     * interval's pull, then whatever of each next interval's pull
+     * (trace generation, overlapped with the replay) outlasted the
+     * replay of the current one. Not part of run_wall_ms.
      */
     double arrival_wall_ms = 0.0;
-    double route_wall_ms = 0.0;    ///< routing + admission + injection
-    double advance_wall_ms = 0.0;  ///< interval-boundary advanceTo/drain
+    /**
+     * Plans, health transitions and routing decisions (router,
+     * admission, accounting). When the decision reads shard state
+     * (jsq, p2c, any admission policy) each arrival is delivered as it
+     * is decided, so this also holds the lazy advance of the shards to
+     * each arrival and the injects.
+     */
+    double route_wall_ms = 0.0;
+    /**
+     * Delivery fan-out on the pool: replaying decided arrivals into the
+     * shards, advancing them to each cut and the interval end, and the
+     * final drain.
+     */
+    double advance_wall_ms = 0.0;
     double harvest_wall_ms = 0.0;  ///< completion harvest + stats
     double run_wall_ms = 0.0;  ///< whole run() call minus arrival_wall_ms
     double events_per_sec = 0.0;   ///< events_executed / run wall seconds

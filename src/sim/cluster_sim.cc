@@ -6,6 +6,7 @@
 #include "obs/telemetry.h"
 #include "qos/feedback.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
 #include "workload/trace_gen.h"
 
 namespace hercules::sim {
@@ -254,6 +255,16 @@ ClusterSim::addShard(const PreparedWorkload& w, double weight_qps,
     s.admit = qos::AdmissionController(opt_.admission);
     shards_.push_back(std::move(s));
     injected_per_shard_.push_back(0);
+    inbox_.emplace_back();
+    auto group = std::find_if(
+        workload_groups_.begin(), workload_groups_.end(),
+        [&](const std::vector<int>& ids) {
+            return shards_[static_cast<size_t>(ids[0])].workload == &w;
+        });
+    if (group == workload_groups_.end())
+        workload_groups_.push_back({id});
+    else
+        group->push_back(id);
     rebuildActive();
     for (Router& r : routers_)
         r.onTopologyChange(shards_.size());
@@ -442,6 +453,18 @@ ClusterSim::advanceTo(double t_s)
 int
 ClusterSim::route(const workload::Query& q)
 {
+    const int s = decide(q);
+    if (s >= 0) {
+        ServerInstance& inst = *shards_[static_cast<size_t>(s)].inst;
+        inst.advanceTo(q.arrival_s);
+        inst.inject(q);
+    }
+    return s;
+}
+
+int
+ClusterSim::decide(const workload::Query& q)
+{
     applyHealthEventsUpTo(q.arrival_s);
     const int svc = q.service_id;
     if (svc < 0 || svc >= numServices())
@@ -502,15 +525,46 @@ ClusterSim::route(const workload::Query& q)
         ++admission_retries_;
         ++retry_hops;
     }
-    Shard& sh = shards_[static_cast<size_t>(s)];
-    sh.inst->advanceTo(q.arrival_s);
-    int inject_idx = sh.inst->inject(q);
+    const int inject_idx = static_cast<int>(
+        shards_[static_cast<size_t>(s)].inst->injected() +
+        inbox_[static_cast<size_t>(s)].size());
     ++service_state_[static_cast<size_t>(svc)].total.injected;
     ++injected_per_shard_[static_cast<size_t>(s)];
     if (opt_.telemetry)
         opt_.telemetry->onAdmitted(svc, s, retry_hops, inject_idx,
                                    q.arrival_s);
     return s;
+}
+
+void
+ClusterSim::deliver(util::ThreadPool& pool,
+                    const std::vector<workload::Query>& arrivals, double t_s)
+{
+    // Start the groups with the most pending work first, so the
+    // busiest one does not queue behind short ones. The order of the
+    // tasks changes no result.
+    std::vector<size_t> work(workload_groups_.size(), 0);
+    std::vector<size_t> order(workload_groups_.size());
+    for (size_t g = 0; g < order.size(); ++g) {
+        order[g] = g;
+        for (int id : workload_groups_[g])
+            work[g] += inbox_[static_cast<size_t>(id)].size() +
+                       shards_[static_cast<size_t>(id)].inst->outstanding();
+    }
+    std::stable_sort(order.begin(), order.end(),
+                     [&](size_t a, size_t b) { return work[a] > work[b]; });
+    pool.parallelFor(order.size(), [&](size_t task) {
+        for (int id : workload_groups_[order[task]]) {
+            ServerInstance& inst = *shards_[static_cast<size_t>(id)].inst;
+            std::vector<size_t>& inbox = inbox_[static_cast<size_t>(id)];
+            for (size_t i : inbox) {
+                inst.advanceTo(arrivals[i].arrival_s);
+                inst.inject(arrivals[i]);
+            }
+            inbox.clear();
+            inst.advanceTo(t_s);
+        }
+    });
 }
 
 void
@@ -663,18 +717,16 @@ ClusterSim::harvest(double t0_s, double t1_s)
 ClusterSim::Tails
 ClusterSim::unionTails(PercentileTracker ServiceState::*buf)
 {
-    union_buf_.clear();
-    for (const ServiceState& ss : service_state_) {
-        const std::vector<double>& xs = (ss.*buf).samples();
-        union_buf_.insert(union_buf_.end(), xs.begin(), xs.end());
-    }
+    std::vector<std::vector<double>*> parts;
     Tails t;
-    t.p50 = nearestRankPercentile(union_buf_, 50.0);
-    t.p95 = nearestRankPercentile(union_buf_, 95.0);
-    t.p99 = nearestRankPercentile(union_buf_, 99.0);
-    if (!union_buf_.empty())
-        t.max = *std::max_element(union_buf_.begin(),
-                                  union_buf_.end());
+    for (ServiceState& ss : service_state_) {
+        PercentileTracker& tracker = ss.*buf;
+        parts.push_back(&tracker.samples());
+        t.max = std::max(t.max, tracker.max());  // latencies are >= 0
+    }
+    t.p50 = nearestRankPercentile(parts, 50.0);
+    t.p95 = nearestRankPercentile(parts, 95.0);
+    t.p99 = nearestRankPercentile(parts, 99.0);
     return t;
 }
 
@@ -687,6 +739,56 @@ ClusterSim::run(const std::vector<workload::Query>& trace,
     return run(arrivals, interval_s, plan, horizon_s);
 }
 
+IntervalPlan
+ClusterSim::replayInterval(int k, double t0, double t1,
+                           const std::vector<workload::Query>& arrivals,
+                           const IntervalPlanFn& plan, util::ThreadPool& pool,
+                           obs::DesProfile& des)
+{
+    obs::WallTimer timer;
+    // Boundary health transitions apply before the plan: the planner
+    // that produced it already saw the surviving capacity.
+    applyHealthEventsUpTo(t0);
+    IntervalPlan p;
+    if (plan) {
+        p = plan(k, t0);
+        std::vector<char> want(shards_.size(), 0);
+        for (int id : p.active) {
+            if (id < 0 || static_cast<size_t>(id) >= shards_.size())
+                panic("ClusterSim::run: plan names bad shard %d", id);
+            want[static_cast<size_t>(id)] = 1;
+        }
+        for (size_t i = 0; i < shards_.size(); ++i)
+            setActive(static_cast<int>(i), want[i] != 0, t0);
+    }
+    // Cut the window at every health event strictly inside it (one at
+    // an exact boundary belongs to the next interval's plan step):
+    // decide the arrivals before the cut, deliver them and advance
+    // every shard to the cut, then apply the event.
+    size_t next = 0;
+    for (;;) {
+        const bool event = health_cursor_ < health_events_.size() &&
+                           health_events_[health_cursor_].t_s < t1;
+        const double cut = event ? health_events_[health_cursor_].t_s : t1;
+        for (; next < arrivals.size() && arrivals[next].arrival_s < cut;
+             ++next) {
+            const workload::Query& q = arrivals[next];
+            if (decision_reads_shards_)
+                route(q);
+            else if (const int s = decide(q); s >= 0)
+                inbox_[static_cast<size_t>(s)].push_back(next);
+        }
+        des.route_wall_ms += timer.elapsedMs();
+        timer.restart();
+        deliver(pool, arrivals, cut);
+        des.advance_wall_ms += timer.elapsedMs();
+        timer.restart();
+        if (!event)
+            return p;
+        applyHealthEventsUpTo(cut);
+    }
+}
+
 ClusterSimResult
 ClusterSim::run(workload::ArrivalStream& arrivals, double interval_s,
                 const IntervalPlanFn& plan, double horizon_s)
@@ -697,8 +799,7 @@ ClusterSim::run(workload::ArrivalStream& arrivals, double interval_s,
     // Self-profiling wall timers: provenance only (ClusterSimResult::
     // des), never fed back into simulated state.
     obs::WallTimer run_timer;
-    double arrival_wall = 0.0, route_wall = 0.0, advance_wall = 0.0,
-           harvest_wall = 0.0;
+    ClusterSimResult r;
 
     // Interval-boundary gauge snapshot (after the plan's provisioned
     // power is known); null telemetry makes this a no-op.
@@ -719,84 +820,95 @@ ClusterSim::run(workload::ArrivalStream& arrivals, double interval_s,
         tel->commitSample(st.t1_s);
     };
 
-    // Live per-query records right before a harvest: the interval's
-    // arrival buffer plus what every shard still holds.
-    std::vector<workload::Query> pending;  // one interval's arrivals
-    auto liveQueries = [&]() {
-        size_t live = pending.size();
+    // Live per-query records every shard holds right before a harvest.
+    auto shardLiveQueries = [&]() {
+        size_t live = 0;
         for (const Shard& s : shards_)
             live += s.inst->retainedQuerySlots() +
                     s.inst->completions().size();
         return live;
     };
 
-    ClusterSimResult r;
-    int k = 0;
-    obs::WallTimer phase_timer;
-    for (;; ++k) {
-        double t0 = static_cast<double>(k) * interval_s;
-        double t1 = t0 + interval_s;
-        phase_timer.restart();
-        const bool more = arrivals.peek() != nullptr;
-        if (!more && !(t0 < horizon_s - 1e-9)) {
-            arrival_wall += phase_timer.elapsedMs();
-            break;
-        }
-        pending.clear();
+    // Two arrival buffers: interval k replays from one while the
+    // producer fills the other with interval k + 1. `more` records
+    // whether the stream still had arrivals when the pull began: the
+    // loop's end-of-stream test.
+    struct Buffer
+    {
+        std::vector<workload::Query> queries;
+        bool more = false;
+    };
+    Buffer buffers[2];
+    auto windowEnd = [interval_s](int i) {
+        return static_cast<double>(i) * interval_s + interval_s;
+    };
+    auto produce = [&arrivals](Buffer& b, double t1) {
+        b.more = arrivals.peek() != nullptr;
+        b.queries.clear();
         for (const workload::Query* q = arrivals.peek();
              q && q->arrival_s < t1; q = arrivals.peek()) {
-            pending.push_back(*q);
+            b.queries.push_back(*q);
             arrivals.pop();
         }
-        arrival_wall += phase_timer.elapsedMs();
-        phase_timer.restart();
-        // Boundary health transitions apply before the plan: the
-        // planner that produced it already saw the surviving capacity.
-        applyHealthEventsUpTo(t0);
-        IntervalPlan p;
-        if (plan) {
-            p = plan(k, t0);
-            std::vector<char> want(shards_.size(), 0);
-            for (int id : p.active) {
-                if (id < 0 || static_cast<size_t>(id) >= shards_.size())
-                    panic("ClusterSim::run: plan names bad shard %d", id);
-                want[static_cast<size_t>(id)] = 1;
+    };
+
+    // More threads than delivery tasks plus the producer would only
+    // be woken to find nothing to do.
+    util::ThreadPool pool(
+        std::min(util::ThreadPool::hardwareThreads(),
+                 static_cast<int>(workload_groups_.size()) + 1));
+    obs::WallTimer wait_timer;
+    produce(buffers[0], windowEnd(0));
+    r.des.arrival_wall_ms += wait_timer.elapsedMs();
+    int k = 0;
+    for (;; ++k) {
+        const double t0 = static_cast<double>(k) * interval_s;
+        const double t1 = t0 + interval_s;
+        const Buffer& cur = buffers[k % 2];
+        Buffer& next = buffers[(k + 1) % 2];
+        if (!cur.more && !(t0 < horizon_s - 1e-9))
+            break;
+        IntervalStats st;
+        size_t shard_live = 0;
+        double replay_ms = 0.0;
+        wait_timer.restart();
+        // Task 0, the replay, stays on this thread (and its heap); a
+        // worker, or this thread afterwards, runs the producer.
+        pool.parallelFor(2, [&](size_t task) {
+            if (task == 1) {
+                produce(next, windowEnd(k + 1));
+                return;
             }
-            for (size_t i = 0; i < shards_.size(); ++i)
-                setActive(static_cast<int>(i), want[i] != 0, t0);
-        }
-        for (const workload::Query& q : pending)
-            route(q);
-        // Transitions after the window's last arrival but strictly
-        // inside it (a crash at an exact boundary belongs to the next
-        // interval's plan step).
-        while (health_cursor_ < health_events_.size() &&
-               health_events_[health_cursor_].t_s < t1)
-            applyHealthEventsUpTo(health_events_[health_cursor_].t_s);
-        route_wall += phase_timer.elapsedMs();
-        phase_timer.restart();
-        advanceTo(t1);
-        advance_wall += phase_timer.elapsedMs();
-        phase_timer.restart();
+            obs::WallTimer replay_timer;
+            const IntervalPlan p =
+                replayInterval(k, t0, t1, cur.queries, plan, pool, r.des);
+            obs::WallTimer harvest_timer;
+            shard_live = shardLiveQueries();
+            st = harvest(t0, t1);
+            r.des.harvest_wall_ms += harvest_timer.elapsedMs();
+            if (plan) {
+                st.provisioned_power_w = p.provisioned_power_w;
+                st.budget_power_w = p.budget_power_w;
+                st.power_capped = p.power_capped;
+            }
+            replay_ms = replay_timer.elapsedMs();
+        });
+        // What the replay waited on the producer beyond its own work.
+        r.des.arrival_wall_ms +=
+            std::max(0.0, wait_timer.elapsedMs() - replay_ms);
         r.des.peak_live_queries =
-            std::max(r.des.peak_live_queries, liveQueries());
-        IntervalStats st = harvest(t0, t1);
-        harvest_wall += phase_timer.elapsedMs();
-        if (plan) {
-            st.provisioned_power_w = p.provisioned_power_w;
-            st.budget_power_w = p.budget_power_w;
-            st.power_capped = p.power_capped;
-        }
+            std::max(r.des.peak_live_queries,
+                     shard_live + cur.queries.size() + next.queries.size());
         sampleTelemetry(st);
         r.intervals.push_back(st);
     }
-    pending.clear();  // the drain tail holds no arrivals
 
     // Tail: retire whatever is still in flight past the last interval.
     const size_t planned_intervals = r.intervals.size();
     obs::WallTimer tail_timer;
-    drainAll();
-    advance_wall += tail_timer.elapsedMs();
+    // Advancing to +inf runs every queue dry: drainAll() on the pool.
+    deliver(pool, {}, std::numeric_limits<double>::infinity());
+    r.des.advance_wall_ms += tail_timer.elapsedMs();
     double tail_start = static_cast<double>(k) * interval_s;
     double tail_end = tail_start;
     for (const Shard& s : shards_)
@@ -804,9 +916,9 @@ ClusterSim::run(workload::ArrivalStream& arrivals, double interval_s,
     if (tail_end > tail_start) {
         tail_timer.restart();
         r.des.peak_live_queries =
-            std::max(r.des.peak_live_queries, liveQueries());
+            std::max(r.des.peak_live_queries, shardLiveQueries());
         IntervalStats tail = harvest(tail_start, tail_end);
-        harvest_wall += tail_timer.elapsedMs();
+        r.des.harvest_wall_ms += tail_timer.elapsedMs();
         if (tail.completions > 0 || tail.arrivals > 0) {
             sampleTelemetry(tail);
             r.intervals.push_back(tail);
@@ -858,11 +970,7 @@ ClusterSim::run(workload::ArrivalStream& arrivals, double interval_s,
         r.des.peak_event_queue_depth = std::max(
             r.des.peak_event_queue_depth, s.inst->peakEventQueueDepth());
     }
-    r.des.arrival_wall_ms = arrival_wall;
-    r.des.route_wall_ms = route_wall;
-    r.des.advance_wall_ms = advance_wall;
-    r.des.harvest_wall_ms = harvest_wall;
-    r.des.run_wall_ms = run_timer.elapsedMs() - arrival_wall;
+    r.des.run_wall_ms = run_timer.elapsedMs() - r.des.arrival_wall_ms;
     r.des.events_per_sec =
         r.des.run_wall_ms > 0.0
             ? static_cast<double>(r.des.events_executed) /

@@ -65,6 +65,10 @@ namespace hercules::obs {
 class Telemetry;
 }  // namespace hercules::obs
 
+namespace hercules::util {
+class ThreadPool;
+}  // namespace hercules::util
+
 namespace hercules::workload {
 class ArrivalStream;
 }  // namespace hercules::workload
@@ -176,13 +180,18 @@ struct ServiceIntervalStats
     double sla_violation_rate = 0.0;  ///< Tally::violationRate()
     double p50_ms = 0.0;
     double p99_ms = 0.0;
-    int active_shards = 0;  ///< serving the slice, at window start
+    /**
+     * Shards serving the slice at window end: after the plan and after
+     * every health transition inside the window.
+     */
+    int active_shards = 0;
 };
 
 /**
  * Per-interval serving statistics of one cluster run: the services'
  * window tallies summed, tails over the union of their latencies, the
- * cluster's active shards (post-plan), and the window's load and power.
+ * cluster's active shards (at window end), and the window's load and
+ * power.
  */
 struct IntervalStats : ServiceIntervalStats
 {
@@ -422,7 +431,9 @@ class ClusterSim
      * controller. When the picked shard refuses and
      * admission.cross_shard_retry is set, the query is re-offered to
      * the service's other active shards (ascending estimated
-     * completion) before it counts as rejected.
+     * completion) before it counts as rejected. This is a decision
+     * (decide()) followed at once by its delivery: advance the picked
+     * shard to the arrival, then inject the query.
      *
      * Shards advance lazily. Health events up to the arrival are
      * applied first (each advances every shard to its own time). Then
@@ -460,14 +471,44 @@ class ClusterSim
 
     /**
      * Replay an arrival stream: at each interval boundary apply `plan`
-     * (nullptr keeps every shard active), pull the interval's arrivals
-     * from the stream into one reused buffer, route them, advance,
-     * harvest. After the last interval all shards drain and a final
-     * tail window is harvested. Only one interval's arrivals are held
-     * at a time, and harvested completions are released from the
-     * shards, so live state is O(arrival rate x interval + in flight);
-     * the whole-run percentiles keep one latency sample per completion
-     * (8 B) per service.
+     * (nullptr keeps every shard active), route the interval's
+     * arrivals, advance, harvest. After the last interval all shards
+     * drain and a final tail window is harvested. Two interval buffers
+     * of arrivals are held at a time, and harvested completions are
+     * released from the shards, so live state is O(arrival rate x
+     * interval + in flight); the whole-run percentiles keep one
+     * latency sample per completion (8 B) per service.
+     *
+     * Parallelism, on one util::ThreadPool per call with one thread
+     * per hardware thread, but no more than one per PreparedWorkload
+     * plus one (on one hardware thread everything runs serially, in
+     * program order):
+     *  - a producer pulls interval k + 1's arrivals from the stream
+     *    into the second buffer while interval k is decided, delivered
+     *    and harvested. Only the producer touches the stream, and it
+     *    pulls the same arrivals in the same order;
+     *  - when the decision reads no shard state (rr, hercules, and
+     *    latency-feedback, whose weights move only at harvest, each
+     *    with admission `none`), the interval is decided serially
+     *    first: every arrival is routed, counted and reported to
+     *    telemetry in arrival order, and the picked shard's inbox gets
+     *    the arrival's index. A health event inside the interval cuts
+     *    it: the arrivals before the event are delivered and every
+     *    shard advanced to it before it applies. Otherwise (jsq, p2c,
+     *    any admission policy) each arrival is delivered as it is
+     *    decided, as route() does;
+     *  - delivery fans out one pool task per PreparedWorkload: the
+     *    task replays each of that workload's shards' inboxes (advance
+     *    to the arrival, inject) in shard order and advances them to
+     *    the cut. Shards sharing a workload share its unlocked CPU
+     *    memo, so they stay on one task;
+     *  - plans, health transitions and harvests stay serial, in shard
+     *    order.
+     * A shard's events are scheduled only by its own injects and
+     * dispatches, so it runs the same events in the same order
+     * whichever thread advances it and whenever; every sum and
+     * percentile sees its samples in the serial order. Results are
+     * bit-identical to a serial per-arrival replay.
      *
      * @param arrivals  arrivals in non-decreasing time order; drained.
      * @param horizon_s with a positive value, intervals (and the plan)
@@ -494,6 +535,33 @@ class ClusterSim
     size_t admissionRetries() const { return admission_retries_; }
 
   private:
+    /**
+     * The decision half of route(): apply health events up to the
+     * arrival, pick a shard, run admission, count the outcome and
+     * report it to telemetry. An admitted query's injection index is
+     * its shard's injected() plus the shard's inbox, so the caller
+     * must deliver it next on that shard (route() at once, run() from
+     * the inbox).
+     * @return as route().
+     */
+    int decide(const workload::Query& q);
+    /**
+     * Delivery for run(): replay every shard's inbox of indices into
+     * `arrivals`, then advance every shard to t_s; one pool task per
+     * PreparedWorkload.
+     */
+    void deliver(util::ThreadPool& pool,
+                 const std::vector<workload::Query>& arrivals, double t_s);
+    /**
+     * One interval of run() up to its harvest: health events at t0,
+     * the plan, then decisions and deliveries to t1 (see run()).
+     * @return the plan applied (default-constructed without one).
+     */
+    IntervalPlan replayInterval(int k, double t0, double t1,
+                                const std::vector<workload::Query>& arrivals,
+                                const IntervalPlanFn& plan,
+                                util::ThreadPool& pool, obs::DesProfile& des);
+
     struct Shard
     {
         std::unique_ptr<ServerInstance> inst;
@@ -532,9 +600,9 @@ class ClusterSim
         double p50 = 0.0, p95 = 0.0, p99 = 0.0, max = 0.0;
     };
     /**
-     * Tails of the union of every service's `buf` samples. Nearest-rank
-     * percentiles are found by selection, so the order in which the
-     * service buffers are concatenated does not matter.
+     * Tails of the union of every service's `buf` samples, selected in
+     * place across the service buffers (no copy). Nearest-rank
+     * percentiles do not depend on the order of the samples.
      */
     Tails unionTails(PercentileTracker ServiceState::*buf);
 
@@ -546,6 +614,10 @@ class ClusterSim
     std::vector<std::vector<int>> active_by_service_;
     std::vector<ServiceState> service_state_;
     std::vector<size_t> injected_per_shard_;
+    /** Shard ids by PreparedWorkload, each in shard order. */
+    std::vector<std::vector<int>> workload_groups_;
+    /** Per shard: decided, undelivered arrivals (run()'s buffer indices). */
+    std::vector<std::vector<size_t>> inbox_;
 
     size_t admission_retries_ = 0;  ///< rejects saved by re-offering
 
@@ -556,7 +628,6 @@ class ClusterSim
 
     /** The router or admission reads shard queues on every arrival. */
     bool decision_reads_shards_ = false;
-    std::vector<double> union_buf_;  ///< unionTails() buffer
 
     // run() aggregates
     /**

@@ -7,6 +7,7 @@
 
 #include "hw/calibration.h"
 #include "util/logging.h"
+#include "util/thread_annotations.h"
 
 namespace hercules::sim {
 
@@ -35,17 +36,28 @@ gpuPerThreadCapacity(const hw::ServerSpec& server, int gpu_threads)
 
 /**
  * Hot splits are pure functions of (model, capacity) and the search
- * evaluates them for every candidate configuration — memoize.
- * (Single-threaded by design, like the rest of the simulator.)
+ * evaluates them for every candidate configuration — memoize. The memo
+ * is locked: EvalEngine prepares and validates configurations on its
+ * worker threads concurrently. Entries are never erased, and a node of
+ * an unordered_map does not move, so the returned reference stays
+ * valid after the lock is released.
  */
 const model::HotSplit&
 cachedHotSplit(const model::Model& m, int64_t capacity)
 {
-    static std::unordered_map<std::string, model::HotSplit> cache;
+    struct Memo
+    {
+        util::Mutex mu;
+        std::unordered_map<std::string, model::HotSplit> splits
+            GUARDED_BY(mu);
+    };
+    static Memo memo;
     std::string key = m.name + "/" + std::to_string(capacity);
-    auto it = cache.find(key);
-    if (it == cache.end())
-        it = cache.emplace(key, model::computeHotSplit(m, capacity)).first;
+    util::MutexLock lock(memo.mu);
+    auto it = memo.splits.find(key);
+    if (it == memo.splits.end())
+        it = memo.splits.emplace(key, model::computeHotSplit(m, capacity))
+                 .first;
     return it->second;
 }
 

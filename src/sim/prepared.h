@@ -51,10 +51,10 @@ struct CpuServiceMemoEntry
  *
  * Ownership: a PreparedWorkload is simulated by one thread at a time.
  * Every ServerInstance built on it fills the shared memo without
- * locking. EvalEngine builds one per evaluation on its worker thread,
- * and ClusterSim (whose shards of one personality share one) is
- * single-threaded. A parallel per-shard advance must give each thread
- * its own PreparedWorkload rather than share one across threads.
+ * locking. EvalEngine builds one per evaluation on its worker thread.
+ * ClusterSim's shards of one personality share one, and its parallel
+ * delivery advances all the shards that share a PreparedWorkload on
+ * one pool task, so no two threads touch its memo at once.
  */
 struct PreparedWorkload
 {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "util/logging.h"
 
@@ -46,20 +47,97 @@ PercentileTracker::addAll(const std::vector<double>& xs)
         add(x);
 }
 
+namespace {
+
+/** The 0-based nearest-rank position of the p-th percentile of n > 0. */
+size_t
+nearestRankIndex(size_t n, double p)
+{
+    if (p < 0.0 || p > 100.0)
+        panic("percentile out of range: %f", p);
+    // Nearest-rank definition: ceil(p/100 * N), 1-indexed.
+    double rank = std::ceil(p / 100.0 * static_cast<double>(n));
+    size_t idx = rank < 1.0 ? 0 : static_cast<size_t>(rank) - 1;
+    return std::min(idx, n - 1);
+}
+
+}  // namespace
+
 double
 nearestRankPercentile(std::vector<double>& samples, double p)
 {
     if (samples.empty())
         return 0.0;
-    if (p < 0.0 || p > 100.0)
-        panic("percentile out of range: %f", p);
-    // Nearest-rank definition: ceil(p/100 * N), 1-indexed.
-    double rank = std::ceil(p / 100.0 * static_cast<double>(samples.size()));
-    size_t idx = rank < 1.0 ? 0 : static_cast<size_t>(rank) - 1;
-    idx = std::min(idx, samples.size() - 1);
+    const size_t idx = nearestRankIndex(samples.size(), p);
     auto nth = samples.begin() + static_cast<std::ptrdiff_t>(idx);
     std::nth_element(samples.begin(), nth, samples.end());
     return *nth;
+}
+
+double
+nearestRankPercentile(const std::vector<std::vector<double>*>& parts,
+                      double p)
+{
+    // The still-candidate slice [lo, hi) of every non-empty part.
+    struct Range
+    {
+        double* lo;
+        double* hi;
+    };
+    std::vector<Range> live;
+    size_t n = 0;
+    for (std::vector<double>* part : parts) {
+        if (part->empty())
+            continue;
+        live.push_back({part->data(), part->data() + part->size()});
+        n += part->size();
+    }
+    if (n == 0)
+        return 0.0;
+    size_t idx = nearestRankIndex(n, p);
+    std::vector<std::pair<double*, double*>> splits;
+    for (;;) {
+        if (live.size() == 1) {
+            std::nth_element(live[0].lo, live[0].lo + idx, live[0].hi);
+            return live[0].lo[idx];
+        }
+        // Pivot: median of the first, middle and last sample of the
+        // largest range.
+        const Range& big = *std::max_element(
+            live.begin(), live.end(), [](const Range& a, const Range& b) {
+                return a.hi - a.lo < b.hi - b.lo;
+            });
+        double three[3] = {big.lo[0], big.lo[(big.hi - big.lo) / 2],
+                           big.hi[-1]};
+        std::sort(three, three + 3);
+        const double pivot = three[1];
+        // 3-way partition every range: [lo, lt) < pivot, [lt, gt) ==
+        // pivot, [gt, hi) > pivot.
+        size_t below = 0, equal = 0;
+        splits.clear();
+        for (const Range& r : live) {
+            double* lt = std::partition(
+                r.lo, r.hi, [pivot](double x) { return x < pivot; });
+            double* gt = std::partition(
+                lt, r.hi, [pivot](double x) { return !(pivot < x); });
+            splits.emplace_back(lt, gt);
+            below += static_cast<size_t>(lt - r.lo);
+            equal += static_cast<size_t>(gt - lt);
+        }
+        if (idx >= below && idx < below + equal)
+            return pivot;
+        const bool left = idx < below;
+        if (!left)
+            idx -= below + equal;
+        size_t kept = 0;
+        for (size_t i = 0; i < live.size(); ++i) {
+            const Range r = left ? Range{live[i].lo, splits[i].first}
+                                 : Range{splits[i].second, live[i].hi};
+            if (r.hi > r.lo)
+                live[kept++] = r;
+        }
+        live.resize(kept);
+    }
 }
 
 double

@@ -60,6 +60,17 @@ class OnlineStats
 double nearestRankPercentile(std::vector<double>& samples, double p);
 
 /**
+ * nearestRankPercentile() of the concatenation of `parts`, found in
+ * place: a quickselect over all parts at once (pick a pivot, 3-way
+ * partition every part, keep the side that holds the rank), so no
+ * sample is copied. Each part is reordered. The value is the same
+ * order statistic as that of the concatenated buffer, whatever the
+ * order of the parts or of their samples.
+ */
+double nearestRankPercentile(const std::vector<std::vector<double>*>& parts,
+                             double p);
+
+/**
  * Exact percentile tracker: stores all samples and selects on demand.
  *
  * Exact storage avoids quantile-sketch approximation error in tests
@@ -107,6 +118,13 @@ class PercentileTracker
 
     /** @return the samples, in no particular order. */
     const std::vector<double>& samples() const { return samples_; }
+
+    /**
+     * The samples, for a selection that reorders them in place (the
+     * multi-part nearestRankPercentile()). Callers may reorder them
+     * but must not add or remove any.
+     */
+    std::vector<double>& samples() { return samples_; }
 
     /** Remove all samples. */
     void reset();

@@ -1,11 +1,11 @@
 /**
  * @file
  * A small work-sharing thread pool built around one primitive:
- * parallelFor(n, fn). The calling thread always participates, so a pool
- * sized 1 (or a pool on a single-core host) degenerates to a plain
- * serial loop with zero scheduling overhead in program order — the
- * property the evaluation engine relies on for bit-identical serial vs
- * parallel results.
+ * parallelFor(n, fn). The calling thread always participates, and runs
+ * index 0 itself, so a pool sized 1 (or a pool on a single-core host)
+ * degenerates to a plain serial loop with zero scheduling overhead in
+ * program order — the property the evaluation engine relies on for
+ * bit-identical serial vs parallel results.
  *
  * parallelFor may be called from inside a task (nested parallelism:
  * per-mapping searches spawn per-arm climbs which prefetch neighbour
@@ -74,9 +74,12 @@ class ThreadPool
 
     /**
      * Run fn(0) .. fn(n-1), possibly concurrently; returns once every
-     * index completed. The caller claims indices too, in ascending
-     * order, so with no free worker the loop runs serially in index
-     * order. fn must not throw.
+     * index completed. The caller runs fn(0) itself, then claims
+     * further indices in ascending order, so with no free worker the
+     * loop runs serially in index order. Index 0 always runs on the
+     * calling thread: give it the work that should stay there, such as
+     * work whose allocations should come from the caller's malloc
+     * arena. fn must not throw.
      */
     void
     parallelFor(size_t n, const std::function<void(size_t)>& fn)
@@ -93,13 +96,16 @@ class ThreadPool
         auto job = std::make_shared<Job>();
         job->n = n;
         job->fn = &fn;
+        job->next.store(1, std::memory_order_relaxed);  // 0 is the caller's
         {
             MutexLock lock(mu_);
             jobs_.push_back(job);
         }
         cv_.notifyAll();
 
-        // The caller participates until no index is left to claim...
+        // The caller runs index 0 and then participates until no index
+        // is left to claim...
+        run(*job, 0);
         while (claimAndRun(*job)) {
         }
         // ...then waits for indices claimed by workers to finish.
@@ -128,13 +134,20 @@ class ThreadPool
         size_t i = job.next.fetch_add(1, std::memory_order_relaxed);
         if (i >= job.n)
             return false;
+        run(job, i);
+        return true;
+    }
+
+    /** Run index i of `job` and count it done. */
+    static void
+    run(Job& job, size_t i)
+    {
         (*job.fn)(i);
         if (job.done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
             job.n) {
             MutexLock lock(job.m);
             job.cv.notifyAll();
         }
-        return true;
     }
 
     void

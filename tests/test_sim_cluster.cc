@@ -4,7 +4,8 @@
  * ClusterSim layer: pinned bit-identity of simulateServer() against
  * the pre-extraction engine, steppable == one-shot equivalence, the
  * single-shard == single-server reduction, router policies, shard
- * drain semantics and interval statistics.
+ * drain semantics, interval statistics, and the parallel replay's
+ * equivalence with per-arrival delivery.
  */
 #include <gtest/gtest.h>
 
@@ -13,6 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/telemetry.h"
+#include "obs/trace.h"
 #include "sim/cluster_sim.h"
 #include "sim/measure.h"
 #include "sim/server_instance.h"
@@ -1263,6 +1266,132 @@ TEST(ClusterSim, StreamedRunMatchesVectorRun)
     expectSameClusterResult(a, b);
     ASSERT_GE(a.intervals.size(), 4u);
     EXPECT_EQ(a.intervals[0].arrivals, 100u);
+}
+
+/** A flat three-service load. */
+std::vector<workload::Query>
+flatThreeServiceTrace(double seconds)
+{
+    std::vector<workload::ServiceTraceSpec> specs(3);
+    specs[0].load.peak_qps = 2000.0;
+    specs[1].load.peak_qps = 1200.0;
+    specs[2].load.peak_qps = 1500.0;
+    for (workload::ServiceTraceSpec& sp : specs) {
+        sp.load.trough_frac = 1.0;
+        sp.load.noise_frac = 0.0;
+    }
+    workload::TraceOptions topt;
+    topt.horizon_hours = seconds / 3600.0;
+    topt.bucket_seconds = 1.0;
+    topt.seed = 23;
+    return workload::generateMultiServiceTrace(specs, topt);
+}
+
+/** Every field of two telemetry trace logs, bit for bit. */
+void
+expectSameTraceRecords(const std::vector<obs::TraceRecord>& a,
+                       const std::vector<obs::TraceRecord>& b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+        SCOPED_TRACE("record " + std::to_string(i));
+        EXPECT_EQ(a[i].id, b[i].id);
+        EXPECT_EQ(a[i].service, b[i].service);
+        EXPECT_EQ(a[i].shard, b[i].shard);
+        EXPECT_EQ(a[i].retry_hops, b[i].retry_hops);
+        EXPECT_EQ(a[i].arrival_s, b[i].arrival_s);
+        EXPECT_EQ(a[i].queue_wait_ms, b[i].queue_wait_ms);
+        EXPECT_EQ(a[i].service_start_s, b[i].service_start_s);
+        EXPECT_EQ(a[i].finish_s, b[i].finish_s);
+        EXPECT_EQ(a[i].outcome, b[i].outcome);
+    }
+}
+
+/*
+ * When the routing decision reads no shard state, run() decides each
+ * interval serially and delivers it to the shards on a thread pool,
+ * one task per PreparedWorkload. The oracle is the same setup with
+ * queue_cap admission at a cap no queue reaches: admission reads the
+ * shards, so each arrival is delivered as soon as it is decided, and
+ * it refuses nothing. Every result field, every window and every
+ * telemetry record must match. The setup has three workloads carrying
+ * load (two of them shared by several shards), a plan that releases
+ * shards and brings them back, a crash and its recovery inside one
+ * interval, and a straggler whose onset falls exactly on an arrival.
+ */
+TEST(ParallelReplay, MatchesPerArrivalDelivery)
+{
+    model::Model m = model::buildModel(ModelId::DlrmRmc1);
+    PreparedWorkload big = prepare(hw::serverSpec(ServerType::T2), m,
+                                   cpuConfig(4, 2, 128));
+    PreparedWorkload small = prepare(hw::serverSpec(ServerType::T2), m,
+                                     cpuConfig(2, 1, 64));
+    PreparedWorkload mid = prepare(hw::serverSpec(ServerType::T2), m,
+                                   cpuConfig(3, 2, 96));
+    const double interval_s = 0.25;
+    const std::vector<workload::Query> trace = flatThreeServiceTrace(1.5);
+    ASSERT_GT(trace.size(), 5000u);
+    // The straggler's onset: the first arrival at or after 0.8 s.
+    size_t onset = 0;
+    while (trace[onset].arrival_s < 0.8)
+        ++onset;
+    const std::vector<HealthEvent> health = {
+        {0.31, 6, fault::HealthState::Failed, 1.0},
+        {0.43, 6, fault::HealthState::Healthy, 1.0},
+        {trace[onset].arrival_s, 3, fault::HealthState::Degraded, 2.5},
+        {1.1, 3, fault::HealthState::Healthy, 1.0},
+    };
+    // Intervals 1 and 4 release shards 1 and 4; the others bring them
+    // back.
+    auto plan = [](int k, double) {
+        IntervalPlan p;
+        for (int id = 0; id < 7; ++id)
+            if (k % 3 != 1 || (id != 1 && id != 4))
+                p.active.push_back(id);
+        return p;
+    };
+
+    for (RouterPolicy policy :
+         {RouterPolicy::RoundRobin, RouterPolicy::HerculesWeighted,
+          RouterPolicy::LatencyFeedback}) {
+        SCOPED_TRACE(routerPolicyName(policy));
+        auto replay = [&](qos::AdmissionPolicy admission,
+                          obs::Telemetry* telemetry) {
+            ClusterSim::Options copt;
+            copt.router = policy;
+            copt.sla_ms = 4.0;
+            copt.admission.policy = admission;
+            copt.admission.queue_cap = size_t{1} << 40;
+            copt.telemetry = telemetry;
+            ClusterSim cluster(copt);
+            cluster.addShard(big, 1200.0, 0);
+            cluster.addShard(big, 1200.0, 0);
+            cluster.addShard(small, 500.0, 0);
+            cluster.addShard(small, 500.0, 1);
+            cluster.addShard(mid, 900.0, 1);
+            cluster.addShard(mid, 900.0, 2);
+            cluster.addShard(big, 1200.0, 2);
+            cluster.scheduleHealth(health);
+            return cluster.run(trace, interval_s, plan);
+        };
+        obs::ObsSpec spec;
+        spec.trace_file = "parallel_replay_trace.jsonl";
+        obs::Telemetry batched_tel(spec), oracle_tel(spec);
+        const ClusterSimResult batched =
+            replay(qos::AdmissionPolicy::None, &batched_tel);
+        const ClusterSimResult oracle =
+            replay(qos::AdmissionPolicy::QueueCap, &oracle_tel);
+        expectSameClusterResult(batched, oracle);
+        expectSameTraceRecords(batched_tel.traceRecords(),
+                               oracle_tel.traceRecords());
+        EXPECT_EQ(oracle.rejected, 0u);
+        EXPECT_EQ(batched.injected, trace.size());
+        EXPECT_GT(batched.failed_inflight, 0u);
+        ASSERT_EQ(batched.health_transitions.size(), 4u);
+        ASSERT_EQ(batched.services.size(), 3u);
+        for (const ServiceRunStats& sv : batched.services)
+            EXPECT_GT(sv.completed, 1000u);
+    }
 }
 
 /** sla_violations / (completed + dropped + rejected + failed), or 0. */

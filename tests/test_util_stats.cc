@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <random>
 #include <vector>
 
 #include "util/stats.h"
@@ -234,6 +236,71 @@ class SampleStream
   private:
     uint64_t x_;
 };
+
+/** The bits of a double, so equal results are checked bit for bit. */
+uint64_t
+bitsOf(double x)
+{
+    uint64_t b = 0;
+    std::memcpy(&b, &x, sizeof b);
+    return b;
+}
+
+/*
+ * The multi-part selection equals nearestRankPercentile() over the
+ * concatenated parts, bit for bit, for every kind of data and every
+ * shape of parts, and whatever order an earlier selection left the
+ * parts in.
+ */
+TEST(NearestRankPercentileParts, MatchesConcatenation)
+{
+    const std::vector<std::vector<size_t>> shapes = {
+        {1},           {2000},         {0, 0, 700, 0}, {1, 1, 1, 1, 1},
+        {1, 999},      {999, 1},       {5, 3000, 0, 37},
+        {400, 400, 400}, {0, 1, 0, 2, 0, 3}, {17, 2, 1200, 1, 0, 64}};
+    const std::vector<double> ps = {0.0, 1.0, 50.0, 95.0, 99.0, 100.0};
+    std::mt19937_64 gen(7);
+    std::uniform_real_distribution<double> uniform(0.0, 50.0);
+    std::uniform_int_distribution<int> few(0, 4);
+    enum class Data { Random, Ties, AllEqual };
+    for (Data data : {Data::Random, Data::Ties, Data::AllEqual})
+        for (const std::vector<size_t>& shape : shapes) {
+            std::vector<std::vector<double>> parts;
+            std::vector<double> all;
+            for (size_t n : shape) {
+                parts.emplace_back();
+                for (size_t i = 0; i < n; ++i) {
+                    const double x = data == Data::Random ? uniform(gen)
+                                     : data == Data::Ties
+                                         ? static_cast<double>(few(gen))
+                                         : 3.25;
+                    parts.back().push_back(x);
+                    all.push_back(x);
+                }
+            }
+            std::vector<std::vector<double>*> ptrs;
+            for (std::vector<double>& part : parts)
+                ptrs.push_back(&part);
+            for (double p : ps) {
+                SCOPED_TRACE("data " + std::to_string(static_cast<int>(data)) +
+                             " parts " + std::to_string(shape.size()) +
+                             " p " + std::to_string(p));
+                const double want = nearestRankPercentile(all, p);
+                const double got = nearestRankPercentile(ptrs, p);
+                EXPECT_EQ(bitsOf(got), bitsOf(want));
+            }
+            // Reordered, never resized.
+            for (size_t i = 0; i < shape.size(); ++i)
+                EXPECT_EQ(parts[i].size(), shape[i]);
+        }
+}
+
+TEST(NearestRankPercentileParts, NoSamplesIsZero)
+{
+    std::vector<double> empty_a, empty_b;
+    EXPECT_EQ(nearestRankPercentile({}, 50.0), 0.0);
+    EXPECT_EQ(nearestRankPercentile({&empty_a, &empty_b}, 99.0), 0.0);
+}
 
 TEST(PercentileTracker, SelectionMatchesSortReference)
 {
