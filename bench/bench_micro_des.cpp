@@ -179,25 +179,11 @@ struct DesProbe
 };
 
 DesProbe
-runDesProbe(const char* name, sched::Mapping mapping, hw::ServerType st,
-            model::ModelId model, double offered_qps)
+runDesProbe(const char* name, hw::ServerType st, model::ModelId model,
+            model::Variant variant, const sched::SchedulingConfig& cfg,
+            double offered_qps)
 {
-    // The GPU probe mirrors BM_DesGpuFusion's Small-variant setup so it
-    // fits T7 device memory.
-    model::Model m = model::buildModel(
-        model, mapping == sched::Mapping::GpuModelBased
-                   ? model::Variant::Small
-                   : model::Variant::Prod);
-    sched::SchedulingConfig cfg;
-    cfg.mapping = mapping;
-    if (mapping == sched::Mapping::GpuModelBased) {
-        cfg.gpu_threads = 2;
-        cfg.cpu_threads = 2;
-    } else {
-        cfg.cpu_threads = 10;
-        cfg.cores_per_thread = 2;
-        cfg.batch = 128;
-    }
+    model::Model m = model::buildModel(model, variant);
     sim::PreparedWorkload w = sim::prepare(hw::serverSpec(st), m, cfg);
     sim::SimOptions opt;
     opt.num_queries = bench::fastMode() ? 2000 : 20000;
@@ -265,15 +251,49 @@ main(int argc, char** argv)
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
 
+    sched::SchedulingConfig cpu_mb;
+    cpu_mb.mapping = sched::Mapping::CpuModelBased;
+    cpu_mb.cpu_threads = 10;
+    cpu_mb.cores_per_thread = 2;
+    cpu_mb.batch = 128;
+    // The placement the efficiency table picks for DLRM-RMC1 on the NMP
+    // server: shard_crash_recovery's busiest shard, which runs 82% of
+    // that replay's events.
+    sched::SchedulingConfig cpu_sd;
+    cpu_sd.mapping = sched::Mapping::CpuSdPipeline;
+    cpu_sd.cpu_threads = 5;
+    cpu_sd.cores_per_thread = 3;
+    cpu_sd.dense_threads = 5;
+    cpu_sd.batch = 128;
+    // Small variant, as in BM_DesGpuFusion, so it fits T7 device memory.
+    sched::SchedulingConfig gpu_mb;
+    gpu_mb.mapping = sched::Mapping::GpuModelBased;
+    gpu_mb.gpu_threads = 2;
+    gpu_mb.cpu_threads = 2;
+    // The table's DLRM-RMC3 placement on T7.
+    sched::SchedulingConfig gpu_sd;
+    gpu_sd.mapping = sched::Mapping::GpuSdPipeline;
+    gpu_sd.cpu_threads = 5;
+    gpu_sd.cores_per_thread = 2;
+    gpu_sd.batch = 256;
+    gpu_sd.gpu_threads = 1;
+    gpu_sd.fusion_limit = 4000;
+
+    using model::ModelId;
+    using model::Variant;
     std::vector<DesProbe> probes;
-    probes.push_back(runDesProbe("des_cpu_model_based",
-                                 sched::Mapping::CpuModelBased,
-                                 hw::ServerType::T2,
-                                 model::ModelId::DlrmRmc1, 800.0));
-    probes.push_back(runDesProbe("des_gpu_model_based",
-                                 sched::Mapping::GpuModelBased,
-                                 hw::ServerType::T7,
-                                 model::ModelId::DlrmRmc3, 2000.0));
+    probes.push_back(runDesProbe("des_cpu_model_based", hw::ServerType::T2,
+                                 ModelId::DlrmRmc1, Variant::Prod, cpu_mb,
+                                 800.0));
+    probes.push_back(runDesProbe("des_gpu_model_based", hw::ServerType::T7,
+                                 ModelId::DlrmRmc3, Variant::Small, gpu_mb,
+                                 2000.0));
+    probes.push_back(runDesProbe("des_cpu_sd_pipeline", hw::ServerType::T3,
+                                 ModelId::DlrmRmc1, Variant::Prod, cpu_sd,
+                                 4000.0));
+    probes.push_back(runDesProbe("des_gpu_sd_pipeline", hw::ServerType::T7,
+                                 ModelId::DlrmRmc3, Variant::Prod, gpu_sd,
+                                 4000.0));
     for (const DesProbe& p : probes)
         std::printf("%-22s %10llu events  peak depth %6zu  "
                     "%8.1f ms median of %d [%.1f, %.1f]  %.0f events/s\n",

@@ -205,7 +205,6 @@ CostModel::gpuKernelLatencyUs(const Node& n, int batch,
     const GpuSpec& gpu = *server_.gpu;
     double slow = colocSlowdown(cx.colocated);
     double b = static_cast<double>(batch);
-    model::OpCost cost = model::opCostPerItem(n);
 
     if (n.kind() == OpKind::EmbeddingLookup) {
         const auto& p = std::get<EmbeddingParams>(n.params);
@@ -222,31 +221,9 @@ CostModel::gpuKernelLatencyUs(const Node& n, int batch,
         // regardless of batch.
         eff *= 0.30;
     }
-    double flops = cost.flops * b;
+    double flops = model::opCostPerItem(n).flops * b;
     double rate = gpu.peakTflops() * 1e12 * eff;
     return kGpuKernelLaunchUs + flops / rate * 1e6 * slow;
-}
-
-GraphTiming
-CostModel::gpuGraphTiming(const Graph& g, int batch,
-                          const GpuExecContext& cx) const
-{
-    GraphTiming t;
-    t.ops.reserve(g.nodes().size());
-    // Kernels issue in-order on the thread's stream.
-    double now = 0.0;
-    for (int id : g.topoOrder()) {
-        const Node& n = g.node(id);
-        double lat = gpuKernelLatencyUs(n, batch, cx);
-        model::OpCost cost = model::opCostPerItem(n);
-        t.flops += cost.flops * static_cast<double>(batch);
-        t.ops.push_back({id, 0, now, now + lat});
-        now += lat;
-    }
-    t.latency_us = now;
-    t.busy_us = now;
-    t.idle_frac = 0.0;
-    return t;
 }
 
 double

@@ -101,13 +101,13 @@ class CostModel
     GraphTiming cpuGraphTiming(const model::Graph& g, int batch,
                                const CpuExecContext& cx) const;
 
-    /** Kernel latency of one operator on the GPU (us). */
+    /**
+     * Kernel latency of one operator on the GPU (us). A thread's
+     * kernels issue back to back on its stream, so a batch takes the
+     * sum over its graph in topological order.
+     */
     double gpuKernelLatencyUs(const model::Node& n, int batch,
                               const GpuExecContext& cx) const;
-
-    /** Time one batch through a graph on one GPU inference thread. */
-    GraphTiming gpuGraphTiming(const model::Graph& g, int batch,
-                               const GpuExecContext& cx) const;
 
     /**
      * Host->device bytes for one batch of the given graph: embedding

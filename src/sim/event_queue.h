@@ -13,6 +13,12 @@
  * takes whichever lane's front is first, so the pop sequence is
  * exactly that of a single heap holding every event — while the heap
  * stays as shallow as the work in flight.
+ *
+ * The heap orders 16-byte keys, not events: each key is (t, seq << 24 |
+ * slot), where `slot` indexes a payload slab whose freed slots are
+ * reused. seq sits in the high bits and is unique, so comparing keys
+ * compares (t, seq). The heap is 4-ary and sifts a hole instead of
+ * swapping.
  */
 #pragma once
 
@@ -33,13 +39,39 @@ class EventQueue
                   "EventQueue payloads must be trivially copyable");
 
   public:
+    /** Low key bits holding a heap event's payload slot. */
+    static constexpr int kSlotBits = 24;
+
+    /**
+     * @return the heap key bits of the event with sequence number `seq`
+     * whose payload sits in `slot`. Panics when `slot` needs more than
+     * kSlotBits bits or `seq` more than the 64 - kSlotBits above them.
+     */
+    static uint64_t
+    packKey(uint64_t seq, uint64_t slot)
+    {
+        if (slot >> kSlotBits)
+            panic("EventQueue: payload slot %llu overflows %d bits",
+                  static_cast<unsigned long long>(slot), kSlotBits);
+        if (seq >> (64 - kSlotBits))
+            panic("EventQueue: sequence number %llu overflows %d bits",
+                  static_cast<unsigned long long>(seq), 64 - kSlotBits);
+        return seq << kSlotBits | slot;
+    }
+
     /** Schedule `payload` at absolute time `t` seconds (>= now). */
     void
     schedule(double t, const Payload& payload)
     {
         checkNotPast(t);
-        heap_.push_back(Entry{t, seq_++, payload});
-        std::push_heap(heap_.begin(), heap_.end(), later);
+        const uint64_t slot = free_.empty() ? slab_.size() : free_.back();
+        pushHeap(Key{t, packKey(seq_++, slot)});
+        if (slot == slab_.size()) {
+            slab_.push_back(payload);
+        } else {
+            free_.pop_back();
+            slab_[slot] = payload;
+        }
         notePush();
     }
 
@@ -52,10 +84,10 @@ class EventQueue
     scheduleInOrder(double t, const Payload& payload)
     {
         checkNotPast(t);
-        if (head_ < lane_.size() && t < lane_.back().t)
+        if (head_ < lane_.size() && t < lane_.back().key.t)
             panic("EventQueue: in-order lane pushed backwards (%f < %f)",
-                  t, lane_.back().t);
-        lane_.push_back(Entry{t, seq_++, payload});
+                  t, lane_.back().key.t);
+        lane_.push_back(LaneEntry{Key{t, packKey(seq_++, 0)}, payload});
         notePush();
     }
 
@@ -74,8 +106,8 @@ class EventQueue
         if (head_ == lane_.size())
             return heap_.front().t;
         if (heap_.empty())
-            return lane_[head_].t;
-        return std::min(lane_[head_].t, heap_.front().t);
+            return lane_[head_].key.t;
+        return std::min(lane_[head_].key.t, heap_.front().t);
     }
 
     /**
@@ -87,13 +119,15 @@ class EventQueue
     {
         if (empty())
             panic("EventQueue: pop on empty queue");
-        const bool from_lane =
-            head_ < lane_.size() &&
-            (heap_.empty() || later(heap_.front(), lane_[head_]));
-        const Entry ev = from_lane ? popLane() : popHeap();
-        now_ = ev.t;
         ++executed_;
-        return ev.payload;
+        if (head_ < lane_.size() &&
+            (heap_.empty() || later(heap_.front(), lane_[head_].key)))
+            return popLane();
+        const Key top = popHeap();
+        now_ = top.t;
+        const uint64_t slot = top.bits & kSlotMask;
+        free_.push_back(static_cast<uint32_t>(slot));
+        return slab_[slot];
     }
 
     /**
@@ -106,6 +140,8 @@ class EventQueue
     clear()
     {
         heap_.clear();
+        slab_.clear();
+        free_.clear();
         lane_.clear();
         head_ = 0;
     }
@@ -120,20 +156,30 @@ class EventQueue
     size_t peakDepth() const { return peak_; }
 
   private:
-    struct Entry
+    static constexpr uint64_t kSlotMask = (uint64_t{1} << kSlotBits) - 1;
+    static constexpr size_t kArity = 4;
+
+    /** (t, seq << kSlotBits | slot); a lane key's slot bits are 0. */
+    struct Key
     {
         double t;
-        uint64_t seq;
+        uint64_t bits;
+    };
+    static_assert(sizeof(Key) == 16, "heap keys should be 16 bytes");
+
+    struct LaneEntry
+    {
+        Key key;
         Payload payload;
     };
 
     /** Heap order: `a` pops after `b`. (t, seq) is a strict total order. */
     static bool
-    later(const Entry& a, const Entry& b)
+    later(const Key& a, const Key& b)
     {
         if (a.t != b.t)
             return a.t > b.t;
-        return a.seq > b.seq;
+        return a.bits > b.bits;
     }
 
     void
@@ -152,13 +198,49 @@ class EventQueue
             peak_ = depth;
     }
 
-    Entry
+    /** Sift a hole up from the new last position, then fill it. */
+    void
+    pushHeap(const Key& k)
+    {
+        size_t i = heap_.size();
+        heap_.push_back(k);
+        while (i > 0) {
+            const size_t parent = (i - 1) / kArity;
+            if (!later(heap_[parent], k))
+                break;
+            heap_[i] = heap_[parent];
+            i = parent;
+        }
+        heap_[i] = k;
+    }
+
+    /** Take the root; sift the hole down and drop the last key in. */
+    Key
     popHeap()
     {
-        std::pop_heap(heap_.begin(), heap_.end(), later);
-        const Entry ev = heap_.back();
+        const Key top = heap_.front();
+        const Key last = heap_.back();
         heap_.pop_back();
-        return ev;
+        const size_t n = heap_.size();
+        if (n == 0)
+            return top;
+        size_t i = 0;
+        for (;;) {
+            const size_t first = kArity * i + 1;
+            if (first >= n)
+                break;
+            const size_t end = std::min(first + kArity, n);
+            size_t best = first;
+            for (size_t c = first + 1; c < end; ++c)
+                if (later(heap_[best], heap_[c]))
+                    best = c;
+            if (!later(last, heap_[best]))
+                break;
+            heap_[i] = heap_[best];
+            i = best;
+        }
+        heap_[i] = last;
+        return top;
     }
 
     /**
@@ -167,19 +249,23 @@ class EventQueue
      * empties at every advance, a one-shot run's after its last
      * arrival.
      */
-    Entry
+    Payload
     popLane()
     {
-        const Entry ev = lane_[head_++];
+        const LaneEntry& ev = lane_[head_++];
+        now_ = ev.key.t;
+        const Payload payload = ev.payload;
         if (head_ == lane_.size()) {
             lane_.clear();
             head_ = 0;
         }
-        return ev;
+        return payload;
     }
 
-    std::vector<Entry> heap_;
-    std::vector<Entry> lane_;  ///< sorted by (t, seq); live from head_
+    std::vector<Key> heap_;         ///< 4-ary min-heap under later()
+    std::vector<Payload> slab_;     ///< heap payloads, indexed by slot
+    std::vector<uint32_t> free_;    ///< slab slots free for reuse
+    std::vector<LaneEntry> lane_;   ///< sorted by (t, seq); live from head_
     size_t head_ = 0;
     uint64_t seq_ = 0;
     double now_ = 0.0;

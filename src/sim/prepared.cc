@@ -184,4 +184,37 @@ prepare(const hw::ServerSpec& server, const model::Model& m,
     return w;
 }
 
+double
+gpuBatchLatencyUs(const PreparedWorkload& w, const hw::CostModel& cost,
+                  int items, double ps)
+{
+    const model::Graph& g = w.gpuGraph();
+    const std::vector<int>& order = g.topoOrder();
+    GpuKernelMemo& memo = w.gpu_kernel_memo;
+    if (memo.embedding.empty())
+        for (int id : order)
+            memo.embedding.push_back(g.node(id).kind() ==
+                                     model::OpKind::EmbeddingLookup);
+    const size_t batch = static_cast<size_t>(items);
+    if (batch >= memo.row.size())
+        memo.row.resize(batch + 1, 0);
+    if (memo.row[batch] == 0) {
+        memo.row[batch] = static_cast<uint32_t>(memo.kernels.size() + 1);
+        for (size_t i = 0; i < order.size(); ++i)
+            if (!memo.embedding[i])
+                memo.kernels.push_back(cost.gpuKernelLatencyUs(
+                    g.node(order[i]), items, w.gpu_cx));
+    }
+    const double* kernels = memo.kernels.data() + (memo.row[batch] - 1);
+    hw::GpuExecContext cx = w.gpu_cx;
+    cx.pooling_scale = ps;
+    // Kernels issue in order on the thread's stream.
+    double latency = 0.0;
+    for (size_t i = 0; i < order.size(); ++i)
+        latency += memo.embedding[i]
+                       ? cost.gpuKernelLatencyUs(g.node(order[i]), items, cx)
+                       : *kernels++;
+    return latency;
+}
+
 }  // namespace hercules::sim

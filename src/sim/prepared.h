@@ -7,9 +7,10 @@
  */
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "hw/cost_model.h"
 #include "hw/server.h"
@@ -21,6 +22,7 @@
 // but orphan it from the search code that owns its semantics.
 // layer-lint: allow(sched)
 #include "sched/config.h"
+#include "workload/querygen.h"
 
 namespace hercules::sim {
 
@@ -37,6 +39,48 @@ struct CpuServiceMemoEntry
 };
 
 /**
+ * The CPU service timings of one pool. Batch sizes index `row` densely
+ * (4 bytes per item count up to the largest seen); the entries of the
+ * sizes actually timed sit in `entries`, in the order they were timed.
+ */
+struct CpuServiceMemo
+{
+    std::vector<uint32_t> row;  ///< [items] → 1 + entry index; 0: not timed
+    std::vector<CpuServiceMemoEntry> entries;
+};
+
+/**
+ * Per batch size, the latencies (us) of the accelerator graph's
+ * batch-only kernels in topological order, indexed like CpuServiceMemo.
+ * Embedding kernels are left out: their latency also depends on the
+ * batch's pooling scale.
+ */
+struct GpuKernelMemo
+{
+    /** [position in gpuGraph()'s topological order] → is an embedding. */
+    std::vector<bool> embedding;
+    /** [items] → 1 + offset of the row in `kernels`; 0: not timed. */
+    std::vector<uint32_t> row;
+    std::vector<double> kernels;  ///< the rows, one after another
+};
+
+/**
+ * The query stream of simulateServer() drawn at unit rate, for the last
+ * (seed, num_queries, sizes, pooling) it was drawn with: every input of
+ * the draw is part of the key. A measurement's probes differ only in
+ * rate (or saturate), so they all replay one draw.
+ */
+struct ProbeStreamMemo
+{
+    uint64_t seed = 0;
+    int num_queries = 0;
+    workload::QuerySizeDist sizes{};
+    workload::PoolingDist pooling{};
+    std::vector<workload::UnitQuery> queries;
+    bool filled = false;
+};
+
+/**
  * A validated, ready-to-simulate workload placement.
  *
  * Which graphs are populated depends on the mapping:
@@ -47,14 +91,19 @@ struct CpuServiceMemoEntry
  *  - GpuSdPipeline: `sparse` on the host, `dense` on the device.
  *
  * The placement fields are fixed by prepare(); treat them as read-only
- * afterwards, because `cpu_service_memo` caches functions of them.
+ * afterwards, because the memos cache functions of them.
  *
  * Ownership: a PreparedWorkload is simulated by one thread at a time.
- * Every ServerInstance built on it fills the shared memo without
- * locking. EvalEngine builds one per evaluation on its worker thread.
+ * It carries three per-workload memos, each filled lazily and without
+ * locking by whatever runs on it, so each is touched by one thread at
+ * a time:
+ *  - `cpu_service_memo`, by every ServerInstance built on it;
+ *  - `gpu_kernel_memo`, by every ServerInstance built on it;
+ *  - `probe_stream`, by simulateServer().
+ * EvalEngine builds one per evaluation on its worker thread.
  * ClusterSim's shards of one personality share one, and its parallel
  * delivery advances all the shards that share a PreparedWorkload on
- * one pool task, so no two threads touch its memo at once.
+ * one pool task, so no two threads touch its memos at once.
  */
 struct PreparedWorkload
 {
@@ -71,6 +120,14 @@ struct PreparedWorkload
     hw::CpuExecContext cold_cx;  ///< host cold-sparse path (hot-split)
     hw::GpuExecContext gpu_cx;   ///< accelerator threads
 
+    /** @return the accelerator's graph: `full` or `dense`. */
+    const model::Graph&
+    gpuGraph() const
+    {
+        return config.mapping == sched::Mapping::GpuModelBased ? full
+                                                               : dense;
+    }
+
     /**
      * CPU service memo, filled lazily by every ServerInstance simulated
      * on this workload: [pool id][batch size] → timings, pool id 0 =
@@ -79,7 +136,13 @@ struct PreparedWorkload
      * sharing them across runs changes no simulated value; a server's
      * slowdown is applied where a sample is used, never stored here.
      */
-    mutable std::unordered_map<int, CpuServiceMemoEntry> cpu_service_memo[4];
+    mutable CpuServiceMemo cpu_service_memo[4];
+
+    /** GPU kernel memo, read through gpuBatchLatencyUs(). */
+    mutable GpuKernelMemo gpu_kernel_memo;
+
+    /** simulateServer()'s unit-rate arrival stream. */
+    mutable ProbeStreamMemo probe_stream;
 };
 
 /**
@@ -99,5 +162,15 @@ std::optional<std::string> validateConfig(
 PreparedWorkload prepare(const hw::ServerSpec& server,
                          const model::Model& m,
                          const sched::SchedulingConfig& cfg);
+
+/**
+ * Service time (us) of one accelerator batch of `items` at pooling
+ * scale `ps`: its kernels run back to back on the thread's stream in
+ * w.gpuGraph()'s topological order. Batch-only kernels come from
+ * w.gpu_kernel_memo (timed on first use); embedding kernels are timed
+ * at `ps`. `cost` must be bound to w.server.
+ */
+double gpuBatchLatencyUs(const PreparedWorkload& w,
+                         const hw::CostModel& cost, int items, double ps);
 
 }  // namespace hercules::sim

@@ -246,9 +246,11 @@ ServerInstance::cpuService(int pool_id, int items, double query_ps)
     // Linear-in-pooling-scale memo shared by every run on w_: timings
     // at pooling scales 1 and 2 per batch size, interpolated below, keep
     // cost-model calls out of the event loop.
-    auto& memo = w_.cpu_service_memo[pool_id];
-    auto it = memo.find(items);
-    if (it == memo.end()) {
+    CpuServiceMemo& memo = w_.cpu_service_memo[pool_id];
+    const size_t batch = static_cast<size_t>(items);
+    if (batch >= memo.row.size())
+        memo.row.resize(batch + 1, 0);
+    if (memo.row[batch] == 0) {
         hw::CpuExecContext cx = poolContext(pool_id);
         // DenseNet threads run with a single op worker (Fig 10(b)).
         if (pool_id == 2)
@@ -268,9 +270,10 @@ ServerInstance::cpuService(int pool_id, int items, double query_ps)
         e.nmp1 = t1.nmp_busy_us;
         e.nmp2 = t2.nmp_busy_us;
         e.idle_frac = t1.idle_frac;
-        it = memo.emplace(items, e).first;
+        memo.entries.push_back(e);
+        memo.row[batch] = static_cast<uint32_t>(memo.entries.size());
     }
-    const CpuServiceMemoEntry& e = it->second;
+    const CpuServiceMemoEntry& e = memo.entries[memo.row[batch] - 1];
     double f = query_ps - 1.0;
     ServiceSample s;
     s.latency_us = std::max(1e-3, e.lat1 + (e.lat2 - e.lat1) * f);
@@ -533,11 +536,9 @@ void
 ServerInstance::startTransfer(size_t tid)
 {
     const Batch& b = gpu_threads_[tid].staging;
-    const model::Graph& g =
-        mapping() == Mapping::GpuModelBased ? w_.full : w_.dense;
     hw::GpuExecContext cx = w_.gpu_cx;
     cx.pooling_scale = b.ps;
-    double bytes = cost_.gpuInputBytes(g, b.items, cx);
+    double bytes = cost_.gpuInputBytes(w_.gpuGraph(), b.items, cx);
     // The PCIe link is a FIFO DMA engine shared by all loaders.
     double dur_s = (hw::calib::kGpuHostPrepUs +
                     cost_.pcieTransferUs(bytes, cost_.pcieBwGbps())) *
@@ -577,16 +578,12 @@ ServerInstance::startExec(size_t tid)
     // `running` becomes the (reused) free staging slot.
     std::swap(th.running, th.staging);
     const Batch& b = th.running;
-    const model::Graph& g =
-        mapping() == Mapping::GpuModelBased ? w_.full : w_.dense;
-    hw::GpuExecContext cx = w_.gpu_cx;
-    cx.pooling_scale = b.ps;
-    hw::GraphTiming t = cost_.gpuGraphTiming(g, b.items, cx);
-    double end = eq_.now() + t.latency_us * 1e-6 * slowdown_;
+    const double latency_us = gpuBatchLatencyUs(w_, cost_, b.items, b.ps);
+    double end = eq_.now() + latency_us * 1e-6 * slowdown_;
     chargeBins(gpu_busy_s_, eq_.now(), end, 1.0);
     for (const Chunk& c : b.chunks)
         if (c.query >= opt_.warmup_queries) {
-            exec_ms_.add(t.latency_us * 1e-3);
+            exec_ms_.add(latency_us * 1e-3);
             break;
         }
     scheduleGpu(end, Event::Kind::ExecDone, tid);

@@ -34,7 +34,7 @@
  * injection sequence, every event fires in the same order (the event
  * queue breaks timestamp ties by scheduling order) and every statistic
  * is bit-identical across runs, whether or not earlier runs on the same
- * PreparedWorkload already filled its CPU service memo. The arrival
+ * PreparedWorkload already filled its memos. The arrival
  * lane changes no order either: it shares the queue's (time,
  * scheduling order) ordering. simulateServer() is a thin wrapper
  * over this class and is pinned bit-identical to the pre-extraction

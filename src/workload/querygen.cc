@@ -75,17 +75,29 @@ QueryGenerator::setQps(double qps)
     qps_ = qps;
 }
 
+UnitQuery
+drawUnitQuery(Rng& rng, const QuerySizeDist& sizes, const PoolingDist& pool)
+{
+    UnitQuery q;
+    // -log(u) / 1.0 is exactly -log(u).
+    q.gap = rng.exponential(1.0);
+    double raw = rng.lognormal(std::log(sizes.median), sizes.sigma);
+    q.size = std::clamp(static_cast<int>(std::lround(raw)), sizes.min_size,
+                        sizes.max_size);
+    q.pooling_scale = rng.lognormal(0.0, pool.sigma);
+    return q;
+}
+
 Query
 QueryGenerator::next()
 {
+    const UnitQuery u = drawUnitQuery(rng_, sizes_, pool_);
+    clock_s_ += u.gap / qps_;
     Query q;
-    clock_s_ += rng_.exponential(qps_);
     q.id = next_id_++;
     q.arrival_s = clock_s_;
-    double raw = rng_.lognormal(std::log(sizes_.median), sizes_.sigma);
-    q.size = std::clamp(static_cast<int>(std::lround(raw)),
-                        sizes_.min_size, sizes_.max_size);
-    q.pooling_scale = rng_.lognormal(0.0, pool_.sigma);
+    q.size = u.size;
+    q.pooling_scale = u.pooling_scale;
     return q;
 }
 

@@ -33,6 +33,26 @@ struct PoolingDist
 };
 
 /**
+ * One query's draws at unit arrival rate: the exponential gap
+ * E = -log u (the gap at rate r is E / r, the same double as drawing
+ * at rate r), the clipped lognormal size and the pooling multiplier.
+ */
+struct UnitQuery
+{
+    double gap = 0.0;
+    double pooling_scale = 1.0;
+    int size = 0;
+};
+
+/**
+ * Draw the next query of a stream in QueryGenerator's order (gap,
+ * size, pooling). QueryGenerator::next() and every stream that must
+ * reproduce it draw through here, so the draw order is written once.
+ */
+UnitQuery drawUnitQuery(Rng& rng, const QuerySizeDist& sizes,
+                        const PoolingDist& pool);
+
+/**
  * Generates a reproducible query stream.
  *
  * Arrivals are Poisson at the configured rate; sizes are clipped

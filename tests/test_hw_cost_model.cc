@@ -239,9 +239,13 @@ TEST(GpuGraph, HotHitRateReducesWork)
     GpuExecContext full, half;
     full.hot_hit_rate = 1.0;
     half.hot_hit_rate = 0.4;
-    double lat_full = cost.gpuGraphTiming(m.graph, 256, full).latency_us;
-    double lat_half = cost.gpuGraphTiming(m.graph, 256, half).latency_us;
-    EXPECT_LT(lat_half, lat_full);
+    auto batchUs = [&](const GpuExecContext& cx) {
+        double us = 0.0;
+        for (int id : m.graph.topoOrder())
+            us += cost.gpuKernelLatencyUs(m.graph.node(id), 256, cx);
+        return us;
+    };
+    EXPECT_LT(batchUs(half), batchUs(full));
 }
 
 TEST(GpuInput, MultiHotIndicesDominateTransfers)

@@ -340,6 +340,8 @@ memoCases()
     gmb.gpu_threads = 6;
     gmb.fusion_limit = 2000;
     gmb.cpu_threads = 2;
+    SchedulingConfig gmb_nofuse = gmb;  // one query per batch
+    gmb_nofuse.fusion_limit = 0;
     SchedulingConfig gsd;
     gsd.mapping = Mapping::GpuSdPipeline;
     gsd.cpu_threads = 8;
@@ -350,6 +352,7 @@ memoCases()
     return {{"cpu-model-based", ServerType::T2, cpuConfig(10, 2, 128)},
             {"cpu-sd-pipeline", ServerType::T3, sd},
             {"gpu-model-based", ServerType::T7, gmb},
+            {"gpu-model-based-nofusion", ServerType::T7, gmb_nofuse},
             {"gpu-sd-pipeline", ServerType::T7, gsd}};
 }
 
@@ -410,7 +413,53 @@ TEST(SharedServiceMemo, ReusedWorkloadMatchesFresh)
         EXPECT_TRUE(simulateServer(shared, abort_probe).aborted);
         if (mc.cfg.mapping == Mapping::GpuModelBased) {
             ASSERT_LT(shared.gpu_cx.hot_hit_rate, 1.0);
-            EXPECT_FALSE(shared.cpu_service_memo[3].empty());
+            EXPECT_FALSE(shared.cpu_service_memo[3].entries.empty());
+        }
+    }
+}
+
+/*
+ * The probe stream is drawn once per workload and keyed by every input
+ * of the draw. One PreparedWorkload simulated under a chain of options,
+ * each changing one input (and the last returning to the first), must
+ * give what a freshly prepared workload gives every time.
+ */
+TEST(SharedServiceMemo, ProbeStreamKeyedByEveryDrawInput)
+{
+    model::Model m = model::buildModel(ModelId::DlrmRmc1);
+    const hw::ServerSpec& server = hw::serverSpec(ServerType::T2);
+    const SchedulingConfig cfg = cpuConfig(10, 2, 128);
+    PreparedWorkload shared = prepare(server, m, cfg);
+
+    std::vector<SimOptions> chain = {simOptions(900)};
+    auto next = [&chain](auto change) {
+        SimOptions opt = chain.back();
+        change(opt);
+        chain.push_back(opt);
+    };
+    next([](SimOptions& o) { o.seed = 7; });
+    next([](SimOptions& o) { o.num_queries = 320; });
+    next([](SimOptions& o) { o.sizes.median = 80.0; });
+    next([](SimOptions& o) { o.sizes.sigma = 0.6; });
+    next([](SimOptions& o) { o.sizes.min_size = 40; });
+    next([](SimOptions& o) { o.sizes.max_size = 150; });
+    next([](SimOptions& o) { o.pooling.sigma = 0.5; });
+    next([](SimOptions& o) { o.offered_qps = 1400.0; });
+    next([](SimOptions& o) { o.saturate = true; });
+    next([](SimOptions& o) {
+        o.saturate = false;
+        o.offered_qps = 20000.0;
+        o.abort_tail_ms = 2.0;
+    });
+    chain.push_back(chain.front());
+
+    for (size_t i = 0; i < chain.size(); ++i) {
+        SCOPED_TRACE(i);
+        const ServerSimResult reused = simulateServer(shared, chain[i]);
+        expectSameResult(reused,
+                         simulateServer(prepare(server, m, cfg), chain[i]));
+        if (i + 2 == chain.size()) {
+            EXPECT_TRUE(reused.aborted);
         }
     }
 }

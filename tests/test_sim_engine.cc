@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -177,6 +179,106 @@ TEST(EventQueue, ArrivalLaneMatchesSingleHeap)
         EXPECT_EQ(lanes.eventsExecuted(), ref.eventsExecuted());
         EXPECT_EQ(lanes.peakDepth(), ref.peakDepth());
     }
+}
+
+/*
+ * An oracle independent of EventQueue: a sorted std::map keyed by
+ * (t, seq) holds every pending event. Seeded random schedule,
+ * scheduleInOrder, pop and clear ops must agree with it on every pop,
+ * now(), nextTime(), empty() and peakDepth(). Times sit on a 0.25 s
+ * grid (exact ties within and across the lanes), bursts push the
+ * heap past 64 pending events, and pops and clear() free payload
+ * slots that later schedules reuse.
+ */
+TEST(EventQueue, MatchesSortedModel)
+{
+    struct Payload
+    {
+        int id;
+        double x;
+    };
+    for (uint64_t seed = 1; seed <= 30; ++seed) {
+        Rng rng(seed);
+        EventQueue<Payload> eq;
+        std::map<std::pair<double, uint64_t>, int> model;
+        uint64_t seq = 0;
+        size_t peak = 0;
+        uint64_t popped = 0;
+        double now = 0.0;
+        double lane_back = 0.0;
+        int next_id = 0;
+        size_t max_pending = 0;
+        auto step = [&rng]() {
+            return 0.25 * static_cast<double>(rng.uniformInt(0, 3));
+        };
+        auto push = [&](bool in_order) {
+            double t;
+            if (in_order) {
+                lane_back = std::max(lane_back, now) + step();
+                t = lane_back;
+                eq.scheduleInOrder(t, Payload{next_id, 0.5 * next_id});
+            } else {
+                t = now + step();
+                eq.schedule(t, Payload{next_id, 0.5 * next_id});
+            }
+            model.emplace(std::make_pair(t, seq++), next_id++);
+            peak = std::max(peak, model.size());
+            max_pending = std::max(max_pending, model.size());
+        };
+        for (int op = 0; op < 2000; ++op) {
+            const int64_t roll = rng.uniformInt(0, 199);
+            if (roll < 2) {
+                // A burst: the heap grows well past 64 entries.
+                const int64_t n = rng.uniformInt(65, 120);
+                for (int64_t i = 0; i < n; ++i)
+                    push(rng.uniformInt(0, 3) == 0);
+            } else if (roll < 50) {
+                push(true);
+            } else if (roll < 100) {
+                push(false);
+            } else if (roll < 197) {
+                ASSERT_EQ(eq.empty(), model.empty());
+                if (model.empty())
+                    continue;
+                auto front = model.begin();
+                ASSERT_EQ(eq.nextTime(), front->first.first);
+                const Payload p = eq.pop();
+                ASSERT_EQ(p.id, front->second) << "seed " << seed;
+                ASSERT_EQ(p.x, 0.5 * front->second);
+                now = front->first.first;
+                model.erase(front);
+                ++popped;
+                ASSERT_EQ(eq.now(), now);
+            } else {
+                eq.clear();
+                model.clear();
+                lane_back = now;
+                ASSERT_TRUE(eq.empty());
+                ASSERT_EQ(eq.now(), now);
+            }
+            ASSERT_EQ(eq.peakDepth(), peak);
+        }
+        while (!model.empty()) {
+            ASSERT_FALSE(eq.empty());
+            ASSERT_EQ(eq.pop().id, model.begin()->second);
+            model.erase(model.begin());
+            ++popped;
+        }
+        EXPECT_TRUE(eq.empty());
+        EXPECT_EQ(eq.eventsExecuted(), popped);
+        EXPECT_GT(max_pending, 64u);
+    }
+}
+
+TEST(EventQueueDeath, KeyOverflowPanics)
+{
+    using Queue = EventQueue<int>;
+    const uint64_t max_slot = (uint64_t{1} << Queue::kSlotBits) - 1;
+    const uint64_t max_seq = (uint64_t{1} << (64 - Queue::kSlotBits)) - 1;
+    EXPECT_EQ(Queue::packKey(max_seq, max_slot), ~uint64_t{0});
+    EXPECT_EQ(Queue::packKey(3, 5), (uint64_t{3} << Queue::kSlotBits) | 5);
+    EXPECT_DEATH(Queue::packKey(0, max_slot + 1), "slot");
+    EXPECT_DEATH(Queue::packKey(max_seq + 1, 0), "sequence number");
 }
 
 TEST(EventQueue, ArrivalLaneTiesPopInSchedulingOrder)
@@ -484,6 +586,20 @@ TEST(EngineDeath, WarmupMustBeBelowTotal)
     EXPECT_DEATH(simulateServer(hw::serverSpec(ServerType::T2), m,
                                 cpuConfig(4, 1, 64), opt),
                  "exceed");
+}
+
+TEST(EngineDeath, NonPositiveRateIsFatal)
+{
+    model::Model m = model::buildModel(ModelId::DlrmRmc1);
+    PreparedWorkload w = prepare(hw::serverSpec(ServerType::T2), m,
+                                 cpuConfig(4, 1, 64));
+    SimOptions opt = fastOptions(0.0);
+    EXPECT_DEATH(simulateServer(w, opt), "non-positive");
+    opt.offered_qps = -5.0;
+    EXPECT_DEATH(simulateServer(w, opt), "non-positive");
+    // A capacity probe ignores the rate.
+    opt.saturate = true;
+    EXPECT_GT(simulateServer(w, opt).achieved_qps, 0.0);
 }
 
 /** Conservation across mappings and models (property sweep). */

@@ -206,6 +206,147 @@ TEST(GpuSdPipeline, TransfersPooledVectorsNotIndices)
     EXPECT_LT(dense_bytes, full_bytes);
 }
 
+/*
+ * Golden pin of GPU batch service times: the latency_us the per-graph
+ * GPU timing (kernel latencies summed in topological order) gave before
+ * the per-batch-size kernel memo replaced it, for the accelerator graph
+ * of a T7 GpuModelBased placement (graph 0: `full`, with the hot split)
+ * and a T7 GpuSdPipeline one (graph 1: `dense`), at pooling scales
+ * 0.5, 1 and 1.7. Each row is read on a cold memo row, then again on a
+ * warm one.
+ */
+TEST(GpuBatchLatency, MatchesPinnedGraphTiming)
+{
+    struct Pin
+    {
+        ModelId model;
+        int graph;
+        int batch;
+        double latency_us[3];
+    };
+    const Pin pins[] = {
+        {ModelId::DlrmRmc1, 0, 1,
+         {0x1.da3473cd7af08p+6, 0x1.dae13aa5142acp+6,
+          0x1.dbd31dd2eaafcp+6}},
+        {ModelId::DlrmRmc1, 0, 7,
+         {0x1.deb39d9cfe1dep+6, 0x1.e36d0d822eb62p+6,
+          0x1.ea0a43c30c576p+6}},
+        {ModelId::DlrmRmc1, 0, 32,
+         {0x1.f17021284b5bap+6, 0x1.03847e0db9526p+7,
+          0x1.12a2b0eb219fp+7}},
+        {ModelId::DlrmRmc1, 0, 500,
+         {0x1.a8176f31219ddp+7, 0x1.2868cede62434p+8,
+          0x1.9e84bc4021196p+8}},
+        {ModelId::DlrmRmc1, 0, 4000,
+         {0x1.b1e8d9d2101fap+9, 0x1.81ae9b74aaf88p+10,
+          0x1.36f33b1c14527p+11}},
+        {ModelId::DlrmRmc1, 1, 1,
+         {0x1.d30f59ebc36c9p+5, 0x1.d30f59ebc36c9p+5,
+          0x1.d30f59ebc36c9p+5}},
+        {ModelId::DlrmRmc1, 1, 7,
+         {0x1.d3f45b6f9b0c4p+5, 0x1.d3f45b6f9b0c4p+5,
+          0x1.d3f45b6f9b0c4p+5}},
+        {ModelId::DlrmRmc1, 1, 32,
+         {0x1.d7ae8c6a4825fp+5, 0x1.d7ae8c6a4825fp+5,
+          0x1.d7ae8c6a4825fp+5}},
+        {ModelId::DlrmRmc1, 1, 500,
+         {0x1.0eba814afd6a1p+6, 0x1.0eba814afd6a1p+6,
+          0x1.0eba814afd6a1p+6}},
+        {ModelId::DlrmRmc1, 1, 4000,
+         {0x1.09d1f2eb2938bp+7, 0x1.09d1f2eb2938bp+7,
+          0x1.09d1f2eb2938bp+7}},
+        {ModelId::DlrmRmc2, 0, 1,
+         {0x1.7480859b5aa56p+9, 0x1.753f23b40bd8bp+9,
+          0x1.764a0109d0b9cp+9}},
+        {ModelId::DlrmRmc2, 0, 7,
+         {0x1.793cfac1883bp+9, 0x1.7e734d6e609f7p+9,
+          0x1.85bf5ac6c2c4cp+9}},
+        {ModelId::DlrmRmc2, 0, 32,
+         {0x1.8cf8e2e09b7cep+9, 0x1.a4cca5f6c1d91p+9,
+          0x1.c62850af5df45p+9}},
+        {ModelId::DlrmRmc2, 0, 500,
+         {0x1.7f324a413f68ap+10, 0x1.1cac572f258d9p+11,
+          0x1.9efa6a1047566p+11}},
+        {ModelId::DlrmRmc2, 0, 4000,
+         {0x1.b924f0b020d2p+12, 0x1.96b8dc751c1acp+13,
+          0x1.4daa811bafd67p+14}},
+        {ModelId::DlrmRmc2, 1, 1,
+         {0x1.1f079e0aa5cc8p+7, 0x1.1f079e0aa5cc8p+7,
+          0x1.1f079e0aa5cc8p+7}},
+        {ModelId::DlrmRmc2, 1, 7,
+         {0x1.201aa052bf5a7p+7, 0x1.201aa052bf5a7p+7,
+          0x1.201aa052bf5a7p+7}},
+        {ModelId::DlrmRmc2, 1, 32,
+         {0x1.24947f29d47f2p+7, 0x1.24947f29d47f2p+7,
+          0x1.24947f29d47f2p+7}},
+        {ModelId::DlrmRmc2, 1, 500,
+         {0x1.785f31219dbccp+7, 0x1.785f31219dbccp+7,
+          0x1.785f31219dbccp+7}},
+        {ModelId::DlrmRmc2, 1, 4000,
+         {0x1.f582876096e47p+8, 0x1.f582876096e47p+8,
+          0x1.f582876096e47p+8}},
+        {ModelId::DlrmRmc3, 0, 1,
+         {0x1.49f21fc2f4cf5p+9, 0x1.49f9ecaf31eebp+9,
+          0x1.4a04d860544e9p+9}},
+        {ModelId::DlrmRmc3, 0, 7,
+         {0x1.4b897a651f30ap+9, 0x1.4bc014dacb0d7p+9,
+          0x1.4c0c86b2bba8dp+9}},
+        {ModelId::DlrmRmc3, 0, 32,
+         {0x1.522ac95e251c4p+9, 0x1.532466e5c90cap+9,
+          0x1.5481dd0a14f68p+9}},
+        {ModelId::DlrmRmc3, 0, 500,
+         {0x1.ce4866c70ecb2p+9, 0x1.dd84a42e70558p+9,
+          0x1.f2d8fa25927d2p+9}},
+        {ModelId::DlrmRmc3, 0, 4000,
+         {0x1.5b9fe5bd92dccp+11, 0x1.7a18608c55f0ep+11,
+          0x1.a4c10c7a9a416p+11}},
+        {ModelId::DlrmRmc3, 1, 1,
+         {0x1.2bea52d6b7affp+9, 0x1.2bea52d6b7affp+9,
+          0x1.2bea52d6b7affp+9}},
+        {ModelId::DlrmRmc3, 1, 7,
+         {0x1.2d52dfef73545p+9, 0x1.2d52dfef73545p+9,
+          0x1.2d52dfef73545p+9}},
+        {ModelId::DlrmRmc3, 1, 32,
+         {0x1.33312bd6812bep+9, 0x1.33312bd6812bep+9,
+          0x1.33312bd6812bep+9}},
+        {ModelId::DlrmRmc3, 1, 500,
+         {0x1.a10c295fad40cp+9, 0x1.a10c295fad40cp+9,
+          0x1.a10c295fad40cp+9}},
+        {ModelId::DlrmRmc3, 1, 4000,
+         {0x1.35a76aeecfc8p+11, 0x1.35a76aeecfc8p+11,
+          0x1.35a76aeecfc8p+11}},
+
+    };
+    const double scales[3] = {0.5, 1.0, 1.7};
+    const hw::ServerSpec& t7 = hw::serverSpec(ServerType::T7);
+    const hw::CostModel cost(t7);
+    SchedulingConfig gsd;
+    gsd.mapping = Mapping::GpuSdPipeline;
+    gsd.gpu_threads = 2;
+    gsd.cpu_threads = 8;
+    gsd.cores_per_thread = 2;
+    gsd.batch = 128;
+    gsd.fusion_limit = 2000;
+    for (ModelId id :
+         {ModelId::DlrmRmc1, ModelId::DlrmRmc2, ModelId::DlrmRmc3}) {
+        model::Model m = model::buildModel(id);
+        const PreparedWorkload placements[2] = {
+            prepare(t7, m, gpuConfig(2, 2000)), prepare(t7, m, gsd)};
+        for (int pass = 0; pass < 2; ++pass)
+            for (const Pin& pin : pins) {
+                if (pin.model != id)
+                    continue;
+                for (int s = 0; s < 3; ++s)
+                    EXPECT_EQ(gpuBatchLatencyUs(placements[pin.graph], cost,
+                                                pin.batch, scales[s]),
+                              pin.latency_us[s])
+                        << m.name << " graph " << pin.graph << " batch "
+                        << pin.batch << " ps " << scales[s] << " pass "
+                        << pass;
+            }
+    }
+}
+
 /** Fusion capacity monotonicity across the three Fig 7 models. */
 class FusionEveryModel : public ::testing::TestWithParam<ModelId>
 {

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 
 #include "util/stats.h"
@@ -118,6 +119,77 @@ TEST(QueryGen, RateChangeTakesEffect)
         prev = q.arrival_s;
     }
     EXPECT_NEAR(gaps.mean(), 1e-4, 2e-5);
+}
+
+uint64_t
+doubleBits(double d)
+{
+    uint64_t u;
+    std::memcpy(&u, &d, sizeof u);
+    return u;
+}
+
+/*
+ * Bit pin of the default stream: an FNV-1a digest over the id, arrival,
+ * size and pooling-scale bits of the first 1,000 queries of
+ * QueryGenerator(800, 42), captured before next() was rebuilt on
+ * drawUnitQuery(), plus the first and last query in full.
+ */
+TEST(QueryGen, StreamBitsPinned)
+{
+    QueryGenerator gen(800, 42);
+    uint64_t h = 1469598103934665603ull;
+    auto mix = [&h](uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 1099511628211ull;
+        }
+    };
+    for (int i = 0; i < 1000; ++i) {
+        const Query q = gen.next();
+        mix(q.id);
+        mix(doubleBits(q.arrival_s));
+        mix(static_cast<uint64_t>(static_cast<int64_t>(q.size)));
+        mix(doubleBits(q.pooling_scale));
+        if (i == 0) {
+            EXPECT_EQ(q.arrival_s, 0x1.87e546e2c3c5fp-12);
+            EXPECT_EQ(q.size, 36);
+            EXPECT_EQ(q.pooling_scale, 0x1.6d0353f7f4dacp+0);
+        } else if (i == 999) {
+            EXPECT_EQ(q.arrival_s, 0x1.48fcf1abb821ep+0);
+            EXPECT_EQ(q.size, 67);
+            EXPECT_EQ(q.pooling_scale, 0x1.07989f49e4b6cp+0);
+        }
+    }
+    EXPECT_EQ(h, 0x2885eaf79c6682d6ull);
+}
+
+/*
+ * A unit-rate draw scaled by the rate (clock += gap / rate) is the
+ * stream a QueryGenerator at that rate draws, bit for bit — the
+ * identity the simulator's per-workload probe stream relies on.
+ */
+TEST(QueryGen, UnitDrawScalesToEveryRate)
+{
+    QuerySizeDist sizes;
+    sizes.median = 120.0;
+    sizes.sigma = 0.7;
+    PoolingDist pool;
+    pool.sigma = 0.4;
+    for (double rate : {0.37, 800.0, 1e9}) {
+        QueryGenerator gen(rate, 9, sizes, pool);
+        Rng rng(9);
+        double clock_s = 0.0;
+        for (int i = 0; i < 500; ++i) {
+            const UnitQuery u = drawUnitQuery(rng, sizes, pool);
+            clock_s += u.gap / rate;
+            const Query q = gen.next();
+            ASSERT_EQ(doubleBits(q.arrival_s), doubleBits(clock_s));
+            ASSERT_EQ(q.size, u.size);
+            ASSERT_EQ(doubleBits(q.pooling_scale),
+                      doubleBits(u.pooling_scale));
+        }
+    }
 }
 
 TEST(QueryGenDeath, NonPositiveRate)
