@@ -7,6 +7,7 @@
  * roughly 25-74% at 2-4 workers.
  */
 #include <algorithm>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "hw/cost_model.h"
@@ -25,9 +26,9 @@ scheduleDetail(const hw::CostModel& cost, const model::Model& m,
     hw::CpuExecContext cx;
     cx.workers = workers;
     cx.mem_bw_gbps = 5.0;
-    hw::GraphTiming t = cost.cpuGraphTiming(m.graph, 256, cx);
+    std::vector<hw::OpRecord> ops;
+    hw::GraphTiming t = cost.cpuGraphTiming(m.graph, 256, cx, &ops);
     TablePrinter tab({"Op", "Kind", "Worker", "Start (us)", "End (us)"});
-    auto ops = t.ops;
     std::sort(ops.begin(), ops.end(),
               [](const auto& a, const auto& b) {
                   return a.start_us < b.start_us;

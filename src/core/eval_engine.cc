@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "obs/self_profile.h"
-#include "sim/prepared.h"
 #include "util/logging.h"
 
 namespace hercules::core {
@@ -155,6 +154,8 @@ EvalEngine::compute(const EvalRequest& r)
         mo.bisect_rel_tol = opt_.bisect_rel_tol;
 
     sim::PreparedWorkload w = sim::prepare(*r.server, *r.model, r.cfg);
+    if (r.timings != nullptr)
+        r.timings->warm(w);
     const sim::MeasureHint* hint =
         opt_.warm_start && r.hint.valid ? &r.hint : nullptr;
     obs::WallTimer measure_timer;
@@ -162,6 +163,8 @@ EvalEngine::compute(const EvalRequest& r)
     measure_wall_us_.fetch_add(
         static_cast<uint64_t>(measure_timer.elapsedMs() * 1e3),
         std::memory_order_relaxed);
+    if (r.timings != nullptr)
+        r.timings->absorb(w);
 
     misses_.fetch_add(1, std::memory_order_relaxed);
     // One saturation probe + the bisection probes (a conservative

@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "sim/measure.h"
+#include "sim/prepared.h"
 #include "util/thread_annotations.h"
 #include "util/thread_pool.h"
 
@@ -77,6 +78,14 @@ struct EvalRequest
     sim::MeasureOptions measure{};
     /** Deterministic warm-start hint (ignored unless warm_start set). */
     sim::MeasureHint hint{};
+    /**
+     * The calling search's timing store (borrowed; may be null). A
+     * computed evaluation warms its workload's memos from it before
+     * measuring and merges the new timings back after. Entries are
+     * pure functions of their keys, so the store changes no result and
+     * cacheKey() leaves it out.
+     */
+    sim::TimingStore* timings = nullptr;
 };
 
 /** Outcome of one evaluation. */
@@ -158,6 +167,7 @@ class EvalEngine
      * budget, abort/tolerance settings). Hints are deliberately
      * excluded: the first evaluation of a configuration fixes its
      * result (callers derive hints deterministically, so replays agree).
+     * So is the timing store, which changes no result.
      */
     static std::string cacheKey(const EvalRequest& r,
                                 const EvalOptions& opt);

@@ -83,13 +83,15 @@ colocSlowdown(int colocated)
 
 }  // namespace
 
-double
-CostModel::cpuOpLatencyUs(const Node& n, int batch,
-                          const CpuExecContext& cx) const
+CostModel::OpTiming
+CostModel::cpuOpTiming(const Node& n, int batch,
+                       const CpuExecContext& cx) const
 {
     using namespace calib;
     model::OpCost cost = model::opCostPerItem(n);
     double b = static_cast<double>(batch);
+    OpTiming t;
+    t.flops = cost.flops * b;
 
     if (n.kind() == OpKind::EmbeddingLookup) {
         const auto& p = std::get<EmbeddingParams>(n.params);
@@ -101,66 +103,63 @@ CostModel::cpuOpLatencyUs(const Node& n, int batch,
             // this thread's share of the NMP device.
             NmpResult r = nmpLut(p.emb_dim).lookup(batch, pooling);
             double share = std::clamp(cx.nmp_share, 1e-3, 1.0);
-            return kNmpHostDispatchUs + r.latency_us / share;
+            t.nmp_us = r.latency_us / share;
+            t.nmp_energy_uj = r.energy_uj;
+            t.latency_us = kNmpHostDispatchUs + t.nmp_us;
+            return t;
         }
-        double bytes = b * pooling * p.emb_dim * 4.0;
+        t.dram_bytes = b * pooling * p.emb_dim * 4.0;
         double bw = std::max(cx.mem_bw_gbps, 1e-3) * 1e9;
-        return kCpuOpOverheadUs + bytes / bw * 1e6;
+        t.latency_us = kCpuOpOverheadUs + t.dram_bytes / bw * 1e6;
+        return t;
     }
 
     // Compute-bound operator on a single op-worker core.
     double gflops = server_.cpu.effGflopsPerCore() * cpuBatchEff(batch);
     double us = cost.flops * b / (gflops * 1e9) * 1e6;
-    return kCpuOpOverheadUs + us;
+    t.latency_us = kCpuOpOverheadUs + us;
+    return t;
+}
+
+double
+CostModel::cpuOpLatencyUs(const Node& n, int batch,
+                          const CpuExecContext& cx) const
+{
+    return cpuOpTiming(n, batch, cx).latency_us;
 }
 
 GraphTiming
 CostModel::cpuGraphTiming(const Graph& g, int batch,
-                          const CpuExecContext& cx) const
+                          const CpuExecContext& cx,
+                          std::vector<OpRecord>* ops) const
 {
     using namespace calib;
     int workers = std::max(cx.workers, 1);
 
     GraphTiming t;
-    t.ops.reserve(g.nodes().size());
+    if (ops != nullptr) {
+        ops->clear();
+        ops->reserve(g.nodes().size());
+    }
 
     // Greedy list scheduling: walk nodes in topological order, placing
     // each op on the earliest-available worker no earlier than its
     // dependencies complete. Independent SparseNet lookups spread across
-    // workers; the DenseNet chain serializes (Fig 5).
+    // workers; the DenseNet chain serializes (Fig 5). An operator that
+    // draws no DRAM or NMP adds +0.0 to those sums, which changes no bit.
     std::vector<double> worker_free(static_cast<size_t>(workers), 0.0);
     std::vector<double> node_end(g.nodes().size(), 0.0);
-    double dram_lb_bytes = 0.0;  // bandwidth serialization lower bound
-    double nmp_total_us = 0.0;
-
     for (int id : g.topoOrder()) {
         const Node& n = g.node(id);
         double ready = 0.0;
         for (int d : n.deps)
             ready = std::max(ready, node_end[static_cast<size_t>(d)]);
 
-        double lat = cpuOpLatencyUs(n, batch, cx);
-        model::OpCost cost = model::opCostPerItem(n);
-        double b = static_cast<double>(batch);
-        t.flops += cost.flops * b;
-
-        bool on_nmp = false;
-        if (n.kind() == OpKind::EmbeddingLookup) {
-            const auto& p = std::get<EmbeddingParams>(n.params);
-            on_nmp = cx.use_nmp && p.pooled;
-            double pooling =
-                std::max(1.0, p.avgPooling() * cx.pooling_scale);
-            double bytes = b * pooling * p.emb_dim * 4.0;
-            if (on_nmp) {
-                NmpResult r = nmpLut(p.emb_dim).lookup(batch, pooling);
-                double share = std::clamp(cx.nmp_share, 1e-3, 1.0);
-                nmp_total_us += r.latency_us / share;
-                t.nmp_energy_uj += r.energy_uj;
-            } else {
-                dram_lb_bytes += bytes;
-                t.dram_bytes += bytes;
-            }
-        }
+        OpTiming op = cpuOpTiming(n, batch, cx);
+        t.flops += op.flops;
+        t.dram_bytes += op.dram_bytes;
+        t.nmp_busy_us += op.nmp_us;
+        t.nmp_energy_uj += op.nmp_energy_uj;
 
         // Earliest-available worker.
         size_t w = 0;
@@ -168,11 +167,12 @@ CostModel::cpuGraphTiming(const Graph& g, int batch,
             if (worker_free[i] < worker_free[w])
                 w = i;
         double start = std::max(ready, worker_free[w]);
-        double end = start + lat;
+        double end = start + op.latency_us;
         worker_free[w] = end;
         node_end[static_cast<size_t>(id)] = end;
-        t.busy_us += lat;
-        t.ops.push_back({id, static_cast<int>(w), start, end});
+        t.busy_us += op.latency_us;
+        if (ops != nullptr)
+            ops->push_back({id, static_cast<int>(w), start, end});
     }
 
     double makespan = 0.0;
@@ -183,11 +183,10 @@ CostModel::cpuGraphTiming(const Graph& g, int batch,
     // share this thread's DRAM bandwidth; NMP ops serialize on the NMP
     // device share.
     double bw = std::max(cx.mem_bw_gbps, 1e-3) * 1e9;
-    double mem_lb_us = dram_lb_bytes / bw * 1e6;
-    double latency = std::max({makespan, mem_lb_us, nmp_total_us});
+    double mem_lb_us = t.dram_bytes / bw * 1e6;
+    double latency = std::max({makespan, mem_lb_us, t.nmp_busy_us});
 
     t.latency_us = kCpuQueryOverheadUs + latency;
-    t.nmp_busy_us = nmp_total_us;
     double span = makespan * static_cast<double>(workers);
     t.idle_frac = span > 0.0 ? 1.0 - t.busy_us / span : 0.0;
     return t;

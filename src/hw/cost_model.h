@@ -56,16 +56,15 @@ struct GraphTiming
     double dram_bytes = 0.0;   ///< host DRAM traffic of the batch
     double nmp_busy_us = 0.0;  ///< time the NMP device was occupied
     double nmp_energy_uj = 0.0;
+};
 
-    /** One scheduled operator, for breakdown figures (Fig 5). */
-    struct OpRecord
-    {
-        int node = -1;
-        int worker = 0;
-        double start_us = 0.0;
-        double end_us = 0.0;
-    };
-    std::vector<OpRecord> ops;
+/** One operator placed by CostModel::cpuGraphTiming (Fig 5 schedules). */
+struct OpRecord
+{
+    int node = -1;
+    int worker = 0;
+    double start_us = 0.0;
+    double end_us = 0.0;
 };
 
 /**
@@ -97,9 +96,18 @@ class CostModel
     double cpuOpLatencyUs(const model::Node& n, int batch,
                           const CpuExecContext& cx) const;
 
-    /** Time one batch through a graph on one CPU inference thread. */
+    /**
+     * Time one batch through a graph on one CPU inference thread: one
+     * walk in topological order that list-schedules each operator on
+     * the earliest-free op worker, then bounds the makespan by the
+     * thread's DRAM bandwidth and NMP share.
+     *
+     * @param ops when non-null, cleared and filled with one record per
+     *            operator in scheduling order (the Fig 5 breakdown).
+     */
     GraphTiming cpuGraphTiming(const model::Graph& g, int batch,
-                               const CpuExecContext& cx) const;
+                               const CpuExecContext& cx,
+                               std::vector<OpRecord>* ops = nullptr) const;
 
     /**
      * Kernel latency of one operator on the GPU (us). A thread's
@@ -127,6 +135,20 @@ class CostModel
     const NmpLut& nmpLut(int emb_dim) const;
 
   private:
+    /** One operator's latency and the resources it draws. */
+    struct OpTiming
+    {
+        double latency_us = 0.0;
+        double flops = 0.0;
+        double dram_bytes = 0.0;  ///< host DRAM gather (0 on the NMP path)
+        double nmp_us = 0.0;      ///< NMP device time at this share
+        double nmp_energy_uj = 0.0;
+    };
+
+    /** Cost one operator: its OpCost, pooling and NMP lookup, once. */
+    OpTiming cpuOpTiming(const model::Node& n, int batch,
+                         const CpuExecContext& cx) const;
+
     ServerSpec server_;
     mutable std::unordered_map<int, std::unique_ptr<NmpLut>> nmp_luts_;
 };

@@ -57,6 +57,8 @@ hillClimb(const hw::ServerSpec& server, const model::Model& m,
         owned = std::make_unique<core::EvalEngine>(opt.eval);
         engine = owned.get();
     }
+    // Neighbouring steps differ in one knob and share most timings.
+    sim::TimingStore timings(server, m);
     double prev = -1.0;
     for (const SchedulingConfig& cfg : seq) {
         if (sim::validateConfig(server, m, cfg))
@@ -78,6 +80,7 @@ hillClimb(const hw::ServerSpec& server, const model::Model& m,
         req.sla_ms = sla_ms;
         req.measure = opt.measure;
         req.measure.power_budget_w = opt.power_budget_w;
+        req.timings = &timings;
         core::EvalResult res = engine->evaluate(req);
         if (res.cache_hit)
             ++result.cache_hits;

@@ -43,11 +43,12 @@ mergeResult(SearchResult& acc, SearchResult&& r)
 class Evaluator
 {
   public:
-    Evaluator(core::EvalEngine& engine, const hw::ServerSpec& server,
-              const model::Model& m, double sla_ms,
-              const SearchOptions& opt, SearchResult& result)
-        : engine_(engine), server_(server), model_(m), sla_ms_(sla_ms),
-          opt_(opt), result_(result)
+    Evaluator(core::EvalEngine& engine, sim::TimingStore& timings,
+              const hw::ServerSpec& server, const model::Model& m,
+              double sla_ms, const SearchOptions& opt,
+              SearchResult& result)
+        : engine_(engine), timings_(timings), server_(server), model_(m),
+          sla_ms_(sla_ms), opt_(opt), result_(result)
     {
     }
 
@@ -135,6 +136,7 @@ class Evaluator
         r.measure = opt_.measure;
         r.measure.power_budget_w = opt_.power_budget_w;
         r.hint = hint;
+        r.timings = &timings_;
         return r;
     }
 
@@ -170,6 +172,7 @@ class Evaluator
     }
 
     core::EvalEngine& engine_;
+    sim::TimingStore& timings_;
     const hw::ServerSpec& server_;
     const model::Model& model_;
     double sla_ms_;
@@ -179,10 +182,15 @@ class Evaluator
         seen_;
 };
 
-/** Everything a mapping search needs to spawn sub-evaluators. */
+/**
+ * Everything a mapping search needs to spawn sub-evaluators. The
+ * timing store belongs to the outermost search call and is freed when
+ * it returns.
+ */
 struct SearchCtx
 {
     core::EvalEngine& engine;
+    sim::TimingStore& timings;
     const hw::ServerSpec& server;
     const model::Model& model;
     double sla_ms;
@@ -191,7 +199,8 @@ struct SearchCtx
     Evaluator
     make(SearchResult& result) const
     {
-        return Evaluator(engine, server, model, sla_ms, opt, result);
+        return Evaluator(engine, timings, server, model, sla_ms, opt,
+                         result);
     }
 };
 
@@ -548,17 +557,10 @@ resolveEngine(const SearchOptions& opt,
     return owned.get();
 }
 
-}  // namespace
-
 SearchResult
-gradientSearchMapping(const hw::ServerSpec& server, const model::Model& m,
-                      Mapping mapping, double sla_ms,
-                      const SearchOptions& opt)
+searchMapping(const SearchCtx& ctx, Mapping mapping)
 {
     SearchResult result;
-    std::unique_ptr<core::EvalEngine> owned;
-    core::EvalEngine* engine = resolveEngine(opt, owned);
-    SearchCtx ctx{*engine, server, m, sla_ms, opt};
     switch (mapping) {
       case Mapping::CpuModelBased:
         searchCpuModelBased(ctx, result);
@@ -576,14 +578,31 @@ gradientSearchMapping(const hw::ServerSpec& server, const model::Model& m,
     return result;
 }
 
+}  // namespace
+
+SearchResult
+gradientSearchMapping(const hw::ServerSpec& server, const model::Model& m,
+                      Mapping mapping, double sla_ms,
+                      const SearchOptions& opt)
+{
+    std::unique_ptr<core::EvalEngine> owned;
+    core::EvalEngine* engine = resolveEngine(opt, owned);
+    sim::TimingStore timings(server, m);
+    return searchMapping({*engine, timings, server, m, sla_ms, opt},
+                         mapping);
+}
+
 SearchResult
 herculesTaskSearch(const hw::ServerSpec& server, const model::Model& m,
                    double sla_ms, const SearchOptions& opt)
 {
     std::unique_ptr<core::EvalEngine> owned;
     core::EvalEngine* engine = resolveEngine(opt, owned);
-    SearchOptions sub = opt;
-    sub.engine = engine;
+    // One timing store across the partition strategies: they share
+    // graphs and host contexts (a GPU S-D pipeline's SparseNet threads
+    // time what a CPU S-D pipeline's do).
+    sim::TimingStore timings(server, m);
+    const SearchCtx ctx{*engine, timings, server, m, sla_ms, opt};
 
     // Partition strategies explore disjoint configuration spaces, so
     // they fan out as independent pool tasks; the merge below runs in
@@ -591,8 +610,7 @@ herculesTaskSearch(const hw::ServerSpec& server, const model::Model& m,
     std::vector<Mapping> mappings = applicableMappings(server, m);
     std::vector<SearchResult> results(mappings.size());
     engine->pool().parallelFor(mappings.size(), [&](size_t i) {
-        results[i] =
-            gradientSearchMapping(server, m, mappings[i], sla_ms, sub);
+        results[i] = searchMapping(ctx, mappings[i]);
     });
 
     SearchResult combined;
@@ -608,7 +626,8 @@ exhaustiveSearch(const hw::ServerSpec& server, const model::Model& m,
     SearchResult result;
     std::unique_ptr<core::EvalEngine> owned;
     core::EvalEngine* engine = resolveEngine(opt, owned);
-    SearchCtx ctx{*engine, server, m, sla_ms, opt};
+    sim::TimingStore timings(server, m);
+    SearchCtx ctx{*engine, timings, server, m, sla_ms, opt};
     Evaluator ev = ctx.make(result);
     // The oracle grid is embarrassingly parallel: prefetch evaluates
     // every enumerated config on the pool and records them in

@@ -184,6 +184,133 @@ prepare(const hw::ServerSpec& server, const model::Model& m,
     return w;
 }
 
+const model::Graph&
+PreparedWorkload::cpuPoolGraph(int pool) const
+{
+    switch (pool) {
+      case 0: return full;
+      case 1: return sparse;
+      case 2: return dense;
+      case 3: return sparse;
+    }
+    panic("cpuPoolGraph: bad pool id %d", pool);
+}
+
+hw::CpuExecContext
+PreparedWorkload::cpuPoolContext(int pool) const
+{
+    hw::CpuExecContext cx = pool == 3 ? cold_cx : cpu_cx;
+    if (pool == 2)
+        cx.workers = 1;
+    return cx;
+}
+
+namespace {
+
+/** Merge the batch sizes `from` timed and `into` lacks. */
+void
+mergeMemo(CpuServiceMemo& into, const CpuServiceMemo& from)
+{
+    if (into.entries.empty()) {
+        into = from;
+        return;
+    }
+    if (into.row.size() < from.row.size())
+        into.row.resize(from.row.size(), 0);
+    for (size_t items = 0; items < from.row.size(); ++items) {
+        if (from.row[items] == 0 || into.row[items] != 0)
+            continue;
+        into.entries.push_back(from.entries[from.row[items] - 1]);
+        into.row[items] = static_cast<uint32_t>(into.entries.size());
+    }
+}
+
+/** @return the (key, memo) entry of `table` under `k`, or nullptr. */
+template <class Table, class Key>
+auto*
+findKey(Table& table, const Key& k)
+{
+    auto it = std::find_if(table.begin(), table.end(),
+                           [&](const auto& e) { return e.first == k; });
+    return it == table.end() ? nullptr : &*it;
+}
+
+}  // namespace
+
+TimingStore::TimingStore(const hw::ServerSpec& server,
+                         const model::Model& m)
+    : server_(&server), model_(&m)
+{
+}
+
+TimingStore::CpuKey
+TimingStore::cpuKey(const PreparedWorkload& w, int pool)
+{
+    const model::Graph& g = w.cpuPoolGraph(pool);
+    CpuKey k;
+    k.fuse = w.config.fuse_elementwise;
+    k.graph = &g == &w.full ? 0 : &g == &w.sparse ? 1 : 2;
+    k.cx = w.cpuPoolContext(pool);
+    return k;
+}
+
+/* Every field of hw::CpuExecContext is an input of the timing. */
+bool
+TimingStore::CpuKey::operator==(const CpuKey& o) const
+{
+    return fuse == o.fuse && graph == o.graph &&
+           cx.workers == o.cx.workers &&
+           cx.mem_bw_gbps == o.cx.mem_bw_gbps &&
+           cx.use_nmp == o.cx.use_nmp && cx.nmp_share == o.cx.nmp_share &&
+           cx.pooling_scale == o.cx.pooling_scale;
+}
+
+void
+TimingStore::checkBound(const PreparedWorkload& w, const char* what) const
+{
+    if (w.server != server_ || w.model != model_)
+        panic("TimingStore::%s: workload of %s on %s, store bound to %s "
+              "on %s",
+              what, w.model->name.c_str(), w.server->name.c_str(),
+              model_->name.c_str(), server_->name.c_str());
+}
+
+void
+TimingStore::warm(PreparedWorkload& w) const
+{
+    checkBound(w, "warm");
+    util::MutexLock lock(mu_);
+    using Stage = PreparedWorkload::CpuStage;
+    for (Stage s : {Stage::Front, Stage::Dense, Stage::ColdHost}) {
+        const int pool = w.cpuPoolOf(s);
+        if (pool < 0)
+            continue;
+        if (const auto* e = findKey(cpu_, cpuKey(w, pool)))
+            mergeMemo(w.cpu_service_memo[pool], e->second);
+    }
+    if (probe_.filled && !w.probe_stream.filled)
+        w.probe_stream = probe_;
+}
+
+void
+TimingStore::absorb(const PreparedWorkload& w)
+{
+    checkBound(w, "absorb");
+    util::MutexLock lock(mu_);
+    for (int pool = 0; pool < 4; ++pool) {
+        const CpuServiceMemo& memo = w.cpu_service_memo[pool];
+        if (memo.entries.empty())
+            continue;
+        CpuKey k = cpuKey(w, pool);
+        if (auto* e = findKey(cpu_, k))
+            mergeMemo(e->second, memo);
+        else
+            cpu_.emplace_back(k, memo);
+    }
+    if (w.probe_stream.filled && !probe_.filled)
+        probe_ = w.probe_stream;
+}
+
 double
 gpuBatchLatencyUs(const PreparedWorkload& w, const hw::CostModel& cost,
                   int items, double ps)

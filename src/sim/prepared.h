@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "hw/cost_model.h"
@@ -22,6 +23,7 @@
 // but orphan it from the search code that owns its semantics.
 // layer-lint: allow(sched)
 #include "sched/config.h"
+#include "util/thread_annotations.h"
 #include "workload/querygen.h"
 
 namespace hercules::sim {
@@ -100,10 +102,14 @@ struct ProbeStreamMemo
  *  - `cpu_service_memo`, by every ServerInstance built on it;
  *  - `gpu_kernel_memo`, by every ServerInstance built on it;
  *  - `probe_stream`, by simulateServer().
- * EvalEngine builds one per evaluation on its worker thread.
- * ClusterSim's shards of one personality share one, and its parallel
- * delivery advances all the shards that share a PreparedWorkload on
- * one pool task, so no two threads touch its memos at once.
+ * EvalEngine builds one per evaluation on its worker thread; when the
+ * request carries a search's TimingStore, the store warms the new
+ * workload's memos before the measurement and takes back what it
+ * added afterwards, so a search times each (graph, context, batch
+ * size) once. ClusterSim's shards of one personality share one, and
+ * its parallel delivery advances all the shards that share a
+ * PreparedWorkload on one pool task, so no two threads touch its
+ * memos at once.
  */
 struct PreparedWorkload
 {
@@ -128,6 +134,47 @@ struct PreparedWorkload
                                                                : dense;
     }
 
+    /** The host-thread stages a ServerInstance may run. */
+    enum class CpuStage
+    {
+        Front,     ///< the pool a CPU or S-D pipeline query enters
+        Dense,     ///< the CPU S-D pipeline's DenseNet threads
+        ColdHost,  ///< GPU model-based hosts reducing cold embeddings
+    };
+
+    /**
+     * @return the CPU pool id (see `cpu_service_memo`) that stage `s`
+     * runs under this mapping, or -1 when the mapping has no such
+     * stage. The simulator and the TimingStore route by this alone.
+     */
+    int
+    cpuPoolOf(CpuStage s) const
+    {
+        using sched::Mapping;
+        const Mapping m = config.mapping;
+        switch (s) {
+          case CpuStage::Front:
+            if (m == Mapping::GpuModelBased)
+                return -1;
+            return m == Mapping::CpuModelBased ? 0 : 1;
+          case CpuStage::Dense:
+            return m == Mapping::CpuSdPipeline ? 2 : -1;
+          case CpuStage::ColdHost:
+            return m == Mapping::GpuModelBased ? 3 : -1;
+        }
+        return -1;
+    }
+
+    /** @return the graph CPU pool `pool` runs. */
+    const model::Graph& cpuPoolGraph(int pool) const;
+
+    /**
+     * @return the context CPU pool `pool`'s threads run with: `cpu_cx`,
+     * or `cold_cx` for the cold path, with one op worker on DenseNet
+     * threads (Fig 10(b)).
+     */
+    hw::CpuExecContext cpuPoolContext(int pool) const;
+
     /**
      * CPU service memo, filled lazily by every ServerInstance simulated
      * on this workload: [pool id][batch size] → timings, pool id 0 =
@@ -143,6 +190,60 @@ struct PreparedWorkload
 
     /** simulateServer()'s unit-rate arrival stream. */
     mutable ProbeStreamMemo probe_stream;
+};
+
+/**
+ * The timings one search has made, to warm the memos of each workload
+ * it prepares: a gradient search's neighbouring evaluations differ in
+ * one knob and share most of their cost-model timings.
+ *
+ * Bound at construction to one (server, model). Entries are keyed by
+ * every input of their memo besides those two, compared by exact
+ * value:
+ *  - CPU pool: the graph (fuse flag; full, sparse or dense) and the
+ *    pool's context (cpuPoolContext(): workers, memory bandwidth, NMP
+ *    use and share, pooling scale);
+ *  - probe stream: the store keeps the first one it takes back, and
+ *    simulateServer() redraws it if its key does not match the run.
+ * Every entry is a pure function of its key, so a warmed workload
+ * simulates bit for bit as a cold one. GPU kernel rows are not kept:
+ * the rows a search times again cost under 1% of its time.
+ *
+ * warm() and absorb() lock the store and copy O(entries); neither runs
+ * in the event loop. Several evaluations may warm and absorb
+ * concurrently.
+ */
+class TimingStore
+{
+  public:
+    TimingStore(const hw::ServerSpec& server, const model::Model& m);
+
+    /**
+     * Copy into `w`'s memos the entries matching its pools' keys.
+     * Panics when `w` was prepared for another server or model.
+     */
+    void warm(PreparedWorkload& w) const EXCLUDES(mu_);
+
+    /** Merge in the entries `w`'s memos hold and the store lacks. */
+    void absorb(const PreparedWorkload& w) EXCLUDES(mu_);
+
+  private:
+    struct CpuKey
+    {
+        bool fuse = false;
+        int graph = 0;  ///< 0 full, 1 sparse, 2 dense
+        hw::CpuExecContext cx;
+        bool operator==(const CpuKey& o) const;
+    };
+
+    static CpuKey cpuKey(const PreparedWorkload& w, int pool);
+    void checkBound(const PreparedWorkload& w, const char* what) const;
+
+    const hw::ServerSpec* server_;
+    const model::Model* model_;
+    mutable util::Mutex mu_;
+    std::vector<std::pair<CpuKey, CpuServiceMemo>> cpu_ GUARDED_BY(mu_);
+    ProbeStreamMemo probe_ GUARDED_BY(mu_);
 };
 
 /**

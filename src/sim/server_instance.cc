@@ -222,24 +222,6 @@ ServerInstance::abortTriggered()
     return eq_.now() - q.arrival > opt_.abort_tail_ms * 1e-3;
 }
 
-const model::Graph&
-ServerInstance::poolGraph(int pool_id) const
-{
-    switch (pool_id) {
-      case 0: return w_.full;
-      case 1: return w_.sparse;
-      case 2: return w_.dense;
-      case 3: return w_.sparse;
-    }
-    panic("poolGraph: bad pool id %d", pool_id);
-}
-
-const hw::CpuExecContext&
-ServerInstance::poolContext(int pool_id) const
-{
-    return pool_id == 3 ? w_.cold_cx : w_.cpu_cx;
-}
-
 ServerInstance::ServiceSample
 ServerInstance::cpuService(int pool_id, int items, double query_ps)
 {
@@ -251,17 +233,13 @@ ServerInstance::cpuService(int pool_id, int items, double query_ps)
     if (batch >= memo.row.size())
         memo.row.resize(batch + 1, 0);
     if (memo.row[batch] == 0) {
-        hw::CpuExecContext cx = poolContext(pool_id);
-        // DenseNet threads run with a single op worker (Fig 10(b)).
-        if (pool_id == 2)
-            cx.workers = 1;
+        const model::Graph& g = w_.cpuPoolGraph(pool_id);
+        hw::CpuExecContext cx = w_.cpuPoolContext(pool_id);
         double base_scale = cx.pooling_scale;
         cx.pooling_scale = base_scale * 1.0;
-        hw::GraphTiming t1 =
-            cost_.cpuGraphTiming(poolGraph(pool_id), items, cx);
+        hw::GraphTiming t1 = cost_.cpuGraphTiming(g, items, cx);
         cx.pooling_scale = base_scale * 2.0;
-        hw::GraphTiming t2 =
-            cost_.cpuGraphTiming(poolGraph(pool_id), items, cx);
+        hw::GraphTiming t2 = cost_.cpuGraphTiming(g, items, cx);
         CpuServiceMemoEntry e;
         e.lat1 = t1.latency_us;
         e.lat2 = t2.latency_us;
@@ -332,9 +310,9 @@ ServerInstance::enqueue(Pool& pool, Chunk c)
 void
 ServerInstance::poolServe(Pool& pool, Chunk c)
 {
-    int pool_id = (&pool == &cpu_pool_)
-                      ? (mapping() == Mapping::CpuModelBased ? 0 : 1)
-                      : 2;
+    int pool_id = w_.cpuPoolOf(&pool == &cpu_pool_
+                                   ? PreparedWorkload::CpuStage::Front
+                                   : PreparedWorkload::CpuStage::Dense);
     QueryState& q = query(c.query);
     if (!q.started) {
         q.started = true;
@@ -500,7 +478,8 @@ void
 ServerInstance::startHostStage(size_t tid)
 {
     const Batch& b = gpu_threads_[tid].staging;
-    ServiceSample s = cpuService(3, b.items, b.ps);
+    ServiceSample s = cpuService(
+        w_.cpuPoolOf(PreparedWorkload::CpuStage::ColdHost), b.items, b.ps);
     double end = eq_.now() + s.latency_us * 1e-6 * slowdown_;
     chargeBins(cpu_busy_s_, eq_.now(), end,
                static_cast<double>(host_pool_.cores_each) *

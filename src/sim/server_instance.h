@@ -334,8 +334,6 @@ class ServerInstance
     void scheduleGpu(double t, Event::Kind kind, size_t tid);
 
     ServiceSample cpuService(int pool_id, int items, double query_ps);
-    const model::Graph& poolGraph(int pool_id) const;
-    const hw::CpuExecContext& poolContext(int pool_id) const;
 
     void chargeBins(std::vector<double>& bins, double start_s,
                     double end_s, double weight);

@@ -3,12 +3,15 @@
  * Tests of the evaluation engine: memoization correctness (cached
  * replays are bit-identical and free), thread-count independence
  * (1-thread vs N-thread searches and efficiency tables agree exactly),
- * cache-key discrimination, and the measurement shortcuts (warm-start
- * bisection, early-abort probes).
+ * cache-key discrimination, the measurement shortcuts (warm-start
+ * bisection, early-abort probes), and the per-search timing store
+ * (warmed evaluations measure exactly what cold ones do).
  */
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -419,6 +422,279 @@ TEST(EvalEngine, AbortedProbeIsInfeasibleVerdict)
     EvalResult r = engine.evaluate(request(t2, m, cfg, 0.05, mo));
     EXPECT_TRUE(r.valid);
     EXPECT_FALSE(r.point.has_value());
+}
+
+// ---- TimingStore ---------------------------------------------------------
+
+/** Every field of two measurements, exactly. */
+void
+expectSamePoint(const std::optional<sim::OperatingPoint>& a,
+                const std::optional<sim::OperatingPoint>& b)
+{
+    ASSERT_EQ(a.has_value(), b.has_value());
+    if (!a || !b)
+        return;
+    EXPECT_EQ(a->qps, b->qps);
+    EXPECT_EQ(a->capacity, b->capacity);
+    EXPECT_EQ(a->bracket_lo, b->bracket_lo);
+    EXPECT_EQ(a->bracket_hi, b->bracket_hi);
+    EXPECT_EQ(a->sims, b->sims);
+    const sim::ServerSimResult& x = a->result;
+    const sim::ServerSimResult& y = b->result;
+    EXPECT_EQ(x.offered_qps, y.offered_qps);
+    EXPECT_EQ(x.achieved_qps, y.achieved_qps);
+    EXPECT_EQ(x.mean_ms, y.mean_ms);
+    EXPECT_EQ(x.p50_ms, y.p50_ms);
+    EXPECT_EQ(x.p95_ms, y.p95_ms);
+    EXPECT_EQ(x.p99_ms, y.p99_ms);
+    EXPECT_EQ(x.tail_ms, y.tail_ms);
+    EXPECT_EQ(x.max_ms, y.max_ms);
+    EXPECT_EQ(x.cpu_util, y.cpu_util);
+    EXPECT_EQ(x.mem_bw_util, y.mem_bw_util);
+    EXPECT_EQ(x.gpu_util, y.gpu_util);
+    EXPECT_EQ(x.pcie_util, y.pcie_util);
+    EXPECT_EQ(x.nmp_util, y.nmp_util);
+    EXPECT_EQ(x.avg_power_w, y.avg_power_w);
+    EXPECT_EQ(x.peak_power_w, y.peak_power_w);
+    EXPECT_EQ(x.qps_per_watt, y.qps_per_watt);
+    EXPECT_EQ(x.mean_queue_ms, y.mean_queue_ms);
+    EXPECT_EQ(x.mean_host_ms, y.mean_host_ms);
+    EXPECT_EQ(x.mean_load_ms, y.mean_load_ms);
+    EXPECT_EQ(x.mean_exec_ms, y.mean_exec_ms);
+    EXPECT_EQ(x.completed, y.completed);
+    EXPECT_EQ(x.duration_s, y.duration_s);
+    EXPECT_EQ(x.aborted, y.aborted);
+    EXPECT_EQ(x.events_executed, y.events_executed);
+    EXPECT_EQ(x.peak_event_queue_depth, y.peak_event_queue_depth);
+}
+
+sim::MeasureOptions
+storeMeasure()
+{
+    sim::MeasureOptions mo;
+    mo.sim.num_queries = 250;
+    mo.sim.warmup_queries = 50;
+    mo.bisect_iters = 4;
+    return mo;
+}
+
+constexpr double kStoreSla = 20.0;
+
+SchedulingConfig
+cpuCfg(int threads, int cores, int batch)
+{
+    SchedulingConfig c;
+    c.mapping = Mapping::CpuModelBased;
+    c.cpu_threads = threads;
+    c.cores_per_thread = cores;
+    c.batch = batch;
+    return c;
+}
+
+SchedulingConfig
+sdCfg(int threads, int cores, int dense, int batch)
+{
+    SchedulingConfig c = cpuCfg(threads, cores, batch);
+    c.mapping = Mapping::CpuSdPipeline;
+    c.dense_threads = dense;
+    return c;
+}
+
+SchedulingConfig
+gpuCfg(Mapping mapping, int gpu_threads, int fusion, int cpu_threads,
+       int cores = 1, int batch = 64)
+{
+    SchedulingConfig c = cpuCfg(cpu_threads, cores, batch);
+    c.mapping = mapping;
+    c.gpu_threads = gpu_threads;
+    c.fusion_limit = fusion;
+    return c;
+}
+
+/** `c` without elementwise fusion (configs fuse by default). */
+SchedulingConfig
+unfused(SchedulingConfig c)
+{
+    c.fuse_elementwise = false;
+    return c;
+}
+
+/** A cell's search evaluations against one engine and one store. */
+struct StoreCell
+{
+    const hw::ServerSpec& server = hw::serverSpec(ServerType::T8);
+    model::Model m = model::buildModel(ModelId::DlrmRmc1);
+    sim::TimingStore store{server, m};
+    EvalEngine engine{EvalOptions{4}};
+
+    EvalRequest
+    req(const SchedulingConfig& cfg)
+    {
+        EvalRequest r =
+            request(server, m, cfg, kStoreSla, storeMeasure());
+        r.timings = &store;
+        return r;
+    }
+
+    /** The measurement on a workload prepared fresh, with no store. */
+    std::optional<sim::OperatingPoint>
+    fresh(const SchedulingConfig& cfg) const
+    {
+        return sim::measureLatencyBoundedQps(sim::prepare(server, m, cfg),
+                                             kStoreSla, storeMeasure());
+    }
+
+    /** Evaluate through the store; it must match a fresh measurement. */
+    void
+    expectFresh(const SchedulingConfig& cfg)
+    {
+        SCOPED_TRACE(cfg.key());
+        EvalResult r = engine.evaluate(req(cfg));
+        ASSERT_TRUE(r.valid);
+        ASSERT_FALSE(r.cache_hit);
+        expectSamePoint(r.point, fresh(cfg));
+    }
+
+    /** Entries the store warms into CPU pools 0-3 of a new `cfg`. */
+    std::array<size_t, 4>
+    warmed(const SchedulingConfig& cfg) const
+    {
+        sim::PreparedWorkload w = sim::prepare(server, m, cfg);
+        store.warm(w);
+        std::array<size_t, 4> n{};
+        for (int p = 0; p < 4; ++p)
+            n[static_cast<size_t>(p)] =
+                w.cpu_service_memo[p].entries.size();
+        return n;
+    }
+};
+
+/*
+ * A search-like sequence over all four mappings, varying every
+ * parallelism knob, pushed through one engine and one store in
+ * concurrent batches: each warmed evaluation measures exactly what a
+ * fresh prepare + measure does.
+ */
+TEST(TimingStore, WarmedEvaluationsMatchFreshMeasurements)
+{
+    StoreCell c;
+    const std::vector<std::vector<SchedulingConfig>> waves = {
+        {cpuCfg(4, 1, 32), cpuCfg(4, 1, 128), cpuCfg(4, 2, 128),
+         cpuCfg(8, 1, 128), unfused(cpuCfg(4, 1, 128))},
+        {sdCfg(4, 1, 2, 64), sdCfg(4, 1, 2, 128), sdCfg(4, 2, 2, 128),
+         sdCfg(6, 1, 3, 128), unfused(sdCfg(4, 1, 2, 64))},
+        {gpuCfg(Mapping::GpuModelBased, 6, 2000, 2),
+         gpuCfg(Mapping::GpuModelBased, 6, 1000, 2),
+         gpuCfg(Mapping::GpuModelBased, 5, 2000, 2),
+         gpuCfg(Mapping::GpuModelBased, 6, 2000, 4, 2),
+         unfused(gpuCfg(Mapping::GpuModelBased, 6, 2000, 2))},
+        {gpuCfg(Mapping::GpuSdPipeline, 2, 2000, 4),
+         gpuCfg(Mapping::GpuSdPipeline, 2, 1000, 4),
+         gpuCfg(Mapping::GpuSdPipeline, 1, 2000, 4),
+         gpuCfg(Mapping::GpuSdPipeline, 2, 2000, 4, 2, 128),
+         unfused(gpuCfg(Mapping::GpuSdPipeline, 2, 2000, 4))},
+        // Revisits of every mapping, now on a warm store.
+        {cpuCfg(4, 1, 64), sdCfg(4, 1, 2, 32),
+         gpuCfg(Mapping::GpuModelBased, 6, 500, 2),
+         gpuCfg(Mapping::GpuSdPipeline, 2, 500, 4)},
+    };
+    int feasible = 0;
+    for (const std::vector<SchedulingConfig>& wave : waves) {
+        std::vector<EvalRequest> reqs;
+        for (const SchedulingConfig& cfg : wave)
+            reqs.push_back(c.req(cfg));
+        std::vector<EvalResult> got = c.engine.evaluateMany(reqs);
+        for (size_t i = 0; i < wave.size(); ++i) {
+            SCOPED_TRACE(wave[i].key());
+            ASSERT_TRUE(got[i].valid);
+            ASSERT_FALSE(got[i].cache_hit);
+            expectSamePoint(got[i].point, c.fresh(wave[i]));
+            feasible += got[i].point.has_value();
+        }
+    }
+    EXPECT_EQ(feasible, 24);  // every probe path ran
+    // The revisits found their pools warm.
+    EXPECT_GT(c.warmed(cpuCfg(4, 1, 64))[0], 0u);
+    EXPECT_GT(c.warmed(sdCfg(4, 1, 2, 32))[2], 0u);
+    EXPECT_GT(c.warmed(gpuCfg(Mapping::GpuModelBased, 6, 500, 2))[3], 0u);
+}
+
+/*
+ * For each input of a memo key, warm the store with one configuration,
+ * then evaluate one that differs only there: the store warms nothing
+ * into the pool whose key moved, and the measurement is a fresh one's.
+ * A neighbour that differs only in batch size or fusion limit shares
+ * the key and does get warm entries.
+ */
+TEST(TimingStore, DifferingKeyInputsWarmNothing)
+{
+    StoreCell c;
+    c.expectFresh(cpuCfg(4, 1, 128));
+    EXPECT_GT(c.warmed(cpuCfg(4, 1, 32))[0], 0u);
+    {
+        SCOPED_TRACE("op workers");
+        EXPECT_EQ(c.warmed(cpuCfg(4, 2, 128))[0], 0u);
+        c.expectFresh(cpuCfg(4, 2, 128));
+    }
+    {
+        SCOPED_TRACE("memory bandwidth and NMP share via cpu_threads");
+        EXPECT_EQ(c.warmed(cpuCfg(8, 1, 128))[0], 0u);
+        c.expectFresh(cpuCfg(8, 1, 128));
+    }
+    {
+        SCOPED_TRACE("fuse flag");
+        EXPECT_EQ(c.warmed(unfused(cpuCfg(4, 1, 128)))[0], 0u);
+        c.expectFresh(unfused(cpuCfg(4, 1, 128)));
+    }
+
+    // The cold hot-split pool runs the SparseNet graph on the context a
+    // GPU S-D pipeline's SparseNet threads use, but at the cold
+    // fraction's pooling scale.
+    const SchedulingConfig gsd = gpuCfg(Mapping::GpuSdPipeline, 6, 2000, 2);
+    const SchedulingConfig gmb = gpuCfg(Mapping::GpuModelBased, 6, 2000, 2);
+    c.expectFresh(gsd);
+    ASSERT_GT(c.warmed(gsd)[1], 0u);
+    {
+        SCOPED_TRACE("cold hot-split pool");
+        ASSERT_LT(sim::prepare(c.server, c.m, gmb).gpu_cx.hot_hit_rate, 1.0);
+        EXPECT_EQ(c.warmed(gmb)[3], 0u);
+        c.expectFresh(gmb);
+        EXPECT_GT(c.warmed(gpuCfg(Mapping::GpuModelBased, 6, 1000, 2))[3],
+                  0u);
+        // Fewer co-located threads: a larger hot split, another cold
+        // pooling scale.
+        const SchedulingConfig five =
+            gpuCfg(Mapping::GpuModelBased, 5, 2000, 2);
+        ASSERT_NE(sim::prepare(c.server, c.m, five).cold_cx.pooling_scale,
+                  sim::prepare(c.server, c.m, gmb).cold_cx.pooling_scale);
+        EXPECT_EQ(c.warmed(five)[3], 0u);
+        c.expectFresh(five);
+    }
+    {
+        // The store keeps host timings only: the accelerator's kernel
+        // rows are timed by each workload, so its co-location may
+        // differ while the SparseNet pool is warm.
+        SCOPED_TRACE("co-located accelerator threads");
+        const SchedulingConfig two =
+            gpuCfg(Mapping::GpuSdPipeline, 2, 2000, 2);
+        EXPECT_GT(c.warmed(two)[1], 0u);  // same host context
+        c.expectFresh(two);
+    }
+}
+
+TEST(TimingStoreDeath, OtherServerOrModelPanics)
+{
+    const hw::ServerSpec& t2 = hw::serverSpec(ServerType::T2);
+    model::Model rmc1 = model::buildModel(ModelId::DlrmRmc1);
+    model::Model rmc2 = model::buildModel(ModelId::DlrmRmc2);
+    sim::TimingStore store(t2, rmc1);
+    sim::PreparedWorkload other_model =
+        sim::prepare(t2, rmc2, cpuCfg(4, 1, 128));
+    EXPECT_DEATH(store.warm(other_model), "TimingStore::warm: workload of");
+    sim::PreparedWorkload other_server = sim::prepare(
+        hw::serverSpec(ServerType::T3), rmc1, cpuCfg(4, 1, 128));
+    EXPECT_DEATH(store.warm(other_server), "store bound to");
+    EXPECT_DEATH(store.absorb(other_server), "TimingStore::absorb");
 }
 
 }  // namespace

@@ -7,6 +7,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <vector>
+
 #include "hw/calibration.h"
 #include "hw/cost_model.h"
 #include "model/partition.h"
@@ -330,6 +334,132 @@ TEST_P(CostMonotoneBatch, CpuLatencyGrowsWithBatch)
 
 INSTANTIATE_TEST_SUITE_P(AllModels, CostMonotoneBatch,
                          ::testing::ValuesIn(model::allModels()));
+
+/** FNV-1a over the bytes of 64-bit words (doubles by their bits). */
+struct Fnv1a
+{
+    uint64_t h = 1469598103934665603ull;
+
+    void
+    mix(uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 1099511628211ull;
+        }
+    }
+
+    void
+    mix(double d)
+    {
+        uint64_t v;
+        std::memcpy(&v, &d, sizeof(v));
+        mix(v);
+    }
+};
+
+/*
+ * Every GraphTiming double of cpuGraphTiming, bit for bit, over RMC1-3
+ * x {full, sparse, dense} on a DDR (T2) and an NMP (T3) server, 1 and 4
+ * op workers, 1 and 8 memory-hungry threads, pooling scales {1, 2,
+ * 0.37} and batches {1, 7, 64, 256, 4000}. The digest was captured
+ * before cpuGraphTiming became a one-pass walk, so it pins that the
+ * rewrite kept the arithmetic and its order.
+ */
+TEST(CpuGraphGolden, TimingBitsPinned)
+{
+    Fnv1a d;
+    int cases = 0;
+    for (ServerType st : {ServerType::T2, ServerType::T3}) {
+        CostModel cost(serverSpec(st));
+        for (ModelId id :
+             {ModelId::DlrmRmc1, ModelId::DlrmRmc2, ModelId::DlrmRmc3}) {
+            Model m = model::buildModel(id);
+            const model::Graph graphs[] = {m.graph,
+                                           model::sparseSubgraph(m.graph),
+                                           model::denseSubgraph(m.graph)};
+            for (const model::Graph& g : graphs)
+                for (int workers : {1, 4})
+                    for (int mem_threads : {1, 8})
+                        for (double ps : {1.0, 2.0, 0.37})
+                            for (int batch : {1, 7, 64, 256, 4000}) {
+                                CpuExecContext cx;
+                                cx.workers = workers;
+                                cx.mem_bw_gbps =
+                                    cost.perThreadBwGbps(mem_threads);
+                                cx.use_nmp = cost.server().hasNmp();
+                                cx.nmp_share = 1.0 / mem_threads;
+                                cx.pooling_scale = ps;
+                                GraphTiming t =
+                                    cost.cpuGraphTiming(g, batch, cx);
+                                d.mix(t.latency_us);
+                                d.mix(t.busy_us);
+                                d.mix(t.idle_frac);
+                                d.mix(t.flops);
+                                d.mix(t.dram_bytes);
+                                d.mix(t.nmp_busy_us);
+                                d.mix(t.nmp_energy_uj);
+                                ++cases;
+                            }
+        }
+    }
+    EXPECT_EQ(cases, 1080);
+    EXPECT_EQ(d.h, 0xcf7835ec77830eb9ull) << std::hex << d.h;
+
+    // One NMP cell in the clear, so a drift shows which field moved.
+    CostModel nmp(serverSpec(ServerType::T3));
+    Model rmc1 = model::buildModel(ModelId::DlrmRmc1);
+    CpuExecContext cx;
+    cx.workers = 4;
+    cx.mem_bw_gbps = nmp.perThreadBwGbps(8);
+    cx.use_nmp = true;
+    cx.nmp_share = 1.0 / 8;
+    cx.pooling_scale = 0.37;
+    GraphTiming t = nmp.cpuGraphTiming(rmc1.graph, 64, cx);
+    EXPECT_EQ(t.latency_us, 0x1.491f80a23dfe3p+9);
+    EXPECT_EQ(t.busy_us, 0x1.d3b3b19c28b42p+9);
+    EXPECT_EQ(t.idle_frac, 0x1.3fe3e357b002cp-1);
+    EXPECT_EQ(t.flops, 0x1.11008p+23);
+    EXPECT_EQ(t.dram_bytes, 0.0);
+    EXPECT_EQ(t.nmp_busy_us, 0x1.1ba1832b35f72p+8);
+    EXPECT_EQ(t.nmp_energy_uj, 0x1.7f9db22d0e561p+8);
+}
+
+/*
+ * bench_fig05_op_workers' two-worker RMC1 schedule, record by record,
+ * captured before the op records became an out-parameter.
+ */
+TEST(CpuGraphGolden, Fig05OpRecordsPinned)
+{
+    CostModel cost(serverSpec(ServerType::T2));
+    Model m = model::buildModel(ModelId::DlrmRmc1);
+    CpuExecContext cx;
+    cx.workers = 2;
+    cx.mem_bw_gbps = 5.0;
+    std::vector<OpRecord> ops = {{99, 9, 1.0, 2.0}};  // cleared first
+    GraphTiming t = cost.cpuGraphTiming(m.graph, 256, cx, &ops);
+    ASSERT_EQ(ops.size(), 20u);
+    Fnv1a d;
+    for (const OpRecord& r : ops) {
+        d.mix(static_cast<uint64_t>(r.node));
+        d.mix(static_cast<uint64_t>(r.worker));
+        d.mix(r.start_us);
+        d.mix(r.end_us);
+    }
+    EXPECT_EQ(d.h, 0x6064e93a7c3cb303ull) << std::hex << d.h;
+    EXPECT_EQ(ops.front().node, 10);
+    EXPECT_EQ(ops.front().end_us, 0x1.b158793dd97f6p+9);
+    EXPECT_EQ(ops.back().node, 19);
+    EXPECT_EQ(ops.back().worker, 1);
+    EXPECT_EQ(ops.back().end_us, 0x1.23045ab9f559bp+12);
+    EXPECT_EQ(t.latency_us, 0x1.72d3d70a3d70ap+12);
+    EXPECT_EQ(t.idle_frac, 0x1.63a43c03d13a4p-3);
+
+    // Without the out-parameter the timing is the same.
+    GraphTiming bare = cost.cpuGraphTiming(m.graph, 256, cx);
+    EXPECT_EQ(bare.latency_us, t.latency_us);
+    EXPECT_EQ(bare.busy_us, t.busy_us);
+}
 
 }  // namespace
 }  // namespace hercules::hw
