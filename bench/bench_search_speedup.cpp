@@ -6,9 +6,7 @@
  * Reported per mode: wall time, distinct simulator measurements
  * (engine misses), cache hit rate — plus a bit-identity check of the
  * winning configuration/QPS against the serial path (the engine's
- * ordered reductions and per-candidate RNG streams guarantee it). The
- * warm-start + early-abort shortcuts are benchmarked separately since
- * they deliberately trade probe fidelity for simulation count.
+ * ordered reductions and per-candidate RNG streams guarantee it).
  *
  * Results land in BENCH_search.json next to the binary.
  */
@@ -118,23 +116,9 @@ main()
     memo.identical_to_serial = memo.best_cfg == serial.best_cfg &&
                                memo.best_qps == serial.best_qps;
 
-    // Warm-start + early-abort: fewer simulations per measurement, at
-    // the cost of slightly different probe placement (reported, not
-    // required to be identical).
-    sched::SearchOptions fast_opt = opt;
-    fast_opt.eval.threads = 0;
-    fast_opt.eval.warm_start = true;
-    fast_opt.eval.abort_tail_factor = 8.0;
-    fast_opt.eval.bisect_rel_tol = 0.05;
-    core::EvalEngine fast_engine(fast_opt.eval);
-    ModeResult fast = runSearch("pooled + shortcuts", server, m, sla_ms,
-                                fast_opt, fast_engine);
-    fast.identical_to_serial = fast.best_cfg == serial.best_cfg &&
-                               fast.best_qps == serial.best_qps;
-
     TablePrinter t({"Mode", "Wall (ms)", "Evals", "Hits", "Hit rate",
                     "Sims", "Best QPS", "Identical"});
-    for (const ModeResult* r : {&serial, &pooled, &memo, &fast}) {
+    for (const ModeResult* r : {&serial, &pooled, &memo}) {
         t.addRow({r->name, fmtDouble(r->wall_ms, 1),
                   std::to_string(r->evals), std::to_string(r->cache_hits),
                   fmtPercent(r->hitRate()),
@@ -196,7 +180,6 @@ main()
     w.key("memoized_hit_rate").fixed(memo.hitRate(), 4);
     w.key("pooled_identical").boolean(pooled.identical_to_serial);
     w.key("memoized_identical").boolean(memo.identical_to_serial);
-    w.key("shortcut_sims").integer(fast.simulations);
     w.key("baseline_sims").integer(serial.simulations);
     w.endObject();
     w.key("efficiency_table").beginObject();

@@ -64,12 +64,12 @@ struct EvalEngine::Cell
 };
 
 EvalEngine::EvalEngine(const EvalOptions& opt)
-    : opt_(opt), pool_(opt.threads)
+    : pool_(opt.threads)
 {
 }
 
 std::string
-EvalEngine::cacheKey(const EvalRequest& r, const EvalOptions& opt)
+EvalEngine::cacheKey(const EvalRequest& r)
 {
     std::string s;
     s.reserve(256);
@@ -117,12 +117,6 @@ EvalEngine::cacheKey(const EvalRequest& r, const EvalOptions& opt)
     const sim::MeasureOptions& mo = r.measure;
     appendNum(s, "pb", mo.power_budget_w);
     appendInt(s, "bi", mo.bisect_iters);
-    appendNum(s, "hf", mo.hi_factor);
-    appendNum(s, "atf", mo.abort_tail_factor > 0.0
-                            ? mo.abort_tail_factor
-                            : opt.abort_tail_factor);
-    appendNum(s, "tol", mo.bisect_rel_tol > 0.0 ? mo.bisect_rel_tol
-                                                : opt.bisect_rel_tol);
     appendInt(s, "nq", mo.sim.num_queries);
     appendInt(s, "wq", mo.sim.warmup_queries);
     appendInt(s, "seed", static_cast<int64_t>(mo.sim.seed));
@@ -147,19 +141,11 @@ EvalEngine::compute(const EvalRequest& r)
     }
     out.valid = true;
 
-    sim::MeasureOptions mo = r.measure;
-    if (mo.abort_tail_factor <= 0.0)
-        mo.abort_tail_factor = opt_.abort_tail_factor;
-    if (mo.bisect_rel_tol <= 0.0)
-        mo.bisect_rel_tol = opt_.bisect_rel_tol;
-
     sim::PreparedWorkload w = sim::prepare(*r.server, *r.model, r.cfg);
     if (r.timings != nullptr)
         r.timings->warm(w);
-    const sim::MeasureHint* hint =
-        opt_.warm_start && r.hint.valid ? &r.hint : nullptr;
     obs::WallTimer measure_timer;
-    out.point = sim::measureLatencyBoundedQps(w, r.sla_ms, mo, hint);
+    out.point = sim::measureLatencyBoundedQps(w, r.sla_ms, r.measure);
     measure_wall_us_.fetch_add(
         static_cast<uint64_t>(measure_timer.elapsedMs() * 1e3),
         std::memory_order_relaxed);
@@ -167,11 +153,12 @@ EvalEngine::compute(const EvalRequest& r)
         r.timings->absorb(w);
 
     misses_.fetch_add(1, std::memory_order_relaxed);
-    // One saturation probe + the bisection probes (a conservative
-    // estimate when infeasible: probes before the light-load retry).
+    // One saturation probe + the bisection probes; an infeasible
+    // measurement also ran the light-load retry (an overcount only when
+    // the saturation probe found no capacity at all).
     simulations_.fetch_add(
         out.point ? static_cast<uint64_t>(out.point->sims)
-                  : static_cast<uint64_t>(mo.bisect_iters + 2),
+                  : static_cast<uint64_t>(r.measure.bisect_iters + 2),
         std::memory_order_relaxed);
     return out;
 }
@@ -181,10 +168,7 @@ EvalEngine::evaluate(const EvalRequest& r)
 {
     if (!r.server || !r.model)
         fatal("EvalEngine::evaluate: null server or model");
-    if (!opt_.memoize)
-        return compute(r);
-
-    std::string key = cacheKey(r, opt_);
+    std::string key = cacheKey(r);
     std::shared_ptr<Cell> cell;
     bool owner = false;
     {
@@ -251,7 +235,7 @@ EvalEngine::clearCache()
 
 namespace {
 
-constexpr const char* kCacheMagic = "HERCULES_EVAL_CACHE v1";
+constexpr const char* kCacheMagic = "HERCULES_EVAL_CACHE v2";
 
 void
 writePoint(FILE* f, const sim::OperatingPoint& p)
@@ -264,21 +248,20 @@ writePoint(FILE* f, const sim::OperatingPoint& p)
         " %.17g %.17g %.17g %.17g %.17g"
         " %.17g %.17g %.17g"
         " %.17g %.17g %.17g %.17g"
-        " %zu %.17g %d",
+        " %zu %.17g",
         p.qps, p.capacity, p.bracket_lo, p.bracket_hi, p.sims,
         r.offered_qps, r.achieved_qps, r.mean_ms, r.p50_ms, r.p95_ms,
         r.p99_ms, r.tail_ms, r.max_ms,
         r.cpu_util, r.mem_bw_util, r.gpu_util, r.pcie_util, r.nmp_util,
         r.avg_power_w, r.peak_power_w, r.qps_per_watt,
         r.mean_queue_ms, r.mean_host_ms, r.mean_load_ms, r.mean_exec_ms,
-        r.completed, r.duration_s, r.aborted ? 1 : 0);
+        r.completed, r.duration_s);
 }
 
 bool
 readPoint(const char* s, sim::OperatingPoint* p)
 {
     sim::ServerSimResult& r = p->result;
-    int aborted = 0;
     int n = std::sscanf(
         s,
         " %lg %lg %lg %lg %d"
@@ -286,7 +269,7 @@ readPoint(const char* s, sim::OperatingPoint* p)
         " %lg %lg %lg %lg %lg"
         " %lg %lg %lg"
         " %lg %lg %lg %lg"
-        " %zu %lg %d",
+        " %zu %lg",
         &p->qps, &p->capacity, &p->bracket_lo, &p->bracket_hi, &p->sims,
         &r.offered_qps, &r.achieved_qps, &r.mean_ms, &r.p50_ms,
         &r.p95_ms, &r.p99_ms, &r.tail_ms, &r.max_ms,
@@ -295,11 +278,8 @@ readPoint(const char* s, sim::OperatingPoint* p)
         &r.avg_power_w, &r.peak_power_w, &r.qps_per_watt,
         &r.mean_queue_ms, &r.mean_host_ms, &r.mean_load_ms,
         &r.mean_exec_ms,
-        &r.completed, &r.duration_s, &aborted);
-    if (n != 28)
-        return false;
-    r.aborted = aborted != 0;
-    return true;
+        &r.completed, &r.duration_s);
+    return n == 27;
 }
 
 }  // namespace
@@ -361,8 +341,8 @@ EvalEngine::loadCache(const std::string& path)
     };
 
     if (!readLine() || line != kCacheMagic) {
-        warn("EvalEngine::loadCache: %s is not a v1 cache file",
-             path.c_str());
+        warn("EvalEngine::loadCache: %s lacks the %s header",
+             path.c_str(), kCacheMagic);
         std::fclose(f);
         return 0;
     }

@@ -5,7 +5,7 @@
  * cluster provisioning, benches) and the latency-bounded throughput
  * measurement of sim/measure.h.
  *
- * The engine adds three things on top of a raw measureLatencyBoundedQps
+ * The engine adds two things on top of a raw measureLatencyBoundedQps
  * call:
  *
  *  1. **Memoization** — results are cached under a canonical key of
@@ -17,11 +17,6 @@
  *     owns its seeded RNG stream and results are reduced in request
  *     order, so a 1-thread engine and an N-thread engine produce
  *     bit-identical outcomes.
- *  3. **Measurement shortcuts** — optional warm-start bisection from a
- *     caller-provided neighbour hint and early-abort of hopelessly
- *     saturated probes (MeasureOptions::abort_tail_factor /
- *     bisect_rel_tol). Both default off so the engine reproduces the
- *     seed measurement bit-for-bit unless explicitly enabled.
  *
  * Thread-safety: evaluate()/evaluateMany()/prefetch() may be called
  * concurrently; a configuration requested by several threads at once is
@@ -49,23 +44,6 @@ struct EvalOptions
 {
     /** Pool width including the caller; <= 0 uses all hardware threads. */
     int threads = 0;
-    /** Cache results across evaluations (and searches sharing the engine). */
-    bool memoize = true;
-    /** Forward caller-supplied neighbour hints into the bisection. */
-    bool warm_start = false;
-    /** > 0: probes abort at sla * factor in-flight sojourn (see
-     *  MeasureOptions::abort_tail_factor). */
-    double abort_tail_factor = 0.0;
-    /** > 0: adaptive bisection stop (see MeasureOptions::bisect_rel_tol). */
-    double bisect_rel_tol = 0.0;
-    /**
-     * Allow searches to evaluate speculative candidates (e.g. all
-     * op-parallelism arms at once) when the pool has more than one
-     * thread. Speculation never changes results — discarded candidates
-     * are excluded from every reduction — it only trades extra
-     * simulations for wall-clock time on idle cores.
-     */
-    bool speculate = true;
 };
 
 /** One evaluation request: a fully-specified measurement. */
@@ -76,8 +54,6 @@ struct EvalRequest
     sched::SchedulingConfig cfg;
     double sla_ms = 0.0;
     sim::MeasureOptions measure{};
-    /** Deterministic warm-start hint (ignored unless warm_start set). */
-    sim::MeasureHint hint{};
     /**
      * The calling search's timing store (borrowed; may be null). A
      * computed evaluation warms its workload's memos from it before
@@ -104,17 +80,17 @@ class EvalEngine
   public:
     explicit EvalEngine(const EvalOptions& opt = EvalOptions{});
 
-    const EvalOptions& options() const { return opt_; }
-
     /** The shared pool (searches fan their own task sets onto it). */
     util::ThreadPool& pool() { return pool_; }
 
-    /** @return true when searches should run speculative candidates. */
-    bool
-    speculative() const
-    {
-        return opt_.speculate && pool_.threads() > 1;
-    }
+    /**
+     * @return true when searches should evaluate speculative candidates
+     * (e.g. all op-parallelism arms at once): the pool has more than one
+     * thread. Speculation never changes results — discarded candidates
+     * are excluded from every reduction — it only trades extra
+     * simulations for wall-clock time on idle cores.
+     */
+    bool speculative() const { return pool_.threads() > 1; }
 
     /** Evaluate one request (memoized). */
     EvalResult evaluate(const EvalRequest& r) EXCLUDES(mu_);
@@ -163,21 +139,18 @@ class EvalEngine
     /**
      * The canonical cache key: every result-affecting input — server
      * signature, model signature, full scheduling config, SLA, and the
-     * measurement options (seed, query counts, bisection knobs, power
-     * budget, abort/tolerance settings). Hints are deliberately
-     * excluded: the first evaluation of a configuration fixes its
-     * result (callers derive hints deterministically, so replays agree).
-     * So is the timing store, which changes no result.
+     * measurement options (seed, query counts and distributions,
+     * bisection steps, power budget). The timing store is left out: it
+     * changes no result. A memo entry is therefore a pure function of
+     * its key.
      */
-    static std::string cacheKey(const EvalRequest& r,
-                                const EvalOptions& opt);
+    static std::string cacheKey(const EvalRequest& r);
 
   private:
     struct Cell;
 
     EvalResult compute(const EvalRequest& r);
 
-    EvalOptions opt_;
     util::ThreadPool pool_;
 
     /** Guards the memo map only; each Cell carries its own lock. */

@@ -156,22 +156,22 @@ Telemetry::onAdmitted(int svc, int shard, int retry_hops, int inject_idx,
 }
 
 void
-Telemetry::drainShardCompletions(
-    int shard, const std::vector<sim::ServerInstance::Completion>& log,
-    double up_to_s)
+Telemetry::drainShardCompletions(int shard,
+                                 const std::vector<Completion>& log,
+                                 double up_to_s)
 {
     util::MutexLock lock(mu_);
     drainShardCompletionsLocked(shard, log, up_to_s);
 }
 
 void
-Telemetry::drainShardCompletionsLocked(
-    int shard, const std::vector<sim::ServerInstance::Completion>& log,
-    double up_to_s)
+Telemetry::drainShardCompletionsLocked(int shard,
+                                       const std::vector<Completion>& log,
+                                       double up_to_s)
 {
     ShardIds& sh = shardIds(shard);
     while (sh.cursor < log.size() && log[sh.cursor].finish_s <= up_to_s) {
-        const sim::ServerInstance::Completion& c = log[sh.cursor++];
+        const Completion& c = log[sh.cursor++];
         auto it = sh.open.find(c.query);
         if (it == sh.open.end())
             continue;  // not sampled
@@ -196,8 +196,7 @@ Telemetry::rebaseShardCompletions(int shard, size_t n)
 }
 
 void
-Telemetry::onCrash(int shard,
-                   const std::vector<sim::ServerInstance::Completion>& log,
+Telemetry::onCrash(int shard, const std::vector<Completion>& log,
                    double t_s, size_t killed)
 {
     addFailedInflight(killed);

@@ -26,11 +26,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-// obs sits below sim in layers.json; this one up-edge exists because
-// drainShardCompletions() consumes sim's Completion log type directly
-// instead of copying it into an obs-owned mirror struct per harvest.
-// layer-lint: allow(sim)
-#include "sim/server_instance.h"
 #include "util/thread_annotations.h"
 
 namespace hercules::obs {
@@ -89,9 +84,9 @@ class Telemetry
      * of the harvest cursor, so crash-time draining and harvest-time
      * draining compose.
      */
-    void drainShardCompletions(
-        int shard, const std::vector<sim::ServerInstance::Completion>& log,
-        double up_to_s) EXCLUDES(mu_);
+    void drainShardCompletions(int shard,
+                               const std::vector<Completion>& log,
+                               double up_to_s) EXCLUDES(mu_);
 
     /**
      * The shard dropped the first `n` entries of its completion log
@@ -105,8 +100,7 @@ class Telemetry
      * spans that completed before the crash, then mark every span still
      * open on the shard as Killed.
      */
-    void onCrash(int shard,
-                 const std::vector<sim::ServerInstance::Completion>& log,
+    void onCrash(int shard, const std::vector<Completion>& log,
                  double t_s, size_t killed) EXCLUDES(mu_);
 
     /** One harvested completion's latency decomposition (histograms). */
@@ -168,9 +162,9 @@ class Telemetry
     size_t newRecord(int svc, double t_s, TraceOutcome outcome)
         REQUIRES(mu_);
     /** Body of drainShardCompletions (onCrash calls it under mu_). */
-    void drainShardCompletionsLocked(
-        int shard, const std::vector<sim::ServerInstance::Completion>& log,
-        double up_to_s) REQUIRES(mu_);
+    void drainShardCompletionsLocked(int shard,
+                                     const std::vector<Completion>& log,
+                                     double up_to_s) REQUIRES(mu_);
 
     ObsSpec spec_;  ///< immutable after construction
     MetricsRegistry metrics_;  ///< internally synchronized (own mutex)

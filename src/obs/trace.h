@@ -53,6 +53,29 @@ struct TraceRecord
 };
 
 /**
+ * One retired query of a simulated server's completion log (see
+ * sim::ServerInstance::completions()). The simulator records it; the
+ * cluster harvest and the telemetry drain read it. `shard` and
+ * `service` are the tags of sim::ServerInstance::setIdentity.
+ */
+struct Completion
+{
+    int query = -1;        ///< injection index
+    int shard = -1;        ///< owning shard id
+    int service = 0;       ///< owning service class
+    double arrival_s = 0.0;
+    double finish_s = 0.0;
+    /** Dispatcher/fusion queue wait before first service start. */
+    double queue_wait_s = 0.0;
+
+    /** @return end-to-end latency in milliseconds. */
+    double latencyMs() const { return (finish_s - arrival_s) * 1e3; }
+
+    /** @return latency minus queue wait, in milliseconds. */
+    double serviceMs() const { return latencyMs() - queue_wait_s * 1e3; }
+};
+
+/**
  * Deterministic sampling verdict for arrival-sequence `id` at
  * `sample_rate` in [0, 1]: a SplitMix64 finalizer hash of the id
  * against the rate. Rate 1 samples everything, 0 nothing.

@@ -54,19 +54,12 @@ class Evaluator
 
     /** Latency-bounded QPS of a config; -1 when invalid/infeasible. */
     double
-    qps(const SchedulingConfig& cfg, const sim::MeasureHint& hint = {})
-    {
-        const auto& point = eval(cfg, hint);
-        return point ? point->qps : -1.0;
-    }
-
-    const std::optional<sim::OperatingPoint>&
-    eval(const SchedulingConfig& cfg, const sim::MeasureHint& hint = {})
+    qps(const SchedulingConfig& cfg)
     {
         auto [it, inserted] = seen_.try_emplace(cfg.key());
         if (inserted)
-            record(cfg, engine_.evaluate(request(cfg, hint)), it->second);
-        return it->second;
+            record(cfg, engine_.evaluate(request(cfg)), it->second);
+        return it->second ? it->second->qps : -1.0;
     }
 
     /**
@@ -75,8 +68,7 @@ class Evaluator
      * the batch had been evaluated serially.
      */
     void
-    prefetch(const std::vector<SchedulingConfig>& cfgs,
-             const sim::MeasureHint& hint = {})
+    prefetch(const std::vector<SchedulingConfig>& cfgs)
     {
         std::vector<const SchedulingConfig*> fresh;
         std::vector<core::EvalRequest> reqs;
@@ -86,7 +78,7 @@ class Evaluator
             if (seen_.count(cfg.key()))
                 continue;
             fresh.push_back(&cfg);
-            reqs.push_back(request(cfg, hint));
+            reqs.push_back(request(cfg));
         }
         std::vector<core::EvalResult> results =
             engine_.evaluateMany(reqs);
@@ -95,19 +87,6 @@ class Evaluator
             if (inserted)
                 record(*fresh[i], std::move(results[i]), it->second);
         }
-    }
-
-    /** Warm-start hint derived from an operating point. */
-    static sim::MeasureHint
-    hintFrom(const std::optional<sim::OperatingPoint>& point)
-    {
-        sim::MeasureHint h;
-        if (point) {
-            h.valid = true;
-            h.qps = point->qps;
-            h.capacity = point->capacity;
-        }
-        return h;
     }
 
     /** Mark the latest trace entry for `cfg` as an accepted move. */
@@ -126,7 +105,7 @@ class Evaluator
 
   private:
     core::EvalRequest
-    request(const SchedulingConfig& cfg, const sim::MeasureHint& hint)
+    request(const SchedulingConfig& cfg)
     {
         core::EvalRequest r;
         r.server = &server_;
@@ -135,7 +114,6 @@ class Evaluator
         r.sla_ms = sla_ms_;
         r.measure = opt_.measure;
         r.measure.power_budget_w = opt_.power_budget_w;
-        r.hint = hint;
         r.timings = &timings_;
         return r;
     }
@@ -208,8 +186,7 @@ struct SearchCtx
  * The Psp(M + D) climber of Algorithm 1: a 2D gradient ascent over
  * index axes, moving to the best of the three forward neighbours while
  * throughput improves. The neighbours of each step are prefetched onto
- * the engine pool (warm-started from the current position) and then
- * reduced in candidate order.
+ * the engine pool and then reduced in candidate order.
  *
  * @param nx, ny    axis lengths.
  * @param cfg_at    builds the configuration at position (xi, yi).
@@ -233,8 +210,8 @@ climb2d(int nx, int ny,
     // If even the origin is infeasible, scan the batch axis once — the
     // origin may violate SLA while larger batches cannot help, but a
     // tiny query-fused batch sometimes only becomes feasible later.
-    // (Kept serial: the scan short-circuits at the first feasible
-    // batch, and prefetching past it would perturb hint-order.)
+    // (Kept serial: the scan stops at the first feasible batch, and
+    // prefetching past it would measure batches the walk never uses.)
     if (cur < 0.0) {
         for (int y = start_yi + 1; y < ny; ++y) {
             double q = ev.qps(cfg_at(xi, y));
@@ -248,7 +225,6 @@ climb2d(int nx, int ny,
         if (cur < 0.0)
             return -1.0;
     }
-    sim::MeasureHint hint = Evaluator::hintFrom(ev.eval(cfg_at(xi, yi)));
 
     while (true) {
         struct Cand
@@ -269,12 +245,12 @@ climb2d(int nx, int ny,
         cfgs.reserve(cands.size());
         for (const Cand& c : cands)
             cfgs.push_back(cfg_at(c.xi, c.yi));
-        ev.prefetch(cfgs, hint);
+        ev.prefetch(cfgs);
 
         double best_q = -1.0;
         Cand best_c{xi, yi};
         for (const Cand& c : cands) {
-            double q = ev.qps(cfg_at(c.xi, c.yi), hint);
+            double q = ev.qps(cfg_at(c.xi, c.yi));
             if (q > best_q) {
                 best_q = q;
                 best_c = c;
@@ -287,7 +263,6 @@ climb2d(int nx, int ny,
         cur = best_q;
         best = std::max(best, cur);
         ev.markAccepted(cfg_at(xi, yi));
-        hint = Evaluator::hintFrom(ev.eval(cfg_at(xi, yi), hint));
     }
     if (final_xi)
         *final_xi = xi;

@@ -205,7 +205,6 @@ ClusterSim::ClusterSim(Options opt)
     // per-query completion log.
     shard_opt_.warmup_queries = 0;
     shard_opt_.record_completions = true;
-    shard_opt_.abort_tail_ms = 0.0;
     shard_opt_.saturate = false;
     decision_reads_shards_ =
         opt_.router == RouterPolicy::LeastOutstanding ||

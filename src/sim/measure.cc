@@ -1,7 +1,5 @@
 #include "sim/measure.h"
 
-#include <algorithm>
-
 #include "util/logging.h"
 
 namespace hercules::sim {
@@ -17,12 +15,13 @@ saturationQps(const PreparedWorkload& w, const SimOptions& opt)
 
 namespace {
 
+/** The bisection's upper bracket, as a fraction of the capacity. */
+constexpr double kHiFactor = 1.05;
+
 bool
 feasible(const ServerSimResult& r, double offered, double sla_ms,
          double power_budget_w)
 {
-    if (r.aborted)
-        return false;
     if (r.tail_ms > sla_ms)
         return false;
     if (r.peak_power_w > power_budget_w)
@@ -37,8 +36,7 @@ feasible(const ServerSimResult& r, double offered, double sla_ms,
 
 std::optional<OperatingPoint>
 measureLatencyBoundedQps(const PreparedWorkload& w, double sla_ms,
-                         const MeasureOptions& opt,
-                         const MeasureHint* hint)
+                         const MeasureOptions& opt)
 {
     if (sla_ms <= 0.0)
         fatal("measureLatencyBoundedQps: non-positive SLA %f", sla_ms);
@@ -49,29 +47,19 @@ measureLatencyBoundedQps(const PreparedWorkload& w, double sla_ms,
         return std::nullopt;
 
     double lo = 0.0;
-    double hi = capacity * opt.hi_factor;
+    double hi = capacity * kHiFactor;
     std::optional<OperatingPoint> best;
 
     auto probeAt = [&](double load) {
         SimOptions probe = opt.sim;
         probe.offered_qps = load;
         probe.saturate = false;
-        if (opt.abort_tail_factor > 0.0)
-            probe.abort_tail_ms = sla_ms * opt.abort_tail_factor;
         ++sims;
         return simulateServer(w, probe);
     };
 
     for (int it = 0; it < opt.bisect_iters; ++it) {
-        if (opt.bisect_rel_tol > 0.0 &&
-            hi - lo <= opt.bisect_rel_tol * capacity)
-            break;
         double mid = 0.5 * (lo + hi);
-        // Warm start: land the first probe on the neighbour's operating
-        // point when it falls inside the bracket, instead of mid-way.
-        if (it == 0 && hint && hint->valid && hint->qps > lo &&
-            hint->qps < hi)
-            mid = hint->qps;
         if (mid <= 0.0)
             break;
         ServerSimResult r = probeAt(mid);

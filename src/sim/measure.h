@@ -21,41 +21,7 @@ struct MeasureOptions
     SimOptions sim{};  ///< per-probe simulation options (rate overridden)
     /** Peak-power feasibility bound (W); infinity = unconstrained. */
     double power_budget_w = std::numeric_limits<double>::infinity();
-    int bisect_iters = 6;     ///< bisection refinement steps
-    double hi_factor = 1.05;  ///< upper bracket as a fraction of capacity
-    /**
-     * > 0: load probes abort once the oldest in-flight post-warmup
-     * query has waited `sla_ms * abort_tail_factor` — the probe is
-     * declared infeasible without simulating the rest of the backlog.
-     * 0 disables (the seed behaviour).
-     */
-    double abort_tail_factor = 0.0;
-    /**
-     * > 0: stop bisecting once the bracket narrows below
-     * `bisect_rel_tol * capacity`. Combined with a warm-start hint this
-     * cuts the per-measurement simulation count. 0 disables (always run
-     * all bisect_iters refinement steps, the seed behaviour).
-     */
-    double bisect_rel_tol = 0.0;
-};
-
-/**
- * Warm-start hint for the bisection: the operating point of a cached
- * neighbouring configuration. The first probe lands on the neighbour's
- * QPS instead of mid-bracket, so when the surface is smooth the bracket
- * collapses onto the answer in fewer refinement steps.
- *
- * A hint changes which loads get probed and therefore (slightly) the
- * measured operating point; callers that need results comparable across
- * runs must pass the same hint for the same configuration every time
- * (the evaluation engine's searches derive hints deterministically from
- * the climb position).
- */
-struct MeasureHint
-{
-    bool valid = false;
-    double qps = 0.0;       ///< neighbour's latency-bounded QPS
-    double capacity = 0.0;  ///< neighbour's saturation capacity
+    int bisect_iters = 6;  ///< bisection refinement steps
 };
 
 /** The chosen operating point of a feasible configuration. */
@@ -76,15 +42,18 @@ struct OperatingPoint
 double saturationQps(const PreparedWorkload& w, const SimOptions& opt);
 
 /**
- * Measure the latency-bounded (and power-bounded) throughput.
+ * Measure the latency-bounded (and power-bounded) throughput: one
+ * saturation probe fixes the capacity, then `bisect_iters` probes
+ * bisect the offered load over [0, 1.05 × capacity], each at the
+ * bracket's mid-point and each a full run that drains its backlog.
+ * When none is feasible, one light-load probe at 2% of capacity is the
+ * last try.
  *
- * @param hint optional warm-start from a neighbouring configuration.
  * @return the operating point, or std::nullopt when no load level
  * meets the SLA/power constraints (the configuration is infeasible).
  */
 std::optional<OperatingPoint> measureLatencyBoundedQps(
-    const PreparedWorkload& w, double sla_ms, const MeasureOptions& opt,
-    const MeasureHint* hint = nullptr);
+    const PreparedWorkload& w, double sla_ms, const MeasureOptions& opt);
 
 /** Convenience overload: prepare + measure. */
 std::optional<OperatingPoint> measureLatencyBoundedQps(

@@ -38,9 +38,6 @@ ServerInstance::ServerInstance(const PreparedWorkload& w,
         host_stage_idle_ = cfg.cpu_threads;
         break;
     }
-    // Tail statistics come from post-warmup queries only, so the abort
-    // predicate watches those.
-    abort_scan_ = static_cast<size_t>(std::max(opt_.warmup_queries, 0));
 }
 
 int
@@ -122,13 +119,6 @@ ServerInstance::drain()
 }
 
 void
-ServerInstance::step()
-{
-    if (!eq_.empty())
-        dispatch(eq_.pop());
-}
-
-void
 ServerInstance::dispatch(const Event& ev)
 {
     const size_t tid = static_cast<size_t>(ev.index);
@@ -201,25 +191,6 @@ ServerInstance::killInFlight()
     host_stage_idle_ = host_pool_.total;
     pcie_free_ = eq_.now();
     return killed;
-}
-
-/**
- * The early-abort predicate: true once the oldest in-flight post-warmup
- * query has been in the system longer than abort_tail_ms. Amortized
- * O(1): the scan pointer only moves forward over completed queries.
- */
-bool
-ServerInstance::abortTriggered()
-{
-    // A compacted prefix was all done.
-    abort_scan_ = std::max(abort_scan_, query_base_);
-    while (abort_scan_ < injected() &&
-           query(static_cast<int>(abort_scan_)).done)
-        ++abort_scan_;
-    if (abort_scan_ >= injected())
-        return false;
-    const QueryState& q = query(static_cast<int>(abort_scan_));
-    return eq_.now() - q.arrival > opt_.abort_tail_ms * 1e-3;
 }
 
 ServerInstance::ServiceSample
@@ -375,7 +346,7 @@ ServerInstance::queryPartDone(int qidx)
     double now = eq_.now();
     last_finish_ = now;
     if (opt_.record_completions) {
-        Completion c;
+        obs::Completion c;
         c.query = qidx;
         c.shard = shard_id_;
         c.service = service_id_;
@@ -627,7 +598,6 @@ ServerSimResult
 ServerInstance::finalize() const
 {
     ServerSimResult r;
-    r.aborted = aborted_;
     r.events_executed = eq_.eventsExecuted();
     r.peak_event_queue_depth = eq_.peakDepth();
     r.offered_qps = opt_.saturate ? 0.0 : opt_.offered_qps;
@@ -646,7 +616,7 @@ ServerInstance::finalize() const
             panic("ServerInstance::finalize: %zu completions already "
                   "released",
                   completions_dropped_);
-        for (const Completion& c : completions_)
+        for (const obs::Completion& c : completions_)
             if (c.query >= opt_.warmup_queries)
                 logged.add(c.latencyMs());
     }

@@ -20,7 +20,7 @@
  *
  * Indices and storage: a query's index is its *injection index* (0 for
  * the first inject(), 1 for the next, ...), and it stays that for the
- * life of the instance: events, chunks, Completion::query and the
+ * life of the instance: events, chunks, obs::Completion::query and the
  * telemetry keys all carry it. Storage is compacted underneath. The
  * per-query state of a retired prefix is dropped once enough of it
  * piles up (never below kCompactMinSlots slots, so a short probe never
@@ -47,6 +47,7 @@
 
 #include "hw/cost_model.h"
 #include "hw/power.h"
+#include "obs/trace.h"
 #include "sim/event_queue.h"
 #include "sim/server_sim.h"
 #include "util/stats.h"
@@ -67,24 +68,6 @@ class ServerInstance
     // A simulated server is owned in place and never duplicated mid-run.
     ServerInstance(const ServerInstance&) = delete;
     ServerInstance& operator=(const ServerInstance&) = delete;
-
-    /** One retired query (recorded when opt.record_completions). */
-    struct Completion
-    {
-        int query = -1;        ///< injection index
-        int shard = -1;        ///< owning shard id (see setIdentity)
-        int service = 0;       ///< owning service class (see setIdentity)
-        double arrival_s = 0.0;
-        double finish_s = 0.0;
-        /** Dispatcher/fusion queue wait before first service start. */
-        double queue_wait_s = 0.0;
-
-        /** @return end-to-end latency in milliseconds. */
-        double latencyMs() const { return (finish_s - arrival_s) * 1e3; }
-
-        /** @return latency minus queue wait, in milliseconds. */
-        double serviceMs() const { return latencyMs() - queue_wait_s * 1e3; }
-    };
 
     /**
      * Tag this instance with its cluster position; stamped onto every
@@ -110,9 +93,6 @@ class ServerInstance
     /** Run the event queue dry (retire all in-flight work). */
     void drain();
 
-    /** Run the single next pending event (no-op when idle). */
-    void step();
-
     /** @return true while events are pending. */
     bool hasPending() const { return !eq_.empty(); }
 
@@ -133,7 +113,7 @@ class ServerInstance
      * unless record_completions): every completion not yet dropped by
      * releaseCompletions().
      */
-    const std::vector<Completion>& completions() const
+    const std::vector<obs::Completion>& completions() const
     { return completions_; }
 
     /**
@@ -154,16 +134,6 @@ class ServerInstance
 
     /** @return peak pending-event depth seen by this instance. */
     size_t peakEventQueueDepth() const { return eq_.peakDepth(); }
-
-    /**
-     * The early-abort predicate of SimOptions::abort_tail_ms: true once
-     * the oldest in-flight post-warmup query has been in the system
-     * longer than the grace window. Amortized O(1).
-     */
-    bool abortTriggered();
-
-    /** Mark the run aborted (reflected in finalize()). */
-    void markAborted() { aborted_ = true; }
 
     /**
      * Straggler knob: multiply every *subsequent* service and transfer
@@ -361,7 +331,7 @@ class ServerInstance
     /** Queries query_base_, query_base_ + 1, ... (injection index). */
     std::vector<QueryState> queries_;
     size_t query_base_ = 0;  ///< injection index of queries_[0]
-    std::vector<Completion> completions_;  ///< retained, when recording
+    std::vector<obs::Completion> completions_;  ///< retained, when recording
     size_t completions_dropped_ = 0;       ///< released log prefix
     size_t done_count_ = 0;                ///< all retired queries
 
@@ -393,13 +363,6 @@ class ServerInstance
     double steady_start_ = 0.0;
     double last_finish_ = 0.0;
     size_t measured_completed_ = 0;
-
-    /**
-     * Injection index of the oldest possibly-incomplete post-warmup
-     * query (abort check).
-     */
-    size_t abort_scan_ = 0;
-    bool aborted_ = false;
 };
 
 }  // namespace hercules::sim

@@ -45,8 +45,7 @@ probeStream(const PreparedWorkload& w, const SimOptions& opt)
 /*
  * The one-shot entry point is a thin wrapper over the steppable
  * ServerInstance: build the arrival stream, inject every query up
- * front, then run to completion — or until the early-abort predicate
- * fires. The stream is the workload's unit-rate draw (probe_stream),
+ * front, then run to completion. The stream is the workload's unit-rate draw (probe_stream),
  * scaled here: arrival += gap / rate gives the doubles a
  * QueryGenerator at that rate would, so a measurement's probes share
  * one draw. The arrivals wait on the event queue's sorted arrival lane,
@@ -78,18 +77,7 @@ simulateServer(const PreparedWorkload& w, const SimOptions& opt)
         q.pooling_scale = u.pooling_scale;
         inst.inject(q);
     }
-
-    if (opt.abort_tail_ms > 0.0 && !opt.saturate) {
-        while (inst.hasPending()) {
-            inst.step();
-            if (inst.abortTriggered()) {
-                inst.markAborted();
-                break;
-            }
-        }
-    } else {
-        inst.drain();
-    }
+    inst.drain();
     return inst.finalize();
 }
 

@@ -34,14 +34,6 @@ struct SimOptions
     /** true: all queries arrive at t=0 (capacity / saturation probe). */
     bool saturate = false;
     /**
-     * > 0: abort the run once the oldest in-flight post-warmup query
-     * has been in the system longer than this many milliseconds — the
-     * load level is hopelessly saturated and the measurement layer only
-     * needs the infeasibility verdict, not the full backlog drain. The
-     * result is returned with `aborted` set. 0 disables.
-     */
-    double abort_tail_ms = 0.0;
-    /**
      * true: keep a per-query (arrival, finish) completion log on the
      * ServerInstance. The cluster layer consumes it for per-interval
      * tail statistics; the one-shot simulateServer() leaves it off.
@@ -80,8 +72,6 @@ struct ServerSimResult
 
     size_t completed = 0;
     double duration_s = 0.0;
-    /** true when the run stopped early via SimOptions::abort_tail_ms. */
-    bool aborted = false;
 
     /** DES self-profile: events this run executed (deterministic). */
     uint64_t events_executed = 0;
@@ -89,7 +79,10 @@ struct ServerSimResult
     size_t peak_event_queue_depth = 0;
 };
 
-/** Run the simulation for a prepared workload. */
+/**
+ * Run the simulation for a prepared workload: inject every query, then
+ * run until every one has retired.
+ */
 ServerSimResult simulateServer(const PreparedWorkload& w,
                                const SimOptions& opt);
 

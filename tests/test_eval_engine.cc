@@ -3,9 +3,8 @@
  * Tests of the evaluation engine: memoization correctness (cached
  * replays are bit-identical and free), thread-count independence
  * (1-thread vs N-thread searches and efficiency tables agree exactly),
- * cache-key discrimination, the measurement shortcuts (warm-start
- * bisection, early-abort probes), and the per-search timing store
- * (warmed evaluations measure exactly what cold ones do).
+ * cache-key discrimination, memo persistence, and the per-search
+ * timing store (warmed evaluations measure exactly what cold ones do).
  */
 #include <gtest/gtest.h>
 
@@ -173,37 +172,28 @@ TEST(EvalEngine, CacheKeyDiscriminates)
     cfg.cores_per_thread = 2;
     cfg.batch = 128;
 
-    EvalOptions eopt;
-    std::string base = EvalEngine::cacheKey(request(t2, m, cfg, 20.0, mo),
-                                            eopt);
+    const auto key = &EvalEngine::cacheKey;
+    std::string base = key(request(t2, m, cfg, 20.0, mo));
     // Identical request -> identical key.
-    EXPECT_EQ(base, EvalEngine::cacheKey(request(t2, m, cfg, 20.0, mo),
-                                         eopt));
+    EXPECT_EQ(base, key(request(t2, m, cfg, 20.0, mo)));
     // Any result-affecting input must change the key.
-    EXPECT_NE(base, EvalEngine::cacheKey(request(t3, m, cfg, 20.0, mo),
-                                         eopt));
-    EXPECT_NE(base, EvalEngine::cacheKey(request(t2, m, cfg, 50.0, mo),
-                                         eopt));
+    EXPECT_NE(base, key(request(t3, m, cfg, 20.0, mo)));
+    EXPECT_NE(base, key(request(t2, m, cfg, 50.0, mo)));
     SchedulingConfig batch_cfg = cfg;
     batch_cfg.batch = 256;
-    EXPECT_NE(base, EvalEngine::cacheKey(
-                        request(t2, m, batch_cfg, 20.0, mo), eopt));
+    EXPECT_NE(base, key(request(t2, m, batch_cfg, 20.0, mo)));
     SchedulingConfig fuse_cfg = cfg;
     fuse_cfg.fuse_elementwise = false;
-    EXPECT_NE(base, EvalEngine::cacheKey(
-                        request(t2, m, fuse_cfg, 20.0, mo), eopt));
+    EXPECT_NE(base, key(request(t2, m, fuse_cfg, 20.0, mo)));
     sim::MeasureOptions seed_mo = mo;
     seed_mo.sim.seed = 43;
-    EXPECT_NE(base, EvalEngine::cacheKey(
-                        request(t2, m, cfg, 20.0, seed_mo), eopt));
+    EXPECT_NE(base, key(request(t2, m, cfg, 20.0, seed_mo)));
     sim::MeasureOptions power_mo = mo;
     power_mo.power_budget_w = 150.0;
-    EXPECT_NE(base, EvalEngine::cacheKey(
-                        request(t2, m, cfg, 20.0, power_mo), eopt));
+    EXPECT_NE(base, key(request(t2, m, cfg, 20.0, power_mo)));
     model::Model small =
         model::buildModel(ModelId::DlrmRmc1, model::Variant::Small);
-    EXPECT_NE(base, EvalEngine::cacheKey(
-                        request(t2, small, cfg, 20.0, mo), eopt));
+    EXPECT_NE(base, key(request(t2, small, cfg, 20.0, mo)));
 
     // Near-collision sanity: configs whose display strings could read
     // alike must still key apart (t=11,o=1 vs t=1,o=11 etc.).
@@ -212,9 +202,8 @@ TEST(EvalEngine, CacheKeyDiscriminates)
     a.cores_per_thread = 1;
     b.cpu_threads = 1;
     b.cores_per_thread = 11;
-    EXPECT_NE(
-        EvalEngine::cacheKey(request(t2, m, a, 20.0, mo), eopt),
-        EvalEngine::cacheKey(request(t2, m, b, 20.0, mo), eopt));
+    EXPECT_NE(key(request(t2, m, a, 20.0, mo)),
+              key(request(t2, m, b, 20.0, mo)));
 }
 
 TEST(EvalEngine, InvalidConfigsAreNeverSimulated)
@@ -230,34 +219,6 @@ TEST(EvalEngine, InvalidConfigsAreNeverSimulated)
     EXPECT_FALSE(r.point.has_value());
     EXPECT_EQ(engine.stats().invalid, 1u);
     EXPECT_EQ(engine.stats().simulations, 0u);
-}
-
-TEST(EvalEngine, WarmStartAndAbortCutSimulationsNotFeasibility)
-{
-    model::Model m = model::buildModel(ModelId::DlrmRmc1);
-    const hw::ServerSpec& server = hw::serverSpec(ServerType::T2);
-
-    SearchOptions base = fastSearch(1);
-    SearchResult reference =
-        gradientSearchMapping(server, m, Mapping::CpuModelBased, 20.0,
-                              base);
-    ASSERT_TRUE(reference.best.has_value());
-
-    SearchOptions fast = base;
-    fast.eval.warm_start = true;
-    fast.eval.abort_tail_factor = 8.0;
-    fast.eval.bisect_rel_tol = 0.05;
-    EvalEngine engine(fast.eval);
-    fast.engine = &engine;
-    SearchResult shortcut = gradientSearchMapping(
-        server, m, Mapping::CpuModelBased, 20.0, fast);
-
-    // The shortcuts steer which loads get probed, so the operating
-    // point may move slightly — but feasibility and near-optimality
-    // must hold.
-    ASSERT_TRUE(shortcut.best.has_value());
-    EXPECT_GE(shortcut.best_qps, 0.90 * reference.best_qps);
-    EXPECT_LE(shortcut.best_point.result.tail_ms, 20.0);
 }
 
 /*
@@ -347,7 +308,7 @@ TEST(EvalEngine, SaveCacheIsKeySortedAndInsertionOrderFree)
     auto write_seed = [&](const char* path, bool reversed) {
         FILE* f = std::fopen(path, "w");
         ASSERT_NE(f, nullptr);
-        std::fprintf(f, "HERCULES_EVAL_CACHE v1\n");
+        std::fprintf(f, "HERCULES_EVAL_CACHE v2\n");
         for (size_t i = 0; i < keys.size(); ++i) {
             const std::string& k =
                 reversed ? keys[keys.size() - 1 - i] : keys[i];
@@ -378,7 +339,7 @@ TEST(EvalEngine, SaveCacheIsKeySortedAndInsertionOrderFree)
     std::string text_a = read_file(out_a);
     EXPECT_EQ(text_a, read_file(out_b));
     EXPECT_EQ(text_a,
-              "HERCULES_EVAL_CACHE v1\n"
+              "HERCULES_EVAL_CACHE v2\n"
               "alpha\t0 0\n"
               "beta\t0 0\n"
               "mid\t0 0\n"
@@ -401,27 +362,24 @@ TEST(EvalEngine, LoadCacheRejectsMissingOrForeignFiles)
     std::fprintf(f, "SOME OTHER FORMAT\nkey\t1 0\n");
     std::fclose(f);
     EXPECT_EQ(engine.loadCache(path), 0u);
-    std::remove(path);
-}
 
-TEST(EvalEngine, AbortedProbeIsInfeasibleVerdict)
-{
-    // Drive one measurement at an absurd SLA with aborts enabled: the
-    // engine must return infeasible, not hang on the backlog drain.
-    model::Model m = model::buildModel(ModelId::DlrmRmc1);
-    const hw::ServerSpec& t2 = hw::serverSpec(ServerType::T2);
-    SchedulingConfig cfg;
-    cfg.cpu_threads = 1;
-    cfg.cores_per_thread = 1;
-    cfg.batch = 32;
-    sim::MeasureOptions mo;
-    mo.sim.num_queries = 250;
-    mo.sim.warmup_queries = 50;
-    mo.abort_tail_factor = 4.0;
-    EvalEngine engine(EvalOptions{});
-    EvalResult r = engine.evaluate(request(t2, m, cfg, 0.05, mo));
-    EXPECT_TRUE(r.valid);
-    EXPECT_FALSE(r.point.has_value());
+    // A well-formed file of the previous format: its keys carry fields
+    // the current key no longer has, so its entries would never hit.
+    f = std::fopen(path, "w");
+    ASSERT_NE(f, nullptr);
+    std::fprintf(f,
+                 "HERCULES_EVAL_CACHE v1\n"
+                 "sv=T2;sla=20;hf=1.05;atf=0;tol=0;\t1 1"
+                 " 100 200 0 210 7"
+                 " 100 99 1 1 2 3 4 5"
+                 " 0.5 0.1 0 0 0"
+                 " 150 160 0.66"
+                 " 0.1 0 0 0.9"
+                 " 200 2 0\n"
+                 "invalid\t0 0\n");
+    std::fclose(f);
+    EXPECT_EQ(engine.loadCache(path), 0u);
+    std::remove(path);
 }
 
 // ---- TimingStore ---------------------------------------------------------
@@ -463,7 +421,6 @@ expectSamePoint(const std::optional<sim::OperatingPoint>& a,
     EXPECT_EQ(x.mean_exec_ms, y.mean_exec_ms);
     EXPECT_EQ(x.completed, y.completed);
     EXPECT_EQ(x.duration_s, y.duration_s);
-    EXPECT_EQ(x.aborted, y.aborted);
     EXPECT_EQ(x.events_executed, y.events_executed);
     EXPECT_EQ(x.peak_event_queue_depth, y.peak_event_queue_depth);
 }

@@ -137,7 +137,7 @@ TEST(GoldenRegression, GpuSdPipelineT7)
     EXPECT_DOUBLE_EQ(r.avg_power_w, 175.665910699043);
 }
 
-TEST(GoldenRegression, SaturationAndAbortPaths)
+TEST(GoldenRegression, SaturationPath)
 {
     model::Model m = model::buildModel(ModelId::DlrmRmc1);
     SchedulingConfig cfg = cpuConfig(4, 1, 64);
@@ -148,15 +148,6 @@ TEST(GoldenRegression, SaturationAndAbortPaths)
     EXPECT_DOUBLE_EQ(rs.p50_ms, 82.66321107067813);
     EXPECT_DOUBLE_EQ(rs.achieved_qps, 1500.6867515350825);
     EXPECT_EQ(rs.completed, 200u);
-
-    SimOptions ab = simOptions(5000.0, 250, 50);
-    ab.abort_tail_ms = 60.0;
-    ServerSimResult ra =
-        simulateServer(hw::serverSpec(ServerType::T2), m, cfg, ab);
-    EXPECT_TRUE(ra.aborted);
-    EXPECT_DOUBLE_EQ(ra.p50_ms, 30.041697998368313);
-    EXPECT_DOUBLE_EQ(ra.achieved_qps, 1506.9661807677887);
-    EXPECT_EQ(ra.completed, 130u);
 }
 
 /*
@@ -278,9 +269,8 @@ TEST(ServerInstance, KillDiscardsLaneArrivalsAndServesAfterwards)
     ASSERT_EQ(inst.completions().size(), retired + after.size());
     ASSERT_EQ(fresh.completions().size(), after.size());
     for (size_t i = 0; i < after.size(); ++i) {
-        const ServerInstance::Completion& c =
-            inst.completions()[retired + i];
-        const ServerInstance::Completion& f = fresh.completions()[i];
+        const obs::Completion& c = inst.completions()[retired + i];
+        const obs::Completion& f = fresh.completions()[i];
         EXPECT_EQ(c.query, f.query + static_cast<int>(before.size()));
         EXPECT_EQ(c.arrival_s, f.arrival_s);
         EXPECT_EQ(c.finish_s, f.finish_s);
@@ -313,7 +303,6 @@ expectSameResult(const ServerSimResult& a, const ServerSimResult& b)
     EXPECT_EQ(a.mean_exec_ms, b.mean_exec_ms);
     EXPECT_EQ(a.completed, b.completed);
     EXPECT_EQ(a.duration_s, b.duration_s);
-    EXPECT_EQ(a.aborted, b.aborted);
     EXPECT_EQ(a.events_executed, b.events_executed);
     EXPECT_EQ(a.peak_event_queue_depth, b.peak_event_queue_depth);
 }
@@ -377,7 +366,7 @@ slowedRun(const PreparedWorkload& w, const SimOptions& opt, double slowdown)
 /*
  * The CPU service memo lives on the PreparedWorkload and is shared by
  * every run on it. Back-to-back runs on one workload (slowed, then
- * saturate, load probes and an abort probe, then slowed again on the
+ * saturate and load probes, then slowed again on the
  * warm memo) must each equal the same run on a freshly prepared one.
  */
 TEST(SharedServiceMemo, ReusedWorkloadMatchesFresh)
@@ -393,11 +382,8 @@ TEST(SharedServiceMemo, ReusedWorkloadMatchesFresh)
         const double cap =
             simulateServer(prepare(server, m, mc.cfg), sat).achieved_qps;
         ASSERT_GT(cap, 0.0);
-        SimOptions abort_probe = simOptions(5.0 * cap);
-        abort_probe.abort_tail_ms = 1.0;
         const std::vector<SimOptions> runs = {
-            sat, simOptions(0.3 * cap), simOptions(0.8 * cap, 300, 60, 7),
-            abort_probe};
+            sat, simOptions(0.3 * cap), simOptions(0.8 * cap, 300, 60, 7)};
 
         const SimOptions slow_opt = simOptions(0.5 * cap);
         expectSameResult(slowedRun(shared, slow_opt, 1.7),
@@ -410,7 +396,6 @@ TEST(SharedServiceMemo, ReusedWorkloadMatchesFresh)
         expectSameResult(slowedRun(shared, slow_opt, 1.7),
                          slowedRun(prepare(server, m, mc.cfg), slow_opt,
                                    1.7));
-        EXPECT_TRUE(simulateServer(shared, abort_probe).aborted);
         if (mc.cfg.mapping == Mapping::GpuModelBased) {
             ASSERT_LT(shared.gpu_cx.hot_hit_rate, 1.0);
             EXPECT_FALSE(shared.cpu_service_memo[3].entries.empty());
@@ -449,18 +434,13 @@ TEST(SharedServiceMemo, ProbeStreamKeyedByEveryDrawInput)
     next([](SimOptions& o) {
         o.saturate = false;
         o.offered_qps = 20000.0;
-        o.abort_tail_ms = 2.0;
     });
     chain.push_back(chain.front());
 
     for (size_t i = 0; i < chain.size(); ++i) {
         SCOPED_TRACE(i);
-        const ServerSimResult reused = simulateServer(shared, chain[i]);
-        expectSameResult(reused,
+        expectSameResult(simulateServer(shared, chain[i]),
                          simulateServer(prepare(server, m, cfg), chain[i]));
-        if (i + 2 == chain.size()) {
-            EXPECT_TRUE(reused.aborted);
-        }
     }
 }
 
@@ -470,7 +450,6 @@ TEST(SharedServiceMemo, ReusedMeasurementMatchesFresh)
     MeasureOptions mo;
     mo.sim = simOptions(1.0);
     mo.bisect_iters = 5;
-    mo.abort_tail_factor = 2.0;
     for (const MemoCase& mc : memoCases()) {
         SCOPED_TRACE(mc.name);
         const hw::ServerSpec& server = hw::serverSpec(mc.server);
