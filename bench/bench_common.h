@@ -1,19 +1,23 @@
 /**
  * @file
  * Shared setup for the paper-reproduction bench harnesses: search and
- * measurement options sized so the full suite finishes in minutes, a
- * fast mode for smoke runs (HERCULES_BENCH_FAST=1), and the cached
- * efficiency-table path that lets the cluster benches reuse the Fig 15
- * profiling results.
+ * measurement options sized so the full suite finishes in minutes, and
+ * a fast mode for smoke runs (HERCULES_BENCH_FAST=1).
  */
 #pragma once
 
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 
+#include "core/efficiency_table.h"
 #include "core/eval_engine.h"
+#include "core/profiler.h"
+#include "scenario/scenario.h"
+#include "scenario/spec_io.h"
 #include "sched/gradient_search.h"
+#include "util/json.h"
 #include "util/logging.h"
 
 namespace hercules::bench {
@@ -52,32 +56,6 @@ benchSearchOptions()
     return opt;
 }
 
-/** Path of the efficiency-table cache written by bench_fig15. */
-inline std::string
-efficiencyCachePath()
-{
-    return "hercules_efficiency_prod.csv";
-}
-
-/**
- * Build one evaluation-engine request with the bench's measurement
- * options. Grid benches collect these and fan them out with
- * EvalEngine::evaluateMany instead of measuring serially.
- */
-inline core::EvalRequest
-evalRequest(const hw::ServerSpec& server, const model::Model& m,
-            const sched::SchedulingConfig& cfg, double sla_ms,
-            const sim::MeasureOptions& mo)
-{
-    core::EvalRequest r;
-    r.server = &server;
-    r.model = &m;
-    r.cfg = cfg;
-    r.sla_ms = sla_ms;
-    r.measure = mo;
-    return r;
-}
-
 /** Print the standard bench banner. */
 inline void
 banner(const char* experiment, const char* what)
@@ -87,20 +65,6 @@ banner(const char* experiment, const char* what)
     std::printf("%s\n", what);
     std::printf("==============================================================\n\n");
 }
-
-}  // namespace hercules::bench
-
-#include <filesystem>
-#include <optional>
-
-#include "cluster/evolution.h"
-#include "core/efficiency_table.h"
-#include "core/profiler.h"
-#include "scenario/scenario.h"
-#include "scenario/spec_io.h"
-#include "util/json.h"
-
-namespace hercules::bench {
 
 /** The shipped scenario library (stamped by CMake). */
 inline std::string
@@ -156,72 +120,6 @@ closeJson(util::JsonWriter& w, const char* path)
         std::printf("\nwrote %s\n", path);
     else
         std::fprintf(stderr, "bench: cannot write %s\n", path);
-}
-
-/**
- * Load a cached efficiency table if the file exists and parses
- * (announcing reuse); a stale cache from an older build is announced
- * and ignored so the caller falls back to re-profiling.
- */
-inline std::optional<core::EfficiencyTable>
-tryLoadCachedTable(const std::string& path)
-{
-    if (!std::filesystem::exists(path))
-        return std::nullopt;
-    auto cached = core::EfficiencyTable::tryReadCsv(path);
-    if (cached.has_value())
-        std::printf("(reusing efficiency table from %s)\n\n",
-                    path.c_str());
-    else
-        std::printf("(cache %s is stale: re-profiling)\n\n",
-                    path.c_str());
-    return cached;
-}
-
-/**
- * The full-catalog efficiency table the cluster-scheduling benches
- * (Fig 16, Fig 17) share: bench_fig15's cache when present, else
- * profiled here with the bench options and written back.
- */
-inline core::EfficiencyTable
-loadOrProfile()
-{
-    if (auto cached = tryLoadCachedTable(efficiencyCachePath()))
-        return *cached;
-    std::printf("(profiling the full catalog — run "
-                "bench_fig15_server_arch first to avoid this)\n\n");
-    core::ProfilerOptions popt;
-    popt.search = benchSearchOptions();
-    core::EfficiencyTable t = core::offlineProfile(popt);
-    t.writeCsv(efficiencyCachePath());
-    return t;
-}
-
-/**
- * Scale each evolution service's peak load to a fraction of the
- * CPU-only (T1+T2) fleet capacity for its legacy model. The paper's
- * absolute 50K-QPS peaks are calibrated to its measured tuples; against
- * our simulated tuples the same fractions-of-fleet reproduce the
- * Fig 16 capacity-growth story without saturating the cluster on day
- * one. The default gives the three services together ~36% of the fleet
- * at the Day-D1 peak, leaving the headroom the paper's Day-D2 snapshot
- * consumes.
- */
-inline void
-scaleEvolutionServices(std::vector<cluster::EvolutionService>& services,
-                       const core::EfficiencyTable& table,
-                       double fleet_fraction = 0.12)
-{
-    for (auto& svc : services) {
-        double capacity = 0.0;
-        for (hw::ServerType st : {hw::ServerType::T1, hw::ServerType::T2}) {
-            const core::EfficiencyEntry* e = table.get(st, svc.legacy);
-            if (e && e->feasible)
-                capacity += e->qps * hw::serverSpec(st).availability;
-        }
-        if (capacity > 0.0)
-            svc.load.peak_qps = fleet_fraction * capacity;
-    }
 }
 
 }  // namespace hercules::bench

@@ -1,0 +1,1640 @@
+/**
+ * @file
+ * The paper's figures and tables, one function each:
+ * `bench_paper NAME... | all` (HERCULES_BENCH_FAST=1 shrinks sweeps).
+ * Figures turn their paper targets into directional claims on the
+ * values they print (who wins, which way a ratio points), not matches
+ * to the paper's numbers. The claims table follows the figures and goes
+ * to BENCH_paper.json; a failing claim that is not a known miss exits
+ * 1, an unknown name exits 2.
+ */
+#include <algorithm>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "bench/bench_common.h"
+#include "cluster/cluster_manager.h"
+#include "cluster/evolution.h"
+#include "hw/cost_model.h"
+#include "hw/power.h"
+#include "model/footprint.h"
+#include "model/model_zoo.h"
+#include "sched/baselines.h"
+#include "sim/measure.h"
+#include "util/stats.h"
+#include "util/table.h"
+#include "workload/diurnal.h"
+#include "workload/querygen.h"
+
+using namespace hercules;
+
+namespace {
+
+/** One directional check of a paper finding against a measured value. */
+struct Claim
+{
+    std::string figure, what, paper, measured;  ///< paper: reference only
+    bool holds = false;
+    bool known_miss = false;  ///< fails on this code: reported, not gating
+};
+
+/**
+ * What one run's figures share: their claims, and the full-catalog
+ * table of Figs 15-17, profiled on first use and never written to disk.
+ */
+struct Paper
+{
+    const char* figure = "";  ///< the figure running, named as on the CLI
+    std::vector<Claim> claims;
+    std::optional<core::EfficiencyTable> full_table;
+
+    void
+    claim(const std::string& what, const std::string& paper,
+          const std::string& measured, bool holds, bool known_miss = false)
+    {
+        claims.push_back({figure, what, paper, measured, holds, known_miss});
+    }
+
+    const core::EfficiencyTable&
+    table()
+    {
+        if (!full_table) {
+            core::ProfilerOptions popt;
+            popt.search = bench::benchSearchOptions();
+            full_table = core::offlineProfile(popt);
+        }
+        return *full_table;
+    }
+};
+
+/** "a / b / c" */
+std::string
+joined(const std::vector<std::string>& parts)
+{
+    std::string s;
+    for (const std::string& p : parts)
+        s += (s.empty() ? "" : " / ") + p;
+    return s;
+}
+
+/** A model-based CPU config: `threads` x `cores`, sub-batch `batch`. */
+sched::SchedulingConfig
+cpuModel(int threads, int cores, int batch)
+{
+    sched::SchedulingConfig cfg;
+    cfg.mapping = sched::Mapping::CpuModelBased;
+    cfg.cpu_threads = threads;
+    cfg.cores_per_thread = cores;
+    cfg.batch = batch;
+    return cfg;
+}
+
+/** A model-based accelerator config with two host threads. */
+sched::SchedulingConfig
+gpuModel(int gpu_threads, int fusion_limit)
+{
+    sched::SchedulingConfig cfg;
+    cfg.mapping = sched::Mapping::GpuModelBased;
+    cfg.gpu_threads = gpu_threads;
+    cfg.fusion_limit = fusion_limit;
+    cfg.cpu_threads = 2;
+    return cfg;
+}
+
+/**
+ * Table I — state-of-the-art production-scale recommendation model
+ * configurations, as instantiated by the model zoo.
+ */
+void
+table1(Paper&)
+{
+    bench::banner("Table I",
+                  "Production-scale recommendation model configurations");
+
+    TablePrinter t({"Model", "Service", "#Embs", "Rows (min-max)",
+                    "Lookups/item", "Pooling", "Emb GB (prod)",
+                    "Emb GB (small)", "Dense MB", "SLA (ms)"});
+    for (model::ModelId id : model::allModels()) {
+        model::Model prod = model::buildModel(id, model::Variant::Prod);
+        model::Model small = model::buildModel(id, model::Variant::Small);
+        // Lookup counts vary per table (DIN/DIEN mix one-hot candidate
+        // lookups with 100-1000-element behaviour gathers).
+        double pool_lo = 1e18, pool_hi = 0.0;
+        for (const auto& n : prod.graph.nodes()) {
+            if (n.kind() != model::OpKind::EmbeddingLookup)
+                continue;
+            const auto& p = std::get<model::EmbeddingParams>(n.params);
+            pool_lo = std::min(pool_lo, p.pooling_min);
+            pool_hi = std::max(pool_hi, p.pooling_max);
+        }
+        t.addRow({
+            model::modelName(id),
+            model::modelService(id),
+            std::to_string(prod.num_tables),
+            fmtEng(static_cast<double>(prod.rows_min), 1) + " - " +
+                fmtEng(static_cast<double>(prod.rows_max), 1),
+            fmtDouble(pool_lo, 0) + " - " + fmtDouble(pool_hi, 0),
+            prod.pooled ? "Yes" : "No",
+            fmtDouble(static_cast<double>(prod.embeddingBytes()) /
+                          (1ll << 30), 1),
+            fmtDouble(static_cast<double>(small.embeddingBytes()) /
+                          (1ll << 30), 1),
+            fmtDouble(static_cast<double>(prod.denseParamBytes()) /
+                          (1 << 20), 1),
+            fmtDouble(prod.sla_ms, 0),
+        });
+    }
+    t.print();
+
+    std::printf("\nNotes: rows capped for MT-WnD (20M) and DIN/DIEN "
+                "(300M) vs Table I so production\nvariants fit the 64 GB "
+                "T1 host.\n");
+}
+
+/**
+ * Table II — system parameters and the T1–T10 heterogeneous server
+ * catalog with availabilities.
+ */
+void
+table2(Paper&)
+{
+    bench::banner("Table II", "System parameters and configurations");
+
+    TablePrinter t({"Th", "Nh", "CPU", "Cores", "GHz", "Memory", "GB",
+                    "BW GB/s", "Ranks", "GPU", "TFLOPs", "Idle W",
+                    "Peak W"});
+    for (const auto& s : hw::serverCatalog()) {
+        hw::PowerModel pm(s);
+        t.addRow({
+            hw::serverTypeName(s.type),
+            std::to_string(s.availability),
+            s.cpu.name,
+            std::to_string(s.cpu.cores),
+            fmtDouble(s.cpu.freq_ghz, 1),
+            s.mem.name,
+            std::to_string(s.mem.capacity_gb),
+            fmtDouble(s.mem.peakBwGbps(), 1),
+            std::to_string(s.mem.totalRanks()),
+            s.gpu ? s.gpu->name : "-",
+            s.gpu ? fmtDouble(s.gpu->peakTflops(), 1) : "-",
+            fmtDouble(pm.idlePowerW(), 0),
+            fmtDouble(pm.peakPowerW(), 0),
+        });
+    }
+    t.print();
+}
+
+/**
+ * Fig 1 (left) — compute vs memory footprint per query across the six
+ * models. Reproduction target (shape): DLRM-RMC1/RMC2 land in the
+ * memory-dominated region (low arithmetic intensity), DLRM-RMC3 /
+ * MT-WnD / DIN / DIEN in the compute-dominated region; the spread spans
+ * one to two orders of magnitude on both axes.
+ */
+void
+fig01(Paper& paper)
+{
+    bench::banner("Figure 1 (left)",
+                  "Avg compute FLOPs vs memory bytes per query");
+
+    // Mean query size of the Fig 2(b) distribution.
+    workload::QueryGenerator gen(1000.0, 42);
+    double mean_size = 0.0;
+    const int n = 20000;
+    for (int i = 0; i < n; ++i)
+        mean_size += gen.next().size;
+    mean_size /= n;
+    std::printf("mean query size: %.1f items\n\n", mean_size);
+
+    TablePrinter t({"Model", "MFLOPs/query", "MB/query", "KB PCIe/item",
+                    "FLOP per DRAM byte", "Region"});
+    std::vector<std::string> memory_bound;
+    std::string top_bytes, top_flops;
+    double max_mbytes = 0.0, max_mflops = 0.0;
+    for (model::ModelId id : model::allModels()) {
+        model::Model m = model::buildModel(id);
+        model::ModelFootprint f = model::analyzeModel(m);
+        double mflops = f.flops_per_item * mean_size / 1e6;
+        double mbytes = f.dram_bytes_per_item * mean_size / 1e6;
+        const char* region =
+            f.intensity() < 10.0 ? "memory-dominated" : "compute-dominated";
+        t.addRow({model::modelName(id), fmtDouble(mflops, 1),
+                  fmtDouble(mbytes, 2),
+                  fmtDouble(f.input_bytes_per_item / 1e3, 2),
+                  fmtDouble(f.intensity(), 1), region});
+        if (f.intensity() < 10.0)
+            memory_bound.push_back(model::modelName(id));
+        if (mbytes > max_mbytes) {
+            max_mbytes = mbytes;
+            top_bytes = model::modelName(id);
+        }
+        if (mflops > max_mflops) {
+            max_mflops = mflops;
+            top_flops = model::modelName(id);
+        }
+    }
+    t.print();
+
+    std::string memory = joined(memory_bound);
+    paper.claim("only RMC1, RMC2 are memory-dominated", "RMC1 / RMC2",
+                memory, memory == "DLRM-RMC1 / DLRM-RMC2");
+    paper.claim("RMC2 has the most memory traffic per query", "RMC2",
+                top_bytes, top_bytes == "DLRM-RMC2");
+    paper.claim("MT-WnD has the most compute per query", "MT-WnD",
+                top_flops, top_flops == "MT-WnD");
+}
+
+void
+querySizeHistogram()
+{
+    std::printf("-- Fig 2(b): query size distribution --\n");
+    workload::QueryGenerator gen(1000.0, 42);
+    Histogram h(0.0, 1000.0, 20);
+    PercentileTracker p;
+    for (int i = 0; i < 50000; ++i) {
+        int s = gen.next().size;
+        h.add(s);
+        p.add(s);
+    }
+    TablePrinter t({"Size bin", "Fraction", "Bar"});
+    for (size_t b = 0; b < h.bins(); ++b) {
+        int stars = static_cast<int>(h.fraction(b) * 120);
+        t.addRow({fmtDouble(h.binLo(b), 0) + "-" +
+                      fmtDouble(h.binHi(b), 0),
+                  fmtPercent(h.fraction(b), 1),
+                  std::string(static_cast<size_t>(stars), '#')});
+    }
+    t.print();
+    std::printf("p50=%.0f  p75=%.0f  p95=%.0f  p99=%.0f "
+                "(heavy tail within [10, 1000])\n\n",
+                p.p50(), p.p75(), p.p95(), p.p99());
+}
+
+void
+poolingFactors()
+{
+    std::printf("-- Fig 2(c): pooling factors across embedding tables "
+                "(DLRM-RMC1, 500 queries) --\n");
+    model::Model m = model::buildModel(model::ModelId::DlrmRmc1);
+    TablePrinter t({"EmbID", "Mean pooling", "p5", "p95"});
+    int emb_id = 0;
+    for (const auto& n : m.graph.nodes()) {
+        if (n.kind() != model::OpKind::EmbeddingLookup)
+            continue;
+        const auto& p = std::get<model::EmbeddingParams>(n.params);
+        PercentileTracker samples;
+        workload::QueryGenerator qgen(1000.0,
+                                      100 + static_cast<uint64_t>(emb_id));
+        for (int q = 0; q < 500; ++q)
+            samples.add(p.avgPooling() * qgen.next().pooling_scale);
+        t.addRow({std::to_string(emb_id), fmtDouble(samples.mean(), 1),
+                  fmtDouble(samples.percentile(5), 1),
+                  fmtDouble(samples.percentile(95), 1)});
+        ++emb_id;
+    }
+    t.print();
+    std::printf("\n");
+}
+
+void
+diurnalLoads(Paper& paper)
+{
+    std::printf("-- Fig 2(d): diurnal load of two services across four "
+                "datacenters (one week) --\n");
+    TablePrinter t({"Hour", "S1/DC1", "S1/DC2", "S1/DC3", "S1/DC4",
+                    "S2/DC1", "S2/DC2"});
+    std::vector<workload::DiurnalLoad> curves;
+    for (int svc = 0; svc < 2; ++svc) {
+        for (int dc = 0; dc < 4; ++dc) {
+            workload::DiurnalConfig cfg;
+            cfg.peak_qps = svc == 0 ? 50'000 : 35'000;
+            cfg.peak_hour = 20.0 + 0.3 * dc;
+            cfg.seed = static_cast<uint64_t>(svc * 10 + dc);
+            curves.emplace_back(cfg);
+        }
+    }
+    for (int hour = 0; hour < 24 * 7; hour += 6) {
+        t.addRow({std::to_string(hour),
+                  fmtEng(curves[0].loadAt(hour), 1),
+                  fmtEng(curves[1].loadAt(hour), 1),
+                  fmtEng(curves[2].loadAt(hour), 1),
+                  fmtEng(curves[3].loadAt(hour), 1),
+                  fmtEng(curves[4].loadAt(hour), 1),
+                  fmtEng(curves[5].loadAt(hour), 1)});
+    }
+    t.print();
+
+    double lo = 1e18, hi = 0.0;
+    for (double h = 0.0; h < 24.0; h += 0.1) {
+        double total = 0.0;
+        for (const auto& c : curves)
+            total += c.loadAt(h);
+        lo = std::min(lo, total);
+        hi = std::max(hi, total);
+    }
+    paper.claim("aggregated diurnal load swings > 50% peak to trough",
+                ">50%", fmtPercent((hi - lo) / hi, 1), (hi - lo) / hi > 0.5);
+}
+
+/**
+ * Fig 2(b)(c)(d) — workload characterization: heavy-tailed query sizes,
+ * pooling-factor distribution across embedding tables, and the
+ * synchronized diurnal load of two services across four datacenters.
+ */
+void
+fig02(Paper& paper)
+{
+    bench::banner("Figure 2", "Workload characterization");
+    querySizeHistogram();
+    poolingFactors();
+    diurnalLoads(paper);
+}
+
+struct ConfigResult
+{
+    double qps = 0.0;
+    double qps_per_watt = 0.0;
+    double cpu_util = 0.0;
+};
+
+/** Best over the batch axis for a fixed (threads x cores) allocation —
+ *  the whole axis fans onto the evaluation engine at once. */
+ConfigResult
+bestOverBatches(core::EvalEngine& engine, const hw::ServerSpec& server,
+                const model::Model& m, int threads, int cores,
+                double sla_ms)
+{
+    sched::SearchOptions opt = bench::benchSearchOptions();
+    std::vector<core::EvalRequest> reqs;
+    for (int b : opt.space.batches)
+        reqs.push_back({&server, &m, cpuModel(threads, cores, b), sla_ms,
+                        opt.measure});
+    ConfigResult best;
+    for (const core::EvalResult& res : engine.evaluateMany(reqs)) {
+        if (res.valid && res.point && res.point->qps > best.qps) {
+            best.qps = res.point->qps;
+            best.qps_per_watt = res.point->result.qps_per_watt;
+            best.cpu_util = res.point->result.cpu_util;
+        }
+    }
+    return best;
+}
+
+/**
+ * Fig 4 — host-side task scheduling of DLRM-RMC1 on CPU-T2: the fixed
+ * DeepRecSys allocation (20 threads x 1 core) vs 10 threads x 2 cores
+ * across SLA targets. Reproduction targets: 10x2 wins up to ~1.35x
+ * latency-bounded QPS and ~1.33x QPS/W, and average CPU utilization is
+ * NOT correlated with performance (the 10x2 winner shows *lower* util).
+ */
+void
+fig04(Paper& paper)
+{
+    bench::banner("Figure 4",
+                  "Host-side parallelism: 20x1 (DeepRecSys) vs 10x2 on "
+                  "DLRM-RMC1 / CPU-T2");
+
+    model::Model m = model::buildModel(model::ModelId::DlrmRmc1);
+    const hw::ServerSpec& server = hw::serverSpec(hw::ServerType::T2);
+    core::EvalEngine engine;
+
+    TablePrinter t({"SLA (ms)", "QPS 20x1", "QPS 10x2", "gain",
+                    "QPS/W 20x1", "QPS/W 10x2", "gain",
+                    "util 20x1", "util 10x2"});
+    double qps_lo = 1e18, eff_lo = 1e18;
+    int lower_util = 0;
+    for (double sla : {4.0, 8.0, 16.0, 64.0, 256.0, 512.0}) {
+        ConfigResult drs = bestOverBatches(engine, server, m, 20, 1, sla);
+        ConfigResult ten2 =
+            bestOverBatches(engine, server, m, 10, 2, sla);
+        double qgain = drs.qps > 0 ? ten2.qps / drs.qps : 0.0;
+        double egain = drs.qps_per_watt > 0
+                           ? ten2.qps_per_watt / drs.qps_per_watt
+                           : 0.0;
+        qps_lo = std::min(qps_lo, qgain);
+        eff_lo = std::min(eff_lo, egain);
+        lower_util += ten2.cpu_util < drs.cpu_util;
+        t.addRow({fmtDouble(sla, 0), fmtDouble(drs.qps, 0),
+                  fmtDouble(ten2.qps, 0), fmtSpeedup(qgain),
+                  fmtDouble(drs.qps_per_watt, 2),
+                  fmtDouble(ten2.qps_per_watt, 2), fmtSpeedup(egain),
+                  fmtPercent(drs.cpu_util), fmtPercent(ten2.cpu_util)});
+    }
+    t.print();
+
+    paper.claim("10x2 >= 20x1 in QPS and QPS/W at every SLA",
+                "up to 1.35x / 1.33x",
+                "min " + joined({fmtSpeedup(qps_lo), fmtSpeedup(eff_lo)}),
+                qps_lo >= 1.0 && eff_lo >= 1.0);
+    paper.claim("faster 10x2 runs at lower CPU util, every SLA",
+                "util is no performance proxy",
+                "lower at " + std::to_string(lower_util) + "/6 SLAs",
+                lower_util == 6);
+}
+
+void
+scheduleDetail(const hw::CostModel& cost, const model::Model& m,
+               int workers)
+{
+    std::printf("-- DLRM-RMC1 schedule with %d op worker(s) --\n",
+                workers);
+    hw::CpuExecContext cx;
+    cx.workers = workers;
+    cx.mem_bw_gbps = 5.0;
+    std::vector<hw::OpRecord> ops;
+    hw::GraphTiming t = cost.cpuGraphTiming(m.graph, 256, cx, &ops);
+    TablePrinter tab({"Op", "Kind", "Worker", "Start (us)", "End (us)"});
+    std::sort(ops.begin(), ops.end(),
+              [](const auto& a, const auto& b) {
+                  return a.start_us < b.start_us;
+              });
+    for (const auto& rec : ops) {
+        const model::Node& n = m.graph.node(rec.node);
+        tab.addRow({n.name, model::opKindName(n.kind()),
+                    std::to_string(rec.worker),
+                    fmtDouble(rec.start_us, 0),
+                    fmtDouble(rec.end_us, 0)});
+    }
+    tab.print();
+    std::printf("makespan %.0f us, idle fraction %.1f%%\n\n",
+                t.latency_us, t.idle_frac * 100.0);
+}
+
+/**
+ * Fig 5 — operator-dependency idling: per-thread schedules of
+ * DLRM-RMC1 with 1 vs 2 op-workers, and the idle-cycle fraction of all
+ * six models with 1-4 parallel operator workers (batch 256).
+ * Reproduction target: idle cycles grow with worker count, spanning
+ * roughly 25-74% at 2-4 workers.
+ */
+void
+fig05(Paper& paper)
+{
+    bench::banner("Figure 5",
+                  "Op-worker schedules and idle cycles (batch 256)");
+
+    const hw::ServerSpec& server = hw::serverSpec(hw::ServerType::T2);
+    hw::CostModel cost(server);
+
+    model::Model rmc1 = model::buildModel(model::ModelId::DlrmRmc1);
+    scheduleDetail(cost, rmc1, 1);
+    scheduleDetail(cost, rmc1, 2);
+
+    std::printf("-- Idle fraction per model vs op-workers --\n");
+    TablePrinter t({"Model", "1 worker", "2 workers", "3 workers",
+                    "4 workers", "Sparse ops", "Dense chain"});
+    bool growing = true;  // idle share rises with every added worker
+    for (model::ModelId id : model::allModels()) {
+        model::Model m = model::buildModel(id);
+        std::vector<std::string> row = {model::modelName(id)};
+        hw::CpuExecContext cx;
+        cx.mem_bw_gbps = 5.0;
+        double prev = -1.0;
+        for (int w = 1; w <= 4; ++w) {
+            cx.workers = w;
+            hw::GraphTiming gt = cost.cpuGraphTiming(m.graph, 256, cx);
+            row.push_back(fmtPercent(gt.idle_frac, 1));
+            growing = growing && gt.idle_frac > prev;
+            prev = gt.idle_frac;
+        }
+        auto sparse = m.graph.stageNodes(model::Stage::Sparse);
+        auto dense = m.graph.stageNodes(model::Stage::Dense);
+        row.push_back(std::to_string(sparse.size()));
+        row.push_back(std::to_string(m.graph.criticalPathLength(dense)));
+        t.addRow(row);
+    }
+    t.print();
+
+    paper.claim("idle cycles grow with op workers", "25%-74% at 2-4 workers",
+                growing ? "every model" : "not every model", growing);
+}
+
+/**
+ * Fig 6 — accelerator-side scheduling policies on the small model
+ * variants (the paper's V100 characterization): (1) DeepRecSys — one
+ * model, no fusion; (2) Baymax — model co-location only; (3) model
+ * co-location + query fusion.
+ *
+ * Reproduction targets: Baymax >= DeepRecSys (up to 1.66x / 1.03x /
+ * 1.36x for RMC3 / MT-WnD / DIN), co-location + fusion far ahead of
+ * Baymax (2.95x / 7.87x / 6.0x QPS; 2.29x / 3.14x / 3.36x QPS/W).
+ */
+void
+fig06(Paper& paper)
+{
+    bench::banner("Figure 6",
+                  "Accelerator policies: DeepRecSys vs Baymax vs "
+                  "co-location + fusion (V100, small variants)");
+
+    const hw::ServerSpec& server = hw::serverSpec(hw::ServerType::T7);
+    sched::SearchOptions opt = bench::benchSearchOptions();
+
+    const std::vector<model::ModelId> models = {
+        model::ModelId::DlrmRmc3, model::ModelId::MtWnd,
+        model::ModelId::Din};
+
+    TablePrinter t({"Model", "SLA (ms)", "DRS QPS", "Baymax QPS",
+                    "Fusion QPS", "Bay/DRS", "Fus/Bay", "DRS QPS/W",
+                    "Bay QPS/W", "Fus QPS/W", "winning config"});
+
+    std::vector<std::string> bay_gains, fus_gains;
+    bool bay_wins = true, fus_wins = true;
+    for (model::ModelId id : models) {
+        model::Model m = model::buildModel(id, model::Variant::Small);
+        double bay_best = 0.0, fus_best = 0.0;
+        for (double sla : {25.0, 50.0, 100.0}) {
+            sched::SearchResult drs =
+                sched::deepRecSysGpuSearch(server, m, sla, opt);
+            sched::SearchResult bay =
+                sched::baymaxSearch(server, m, sla, opt);
+            sched::SearchResult fus = sched::gradientSearchMapping(
+                server, m, sched::Mapping::GpuModelBased, sla, opt);
+            double d = drs.best ? drs.best_qps : 0.0;
+            double b = bay.best ? bay.best_qps : 0.0;
+            double f = fus.best ? fus.best_qps : 0.0;
+            if (d > 0.0)
+                bay_best = std::max(bay_best, b / d);
+            if (b > 0.0)
+                fus_best = std::max(fus_best, f / b);
+            bay_wins = bay_wins && b >= d;
+            fus_wins = fus_wins && f > b;
+            t.addRow({
+                model::modelName(id), fmtDouble(sla, 0), fmtDouble(d, 0),
+                fmtDouble(b, 0), fmtDouble(f, 0),
+                d > 0 ? fmtSpeedup(b / d) : "-",
+                b > 0 ? fmtSpeedup(f / b) : "-",
+                drs.best ? fmtDouble(drs.best_point.result.qps_per_watt, 1)
+                         : "-",
+                bay.best ? fmtDouble(bay.best_point.result.qps_per_watt, 1)
+                         : "-",
+                fus.best ? fmtDouble(fus.best_point.result.qps_per_watt, 1)
+                         : "-",
+                fus.best ? fus.best->str() : "-",
+            });
+        }
+        bay_gains.push_back(fmtSpeedup(bay_best));
+        fus_gains.push_back(fmtSpeedup(fus_best));
+    }
+    t.print();
+
+    paper.claim("Baymax >= DeepRecSys, every model and SLA",
+                "1.66x / 1.03x / 1.36x", joined(bay_gains), bay_wins);
+    paper.claim("co-location + fusion > Baymax, every row",
+                "2.95x / 7.87x / 6.0x", joined(fus_gains), fus_wins);
+}
+
+/**
+ * Fig 7 — latency breakdown (queuing / data loading / model inference)
+ * and GPU utilization vs the query-fusion limit, for DLRM-RMC3, MT-WnD
+ * and DIN (small variants, one inference thread on the V100).
+ *
+ * Reproduction targets: DLRM-RMC3 is data-loading-dominated (65-83% of
+ * latency) with low GPU utilization (~25%); MT-WnD and DIN keep the
+ * device busier (one-hot lookups / compute-heavy attention).
+ */
+void
+fig07(Paper& paper)
+{
+    bench::banner("Figure 7",
+                  "Latency breakdown vs fusion limit (1 GPU thread)");
+
+    const hw::ServerSpec& server = hw::serverSpec(hw::ServerType::T7);
+    sim::MeasureOptions mo = bench::benchSearchOptions().measure;
+
+    for (model::ModelId id : {model::ModelId::DlrmRmc3,
+                              model::ModelId::MtWnd, model::ModelId::Din}) {
+        model::Model m = model::buildModel(id, model::Variant::Small);
+        std::printf("-- %s --\n", model::modelName(id));
+        TablePrinter t({"Fusion limit", "QPS @92% cap", "Queuing %",
+                        "Loading %", "Inference %", "Load/(L+I)",
+                        "GPU util"});
+        double rmc3_loading = 0.0;
+        for (int fusion : {0, 500, 1000, 2000, 4000, 6000}) {
+            sim::PreparedWorkload w =
+                sim::prepare(server, m, gpuModel(1, fusion));
+            double cap = sim::saturationQps(w, mo.sim);
+            sim::SimOptions probe = mo.sim;
+            probe.offered_qps = 0.92 * cap;
+            sim::ServerSimResult r = sim::simulateServer(w, probe);
+            double total = r.mean_queue_ms + r.mean_host_ms +
+                           r.mean_load_ms + r.mean_exec_ms;
+            double queue_frac =
+                total > 0 ? (r.mean_queue_ms + r.mean_host_ms) / total
+                          : 0.0;
+            double load_frac = total > 0 ? r.mean_load_ms / total : 0.0;
+            double exec_frac = total > 0 ? r.mean_exec_ms / total : 0.0;
+            double li = r.mean_load_ms + r.mean_exec_ms;
+            double load_of_li = li > 0 ? r.mean_load_ms / li : 0.0;
+            if (id == model::ModelId::DlrmRmc3)
+                rmc3_loading = std::max(rmc3_loading, load_of_li);
+            t.addRow({fusion == 0 ? "no fusion" : std::to_string(fusion),
+                      fmtDouble(r.achieved_qps, 0),
+                      fmtPercent(queue_frac, 1), fmtPercent(load_frac, 1),
+                      fmtPercent(exec_frac, 1),
+                      fmtPercent(load_of_li, 1),
+                      fmtPercent(r.gpu_util, 1)});
+        }
+        t.print();
+        if (id == model::ModelId::DlrmRmc3)
+            paper.claim("RMC3 loading > inference at some fusion limit",
+                        "65-83% of latency", fmtPercent(rmc3_loading, 1),
+                        rmc3_loading > 0.5);
+        std::printf("\n");
+    }
+}
+
+/**
+ * Fig 8 — heterogeneity-aware cluster characterization:
+ *  (a) latency-bounded energy efficiency of DLRM-RMC1 (20 ms SLA) and
+ *      DLRM-RMC2 (50 ms) on CPU / CPU+NMP / CPU+GPU servers;
+ *  (b) the two diurnal loads;
+ *  (c) provisioned power of the NH, greedy and priority-aware
+ *      schedulers over one day (availability 70 / 15 / 5).
+ *
+ * Reproduction targets: CPU+NMP ranks first for both models with a
+ * larger efficiency margin on RMC2 (paper annotates 1.75x/2.04x over
+ * CPU); greedy saves up to ~41.6% provisioned power over NH at peak;
+ * priority-aware adds up to ~11.4% at peak over greedy; the LP-based
+ * Hercules scheduler wins either way (a global objective).
+ */
+void
+fig08(Paper& paper)
+{
+    bench::banner("Figure 8",
+                  "Cluster characterization: NH vs greedy vs "
+                  "priority-aware");
+
+    const std::vector<hw::ServerType> servers = {
+        hw::ServerType::T2, hw::ServerType::T3, hw::ServerType::T7};
+    const std::vector<model::ModelId> models = {
+        model::ModelId::DlrmRmc1, model::ModelId::DlrmRmc2};
+
+    // ---- (a) efficiency of the three server classes ------------------
+    core::ProfilerOptions popt;
+    popt.search = bench::benchSearchOptions();
+    popt.servers = servers;
+    popt.models = models;
+    core::EfficiencyTable table = core::offlineProfile(popt);
+
+    std::printf("-- Fig 8(a): latency-bounded energy efficiency --\n");
+    TablePrinter ta({"Model", "Server", "QPS", "Power (W)", "QPS/W",
+                     "vs CPU"});
+    for (model::ModelId mid : models) {
+        const core::EfficiencyEntry* cpu =
+            table.get(hw::ServerType::T2, mid);
+        for (hw::ServerType st : servers) {
+            const core::EfficiencyEntry* e = table.get(st, mid);
+            if (!e || !e->feasible)
+                continue;
+            double ratio = cpu && cpu->qps_per_watt > 0
+                               ? e->qps_per_watt / cpu->qps_per_watt
+                               : 0.0;
+            ta.addRow({model::modelName(mid),
+                       hw::serverSpec(st).name, fmtDouble(e->qps, 0),
+                       fmtDouble(e->power_w, 0),
+                       fmtDouble(e->qps_per_watt, 2),
+                       fmtSpeedup(ratio)});
+        }
+    }
+    ta.print();
+    std::printf("\n");
+
+    // A claim that server a beats b in QPS/W for RMC1 and RMC2.
+    using hw::ServerType;
+    auto effClaim = [&](ServerType a, ServerType b, const char* what,
+                        const char* paper_value, bool known_miss = false) {
+        std::vector<double> g;
+        for (model::ModelId mid : models)
+            g.push_back(table.get(a, mid)->qps_per_watt /
+                        table.get(b, mid)->qps_per_watt);
+        paper.claim(what, paper_value,
+                    joined({fmtSpeedup(g[0]), fmtSpeedup(g[1])}),
+                    g[0] > 1.0 && g[1] > 1.0, known_miss);
+        return g;
+    };
+    auto nmp = effClaim(ServerType::T3, ServerType::T2,
+                        "CPU+NMP > CPU in QPS/W, RMC1 / RMC2",
+                        "1.75x / 2.04x");
+    effClaim(ServerType::T7, ServerType::T2,
+             "CPU+GPU > CPU in QPS/W, RMC1 / RMC2", "GPU > CPU");
+    effClaim(ServerType::T3, ServerType::T7,
+             "CPU+NMP > CPU+GPU in QPS/W, RMC1 / RMC2", "NMP > GPU", true);
+    paper.claim("RMC2 gains more QPS/W from NMP than RMC1", "2.04x / 1.75x",
+                joined({fmtSpeedup(nmp[1]), fmtSpeedup(nmp[0])}),
+                nmp[1] > nmp[0]);
+
+    // ---- (b) + (c) one-day provisioning ------------------------------
+    cluster::ProvisionProblem problem =
+        cluster::ProvisionProblem::fromTable(table, servers, models,
+                                             {70, 15, 5});
+    std::vector<cluster::ClusterWorkload> workloads(2);
+    workloads[0].model = models[0];
+    workloads[0].load.peak_qps = 50'000;
+    workloads[0].load.seed = 1;
+    workloads[1].model = models[1];
+    workloads[1].load.peak_qps = 15'000;
+    workloads[1].load.seed = 2;
+
+    cluster::ClusterManagerOptions copt;
+    cluster::NhProvisioner nh(3);
+    cluster::GreedyProvisioner greedy;
+    cluster::PriorityAwareProvisioner priority;
+    cluster::HerculesProvisioner hercules;
+    auto rn = cluster::runCluster(problem, workloads, nh, copt);
+    auto rg = cluster::runCluster(problem, workloads, greedy, copt);
+    auto rp = cluster::runCluster(problem, workloads, priority, copt);
+    auto rh = cluster::runCluster(problem, workloads, hercules, copt);
+
+    std::printf("-- Fig 8(b)(c): loads and provisioned power over one "
+                "day --\n");
+    TablePrinter tc({"Hour", "RMC1 load", "RMC2 load", "NH (kW)",
+                     "Greedy (kW)", "Priority (kW)", "Hercules (kW)"});
+    for (size_t i = 0; i < rn.intervals.size(); i += 4) {
+        tc.addRow({fmtDouble(rn.intervals[i].t_hours, 1),
+                   fmtEng(rn.intervals[i].loads[0], 1),
+                   fmtEng(rn.intervals[i].loads[1], 1),
+                   fmtDouble(rn.intervals[i].provisioned_power_w / 1e3, 1),
+                   fmtDouble(rg.intervals[i].provisioned_power_w / 1e3, 1),
+                   fmtDouble(rp.intervals[i].provisioned_power_w / 1e3, 1),
+                   fmtDouble(rh.intervals[i].provisioned_power_w / 1e3,
+                             1)});
+    }
+    tc.print();
+
+    // A claim that a provisions no more power than b, peak and avg.
+    auto powerClaim = [&](const cluster::ClusterRunResult& a,
+                          const cluster::ClusterRunResult& b,
+                          const char* what, const char* paper_value,
+                          bool known_miss = false) {
+        double peak = 1.0 - a.peak_power_w / b.peak_power_w;
+        double avg = 1.0 - a.avg_power_w / b.avg_power_w;
+        paper.claim(what, paper_value,
+                    fmtPercent(peak, 1) + " / " + fmtPercent(avg, 1),
+                    peak >= 0.0 && avg >= 0.0, known_miss);
+    };
+    powerClaim(rg, rn, "greedy <= NH in power, peak and avg",
+               "up to 41.6% / 21.5%");
+    powerClaim(rp, rg, "priority-aware <= greedy in power, peak and avg",
+               "up to 11.4% / 4.2%", true);
+    powerClaim(rh, rg, "Hercules <= greedy in power, peak and avg",
+               "the LP wins either way");
+}
+
+void
+cpuGrid(core::EvalEngine& engine, const hw::ServerSpec& server,
+        const model::Model& m, double sla_ms)
+{
+    sim::MeasureOptions mo = bench::benchSearchOptions().measure;
+    const std::vector<int> threads = {1, 2, 4, 6, 8, 10, 14, 20};
+    const std::vector<int> batches = {16, 64, 256, 1024};
+
+    for (int o : {1, 2}) {
+        std::printf("-- CPU Psp(M+D), %d core(s) per thread "
+                    "(SLA %.0f ms): QPS [tail ms] --\n",
+                    o, sla_ms);
+        std::vector<std::string> header = {"threads \\ batch"};
+        for (int b : batches)
+            header.push_back(std::to_string(b));
+
+        // The whole grid fans onto the engine pool; rows are then
+        // printed from the ordered result vector.
+        std::vector<core::EvalRequest> reqs;
+        std::vector<int> row_threads;
+        for (int th : threads) {
+            if (th * o > server.cpu.cores)
+                continue;
+            row_threads.push_back(th);
+            for (int b : batches)
+                reqs.push_back({&server, &m, cpuModel(th, o, b), sla_ms, mo});
+        }
+        std::vector<core::EvalResult> results =
+            engine.evaluateMany(reqs);
+
+        TablePrinter t(header);
+        size_t i = 0;
+        for (int th : row_threads) {
+            std::vector<std::string> row = {std::to_string(th)};
+            for (size_t bi = 0; bi < batches.size(); ++bi) {
+                const auto& point = results[i++].point;
+                row.push_back(point
+                                  ? fmtDouble(point->qps, 0) + " [" +
+                                        fmtDouble(point->result.tail_ms,
+                                                  1) +
+                                        "]"
+                                  : "viol.");
+            }
+            t.addRow(row);
+        }
+        t.print();
+        std::printf("\n");
+    }
+}
+
+void
+gpuGrid(core::EvalEngine& engine, const hw::ServerSpec& server,
+        const model::Model& m, double sla_ms)
+{
+    sim::MeasureOptions mo = bench::benchSearchOptions().measure;
+    std::printf("-- GPU Psp(M+D) (SLA %.0f ms): QPS [peak W] --\n",
+                sla_ms);
+    const std::vector<int> fusions = {0, 500, 1000, 2000, 4000, 6000};
+    const std::vector<int> colocs = {1, 2, 3, 4};
+    std::vector<std::string> header = {"coloc \\ fusion"};
+    for (int f : fusions)
+        header.push_back(f == 0 ? "none" : std::to_string(f));
+
+    std::vector<core::EvalRequest> reqs;
+    for (int g : colocs)
+        for (int f : fusions)
+            reqs.push_back({&server, &m, gpuModel(g, f), sla_ms, mo});
+    std::vector<core::EvalResult> results = engine.evaluateMany(reqs);
+
+    TablePrinter t(header);
+    size_t i = 0;
+    for (int g : colocs) {
+        std::vector<std::string> row = {std::to_string(g)};
+        for (size_t fi = 0; fi < fusions.size(); ++fi) {
+            const core::EvalResult& res = results[i++];
+            if (!res.valid) {
+                row.push_back("invalid");
+                continue;
+            }
+            const auto& point = res.point;
+            row.push_back(
+                point ? fmtDouble(point->qps, 0) + " [" +
+                            fmtDouble(point->result.peak_power_w, 0) + "]"
+                      : "viol.");
+        }
+        t.addRow(row);
+    }
+    t.print();
+    std::printf("\n");
+}
+
+void
+searchPath(const hw::ServerSpec& server, const model::Model& m,
+           sched::Mapping mapping, double sla_ms)
+{
+    sched::SearchOptions opt = bench::benchSearchOptions();
+    sched::SearchResult r =
+        sched::gradientSearchMapping(server, m, mapping, sla_ms, opt);
+    std::printf("-- gradient-search trace (%s, %d evals) --\n",
+                sched::mappingName(mapping), r.evals);
+    TablePrinter t({"Step", "Config", "QPS", "Tail (ms)", "Accepted"});
+    int step = 0;
+    for (const auto& s : r.trace) {
+        t.addRow({std::to_string(step++), s.cfg.str(),
+                  s.qps >= 0 ? fmtDouble(s.qps, 0) : "infeasible",
+                  s.qps >= 0 ? fmtDouble(s.tail_ms, 1) : "-",
+                  s.accepted ? "<= move" : ""});
+    }
+    t.print();
+    if (r.best)
+        std::printf("optimum: %s at %.0f QPS\n\n", r.best->str().c_str(),
+                    r.best_qps);
+}
+
+/**
+ * Fig 11 — the model-based scheduling space of DLRM-RMC1 on (a-c) the
+ * CPU and (d-f) the accelerator: latency-bounded throughput,
+ * tail-latency and peak power over the (model-parallelism x
+ * data-parallelism) grid, plus the gradient-search path.
+ *
+ * Reproduction target (shape): throughput over Psp(M + D) is convex —
+ * it rises with threads/batch, then falls (interference, SLA
+ * violations); the gradient search path walks monotonically to the
+ * peak and terminates there.
+ */
+void
+fig11(Paper&)
+{
+    bench::banner("Figure 11",
+                  "Model-based scheduling space + gradient search "
+                  "(DLRM-RMC1)");
+
+    model::Model m = model::buildModel(model::ModelId::DlrmRmc1);
+    const hw::ServerSpec& t2 = hw::serverSpec(hw::ServerType::T2);
+    const hw::ServerSpec& t7 = hw::serverSpec(hw::ServerType::T7);
+    core::EvalEngine engine;
+
+    cpuGrid(engine, t2, m, 20.0);
+    searchPath(t2, m, sched::Mapping::CpuModelBased, 20.0);
+
+    model::Model small =
+        model::buildModel(model::ModelId::DlrmRmc1, model::Variant::Small);
+    gpuGrid(engine, t7, small, 20.0);
+    searchPath(t7, small, sched::Mapping::GpuModelBased, 20.0);
+}
+
+/**
+ * Fig 12 — balancing the sparse-dense pipeline:
+ *  (a) CPU: throughput vs the SparseNet/DenseNet thread split — rises
+ *      while parallelism grows, falls once the pipeline unbalances;
+ *  (b) CPU+GPU: host-side SparseNet search with the accelerator-side
+ *      (co-location x fusion) search after each host move.
+ */
+void
+fig12(Paper&)
+{
+    bench::banner("Figure 12", "S-D pipeline balancing (DLRM-RMC1)");
+
+    model::Model m = model::buildModel(model::ModelId::DlrmRmc1);
+    const hw::ServerSpec& t2 = hw::serverSpec(hw::ServerType::T2);
+    sim::MeasureOptions mo = bench::benchSearchOptions().measure;
+    core::EvalEngine engine;
+
+    // ---- (a) CPU: sweep the sparse/dense split ------------------------
+    std::printf("-- Fig 12(a): CPU S-D split (batch 128, SLA 20 ms) --\n");
+    std::vector<core::EvalRequest> split_reqs;
+    for (int o : {1, 2}) {
+        for (int s = 1; s * o + 1 <= t2.cpu.cores; ++s) {
+            int d = sched::balancedDenseThreads(t2, m, s, o, 128);
+            if (d < 1)
+                continue;
+            sched::SchedulingConfig cfg = cpuModel(s, o, 128);
+            cfg.mapping = sched::Mapping::CpuSdPipeline;
+            cfg.dense_threads = d;
+            split_reqs.push_back({&t2, &m, cfg, 20.0, mo});
+        }
+    }
+    std::vector<core::EvalResult> split_results =
+        engine.evaluateMany(split_reqs);
+    TablePrinter ta({"Config (SxO::D)", "QPS", "Tail (ms)"});
+    for (size_t i = 0; i < split_reqs.size(); ++i) {
+        const sched::SchedulingConfig& cfg = split_reqs[i].cfg;
+        const auto& point = split_results[i].point;
+        ta.addRow({std::to_string(cfg.cpu_threads) + "x" +
+                       std::to_string(cfg.cores_per_thread) +
+                       "::" + std::to_string(cfg.dense_threads),
+                   point ? fmtDouble(point->qps, 0) : "viol.",
+                   point ? fmtDouble(point->result.tail_ms, 1) : "-"});
+    }
+    ta.print();
+    std::printf("shape: throughput climbs with more parallel tasks, then "
+                "falls when the\npipeline unbalances or the cores run "
+                "out (paper Fig 12(a)).\n\n");
+
+    // ---- (b) CPU-GPU: host sweep with nested accelerator search -------
+    const hw::ServerSpec& t7 = hw::serverSpec(hw::ServerType::T7);
+    std::printf("-- Fig 12(b): CPU-side SparseNet -> GPU DenseNet "
+                "(SLA 20 ms) --\n");
+    TablePrinter tb({"Host threads x cores", "Best GPU side", "QPS"});
+    sched::SearchOptions opt = bench::benchSearchOptions();
+    for (int s : {2, 4, 6, 8, 10, 14, 18}) {
+        // All nine accelerator-side candidates of one host split are
+        // independent: fan them out, reduce in request order.
+        std::vector<core::EvalRequest> reqs;
+        for (int g : {1, 2, 4}) {
+            for (int f : {0, 1000, 4000}) {
+                sched::SchedulingConfig cfg = gpuModel(g, f);
+                cfg.mapping = sched::Mapping::GpuSdPipeline;
+                cfg.cpu_threads = s;
+                cfg.batch = 128;
+                reqs.push_back({&t7, &m, cfg, 20.0, mo});
+            }
+        }
+        std::vector<core::EvalResult> results = engine.evaluateMany(reqs);
+        double best_qps = -1.0;
+        std::string best_gpu = "-";
+        for (size_t i = 0; i < reqs.size(); ++i) {
+            const core::EvalResult& res = results[i];
+            if (res.valid && res.point && res.point->qps > best_qps) {
+                best_qps = res.point->qps;
+                best_gpu =
+                    "g" + std::to_string(reqs[i].cfg.gpu_threads) +
+                    " f" + std::to_string(reqs[i].cfg.fusion_limit);
+            }
+        }
+        tb.addRow({std::to_string(s) + "x1", best_gpu,
+                   best_qps >= 0 ? fmtDouble(best_qps, 0) : "viol."});
+    }
+    tb.print();
+
+    // The full nested gradient search for reference.
+    sched::SearchResult r = sched::gradientSearchMapping(
+        t7, m, sched::Mapping::GpuSdPipeline, 20.0, opt);
+    if (r.best)
+        std::printf("\ngradient search optimum: %s at %.0f QPS "
+                    "(%d evals)\n",
+                    r.best->str().c_str(), r.best_qps, r.evals);
+}
+
+/**
+ * Fig 14 — SLA-aware task schedulers compared: the baseline
+ * (DeepRecSys on the CPU, Baymax on the accelerator) vs Hercules, for
+ * all six models on T2 (CPU), T3 (CPU+NMP), T7 (CPU+GPU) and T8
+ * (CPU+NMP+GPU), across a sweep of SLA targets.
+ *
+ * Reproduction targets (who wins, roughly by how much): Hercules wins
+ * everywhere (1.03x-9x). Sparse-heavy DLRMs gain ~1.3-2.7x on
+ * CPU-centric servers (S-D pipelining + op-parallelism); compute-heavy
+ * models gain up to ~6-9x on GPU servers (co-location + fusion).
+ */
+void
+fig14(Paper& paper)
+{
+    bench::banner("Figure 14",
+                  "Baseline vs Hercules task scheduler, 6 models x 4 "
+                  "server types x SLA sweep");
+
+    sched::SearchOptions opt = bench::benchSearchOptions();
+    const std::vector<hw::ServerType> servers = {
+        hw::ServerType::T2, hw::ServerType::T3, hw::ServerType::T7,
+        hw::ServerType::T8};
+    const std::vector<double> sla_scale =
+        bench::fastMode() ? std::vector<double>{1.0, 2.0}
+                          : std::vector<double>{0.5, 1.0, 2.0, 4.0};
+
+    int rows = 0;
+    double min_speedup = 1e18;
+    // Each compute-heavy model's best speedup on the GPU servers.
+    std::vector<std::string> gpu_best;
+    bool gpu_wins = true;
+    for (model::ModelId mid : model::allModels()) {
+        model::Model m = model::buildModel(mid);
+        std::printf("-- %s (default SLA %.0f ms) --\n",
+                    model::modelName(mid), m.sla_ms);
+        TablePrinter t({"Server", "SLA (ms)", "Baseline QPS",
+                        "Hercules QPS", "Speedup", "Hercules config"});
+        double gpu_hi = 0.0;
+        for (hw::ServerType st : servers) {
+            const hw::ServerSpec& server = hw::serverSpec(st);
+            double lo = 1e18, hi = 0.0;
+            for (double scale : sla_scale) {
+                double sla = m.sla_ms * scale;
+                sched::SearchResult base =
+                    sched::baselineSearch(server, m, sla, opt);
+                sched::SearchResult herc =
+                    sched::herculesTaskSearch(server, m, sla, opt);
+                double b = base.best ? base.best_qps : 0.0;
+                double h = herc.best ? herc.best_qps : 0.0;
+                double speedup = b > 0.0 ? h / b : 0.0;
+                if (speedup > 0.0) {
+                    lo = std::min(lo, speedup);
+                    hi = std::max(hi, speedup);
+                }
+                ++rows;
+                if (b > 0.0)
+                    min_speedup = std::min(min_speedup, speedup);
+                if (server.hasGpu())
+                    gpu_hi = std::max(gpu_hi, speedup);
+                t.addRow({hw::serverTypeName(st), fmtDouble(sla, 0),
+                          fmtDouble(b, 0), fmtDouble(h, 0),
+                          speedup > 0 ? fmtSpeedup(speedup) : "-",
+                          herc.best ? herc.best->str() : "-"});
+            }
+            if (hi > 0.0)
+                std::printf("  %s on %s: speedup range %.2fx - %.2fx\n",
+                            model::modelName(mid), hw::serverTypeName(st),
+                            lo, hi);
+        }
+        t.print();
+        std::printf("\n");
+
+        if (mid != model::ModelId::DlrmRmc1 &&
+            mid != model::ModelId::DlrmRmc2) {
+            gpu_best.push_back(fmtSpeedup(gpu_hi));
+            gpu_wins = gpu_wins && gpu_hi >= 1.5;
+        }
+    }
+    paper.claim("Hercules >= baseline in every row", "1.03x - 9.0x",
+                "min " + fmtSpeedup(min_speedup) + " over " +
+                    std::to_string(rows) + " rows",
+                min_speedup >= 1.0);
+    paper.claim("RMC3, MT-WnD, DIN, DIEN: >= 1.5x on T7/T8",
+                "6.71x / 9.0x / 6.95x / 6.0x", joined(gpu_best), gpu_wins);
+}
+
+/**
+ * Fig 15 — server-architecture exploration: normalized latency-bounded
+ * throughput and energy efficiency of all six production models across
+ * the ten server types (SLA targets 20/50/50/50/100/100 ms).
+ *
+ * Reproduction targets: NMP servers dominate the pooled DLRMs (RMC1 /
+ * RMC2) in both metrics and scale with rank parallelism; GPU servers
+ * dominate the compute-heavy models (RMC3 / MT-WnD / DIN / DIEN); NMP
+ * brings no throughput gain — and an efficiency *loss* — for one-hot
+ * models (extra idle power).
+ */
+void
+fig15(Paper& paper)
+{
+    bench::banner("Figure 15",
+                  "6 models x 10 server architectures (offline "
+                  "profiling)");
+
+    const core::EfficiencyTable& table = paper.table();
+
+    for (bool energy : {false, true}) {
+        std::printf("-- normalized %s (T1 = 1.0) --\n",
+                    energy ? "energy efficiency (QPS/W)"
+                           : "throughput (QPS)");
+        std::vector<std::string> header = {"Server"};
+        for (model::ModelId mid : model::allModels())
+            header.push_back(model::modelName(mid));
+        TablePrinter t(header);
+        for (hw::ServerType st : hw::allServerTypes()) {
+            std::vector<std::string> row = {
+                hw::serverSpec(st).name};
+            for (model::ModelId mid : model::allModels()) {
+                const core::EfficiencyEntry* e = table.get(st, mid);
+                const core::EfficiencyEntry* base =
+                    table.get(hw::ServerType::T1, mid);
+                if (!e || !e->feasible || !base || !base->feasible) {
+                    row.push_back("-");
+                    continue;
+                }
+                double v = energy ? e->qps_per_watt / base->qps_per_watt
+                                  : e->qps / base->qps;
+                row.push_back(fmtDouble(v, 2));
+            }
+            t.addRow(row);
+        }
+        t.print();
+        std::printf("\n");
+    }
+
+    // The per-model architecture winners.
+    TablePrinter w({"Model", "Best QPS server", "Best QPS/W server"});
+    for (model::ModelId mid : model::allModels()) {
+        auto by_qps = table.rank(mid, false);
+        auto by_eff = table.rank(mid, true);
+        w.addRow({model::modelName(mid),
+                  by_qps.empty() ? "-" : hw::serverSpec(by_qps[0]).name,
+                  by_eff.empty() ? "-" : hw::serverSpec(by_eff[0]).name});
+    }
+    w.print();
+
+    auto best = [&](model::ModelId m, bool energy) -> const hw::ServerSpec& {
+        return hw::serverSpec(table.rank(m, energy).at(0));
+    };
+    const hw::ServerSpec& rmc1 = best(model::ModelId::DlrmRmc1, true);
+    const hw::ServerSpec& rmc2 = best(model::ModelId::DlrmRmc2, true);
+    paper.claim("an NMP server has the best QPS/W for RMC1, RMC2",
+                "NMP-rich servers", rmc1.name + " / " + rmc2.name,
+                rmc1.hasNmp() && rmc2.hasNmp());
+    // One-hot models: fastest on a V100 server; NMP only costs QPS/W.
+    std::vector<std::string> fastest, nmp_gain;
+    bool v100 = true, nmp_costs = true;
+    for (model::ModelId mid : {model::ModelId::MtWnd, model::ModelId::Din,
+                               model::ModelId::Dien}) {
+        const hw::ServerSpec& s = best(mid, false);
+        v100 = v100 && s.gpu && s.gpu->name == "NVIDIA V100";
+        fastest.push_back(s.name);
+        double r = table.get(hw::ServerType::T3, mid)->qps_per_watt /
+                   table.get(hw::ServerType::T2, mid)->qps_per_watt;
+        nmp_costs = nmp_costs && r < 1.0;
+        nmp_gain.push_back(fmtSpeedup(r));
+    }
+    paper.claim("a V100 server has the best QPS for MT-WnD, DIN, DIEN",
+                "V100 servers", joined(fastest), v100);
+    paper.claim("NMP lowers QPS/W of MT-WnD, DIN, DIEN (T3/T2)",
+                "adds only idle power", joined(nmp_gain), nmp_costs);
+}
+
+/**
+ * The evolution services with each peak load scaled to a fraction of
+ * the CPU-only (T1+T2) fleet capacity for its legacy model. The paper's
+ * absolute 50K-QPS peaks are calibrated to its measured tuples; against
+ * our simulated tuples the same fractions-of-fleet reproduce the
+ * Fig 16 capacity-growth story without saturating the cluster on day
+ * one. The fraction gives the three services together ~36% of the fleet
+ * at the Day-D1 peak, leaving the headroom the paper's Day-D2 snapshot
+ * consumes.
+ */
+std::vector<cluster::EvolutionService>
+evolutionServices(const core::EfficiencyTable& table)
+{
+    const double fleet_fraction = 0.12;
+    auto services = cluster::defaultEvolutionServices();
+    for (auto& svc : services) {
+        double capacity = 0.0;
+        for (hw::ServerType st : {hw::ServerType::T1, hw::ServerType::T2}) {
+            const core::EfficiencyEntry* e = table.get(st, svc.legacy);
+            if (e && e->feasible)
+                capacity += e->qps * hw::serverSpec(st).availability;
+        }
+        if (capacity > 0.0)
+            svc.load.peak_qps = fleet_fraction * capacity;
+    }
+    return services;
+}
+
+/**
+ * Fig 16 — model evolution: traffic migrates linearly from the DLRM
+ * workloads to the higher-complexity DIN / DIEN / MT-WnD models.
+ *  (a) the synthetic mix per update cycle;
+ *  (b) peak/average provisioned power on the CPU-only cluster vs the
+ *      accelerated cluster across the evolution;
+ *  (c)(d) Day-D1 vs Day-D2 capacity snapshots (20% of traffic moved).
+ *
+ * Reproduction targets: on the CPU-only cluster, D2 needs ~2.27x the
+ * capacity and ~1.77x the power of D1 at peak; deploying the
+ * accelerated servers recovers 22-52% of peak provisioned power during
+ * the evolution.
+ */
+void
+fig16(Paper& paper)
+{
+    bench::banner("Figure 16", "Model evolution and cluster capacity");
+
+    const core::EfficiencyTable& table = paper.table();
+    auto services = evolutionServices(table);
+
+    const std::vector<hw::ServerType> cpu_only = {hw::ServerType::T1,
+                                                  hw::ServerType::T2};
+    const std::vector<hw::ServerType> accelerated =
+        hw::allServerTypes();
+
+    cluster::ClusterManagerOptions copt;
+    cluster::HerculesProvisioner policy;
+
+    std::printf("-- Fig 16(a)(b): evolution stages --\n");
+    // The CPU-only column is a *projection* (unbounded T1/T2 supply),
+    // exactly as the paper projects the 5.4x capacity / 3.54x power
+    // growth the baseline fleet would need by the end of evolution.
+    TablePrinter t({"Stage", "Legacy %", "CPU-only proj. peak kW",
+                    "CPU-only proj. srv", "Accel peak kW",
+                    "Accel avg kW", "Peak saving vs proj."});
+    std::vector<double> stages = bench::fastMode()
+                                     ? std::vector<double>{0.0, 0.5, 1.0}
+                                     : std::vector<double>{0.0, 0.2, 0.4,
+                                                           0.6, 0.8, 1.0};
+    std::vector<cluster::ClusterRunResult> proj;  // CPU-only, per stage
+    double min_saving = 1e18;
+    for (double s : stages) {
+        auto workloads = cluster::evolutionWorkloads(services, s);
+        auto models = cluster::evolutionModels(services, s);
+        auto p_proj = cluster::ProvisionProblem::fromTable(
+            table, cpu_only, models, {1'000'000, 1'000'000});
+        auto p_acc = cluster::ProvisionProblem::fromTable(
+            table, accelerated, models);
+        auto r_proj = cluster::runCluster(p_proj, workloads, policy, copt);
+        auto r_acc = cluster::runCluster(p_acc, workloads, policy, copt);
+        double saving = 1.0 - r_acc.peak_power_w /
+                                  std::max(r_proj.peak_power_w, 1.0);
+        min_saving = std::min(min_saving, saving);
+        t.addRow({fmtDouble(s, 1), fmtPercent(1.0 - s, 0),
+                  fmtDouble(r_proj.peak_power_w / 1e3, 1),
+                  std::to_string(r_proj.peak_servers),
+                  fmtDouble(r_acc.peak_power_w / 1e3, 1),
+                  fmtDouble(r_acc.avg_power_w / 1e3, 1),
+                  fmtPercent(saving, 1)});
+        proj.push_back(r_proj);
+    }
+    t.print();
+    std::printf("\n");
+    double proj_srv = static_cast<double>(proj.back().peak_servers) /
+                      std::max(proj.front().peak_servers, 1);
+    double proj_kw = proj.back().peak_power_w / 1e3 /
+                     std::max(proj.front().peak_power_w / 1e3, 1e-9);
+    paper.claim("CPU-only projection grows: capacity / power", "5.4x / 3.54x",
+                joined({fmtSpeedup(proj_srv), fmtSpeedup(proj_kw)}),
+                proj_srv > 1.0 && proj_kw > 1.0);
+    paper.claim("accelerated < projected peak power, every stage",
+                "22-52% saving", "min " + fmtPercent(min_saving, 1),
+                min_saving > 0.0);
+
+    // ---- (c)(d) Day-D1 vs Day-D2 snapshots on the CPU-only cluster ---
+    std::printf("-- Fig 16(c)(d): Day-D1 (stage 0) vs Day-D2 (stage 0.2) "
+                "on the CPU-only cluster --\n");
+    auto w1 = cluster::evolutionWorkloads(services, 0.0);
+    auto w2 = cluster::evolutionWorkloads(services, 0.2);
+    auto p1 = cluster::ProvisionProblem::fromTable(
+        table, cpu_only, cluster::evolutionModels(services, 0.0));
+    auto p2 = cluster::ProvisionProblem::fromTable(
+        table, cpu_only, cluster::evolutionModels(services, 0.2));
+    auto r1 = cluster::runCluster(p1, w1, policy, copt);
+    auto r2 = cluster::runCluster(p2, w2, policy, copt);
+
+    TablePrinter td({"Hour", "D1 servers", "D1 kW", "D2 servers",
+                     "D2 kW"});
+    for (size_t i = 0; i < r1.intervals.size(); i += 4) {
+        td.addRow({fmtDouble(r1.intervals[i].t_hours, 1),
+                   std::to_string(r1.intervals[i].activated_servers),
+                   fmtDouble(r1.intervals[i].provisioned_power_w / 1e3,
+                             1),
+                   std::to_string(r2.intervals[i].activated_servers),
+                   fmtDouble(r2.intervals[i].provisioned_power_w / 1e3,
+                             1)});
+    }
+    td.print();
+    if (r1.unsatisfied_intervals || r2.unsatisfied_intervals)
+        std::printf("note: %d/%d intervals exceeded CPU-only fleet "
+                    "capacity (best-effort allocation)\n",
+                    r1.unsatisfied_intervals + r2.unsatisfied_intervals,
+                    static_cast<int>(r1.intervals.size() +
+                                     r2.intervals.size()));
+
+    double cap_peak = static_cast<double>(r2.peak_servers) /
+                      std::max(r1.peak_servers, 1);
+    double cap_avg = r2.avg_servers / std::max(r1.avg_servers, 1.0);
+    double pow_peak = r2.peak_power_w / std::max(r1.peak_power_w, 1.0);
+    double pow_avg = r2.avg_power_w / std::max(r1.avg_power_w, 1.0);
+    paper.claim("D2/D1 > 1: capacity peak / avg, power peak / avg",
+                "2.27x / 2.09x / 1.77x / 1.64x",
+                joined({fmtSpeedup(cap_peak), fmtSpeedup(cap_avg),
+                        fmtSpeedup(pow_peak), fmtSpeedup(pow_avg)}),
+                std::min({cap_peak, cap_avg, pow_peak, pow_avg}) > 1.0);
+}
+
+/**
+ * Fig 17 — the three cluster schedulers on the accelerated Day-D2
+ * cluster (20% of traffic on the successor models; accelerated servers
+ * T3-T10 with Table II availabilities):
+ * heterogeneity-oblivious (NH), greedy [8,9], and Hercules (Eq. 1-3).
+ *
+ * Reproduction targets: greedy saves 75.8% (peak) / 67.4% (avg)
+ * capacity and 50.8% / 42.7% power over NH; Hercules saves a further
+ * 47.7% / 22.8% capacity and 23.7% / 9.1% power over greedy.
+ */
+void
+fig17(Paper& paper)
+{
+    bench::banner("Figure 17",
+                  "NH vs greedy vs Hercules cluster scheduling "
+                  "(Day-D2, accelerated cluster)");
+
+    const core::EfficiencyTable& table = paper.table();
+    auto services = evolutionServices(table);
+    auto workloads = cluster::evolutionWorkloads(services, 0.2);
+    auto models = cluster::evolutionModels(services, 0.2);
+    auto problem = cluster::ProvisionProblem::fromTable(
+        table, hw::allServerTypes(), models);
+
+    cluster::ClusterManagerOptions copt;
+    cluster::NhProvisioner nh(11);
+    cluster::GreedyProvisioner greedy;
+    cluster::HerculesProvisioner hercules;
+
+    auto rn = cluster::runCluster(problem, workloads, nh, copt);
+    auto rg = cluster::runCluster(problem, workloads, greedy, copt);
+    auto rh = cluster::runCluster(problem, workloads, hercules, copt);
+
+    std::printf("-- hourly capacity and provisioned power --\n");
+    TablePrinter t({"Hour", "NH srv", "NH kW", "Greedy srv", "Greedy kW",
+                    "Hercules srv", "Hercules kW"});
+    for (size_t i = 0; i < rn.intervals.size(); i += 2) {
+        t.addRow({fmtDouble(rn.intervals[i].t_hours, 1),
+                  std::to_string(rn.intervals[i].activated_servers),
+                  fmtDouble(rn.intervals[i].provisioned_power_w / 1e3, 1),
+                  std::to_string(rg.intervals[i].activated_servers),
+                  fmtDouble(rg.intervals[i].provisioned_power_w / 1e3, 1),
+                  std::to_string(rh.intervals[i].activated_servers),
+                  fmtDouble(rh.intervals[i].provisioned_power_w / 1e3,
+                            1)});
+    }
+    t.print();
+
+    auto saving = [](double better, double worse) {
+        return worse > 0 ? (1.0 - better / worse) : 0.0;
+    };
+    std::printf("\n-- savings --\n");
+    TablePrinter s({"Comparison", "Capacity peak", "Capacity avg",
+                    "Power peak", "Power avg", "Paper (peak)"});
+    s.addRow({"Greedy vs NH",
+              fmtPercent(saving(rg.peak_servers, rn.peak_servers), 1),
+              fmtPercent(saving(rg.avg_servers, rn.avg_servers), 1),
+              fmtPercent(saving(rg.peak_power_w, rn.peak_power_w), 1),
+              fmtPercent(saving(rg.avg_power_w, rn.avg_power_w), 1),
+              "75.8% cap / 50.8% pow"});
+    s.addRow({"Hercules vs Greedy",
+              fmtPercent(saving(rh.peak_servers, rg.peak_servers), 1),
+              fmtPercent(saving(rh.avg_servers, rg.avg_servers), 1),
+              fmtPercent(saving(rh.peak_power_w, rg.peak_power_w), 1),
+              fmtPercent(saving(rh.avg_power_w, rg.avg_power_w), 1),
+              "47.7% cap / 23.7% pow"});
+    s.print();
+
+    double gn_cap = saving(rg.peak_servers, rn.peak_servers);
+    double gn_pow = saving(rg.peak_power_w, rn.peak_power_w);
+    double hg_cap = saving(rh.peak_servers, rg.peak_servers);
+    double hg_pow = saving(rh.peak_power_w, rg.peak_power_w);
+    paper.claim("greedy < NH in peak capacity", "75.8% saving",
+                fmtPercent(gn_cap, 1), gn_cap > 0.0);
+    paper.claim("greedy < NH in peak power", "50.8% saving",
+                fmtPercent(gn_pow, 1), gn_pow > 0.0);
+    paper.claim("Hercules <= greedy in peak power", "23.7% saving",
+                fmtPercent(hg_pow, 1), hg_pow >= 0.0);
+    paper.claim("Hercules <= greedy in peak capacity", "47.7% saving",
+                fmtPercent(hg_cap, 1), hg_cap >= 0.0, true);
+}
+
+double
+qpsOf(core::EvalEngine& engine, const hw::ServerSpec& server,
+      const model::Model& m, const sched::SchedulingConfig& cfg,
+      double sla_ms)
+{
+    sim::MeasureOptions mo = bench::benchSearchOptions().measure;
+    core::EvalResult res =
+        engine.evaluate(core::EvalRequest{&server, &m, cfg, sla_ms, mo});
+    return res.valid && res.point ? res.point->qps : -1.0;
+}
+
+std::string
+cell(double v)
+{
+    return v >= 0 ? fmtDouble(v, 0) : std::string("viol.");
+}
+
+/**
+ * Ablations of the Hercules design choices: what each mechanism is
+ * worth on its own, measured as latency-bounded QPS with everything
+ * else held fixed.
+ *
+ *  1. elementwise operator fusion (on/off) — dispatch-overhead saving;
+ *  2. S-D pipeline vs model-based scheduling at equal core budget —
+ *     the value of separating the dependency-free SparseNet;
+ *  3. op-parallelism (cores per thread) at a fixed core budget — the
+ *     Psp(O) dimension the baselines never search;
+ *  4. query fusion vs model co-location on the accelerator — which
+ *     lever does the heavy lifting in Fig 6;
+ *  5. NMP offload — the same configuration on DDR4 vs NMPx2 memory.
+ */
+void
+ablation(Paper&)
+{
+    bench::banner("Ablations",
+                  "Per-mechanism value of the Hercules design choices");
+
+    const hw::ServerSpec& t2 = hw::serverSpec(hw::ServerType::T2);
+    const hw::ServerSpec& t3 = hw::serverSpec(hw::ServerType::T3);
+    const hw::ServerSpec& t7 = hw::serverSpec(hw::ServerType::T7);
+    // One engine: ablation cells repeating a config are memo hits.
+    core::EvalEngine engine;
+
+    // ---- 1. elementwise fusion ---------------------------------------
+    std::printf("-- 1. elementwise operator fusion (cpu-model 10x2 "
+                "b128) --\n");
+    TablePrinter t1({"Model", "fused QPS", "unfused QPS", "gain"});
+    for (model::ModelId mid :
+         {model::ModelId::DlrmRmc1, model::ModelId::DlrmRmc3}) {
+        model::Model m = model::buildModel(mid);
+        sched::SchedulingConfig cfg = cpuModel(10, 2, 128);
+        double fused = qpsOf(engine, t2, m, cfg, m.sla_ms);
+        cfg.fuse_elementwise = false;
+        double raw = qpsOf(engine, t2, m, cfg, m.sla_ms);
+        t1.addRow({model::modelName(mid), cell(fused), cell(raw),
+                   raw > 0 ? fmtSpeedup(fused / raw) : "-"});
+    }
+    t1.print();
+
+    // ---- 2. S-D pipeline vs model-based at 20 cores --------------------
+    std::printf("\n-- 2. S-D pipeline vs model-based (DLRM models, "
+                "20 cores, b128) --\n");
+    TablePrinter t2t({"Model", "model-based 10x2", "S-D 6x2::8", "gain"});
+    for (model::ModelId mid : {model::ModelId::DlrmRmc1,
+                               model::ModelId::DlrmRmc2,
+                               model::ModelId::DlrmRmc3}) {
+        model::Model m = model::buildModel(mid);
+        sched::SchedulingConfig sd = cpuModel(6, 2, 128);
+        sd.mapping = sched::Mapping::CpuSdPipeline;
+        sd.dense_threads = 8;
+        double a = qpsOf(engine, t2, m, cpuModel(10, 2, 128), m.sla_ms);
+        double b = qpsOf(engine, t2, m, sd, m.sla_ms);
+        t2t.addRow({model::modelName(mid), cell(a), cell(b),
+                    a > 0 && b > 0 ? fmtSpeedup(b / a) : "-"});
+    }
+    t2t.print();
+
+    // ---- 3. op-parallelism at a fixed 20-core budget --------------------
+    std::printf("\n-- 3. op-parallelism Psp(O) at 20 cores (DLRM-RMC1, "
+                "b128) --\n");
+    TablePrinter t3t({"Allocation", "QPS"});
+    model::Model rmc1 = model::buildModel(model::ModelId::DlrmRmc1);
+    for (int o : {1, 2, 4}) {
+        t3t.addRow({std::to_string(20 / o) + "x" + std::to_string(o),
+                    cell(qpsOf(engine, t2, rmc1, cpuModel(20 / o, o, 128),
+                               rmc1.sla_ms))});
+    }
+    t3t.print();
+
+    // ---- 4. co-location vs fusion on the V100 --------------------------
+    std::printf("\n-- 4. accelerator levers (DLRM-RMC3 small, "
+                "SLA 50 ms) --\n");
+    model::Model rmc3 =
+        model::buildModel(model::ModelId::DlrmRmc3, model::Variant::Small);
+    TablePrinter t4({"Config", "QPS"});
+    struct Lever
+    {
+        const char* name;
+        int g;
+        int fusion;
+    };
+    for (const Lever& lv :
+         {Lever{"neither (g1, none)", 1, 0},
+          Lever{"co-location only (g4)", 4, 0},
+          Lever{"fusion only (g1 f4000)", 1, 4000},
+          Lever{"both (g2 f4000)", 2, 4000}}) {
+        t4.addRow({lv.name, cell(qpsOf(engine, t7, rmc3,
+                                       gpuModel(lv.g, lv.fusion), 50.0))});
+    }
+    t4.print();
+
+    // ---- 5. NMP offload --------------------------------------------------
+    std::printf("\n-- 5. NMP offload: identical schedule on DDR4 vs "
+                "NMPx2 (b32 keeps every model's\n   batch service time "
+                "inside its SLA on plain DDR4) --\n");
+    TablePrinter t5({"Model", "T2 (DDR4) QPS", "T3 (NMPx2) QPS", "gain"});
+    for (model::ModelId mid :
+         {model::ModelId::DlrmRmc1, model::ModelId::DlrmRmc2,
+          model::ModelId::MtWnd}) {
+        model::Model m = model::buildModel(mid);
+        double ddr = qpsOf(engine, t2, m, cpuModel(10, 2, 32), m.sla_ms);
+        double nmp = qpsOf(engine, t3, m, cpuModel(10, 2, 32), m.sla_ms);
+        t5.addRow({model::modelName(mid), cell(ddr), cell(nmp),
+                   ddr > 0 && nmp > 0 ? fmtSpeedup(nmp / ddr) : "-"});
+    }
+    t5.print();
+    std::printf("\n(one-hot MT-WnD shows no NMP gain — the offload only "
+                "accelerates Gather-Reduce)\n");
+}
+
+struct Figure
+{
+    const char* name;
+    void (*run)(Paper&);
+};
+
+/** Every figure and table, in paper order. */
+const Figure kFigures[] = {
+    {"table1", table1}, {"table2", table2}, {"fig01", fig01},
+    {"fig02", fig02},   {"fig04", fig04},   {"fig05", fig05},
+    {"fig06", fig06},   {"fig07", fig07},   {"fig08", fig08},
+    {"fig11", fig11},   {"fig12", fig12},   {"fig14", fig14},
+    {"fig15", fig15},   {"fig16", fig16},   {"fig17", fig17},
+    {"ablation", ablation},
+};
+
+/** Print the claims, write BENCH_paper.json; 1 if a non-miss one fails. */
+int
+reportClaims(const std::vector<Claim>& claims)
+{
+    std::printf("\n");
+    bench::banner("Claims", "Directional checks of the paper's findings");
+    TablePrinter t({"Figure", "Claim", "Paper", "Measured", "Result"});
+    int failed = 0, misses = 0;
+    for (const Claim& c : claims) {
+        failed += !c.holds && !c.known_miss;
+        misses += !c.holds && c.known_miss;
+        t.addRow({c.figure, c.what, c.paper, c.measured,
+                  c.known_miss ? (c.holds ? "known miss, holds" : "known miss")
+                               : (c.holds ? "holds" : "FAILS")});
+    }
+    t.print();
+    std::printf("\n%zu claims: %d failing, %d known misses\n",
+                claims.size(), failed, misses);
+
+    util::JsonWriter w("BENCH_paper.json");
+    w.beginObject();
+    w.key("git_sha").str(bench::gitSha());
+    w.key("fast").boolean(bench::fastMode());
+    w.key("claims").beginArray();
+    for (const Claim& c : claims) {
+        w.beginObject(util::JsonWriter::Inline);
+        w.key("figure").str(c.figure).key("what").str(c.what);
+        w.key("paper").str(c.paper).key("measured").str(c.measured);
+        w.key("holds").boolean(c.holds);
+        w.key("known_miss").boolean(c.known_miss).endObject();
+    }
+    w.endArray();
+    w.endObject();
+    bench::closeJson(w, "BENCH_paper.json");
+    return failed > 0 ? 1 : 0;
+}
+
+}  // namespace
+
+int
+main(int argc, char** argv)
+{
+    std::vector<const Figure*> chosen;
+    bool bad = argc < 2;
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        const size_t before = chosen.size();
+        for (const Figure& f : kFigures)
+            if (arg == "all" || arg == f.name)
+                chosen.push_back(&f);
+        if (chosen.size() == before) {
+            std::fprintf(stderr, "bench_paper: unknown figure '%s'\n",
+                         arg.c_str());
+            bad = true;
+        }
+    }
+    if (bad) {
+        std::fprintf(stderr, "usage: bench_paper NAME... | all\nnames:");
+        for (const Figure& f : kFigures)
+            std::fprintf(stderr, " %s", f.name);
+        std::fprintf(stderr, "\n");
+        return 2;
+    }
+
+    Paper paper;
+    for (const Figure* f : chosen) {
+        paper.figure = f->name;
+        f->run(paper);
+    }
+    return reportClaims(paper.claims);
+}

@@ -3,7 +3,7 @@
  * Every tunable constant of the performance/power model in one place.
  *
  * The paper evaluates on real hardware; we substitute a calibrated
- * analytical model (see DESIGN.md §2). These constants are chosen so the
+ * analytical model (hw::CostModel). These constants are chosen so the
  * simulator reproduces the *shapes* the paper reports — who wins, by
  * roughly what factor, and where crossovers fall — not absolute numbers.
  * Each constant documents which paper observation pins it down.

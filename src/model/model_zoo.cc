@@ -185,10 +185,10 @@ buildMtWnd(Variant variant)
     m.variant = variant;
     m.num_tables = 26;
     // Table I quotes 3M-40M rows; we cap at 20M so the production
-    // variant fits the smallest (64 GB) host in Table II — see
-    // DESIGN.md "Substitutions". The small variant (~8 GB) fits one
-    // V100 but not two copies, which is what limits Baymax-style model
-    // co-location for MT-WnD in the paper (Fig 6: 1.03x).
+    // variant fits the smallest (64 GB) host in Table II. The small
+    // variant (~8 GB) fits one V100 but not two copies, which is what
+    // limits Baymax-style model co-location for MT-WnD in the paper
+    // (Fig 6: 1.03x).
     m.rows_min = variant == Variant::Prod ? 3'000'000 : 1'200'000;
     m.rows_max = variant == Variant::Prod ? 20'000'000 : 1'200'000;
     m.emb_dim = 64;
@@ -230,8 +230,7 @@ buildDinDien(ModelId id, Variant variant)
     m.variant = variant;
     m.num_tables = 3;
     // Table I quotes 0.1M-600M rows; we cap at 300M so the production
-    // variant fits the smallest (64 GB) host in Table II — see
-    // DESIGN.md "Substitutions".
+    // variant fits the smallest (64 GB) host in Table II.
     m.rows_min = 100'000;
     m.rows_max = variant == Variant::Prod ? 300'000'000 : 1'000'000;
     m.emb_dim = 32;

@@ -426,7 +426,7 @@ TEST(CpuGraphGolden, TimingBitsPinned)
 }
 
 /*
- * bench_fig05_op_workers' two-worker RMC1 schedule, record by record,
+ * Fig 5's (bench_paper fig05) two-worker RMC1 schedule, record by record,
  * captured before the op records became an out-parameter.
  */
 TEST(CpuGraphGolden, Fig05OpRecordsPinned)

@@ -91,7 +91,7 @@ TEST(Pipeline, Fig8aNmpGainLargerForRmc2)
     // At the reduced probe sizes this suite uses, the two gains land
     // within measurement noise of each other; assert the paper's band
     // (~1.7-2.1x) rather than their strict ordering (the full-quality
-    // bench_fig08 run reproduces the ordering itself).
+    // `bench_paper fig08` run checks the ordering as a claim).
     EXPECT_GT(gain(ModelId::DlrmRmc2), 0.85 * gain(ModelId::DlrmRmc1));
     EXPECT_GT(gain(ModelId::DlrmRmc1), 1.3);
     EXPECT_LT(gain(ModelId::DlrmRmc1), 3.0);

@@ -183,8 +183,8 @@ TEST(Zoo, ProdLargerThanSmall)
 
 TEST(Zoo, ProdFitsSmallestHost)
 {
-    // Every production model must fit the 64 GB T1 host (DESIGN.md
-    // documents the Table I row-count caps that guarantee this).
+    // Every production model must fit the 64 GB T1 host: the zoo caps
+    // the Table I row counts of MT-WnD (20M) and DIN/DIEN (300M) for it.
     for (ModelId id : allModels()) {
         Model m = buildModel(id);
         EXPECT_LT(m.totalBytes(), static_cast<int64_t>(0.95 * 64 *
