@@ -1,6 +1,8 @@
 #include "core/efficiency_table.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <string>
 
 #include "util/csv.h"
 #include "util/logging.h"
@@ -70,6 +72,19 @@ EfficiencyTable::rank(model::ModelId m, bool by_energy) const
     return out;
 }
 
+namespace {
+
+/** `v` with 17 significant digits, so tryReadCsv() reads the same double. */
+std::string
+exactDecimal(double v)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return buf;
+}
+
+}  // namespace
+
 void
 EfficiencyTable::writeCsv(const std::string& path) const
 {
@@ -80,10 +95,9 @@ EfficiencyTable::writeCsv(const std::string& path) const
         // tuples can be re-prepared and actually simulated (the
         // trace-driven serving path builds shards from it).
         w.addRow({hw::serverTypeName(e.server), model::modelName(e.model),
-                  e.feasible ? "1" : "0", std::to_string(e.qps),
-                  std::to_string(e.power_w),
-                  std::to_string(e.avg_power_w),
-                  std::to_string(e.qps_per_watt), e.config.key()});
+                  e.feasible ? "1" : "0", exactDecimal(e.qps),
+                  exactDecimal(e.power_w), exactDecimal(e.avg_power_w),
+                  exactDecimal(e.qps_per_watt), e.config.key()});
     }
     w.write(path);
 }

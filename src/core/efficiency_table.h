@@ -76,7 +76,10 @@ class EfficiencyTable
     bool operator!=(const EfficiencyTable& o) const
     { return !(*this == o); }
 
-    /** Persist as CSV. */
+    /**
+     * Persist as CSV, doubles with 17 significant digits: readCsv()
+     * returns a table equal to this one.
+     */
     void writeCsv(const std::string& path) const;
 
     /** Load a table written by writeCsv(); fatal() on malformed data. */

@@ -573,55 +573,116 @@ ClusterSim::drainAll()
         s.inst->drain();
 }
 
+void
+ClusterSim::extractWindow(Shard& s, double t0_s, double t1_s) const
+{
+    ShardWindow& w = s.window;
+    const double sla = slaMs(s.service);
+    const auto& done = s.inst->completions();
+    double last_finish_in_window = t0_s;
+    w.latency_ms.clear();
+    w.first = s.harvest_cursor;
+    w.late = 0;
+    while (s.harvest_cursor < done.size() &&
+           done[s.harvest_cursor].finish_s <= t1_s) {
+        const auto& c = done[s.harvest_cursor++];
+        const double ms = c.latencyMs();
+        w.latency_ms.push_back(ms);
+        if (ms > sla)
+            ++w.late;
+        last_finish_in_window = std::max(last_finish_in_window, c.finish_s);
+    }
+    // Latency feedback reads this window's p99. A window with no
+    // completions is ambiguous: a *drained* shard is genuinely dark
+    // (p99 <= 0, bounded recovery toward base), but a shard with work
+    // still in flight is stalled — the most overloaded shard of all —
+    // and must be penalized at the full step, not rewarded with
+    // recovery. The selection runs on a copy: the merge sums the
+    // latencies in finish order.
+    if (opt_.router == RouterPolicy::LatencyFeedback) {
+        if (!w.latency_ms.empty()) {
+            w.select.assign(w.latency_ms.begin(), w.latency_ms.end());
+            w.feedback_p99 = nearestRankPercentile(w.select, 99.0);
+        } else if (s.inst->outstanding() > 0) {
+            w.feedback_p99 = std::numeric_limits<double>::infinity();
+        } else {
+            w.feedback_p99 = 0.0;
+        }
+    }
+    // Power: an active shard burns (at least idle) power for the whole
+    // window; a released shard only while it still drains; a failed
+    // shard only up to the crash instant (an interval where it
+    // recovers mid-window is charged in full — re-boot churn).
+    double span_end;
+    if (s.health == fault::HealthState::Failed)
+        span_end = std::clamp(std::max(s.failed_at, last_finish_in_window),
+                              t0_s, t1_s);
+    else if (s.active)
+        span_end = t1_s;
+    else if (s.inst->outstanding() > 0)
+        span_end = t1_s;
+    else
+        span_end = std::clamp(
+            std::max(s.released_at, last_finish_in_window), t0_s, t1_s);
+    w.power_w = 0.0;
+    if (span_end > t0_s && t1_s > t0_s)
+        w.power_w = s.inst->avgPowerBetween(t0_s, span_end) *
+                    (span_end - t0_s) / (t1_s - t0_s);
+    // Windows are harvested in order: no later one reads before t0.
+    s.inst->releaseBinsBefore(t0_s);
+}
+
 IntervalStats
 ClusterSim::harvest(double t0_s, double t1_s)
 {
+    return harvest(t0_s, t1_s, nullptr);
+}
+
+IntervalStats
+ClusterSim::harvest(double t0_s, double t1_s, util::ThreadPool* pool)
+{
+    if (pool)
+        pool->parallelFor(shards_.size(), [&](size_t i) {
+            extractWindow(shards_[i], t0_s, t1_s);
+        });
+    else
+        for (Shard& s : shards_)
+            extractWindow(s, t0_s, t1_s);
+
     IntervalStats st;
     st.t0_s = t0_s;
     st.t1_s = t1_s;
     st.active_shards = static_cast<int>(active_.size());
     const size_t num_services = service_state_.size();
 
-    // Each window latency is stored once, in its service's window
-    // buffer; the cluster window tails select over their union.
+    // Each window latency is stored once, in its service's whole-run
+    // buffer, whose newest range is the window.
     for (ServiceState& ss : service_state_)
-        ss.window_ms.reset();
+        ss.latency_ms.startWindow();
     // Queries each service's shards still hold: in flight, or retired
     // after t1_s and not yet harvested.
     std::vector<size_t> held(num_services, 0);
-    // This shard's window latencies; only the feedback router reads them.
-    const bool feedback = opt_.router == RouterPolicy::LatencyFeedback;
-    PercentileTracker shard_lat;
     double consumed = 0.0;
     for (Shard& s : shards_) {
         const int sid = static_cast<int>(&s - shards_.data());
+        const ShardWindow& w = s.window;
         ServiceState& ss = service_state_[static_cast<size_t>(s.service)];
-        const double sla = slaMs(s.service);
-        const auto& done = s.inst->completions();
-        double last_finish_in_window = t0_s;
-        shard_lat.reset();
-        while (s.harvest_cursor < done.size() &&
-               done[s.harvest_cursor].finish_s <= t1_s) {
-            const auto& c = done[s.harvest_cursor++];
-            double ms = c.latencyMs();
-            ss.window_ms.add(ms);
-            if (feedback)
-                shard_lat.add(ms);
-            all_latency_sum_ += ms;
+        for (double ms : w.latency_ms) {
             ss.latency_ms.add(ms);
-            ++ss.total.completed;
-            if (ms > sla)
-                ++ss.total.late;
-            last_finish_in_window = std::max(last_finish_in_window,
-                                             c.finish_s);
-            if (opt_.telemetry) {
-                const double wait_ms = c.queue_wait_s * 1e3;
+            all_latency_sum_ += ms;
+        }
+        ss.total.completed += w.latency_ms.size();
+        ss.total.late += w.late;
+        const auto& done = s.inst->completions();
+        if (opt_.telemetry) {
+            for (size_t i = w.first; i < s.harvest_cursor; ++i) {
+                const double ms = done[i].latencyMs();
+                const double wait_ms = done[i].queue_wait_s * 1e3;
                 opt_.telemetry->observeCompletion(s.service, wait_ms,
                                                   ms - wait_ms, ms);
             }
-        }
-        if (opt_.telemetry)
             opt_.telemetry->drainShardCompletions(sid, done, t1_s);
+        }
         // Both cursors have passed the window's completions: let the
         // shard drop them.
         const size_t dropped = s.inst->releaseCompletions(s.harvest_cursor);
@@ -632,54 +693,27 @@ ClusterSim::harvest(double t0_s, double t1_s)
             s.inst->outstanding() + done.size() - s.harvest_cursor;
         // Latency feedback: fold this window's observed p99 into the
         // shard's routing weight (multiplicative, bounded by the tuple
-        // weight above and the configured floor below). A window with
-        // no completions is ambiguous: a *drained* shard is genuinely
-        // dark (p99 <= 0, bounded recovery toward base), but a shard
-        // with work still in flight is stalled — the most overloaded
-        // shard of all — and must be penalized at the full step, not
-        // rewarded with recovery.
-        // A failed shard's weight is frozen: it is unroutable anyway,
-        // and its post-kill empty window must not read as "drained and
+        // weight above and the configured floor below). A failed
+        // shard's weight is frozen: it is unroutable anyway, and its
+        // post-kill empty window must not read as "drained and
         // recovering" — recovery restores routing at the frozen weight
         // and the first real window speaks for itself.
-        if (feedback && s.health != fault::HealthState::Failed) {
-            double p99;
-            if (shard_lat.count() > 0)
-                p99 = shard_lat.p99();
-            else if (s.inst->outstanding() > 0)
-                p99 = std::numeric_limits<double>::infinity();
-            else
-                p99 = 0.0;
+        if (opt_.router == RouterPolicy::LatencyFeedback &&
+            s.health != fault::HealthState::Failed)
             s.fb_weight = qos::updateFeedbackWeight(
-                s.fb_weight, s.weight, p99, sla, opt_.feedback);
-        }
-        // Power: an active shard burns (at least idle) power for the
-        // whole window; a released shard only while it still drains; a
-        // failed shard only up to the crash instant (an interval where
-        // it recovers mid-window is charged in full — re-boot churn).
-        double span_end;
-        if (s.health == fault::HealthState::Failed)
-            span_end = std::clamp(
-                std::max(s.failed_at, last_finish_in_window), t0_s,
-                t1_s);
-        else if (s.active)
-            span_end = t1_s;
-        else if (s.inst->outstanding() > 0)
-            span_end = t1_s;
-        else
-            span_end = std::clamp(
-                std::max(s.released_at, last_finish_in_window), t0_s,
-                t1_s);
-        if (span_end > t0_s && t1_s > t0_s)
-            consumed += s.inst->avgPowerBetween(t0_s, span_end) *
-                        (span_end - t0_s) / (t1_s - t0_s);
-        // Windows are harvested in order: no later one reads before t0.
-        s.inst->releaseBinsBefore(t0_s);
+                s.fb_weight, s.weight, w.feedback_p99, slaMs(s.service),
+                opt_.feedback);
+        consumed += w.power_w;
     }
-    const Tails window = unionTails(&ServiceState::window_ms);
-    st.p50_ms = window.p50;
-    st.p99_ms = window.p99;
-    st.max_ms = window.max;
+    std::vector<CountedSpan> windows;
+    for (const ServiceState& ss : service_state_) {
+        windows.push_back(ss.latency_ms.window());
+        st.max_ms = std::max(st.max_ms, ss.latency_ms.windowMax());
+    }
+    const std::vector<double> tails = nearestRankPercentiles(windows,
+                                                             {50.0, 99.0});
+    st.p50_ms = tails[0];
+    st.p99_ms = tails[1];
     st.services.resize(num_services);
     Tally cluster;
     for (size_t v = 0; v < num_services; ++v) {
@@ -695,8 +729,10 @@ ClusterSim::harvest(double t0_s, double t1_s)
         cluster += w;
         ServiceIntervalStats& svc = st.services[v];
         report(w, svc);
-        svc.p50_ms = ss.window_ms.p50();
-        svc.p99_ms = ss.window_ms.p99();
+        const std::vector<double> svc_tails =
+            nearestRankPercentiles({windows[v]}, {50.0, 99.0});
+        svc.p50_ms = svc_tails[0];
+        svc.p99_ms = svc_tails[1];
         svc.active_shards = static_cast<int>(active_by_service_[v].size());
     }
     report(cluster, st);
@@ -711,22 +747,6 @@ ClusterSim::harvest(double t0_s, double t1_s)
             : 0.0;
     st.consumed_power_w = consumed;
     return st;
-}
-
-ClusterSim::Tails
-ClusterSim::unionTails(PercentileTracker ServiceState::*buf)
-{
-    std::vector<std::vector<double>*> parts;
-    Tails t;
-    for (ServiceState& ss : service_state_) {
-        PercentileTracker& tracker = ss.*buf;
-        parts.push_back(&tracker.samples());
-        t.max = std::max(t.max, tracker.max());  // latencies are >= 0
-    }
-    t.p50 = nearestRankPercentile(parts, 50.0);
-    t.p95 = nearestRankPercentile(parts, 95.0);
-    t.p99 = nearestRankPercentile(parts, 99.0);
-    return t;
 }
 
 ClusterSimResult
@@ -883,7 +903,7 @@ ClusterSim::run(workload::ArrivalStream& arrivals, double interval_s,
                 replayInterval(k, t0, t1, cur.queries, plan, pool, r.des);
             obs::WallTimer harvest_timer;
             shard_live = shardLiveQueries();
-            st = harvest(t0, t1);
+            st = harvest(t0, t1, &pool);
             r.des.harvest_wall_ms += harvest_timer.elapsedMs();
             if (plan) {
                 st.provisioned_power_w = p.provisioned_power_w;
@@ -916,7 +936,7 @@ ClusterSim::run(workload::ArrivalStream& arrivals, double interval_s,
         tail_timer.restart();
         r.des.peak_live_queries =
             std::max(r.des.peak_live_queries, shardLiveQueries());
-        IntervalStats tail = harvest(tail_start, tail_end);
+        IntervalStats tail = harvest(tail_start, tail_end, &pool);
         r.des.harvest_wall_ms += tail_timer.elapsedMs();
         if (tail.completions > 0 || tail.arrivals > 0) {
             sampleTelemetry(tail);
@@ -926,27 +946,32 @@ ClusterSim::run(workload::ArrivalStream& arrivals, double interval_s,
 
     // Every cluster count is the sum of the service tallies.
     Tally total;
+    std::vector<CountedSpan> all;
     r.services.resize(service_state_.size());
     for (size_t v = 0; v < service_state_.size(); ++v) {
         const ServiceState& ss = service_state_[v];
         ServiceRunStats& out = r.services[v];
         report(ss.total, out);
-        out.p50_ms = ss.latency_ms.p50();
-        out.p99_ms = ss.latency_ms.p99();
+        all.push_back(ss.latency_ms.all());
+        const std::vector<double> tails =
+            nearestRankPercentiles({all.back()}, {50.0, 99.0});
+        out.p50_ms = tails[0];
+        out.p99_ms = tails[1];
         out.max_ms = ss.latency_ms.max();
         out.sla_ms = slaMs(static_cast<int>(v));
         total += ss.total;
+        r.max_ms = std::max(r.max_ms, out.max_ms);
     }
     report(total, r);
     r.admission_retries = admission_retries_;
-    const Tails all = unionTails(&ServiceState::latency_ms);
+    const std::vector<double> tails =
+        nearestRankPercentiles(all, {50.0, 95.0, 99.0});
     r.mean_ms = r.completed > 0
                     ? all_latency_sum_ / static_cast<double>(r.completed)
                     : 0.0;
-    r.p50_ms = all.p50;
-    r.p95_ms = all.p95;
-    r.p99_ms = all.p99;
-    r.max_ms = all.max;
+    r.p50_ms = tails[0];
+    r.p95_ms = tails[1];
+    r.p99_ms = tails[2];
     // Power aggregates skip the drain-tail pseudo-interval: it never
     // went through the plan (provisioned power 0) and its span differs
     // from interval_s, so averaging it in would bias the trajectory.

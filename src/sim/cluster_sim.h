@@ -60,6 +60,7 @@
 #include "qos/qos.h"
 #include "sim/server_instance.h"
 #include "util/rng.h"
+#include "util/stats.h"
 
 namespace hercules::obs {
 class Telemetry;
@@ -460,6 +461,8 @@ class ClusterSim
     /**
      * Collect the statistics of window [t0_s, t1_s): completions that
      * retired inside it, power consumed by active/draining shards.
+     * The per-shard half runs as a plain loop here and on the pool in
+     * run(); both give the same result.
      * Windows must be harvested in order, after advanceTo(t1_s): a
      * harvest lets every shard drop the completions it consumed and
      * the utilization bins before t0_s, so no later window can reach
@@ -477,7 +480,8 @@ class ClusterSim
      * of arrivals are held at a time, and harvested completions are
      * released from the shards, so live state is O(arrival rate x
      * interval + in flight); the whole-run percentiles keep one
-     * latency sample per completion (8 B) per service.
+     * latency sample per completion (8 B) per service, with a count
+     * per bucket that narrows each selection to a few buckets.
      *
      * Parallelism, on one util::ThreadPool per call with one thread
      * per hardware thread, but no more than one per PreparedWorkload
@@ -502,13 +506,23 @@ class ClusterSim
      *    to the arrival, inject) in shard order and advances them to
      *    the cut. Shards sharing a workload share its unlocked CPU
      *    memo, so they stay on one task;
-     *  - plans, health transitions and harvests stay serial, in shard
-     *    order.
+     *  - a harvest extracts each shard's window on the pool, one task
+     *    per shard: the completions up to the window end into the
+     *    shard's reused buffer, its late count, feedback p99 and power
+     *    term, and the release of its old utilization bins. It only
+     *    reads the completion log. A serial merge in shard order then
+     *    does everything whose result depends on order: the appends to
+     *    the service buffers, the whole-run latency sum, the telemetry
+     *    calls, the completion release, the tallies, the feedback
+     *    weights and the consumed-power sum;
+     *  - plans and health transitions stay serial.
      * A shard's events are scheduled only by its own injects and
      * dispatches, so it runs the same events in the same order
-     * whichever thread advances it and whenever; every sum and
-     * percentile sees its samples in the serial order. Results are
-     * bit-identical to a serial per-arrival replay.
+     * whichever thread advances it and whenever; every sum sees its
+     * terms in the serial order, and no percentile depends on the
+     * order of its samples. Results are bit-identical to a serial
+     * per-arrival replay driven through route(), advanceTo() and
+     * harvest().
      *
      * @param arrivals  arrivals in non-decreasing time order; drained.
      * @param horizon_s with a positive value, intervals (and the plan)
@@ -552,6 +566,8 @@ class ClusterSim
      */
     void deliver(util::ThreadPool& pool,
                  const std::vector<workload::Query>& arrivals, double t_s);
+    /** harvest(), with the per-shard extract on `pool` when not null. */
+    IntervalStats harvest(double t0_s, double t1_s, util::ThreadPool* pool);
     /**
      * One interval of run() up to its harvest: health events at t0,
      * the plan, then decisions and deliveries to t1 (see run()).
@@ -561,6 +577,23 @@ class ClusterSim
                                 const std::vector<workload::Query>& arrivals,
                                 const IntervalPlanFn& plan,
                                 util::ThreadPool& pool, obs::DesProfile& des);
+
+    /**
+     * One shard's part of a harvest window, filled by extractWindow()
+     * before the serial merge reads it.
+     */
+    struct ShardWindow
+    {
+        /** The window's latencies in finish order; reused. */
+        std::vector<double> latency_ms;
+        /** A copy the feedback p99's selection reorders; reused. */
+        std::vector<double> select;
+        /** completions()[first, harvest_cursor) retired in the window. */
+        size_t first = 0;
+        size_t late = 0;            ///< of them, past the SLA
+        double feedback_p99 = 0.0;  ///< read by the feedback router only
+        double power_w = 0.0;       ///< term of the window's consumed power
+    };
 
     struct Shard
     {
@@ -578,6 +611,7 @@ class ClusterSim
         fault::HealthState health = fault::HealthState::Healthy;
         double slowdown = 1.0;   ///< latency multiplier in force
         double failed_at = 0.0;  ///< time of the last crash
+        ShardWindow window;      ///< the last harvest's extract
     };
 
     /**
@@ -588,23 +622,19 @@ class ClusterSim
     {
         Tally total;      ///< every outcome so far
         Tally harvested;  ///< `total` at the last harvest
-        PercentileTracker latency_ms;  ///< whole-run latencies
-        PercentileTracker window_ms;   ///< this harvest's latencies
+        /** Whole-run latencies; the last harvest's are its window. */
+        CountedSamples latency_ms;
     };
 
     void ensureService(int service);
     void rebuildActive();
-    /** Cluster-wide tail statistics of one latency population. */
-    struct Tails
-    {
-        double p50 = 0.0, p95 = 0.0, p99 = 0.0, max = 0.0;
-    };
     /**
-     * Tails of the union of every service's `buf` samples, selected in
-     * place across the service buffers (no copy). Nearest-rank
-     * percentiles do not depend on the order of the samples.
+     * The per-shard half of harvest(): consume the shard's completions
+     * up to t1_s into its ShardWindow, compute its feedback p99 and
+     * power term, and release its utilization bins before t0_s. Reads
+     * only this shard, so shards extract concurrently.
      */
-    Tails unionTails(PercentileTracker ServiceState::*buf);
+    void extractWindow(Shard& s, double t0_s, double t1_s) const;
 
     Options opt_;
     SimOptions shard_opt_;  ///< shared by all shard instances

@@ -623,10 +623,12 @@ ServerInstance::finalize() const
     const PercentileTracker& lat =
         opt_.record_completions ? logged : latency_ms_;
     r.mean_ms = lat.mean();
-    r.p50_ms = lat.p50();
-    r.p95_ms = lat.p95();
-    r.p99_ms = lat.p99();
-    r.tail_ms = lat.percentile(opt_.tail_percentile);
+    const std::vector<double> tails =
+        lat.percentiles({50.0, 95.0, 99.0, opt_.tail_percentile});
+    r.p50_ms = tails[0];
+    r.p95_ms = tails[1];
+    r.p99_ms = tails[2];
+    r.tail_ms = tails[3];
     r.max_ms = lat.max();
     r.mean_queue_ms = queue_ms_.mean();
     r.mean_host_ms = host_ms_.mean();

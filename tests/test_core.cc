@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <optional>
+#include <string>
 
 #include "core/profiler.h"
 
@@ -212,6 +214,28 @@ TEST(Profiler, OfflineProfileSubset)
     // Fig 8(a): the NMP server is the better RMC1 machine.
     EXPECT_GT(t3->qps, t2->qps);
     EXPECT_GT(t3->qps_per_watt, t2->qps_per_watt);
+}
+
+/*
+ * A profiled table read back from its CSV is the table that was
+ * profiled, every double bit for bit: a scenario that reuses its
+ * table cache serves the tuples its cold run measured.
+ */
+TEST(Profiler, ProfiledTableSurvivesCsvRoundTrip)
+{
+    ProfilerOptions opt;
+    opt.search = fastSearch();
+    opt.servers = {ServerType::T2, ServerType::T3};
+    opt.models = {ModelId::DlrmRmc1, ModelId::DlrmRmc2};
+    const EfficiencyTable t = offlineProfile(opt);
+    ASSERT_EQ(t.entries().size(), 4u);
+    const std::string path = ::testing::TempDir() + "/hercules_profiled.csv";
+    t.writeCsv(path);
+    const std::optional<EfficiencyTable> back =
+        EfficiencyTable::tryReadCsv(path);
+    std::remove(path.c_str());
+    ASSERT_TRUE(back.has_value());
+    EXPECT_TRUE(*back == t);
 }
 
 TEST(Profiler, OnlineSetupHonoursPowerBudget)

@@ -9,8 +9,13 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <fstream>
+#include <limits>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -20,6 +25,7 @@
 #include "sim/measure.h"
 #include "sim/server_instance.h"
 #include "sim/server_sim.h"
+#include "util/stats.h"
 #include "workload/trace_gen.h"
 
 namespace hercules::sim {
@@ -1419,6 +1425,217 @@ TEST(ParallelReplay, MatchesPerArrivalDelivery)
         ASSERT_EQ(batched.services.size(), 3u);
         for (const ServiceRunStats& sv : batched.services)
             EXPECT_GT(sv.completed, 1000u);
+    }
+}
+
+/** The whole content of a file ("" when it cannot be read). */
+std::string
+readFile(const std::string& path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream out;
+    out << in.rdbuf();
+    return out.str();
+}
+
+/*
+ * run() harvests each window with a per-shard extract on its pool and
+ * a serial merge. The oracle drives the same cluster serially through
+ * the public API: the plan and the boundary health events at t0,
+ * route() per arrival, the health events left inside the window,
+ * advanceTo(t1), then harvest() (whose extract is a plain loop), and
+ * the telemetry samples run() takes. Every window, every trace record
+ * and the metrics export must match. The run-level slices are checked
+ * against the windows (counts) and the trace records (tails), with
+ * every query traced: the run's bucket-counted percentiles against a
+ * plain selection over the same latencies.
+ */
+TEST(ParallelReplay, MatchesSerialHarvestDrive)
+{
+    model::Model m = model::buildModel(ModelId::DlrmRmc1);
+    PreparedWorkload big = prepare(hw::serverSpec(ServerType::T2), m,
+                                   cpuConfig(4, 2, 128));
+    PreparedWorkload small = prepare(hw::serverSpec(ServerType::T2), m,
+                                     cpuConfig(2, 1, 64));
+    PreparedWorkload mid = prepare(hw::serverSpec(ServerType::T2), m,
+                                   cpuConfig(3, 2, 96));
+    const double interval_s = 0.25;
+    const std::vector<workload::Query> trace = flatThreeServiceTrace(1.5);
+    // A crash after interval 4's last arrival, which the drive applies
+    // before its harvest, not at a route().
+    double last_before = 0.0;
+    for (const workload::Query& q : trace)
+        if (q.arrival_s < 5 * interval_s)
+            last_before = q.arrival_s;
+    // A crash and its recovery inside one interval, and a straggler.
+    const std::vector<HealthEvent> health = {
+        {0.31, 6, fault::HealthState::Failed, 1.0},
+        {0.43, 6, fault::HealthState::Healthy, 1.0},
+        {0.8, 3, fault::HealthState::Degraded, 2.5},
+        {1.1, 3, fault::HealthState::Healthy, 1.0},
+        {(last_before + 5 * interval_s) / 2, 0, fault::HealthState::Failed,
+         1.0},
+    };
+    // Intervals 1 and 4 release shards 1 and 4.
+    auto plan = [](int k, double) {
+        IntervalPlan p;
+        for (int id = 0; id < 7; ++id)
+            if (k % 3 != 1 || (id != 1 && id != 4))
+                p.active.push_back(id);
+        p.provisioned_power_w = 100.0 * k;
+        return p;
+    };
+    // run()'s interval-boundary telemetry sample.
+    auto sample = [](ClusterSim& c, obs::Telemetry& tel,
+                     const IntervalStats& st) {
+        for (size_t i = 0; i < c.numShards(); ++i) {
+            const int id = static_cast<int>(i);
+            tel.setShardWindow(id, c.outstanding(id),
+                               static_cast<int>(c.shardHealth(id)));
+        }
+        for (size_t v = 0; v < st.services.size(); ++v)
+            tel.setServiceWindow(static_cast<int>(v), st.services[v].p50_ms,
+                                 st.services[v].p99_ms,
+                                 st.services[v].sla_violation_rate);
+        tel.setClusterWindow(st.active_shards, st.consumed_power_w,
+                             st.provisioned_power_w);
+        tel.commitSample(st.t1_s);
+    };
+
+    for (auto [policy, admission] :
+         {std::pair{RouterPolicy::HerculesWeighted, qos::AdmissionPolicy::None},
+          std::pair{RouterPolicy::LatencyFeedback, qos::AdmissionPolicy::None},
+          std::pair{RouterPolicy::LatencyFeedback,
+                    qos::AdmissionPolicy::Deadline}}) {
+        SCOPED_TRACE(std::string(routerPolicyName(policy)) + " admission " +
+                     std::to_string(static_cast<int>(admission)));
+        auto build = [&](obs::Telemetry* telemetry) {
+            ClusterSim::Options copt;
+            copt.router = policy;
+            copt.sla_ms = 4.0;
+            copt.admission.policy = admission;
+            copt.telemetry = telemetry;
+            auto c = std::make_unique<ClusterSim>(copt);
+            c->addShard(big, 1200.0, 0);
+            c->addShard(big, 1200.0, 0);
+            c->addShard(small, 500.0, 0);
+            c->addShard(small, 500.0, 1);
+            c->addShard(mid, 900.0, 1);
+            c->addShard(mid, 900.0, 2);
+            c->addShard(big, 1200.0, 2);
+            c->scheduleHealth(health);
+            return c;
+        };
+        obs::ObsSpec spec;
+        spec.trace_file = "parallel_replay_trace.jsonl";
+        obs::Telemetry run_tel(spec), drive_tel(spec);
+        const ClusterSimResult r =
+            build(&run_tel)->run(trace, interval_s, plan);
+
+        std::unique_ptr<ClusterSim> c = build(&drive_tel);
+        std::vector<IntervalStats> windows;
+        size_t next = 0;
+        int k = 0;
+        for (; next < trace.size(); ++k) {
+            const double t0 = static_cast<double>(k) * interval_s;
+            const double t1 = t0 + interval_s;
+            c->applyHealthEventsUpTo(t0);
+            const IntervalPlan p = plan(k, t0);
+            std::vector<char> want(c->numShards(), 0);
+            for (int id : p.active)
+                want[static_cast<size_t>(id)] = 1;
+            for (size_t id = 0; id < c->numShards(); ++id)
+                c->setActive(static_cast<int>(id), want[id] != 0, t0);
+            for (; next < trace.size() && trace[next].arrival_s < t1; ++next)
+                c->route(trace[next]);
+            c->applyHealthEventsUpTo(std::nextafter(t1, t0));
+            c->advanceTo(t1);
+            IntervalStats st = c->harvest(t0, t1);
+            st.provisioned_power_w = p.provisioned_power_w;
+            st.budget_power_w = p.budget_power_w;
+            st.power_capped = p.power_capped;
+            sample(*c, drive_tel, st);
+            windows.push_back(st);
+        }
+        // The drain tail runs from the last interval's end to the last
+        // shard clock, which the public API does not expose: take that
+        // end from run()'s tail window.
+        c->advanceTo(std::numeric_limits<double>::infinity());
+        const double tail_start = static_cast<double>(k) * interval_s;
+        ASSERT_EQ(r.intervals.size(), windows.size() + 1);
+        ASSERT_EQ(r.intervals.back().t0_s, tail_start);
+        IntervalStats tail = c->harvest(tail_start, r.intervals.back().t1_s);
+        EXPECT_GT(tail.completions, 0u);
+        sample(*c, drive_tel, tail);
+        windows.push_back(tail);
+
+        ASSERT_EQ(r.intervals.size(), windows.size());
+        for (size_t i = 0; i < windows.size(); ++i) {
+            SCOPED_TRACE("interval " + std::to_string(i));
+            expectSameInterval(r.intervals[i], windows[i]);
+        }
+        expectSameTraceRecords(run_tel.traceRecords(),
+                               drive_tel.traceRecords());
+        const std::string run_metrics =
+            ::testing::TempDir() + "parallel_replay_run_metrics.json";
+        const std::string drive_metrics =
+            ::testing::TempDir() + "parallel_replay_drive_metrics.json";
+        ASSERT_TRUE(run_tel.metrics().writeFile(run_metrics));
+        ASSERT_TRUE(drive_tel.metrics().writeFile(drive_metrics));
+        const std::string exported = readFile(run_metrics);
+        EXPECT_FALSE(exported.empty());
+        EXPECT_EQ(exported, readFile(drive_metrics));
+        std::remove(run_metrics.c_str());
+        std::remove(drive_metrics.c_str());
+
+        // Run-level slices: counts from the windows, which partition
+        // the run, and tails from every traced completion.
+        const size_t num_services = r.services.size();
+        ASSERT_EQ(num_services, 3u);
+        std::vector<Tally> tallies(num_services);
+        for (const IntervalStats& w : windows)
+            for (size_t v = 0; v < num_services; ++v) {
+                const ServiceIntervalStats& s = w.services[v];
+                const size_t shed = s.dropped + s.rejected + s.failed_inflight;
+                tallies[v] += Tally{s.arrivals,        s.completions,
+                                    s.dropped,         s.rejected,
+                                    s.failed_inflight, s.sla_violations - shed};
+            }
+        std::vector<std::vector<double>> latencies(num_services);
+        std::vector<double> all;
+        for (const obs::TraceRecord& rec : run_tel.traceRecords())
+            if (rec.outcome == obs::TraceOutcome::Completed) {
+                const double ms = (rec.finish_s - rec.arrival_s) * 1e3;
+                latencies[static_cast<size_t>(rec.service)].push_back(ms);
+                all.push_back(ms);
+            }
+        for (size_t v = 0; v < num_services; ++v) {
+            SCOPED_TRACE("service " + std::to_string(v));
+            const ServiceRunStats& sv = r.services[v];
+            const Tally& t = tallies[v];
+            EXPECT_EQ(sv.injected, t.injected);
+            EXPECT_EQ(sv.completed, t.completed);
+            EXPECT_EQ(sv.dropped, t.dropped);
+            EXPECT_EQ(sv.rejected, t.rejected);
+            EXPECT_EQ(sv.failed_inflight, t.failed_inflight);
+            EXPECT_EQ(sv.sla_violations, t.slaViolations());
+            EXPECT_EQ(sv.sla_violation_rate, t.violationRate());
+            EXPECT_EQ(sv.sla_ms, c->slaMs(static_cast<int>(v)));
+            ASSERT_EQ(latencies[v].size(), sv.completed);
+            EXPECT_EQ(sv.p50_ms, nearestRankPercentile(latencies[v], 50.0));
+            EXPECT_EQ(sv.p99_ms, nearestRankPercentile(latencies[v], 99.0));
+            EXPECT_EQ(sv.max_ms, *std::max_element(latencies[v].begin(),
+                                                   latencies[v].end()));
+        }
+        ASSERT_EQ(all.size(), r.completed);
+        EXPECT_EQ(r.p50_ms, nearestRankPercentile(all, 50.0));
+        EXPECT_EQ(r.p95_ms, nearestRankPercentile(all, 95.0));
+        EXPECT_EQ(r.p99_ms, nearestRankPercentile(all, 99.0));
+        EXPECT_EQ(r.max_ms, *std::max_element(all.begin(), all.end()));
+        EXPECT_GT(r.failed_inflight, 0u);
+        if (admission == qos::AdmissionPolicy::Deadline) {
+            EXPECT_GT(r.rejected, 0u);
+        }
     }
 }
 

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <random>
 #include <vector>
 
@@ -247,59 +248,180 @@ bitsOf(double x)
 }
 
 /*
- * The multi-part selection equals nearestRankPercentile() over the
- * concatenated parts, bit for bit, for every kind of data and every
- * shape of parts, and whatever order an earlier selection left the
- * parts in.
+ * Bucket-counted selection equals nearestRankPercentile() over the
+ * concatenated parts, for every shape of parts and every kind of
+ * value: random, duplicated, signed zeros, denormals, negatives,
+ * infinities, and values below and above the bucket range. Equal
+ * order statistics are equal values; the only distinct bit patterns
+ * that compare equal are -0 and +0, so a zero result is checked by
+ * value and every other by its bits. Selecting leaves the parts as
+ * they were.
  */
-TEST(NearestRankPercentileParts, MatchesConcatenation)
+TEST(CountedSamples, SelectionMatchesConcatenation)
 {
     const std::vector<std::vector<size_t>> shapes = {
         {1},           {2000},         {0, 0, 700, 0}, {1, 1, 1, 1, 1},
         {1, 999},      {999, 1},       {5, 3000, 0, 37},
-        {400, 400, 400}, {0, 1, 0, 2, 0, 3}, {17, 2, 1200, 1, 0, 64}};
-    const std::vector<double> ps = {0.0, 1.0, 50.0, 95.0, 99.0, 100.0};
+        {400, 400, 400}, {0, 1, 0, 2, 0, 3}, {17, 2, 1200, 1, 0, 64},
+        // Parts that fill one storage block exactly, and span several.
+        {CountedSamples::kBlockSamples, 1},
+        {3 * CountedSamples::kBlockSamples + 5, 0, 9000}};
+    const std::vector<double> ps = {0.0, 1.0, 50.0, 95.0, 99.0, 99.9, 100.0};
+    const double inf = std::numeric_limits<double>::infinity();
+    const double denormal = std::numeric_limits<double>::denorm_min();
+    const double below = std::ldexp(1.0, kSampleBucketLoExp);
+    const double above = std::ldexp(1.0, kSampleBucketHiExp);
+    const std::vector<double> specials = {
+        0.0,       -0.0,          denormal,    -denormal,   -1.5,
+        -1e300,    inf,           -inf,        1e-300,      below,
+        std::nextafter(below, 0.0),            above,
+        std::nextafter(above, 0.0),            1e300,       7.0};
     std::mt19937_64 gen(7);
     std::uniform_real_distribution<double> uniform(0.0, 50.0);
     std::uniform_int_distribution<int> few(0, 4);
-    enum class Data { Random, Ties, AllEqual };
-    for (Data data : {Data::Random, Data::Ties, Data::AllEqual})
+    std::uniform_int_distribution<size_t> pick(0, specials.size() - 1);
+    enum class Data { Random, Ties, AllEqual, Specials, Mixed };
+    for (Data data : {Data::Random, Data::Ties, Data::AllEqual,
+                      Data::Specials, Data::Mixed})
         for (const std::vector<size_t>& shape : shapes) {
-            std::vector<std::vector<double>> parts;
+            std::vector<CountedSamples> parts(shape.size());
             std::vector<double> all;
-            for (size_t n : shape) {
-                parts.emplace_back();
-                for (size_t i = 0; i < n; ++i) {
-                    const double x = data == Data::Random ? uniform(gen)
-                                     : data == Data::Ties
-                                         ? static_cast<double>(few(gen))
-                                         : 3.25;
-                    parts.back().push_back(x);
+            for (size_t i = 0; i < shape.size(); ++i)
+                for (size_t j = 0; j < shape[i]; ++j) {
+                    double x = 3.25;
+                    if (data == Data::Random)
+                        x = uniform(gen);
+                    else if (data == Data::Ties)
+                        x = static_cast<double>(few(gen));
+                    else if (data == Data::Specials)
+                        x = specials[pick(gen)];
+                    else if (data == Data::Mixed)
+                        x = few(gen) == 0 ? specials[pick(gen)] : uniform(gen);
+                    parts[i].add(x);
                     all.push_back(x);
                 }
-            }
-            std::vector<std::vector<double>*> ptrs;
-            for (std::vector<double>& part : parts)
-                ptrs.push_back(&part);
-            for (double p : ps) {
+            std::vector<CountedSpan> spans;
+            for (const CountedSamples& part : parts)
+                spans.push_back(part.all());
+            const std::vector<double> before = all;
+            const std::vector<double> got = nearestRankPercentiles(spans, ps);
+            ASSERT_EQ(got.size(), ps.size());
+            for (size_t k = 0; k < ps.size(); ++k) {
                 SCOPED_TRACE("data " + std::to_string(static_cast<int>(data)) +
                              " parts " + std::to_string(shape.size()) +
-                             " p " + std::to_string(p));
-                const double want = nearestRankPercentile(all, p);
-                const double got = nearestRankPercentile(ptrs, p);
-                EXPECT_EQ(bitsOf(got), bitsOf(want));
+                             " p " + std::to_string(ps[k]));
+                std::vector<double> copy = before;
+                const double want = nearestRankPercentile(copy, ps[k]);
+                if (want == 0.0)
+                    EXPECT_EQ(got[k], 0.0);
+                else
+                    EXPECT_EQ(bitsOf(got[k]), bitsOf(want));
             }
-            // Reordered, never resized.
-            for (size_t i = 0; i < shape.size(); ++i)
-                EXPECT_EQ(parts[i].size(), shape[i]);
+            // The parts are read, never reordered.
+            size_t at = 0;
+            for (const CountedSpan& span : spans)
+                span.samples->forEachRun(
+                    span.first, span.last,
+                    [&](const double* x, const double* end) {
+                        for (; x != end; ++x)
+                            EXPECT_EQ(bitsOf(*x), bitsOf(before[at++]));
+                    });
+            EXPECT_EQ(at, before.size());
         }
 }
 
-TEST(NearestRankPercentileParts, NoSamplesIsZero)
+TEST(CountedSamples, NoSamplesIsZero)
 {
-    std::vector<double> empty_a, empty_b;
-    EXPECT_EQ(nearestRankPercentile({}, 50.0), 0.0);
-    EXPECT_EQ(nearestRankPercentile({&empty_a, &empty_b}, 99.0), 0.0);
+    CountedSamples a, b;
+    EXPECT_EQ(nearestRankPercentiles({}, {50.0}), std::vector<double>{0.0});
+    EXPECT_EQ(nearestRankPercentiles({a.all(), b.window()}, {99.0, 1.0}),
+              (std::vector<double>{0.0, 0.0}));
+    EXPECT_EQ(a.max(), 0.0);
+    EXPECT_EQ(a.windowMax(), 0.0);
+}
+
+TEST(CountedSamples, BucketsNeverDecreaseWithTheValue)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    std::vector<double> xs = {-inf, -1e300, -2.0, -0.0, 0.0,
+                              std::numeric_limits<double>::denorm_min(),
+                              1e-300, inf};
+    for (int e = kSampleBucketLoExp - 2; e <= kSampleBucketHiExp + 2; ++e)
+        for (double m : {1.0, 1.0 + 1.0 / 256, 1.5, 1.99})
+            xs.push_back(std::ldexp(m, e));
+    std::sort(xs.begin(), xs.end());
+    for (size_t i = 1; i < xs.size(); ++i)
+        EXPECT_LE(sampleBucket(xs[i - 1]), sampleBucket(xs[i])) << xs[i];
+    EXPECT_EQ(sampleBucket(-0.0), sampleBucket(0.0));
+    EXPECT_EQ(sampleBucket(-inf), 0u);
+    EXPECT_EQ(sampleBucket(inf), kSampleBuckets - 1);
+    // 128 sub-buckets per binade inside the range.
+    EXPECT_EQ(sampleBucket(2.0) - sampleBucket(1.0), 128u);
+    EXPECT_EQ(sampleBucket(std::ldexp(1.0, kSampleBucketLoExp)), 1u);
+}
+
+/*
+ * A window is the range added since startWindow(), with its own counts
+ * and max; the whole buffer keeps every sample.
+ */
+TEST(CountedSamples, WindowIsTheNewestRange)
+{
+    SampleStream gen(5);
+    CountedSamples s;
+    std::vector<double> all, window;
+    for (int round = 0; round < 4; ++round) {
+        s.startWindow();
+        window.clear();
+        // Windows of 0, 5000, 10000 and 15000 samples: later ones
+        // straddle storage blocks.
+        for (int i = 0; i < 5000 * round; ++i) {
+            const double x = gen.next();
+            s.add(x);
+            all.push_back(x);
+            window.push_back(x);
+        }
+        ASSERT_EQ(s.count(), all.size());
+        ASSERT_EQ(s.windowCount(), window.size());
+        const std::vector<double> ps = {50.0, 99.0};
+        std::vector<double> w = window, a = all;
+        EXPECT_EQ(nearestRankPercentiles({s.window()}, ps),
+                  nearestRankPercentiles(w, ps));
+        EXPECT_EQ(nearestRankPercentiles({s.all()}, ps),
+                  nearestRankPercentiles(a, ps));
+        EXPECT_EQ(s.windowMax(),
+                  window.empty() ? 0.0
+                                 : *std::max_element(window.begin(),
+                                                     window.end()));
+        EXPECT_EQ(s.max(), all.empty() ? 0.0
+                                       : *std::max_element(all.begin(),
+                                                           all.end()));
+    }
+}
+
+/*
+ * Several percentiles from one ascending pass equal one selection
+ * each, whatever the order of the ps (repeats included).
+ */
+TEST(NearestRankPercentiles, OnePassMatchesOneSelectionEach)
+{
+    const std::vector<double> ps = {99.0, 50.0, 95.0, 99.0, 0.0, 100.0, 0.1};
+    for (size_t n : {size_t{1}, size_t{2}, size_t{7}, size_t{400},
+                     size_t{2001}}) {
+        SampleStream gen(n);
+        std::vector<double> xs;
+        for (size_t i = 0; i < n; ++i)
+            xs.push_back(gen.next());
+        std::vector<double> once = xs;
+        const std::vector<double> got = nearestRankPercentiles(once, ps);
+        for (size_t k = 0; k < ps.size(); ++k) {
+            std::vector<double> copy = xs;
+            EXPECT_EQ(got[k], nearestRankPercentile(copy, ps[k]))
+                << "n=" << n << " p=" << ps[k];
+        }
+    }
+    std::vector<double> empty;
+    EXPECT_EQ(nearestRankPercentiles(empty, {50.0, 99.0}),
+              (std::vector<double>{0.0, 0.0}));
 }
 
 TEST(PercentileTracker, SelectionMatchesSortReference)
