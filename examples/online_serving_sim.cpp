@@ -30,7 +30,6 @@
  */
 #include <algorithm>
 #include <cstdio>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -284,11 +283,11 @@ runSpec(const scenario::ScenarioSpec& spec)
 }
 
 /**
- * --lint: static semantic analysis of one spec file. Never simulates;
- * the spec's table_cache (when it exists and parses) additionally
- * enables the efficiency-table checks. Exit 1 on any E1xx error (or a
- * file that does not parse), 0 otherwise — warnings are printed but
- * never block.
+ * --lint: static semantic analysis of one spec file. Never simulates
+ * the spec; the spec's table_cache, when scenario::cachedTable() may
+ * reuse it, additionally enables the efficiency-table checks. Exit 1
+ * on any E1xx error (or a file that does not parse), 0 otherwise —
+ * warnings are printed but never block.
  */
 int
 lintScenarioFile(const std::string& path)
@@ -300,11 +299,7 @@ lintScenarioFile(const std::string& path)
                      err.c_str());
         return 1;
     }
-    std::optional<core::EfficiencyTable> table;
-    if (!spec->profile.table_cache.empty() &&
-        std::filesystem::exists(spec->profile.table_cache))
-        table =
-            core::EfficiencyTable::tryReadCsv(spec->profile.table_cache);
+    std::optional<core::EfficiencyTable> table = scenario::cachedTable(*spec);
 
     std::vector<scenario::Diagnostic> ds =
         scenario::lint(*spec, table.has_value() ? &*table : nullptr);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <string>
 
 #include "util/csv.h"
@@ -74,6 +75,9 @@ EfficiencyTable::rank(model::ModelId m, bool by_energy) const
 
 namespace {
 
+/** Starts the provenance line writeCsv() puts above the column header. */
+constexpr const char* kProvenancePrefix = "# ";
+
 /** `v` with 17 significant digits, so tryReadCsv() reads the same double. */
 std::string
 exactDecimal(double v)
@@ -86,10 +90,12 @@ exactDecimal(double v)
 }  // namespace
 
 void
-EfficiencyTable::writeCsv(const std::string& path) const
+EfficiencyTable::writeCsv(const std::string& path,
+                          const std::string& provenance) const
 {
     CsvWriter w({"server", "model", "feasible", "qps", "power_w",
                  "avg_power_w", "qps_per_watt", "config"});
+    w.setPreamble(kProvenancePrefix + provenance);
     for (const auto& e : entries_) {
         // The config is persisted as its canonical key() so cached
         // tuples can be re-prepared and actually simulated (the
@@ -103,11 +109,20 @@ EfficiencyTable::writeCsv(const std::string& path) const
 }
 
 std::optional<EfficiencyTable>
-EfficiencyTable::tryReadCsv(const std::string& path)
+EfficiencyTable::tryReadCsv(const std::string& path, std::string* provenance)
 {
     auto rows = readCsvFile(path);
+    // The provenance line, when present, parses as a one-cell row above
+    // the column header.
+    size_t header = 0;
+    provenance->clear();
+    if (!rows.empty() && rows[0].size() == 1 &&
+        rows[0][0].rfind(kProvenancePrefix, 0) == 0) {
+        *provenance = rows[0][0].substr(std::strlen(kProvenancePrefix));
+        header = 1;
+    }
     EfficiencyTable table;
-    for (size_t i = 1; i < rows.size(); ++i) {
+    for (size_t i = header + 1; i < rows.size(); ++i) {
         const auto& r = rows[i];
         if (r.size() < 7)
             return std::nullopt;
@@ -155,7 +170,8 @@ EfficiencyTable::tryReadCsv(const std::string& path)
 EfficiencyTable
 EfficiencyTable::readCsv(const std::string& path)
 {
-    auto table = tryReadCsv(path);
+    std::string provenance;
+    auto table = tryReadCsv(path, &provenance);
     if (!table.has_value())
         fatal("EfficiencyTable::readCsv: %s is malformed or written by "
               "an older build (delete the file and re-profile)",

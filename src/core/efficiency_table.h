@@ -78,9 +78,12 @@ class EfficiencyTable
 
     /**
      * Persist as CSV, doubles with 17 significant digits: readCsv()
-     * returns a table equal to this one.
+     * returns a table equal to this one. `provenance` (what produced
+     * the table; no commas or quotes) is written above the column
+     * header as the line `# <provenance>`.
      */
-    void writeCsv(const std::string& path) const;
+    void writeCsv(const std::string& path,
+                  const std::string& provenance) const;
 
     /** Load a table written by writeCsv(); fatal() on malformed data. */
     static EfficiencyTable readCsv(const std::string& path);
@@ -89,9 +92,11 @@ class EfficiencyTable
      * Load a table, returning std::nullopt instead of dying when the
      * file is malformed or written by an older build (stale config
      * encoding). Cache consumers use this to fall back to re-profiling.
+     * @param provenance set to the file's provenance line (empty when
+     *        it has none).
      */
     static std::optional<EfficiencyTable> tryReadCsv(
-        const std::string& path);
+        const std::string& path, std::string* provenance);
 
   private:
     std::vector<EfficiencyEntry> entries_;

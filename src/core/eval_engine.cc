@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "core/fingerprint.h"
 #include "obs/self_profile.h"
 #include "util/logging.h"
 
@@ -230,12 +231,21 @@ EvalEngine::clearCache()
 // One line per entry:  <key>\t<valid> <has_point> [<point numbers...>]
 // The key is the canonical cacheKey() string (never contains tabs or
 // newlines); numbers are %.17g so doubles round-trip bit-exactly. The
-// header pins a format version — a mismatched file loads nothing
-// rather than poisoning the memo with misparsed results.
+// header pins a format version and the build fingerprint
+// (core/fingerprint.h) — a file of another format or another build
+// loads nothing rather than poisoning the memo with misparsed or stale
+// results.
 
 namespace {
 
 constexpr const char* kCacheMagic = "HERCULES_EVAL_CACHE v2";
+
+/** The first line of a memo file this build writes and loads. */
+std::string
+cacheHeader()
+{
+    return std::string(kCacheMagic) + " fp=" + buildFingerprintHex();
+}
 
 void
 writePoint(FILE* f, const sim::OperatingPoint& p)
@@ -311,7 +321,7 @@ EvalEngine::saveCache(const std::string& path) const
         warn("EvalEngine::saveCache: cannot open %s", path.c_str());
         return 0;
     }
-    std::fprintf(f, "%s\n", kCacheMagic);
+    std::fprintf(f, "%s\n", cacheHeader().c_str());
     for (const auto& [key, result] : entries) {
         std::fprintf(f, "%s\t%d %d", key.c_str(),
                      result.valid ? 1 : 0,
@@ -340,9 +350,16 @@ EvalEngine::loadCache(const std::string& path)
         return !(line.empty() && c == EOF);
     };
 
-    if (!readLine() || line != kCacheMagic) {
-        warn("EvalEngine::loadCache: %s lacks the %s header",
-             path.c_str(), kCacheMagic);
+    const std::string header = cacheHeader();
+    if (!readLine() || line != header) {
+        if (line.rfind(kCacheMagic, 0) == 0)
+            warn("EvalEngine::loadCache: %s was written by another build "
+                 "('%s', this build '%s'); loading 0 entries",
+                 path.c_str(), line.c_str(), header.c_str());
+        else
+            warn("EvalEngine::loadCache: %s lacks the %s header; loading "
+                 "0 entries",
+                 path.c_str(), kCacheMagic);
         std::fclose(f);
         return 0;
     }

@@ -120,17 +120,21 @@ class EvalEngine
 
     /**
      * Spill the memo to disk: every *computed* entry (in-flight cells
-     * are skipped) is written as one line of a versioned text file,
-     * keyed by the canonical cache key. Repeated bench/CI runs load
-     * the file to warm-start instead of re-simulating.
+     * are skipped) is written as one line of a text file whose header
+     * carries the format version and the build fingerprint
+     * (core/fingerprint.h), keyed by the canonical cache key.
+     * Repeated bench/CI runs load the file to warm-start instead of
+     * re-simulating.
      * @return entries written; 0 when the file cannot be opened.
      */
     size_t saveCache(const std::string& path) const EXCLUDES(mu_);
 
     /**
      * Merge a saveCache() file into the memo. Entries whose key is
-     * already cached are skipped (the in-memory result wins);
-     * malformed or version-mismatched files load nothing. Results
+     * already cached are skipped (the in-memory result wins); a file
+     * of another format version or written by another build (its
+     * header's buildFingerprint() differs) loads nothing and says why
+     * on stderr; malformed lines are skipped. Results
      * served from loaded entries report cache_hit like any memo hit.
      * @return entries inserted.
      */

@@ -192,76 +192,137 @@ CostModel::cpuGraphTiming(const Graph& g, int batch,
     return t;
 }
 
+namespace {
+
+/** HBM bandwidth (B/s) an embedding gather kernel reaches. */
+double
+hbmGatherBw(const GpuSpec& gpu)
+{
+    return gpu.hbm_gbps * calib::kGpuHbmGatherEff * 1e9;
+}
+
+/** Peak arithmetic rate (FLOP/s). */
+double
+peakFlops(const GpuSpec& gpu)
+{
+    return gpu.peakTflops() * 1e12;
+}
+
+/**
+ * One embedding gather kernel (us): `b` items of `avg_pooling * ps`
+ * rows each, the resident `hot` fraction of them gathered from HBM.
+ */
+double
+gpuEmbeddingKernelUs(double b, double avg_pooling, double emb_dim,
+                     double ps, double hot, double hbm_bw, double slow)
+{
+    double pooling = std::max(1.0, avg_pooling * ps * hot);
+    double bytes = b * pooling * emb_dim * 4.0;
+    return calib::kGpuKernelLaunchUs + bytes / hbm_bw * 1e6 * slow;
+}
+
+/** One compute kernel (us) of `flops_per_item` over a batch. */
+double
+gpuComputeKernelUs(int batch, double flops_per_item, bool recurrent,
+                   double peak_flops, double slow)
+{
+    double eff = gpuBatchEff(batch);
+    if (recurrent) {
+        // Sequence-serial recurrence keeps the device poorly utilized
+        // regardless of batch.
+        eff *= 0.30;
+    }
+    double flops = flops_per_item * static_cast<double>(batch);
+    double rate = peak_flops * eff;
+    return calib::kGpuKernelLaunchUs + flops / rate * 1e6 * slow;
+}
+
+}  // namespace
+
 double
 CostModel::gpuKernelLatencyUs(const Node& n, int batch,
                               const GpuExecContext& cx) const
 {
-    using namespace calib;
     if (!server_.hasGpu())
         panic("gpuKernelLatencyUs: server %s has no GPU",
               server_.name.c_str());
 
     const GpuSpec& gpu = *server_.gpu;
     double slow = colocSlowdown(cx.colocated);
-    double b = static_cast<double>(batch);
-
     if (n.kind() == OpKind::EmbeddingLookup) {
         const auto& p = std::get<EmbeddingParams>(n.params);
-        double pooling = std::max(
-            1.0, p.avgPooling() * cx.pooling_scale * cx.hot_hit_rate);
-        double bytes = b * pooling * p.emb_dim * 4.0;
-        double bw = gpu.hbm_gbps * kGpuHbmGatherEff * 1e9;
-        return kGpuKernelLaunchUs + bytes / bw * 1e6 * slow;
+        return gpuEmbeddingKernelUs(static_cast<double>(batch),
+                                    p.avgPooling(), p.emb_dim,
+                                    cx.pooling_scale, cx.hot_hit_rate,
+                                    hbmGatherBw(gpu), slow);
     }
-
-    double eff = gpuBatchEff(batch);
-    if (n.kind() == OpKind::Gru) {
-        // Sequence-serial recurrence keeps the device poorly utilized
-        // regardless of batch.
-        eff *= 0.30;
-    }
-    double flops = model::opCostPerItem(n).flops * b;
-    double rate = gpu.peakTflops() * 1e12 * eff;
-    return kGpuKernelLaunchUs + flops / rate * 1e6 * slow;
+    return gpuComputeKernelUs(batch, model::opCostPerItem(n).flops,
+                              n.kind() == OpKind::Gru, peakFlops(gpu),
+                              slow);
 }
 
-double
-CostModel::gpuInputBytes(const Graph& g, int batch,
-                         const GpuExecContext& cx) const
+GpuBatchPlan
+CostModel::gpuBatchPlan(const Graph& g, const GpuExecContext& cx) const
 {
-    double per_item = 0.0;
+    if (!server_.hasGpu())
+        panic("gpuBatchPlan: server %s has no GPU", server_.name.c_str());
+
+    GpuBatchPlan plan;
+    plan.hot_hit_rate_ = cx.hot_hit_rate;
+    plan.slowdown_ = colocSlowdown(cx.colocated);
+    plan.hbm_bw_ = hbmGatherBw(*server_.gpu);
+    plan.peak_flops_ = peakFlops(*server_.gpu);
+
+    // Kernels issue back to back on the thread's stream, in
+    // topological order.
+    plan.steps_.reserve(g.nodes().size());
+    for (int id : g.topoOrder()) {
+        const Node& n = g.node(id);
+        GpuBatchPlan::Step s;
+        if (n.kind() == OpKind::EmbeddingLookup) {
+            const auto& p = std::get<EmbeddingParams>(n.params);
+            s.embedding = true;
+            s.avg_pooling = p.avgPooling();
+            s.emb_dim = p.emb_dim;
+        } else {
+            s.recurrent = n.kind() == OpKind::Gru;
+            s.flops_per_item = model::opCostPerItem(n).flops;
+        }
+        plan.steps_.push_back(s);
+    }
+
+    using Kind = GpuBatchPlan::InputTerm::Kind;
+    auto add = [&](Kind k, double a, double b = 0.0) {
+        plan.inputs_.push_back({k, a, b});
+    };
     for (const auto& n : g.nodes()) {
-        model::OpCost cost = model::opCostPerItem(n);
         switch (n.kind()) {
           case OpKind::EmbeddingLookup: {
-            const auto& p = std::get<EmbeddingParams>(n.params);
-            double pooling =
-                std::max(1.0, p.avgPooling() * cx.pooling_scale);
             // Resident fraction receives raw indices. The cold fraction
             // of a pooled lookup was pre-reduced on the host and arrives
             // as one partial-sum vector per table; a non-pooled cold
             // fraction must ship the gathered rows themselves.
-            per_item += pooling * cx.hot_hit_rate * 8.0;
+            const auto& p = std::get<EmbeddingParams>(n.params);
+            add(Kind::Indices, p.avgPooling());
             if (cx.hot_hit_rate < 1.0) {
                 if (p.pooled)
-                    per_item += p.emb_dim * 4.0;
+                    add(Kind::Constant, p.emb_dim * 4.0);
                 else
-                    per_item += (1.0 - cx.hot_hit_rate) * pooling *
-                                p.emb_dim * 4.0;
+                    add(Kind::ColdRows, p.avgPooling(), p.emb_dim);
             }
             break;
           }
           case OpKind::Fc:
-            if (n.deps.empty())
-                per_item += cost.input_bytes;  // root dense features
+            if (n.deps.empty())  // root dense features
+                add(Kind::Constant, model::opCostPerItem(n).input_bytes);
             break;
           case OpKind::Interaction: {
             // Dependencies severed by partitioning arrive over PCIe.
             const auto& p = std::get<model::InteractionParams>(n.params);
             int missing = p.num_features - static_cast<int>(n.deps.size());
             if (missing > 0)
-                per_item += static_cast<double>(missing) *
-                            p.feature_dim * 4.0;
+                add(Kind::Constant,
+                    static_cast<double>(missing) * p.feature_dim * 4.0);
             break;
           }
           case OpKind::Attention: {
@@ -272,36 +333,77 @@ CostModel::gpuInputBytes(const Graph& g, int batch,
                 if (k == OpKind::EmbeddingLookup || k == OpKind::Gru)
                     has_seq_producer = true;
             }
-            if (!has_seq_producer) {
-                per_item += p.avgSeqLen() * cx.pooling_scale *
-                            p.behavior_dim * 4.0;
-            }
+            if (!has_seq_producer)
+                add(Kind::Sequence, p.avgSeqLen(), p.behavior_dim);
             break;
           }
           case OpKind::Gru: {
             const auto& p = std::get<model::GruParams>(n.params);
-            if (n.deps.empty()) {
-                per_item += p.avgSeqLen() * cx.pooling_scale *
-                            p.input_dim * 4.0;
-            }
+            if (n.deps.empty())
+                add(Kind::Sequence, p.avgSeqLen(), p.input_dim);
             break;
           }
           case OpKind::Concat: {
+            // A root concat's whole input arrives over PCIe.
             const auto& p = std::get<model::ConcatParams>(n.params);
-            double present = 0.0;
-            for (int d : n.deps)
-                present += model::opCostPerItem(g.node(d)).output_bytes;
-            double missing = static_cast<double>(p.total_dim) * 4.0 -
-                             present;
-            if (missing > 0.0 && n.deps.empty())
-                per_item += missing;
+            double bytes = static_cast<double>(p.total_dim) * 4.0;
+            if (n.deps.empty() && bytes > 0.0)
+                add(Kind::Constant, bytes);
             break;
           }
           default:
             break;
         }
     }
-    return per_item * static_cast<double>(batch);
+    return plan;
+}
+
+void
+GpuBatchPlan::batchOnlyKernelsUs(int items, std::vector<double>& out) const
+{
+    for (const Step& s : steps_)
+        if (!s.embedding)
+            out.push_back(gpuComputeKernelUs(items, s.flops_per_item,
+                                             s.recurrent, peak_flops_,
+                                             slowdown_));
+}
+
+double
+GpuBatchPlan::latencyUs(int items, double ps, const double* kernels) const
+{
+    const double b = static_cast<double>(items);
+    double latency = 0.0;
+    for (const Step& s : steps_)
+        latency += s.embedding
+                       ? gpuEmbeddingKernelUs(b, s.avg_pooling, s.emb_dim,
+                                              ps, hot_hit_rate_, hbm_bw_,
+                                              slowdown_)
+                       : *kernels++;
+    return latency;
+}
+
+double
+GpuBatchPlan::inputBytes(int items, double ps) const
+{
+    double per_item = 0.0;
+    for (const InputTerm& t : inputs_) {
+        switch (t.kind) {
+          case InputTerm::Kind::Constant:
+            per_item += t.a;
+            break;
+          case InputTerm::Kind::Indices:
+            per_item += std::max(1.0, t.a * ps) * hot_hit_rate_ * 8.0;
+            break;
+          case InputTerm::Kind::ColdRows:
+            per_item += (1.0 - hot_hit_rate_) * std::max(1.0, t.a * ps) *
+                        t.b * 4.0;
+            break;
+          case InputTerm::Kind::Sequence:
+            per_item += t.a * ps * t.b * 4.0;
+            break;
+        }
+    }
+    return per_item * static_cast<double>(items);
 }
 
 double

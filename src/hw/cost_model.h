@@ -17,6 +17,7 @@
  */
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -56,6 +57,83 @@ struct GraphTiming
     double dram_bytes = 0.0;   ///< host DRAM traffic of the batch
     double nmp_busy_us = 0.0;  ///< time the NMP device was occupied
     double nmp_energy_uj = 0.0;
+};
+
+/**
+ * The per-batch costing of one accelerator placement, compiled once by
+ * CostModel::gpuBatchPlan() from (graph, GpuExecContext), so that a
+ * batch is costed without walking the graph: no model::Node, no
+ * operator variant, no per-operator cost derivation. The pooling scale
+ * is the only per-batch input besides the item count; the context's
+ * own pooling_scale is ignored.
+ *
+ * - Latency steps, in the graph's topological order: an embedding
+ *   kernel (average pooling and width, timed at the batch's pooling
+ *   scale and the context's hot hit rate) or a batch-only kernel slot
+ *   (FLOPs per item, whether it is a recurrence).
+ * - Input-byte terms, in node order: constants (root FC inputs,
+ *   severed interaction features, a root concat), an embedding's
+ *   indices, its cold rows or partial sums, and behavior sequences
+ *   scaled by the pooling scale (attention, GRU).
+ *
+ * Every term is evaluated with the operations, association and
+ * summation order of gpuKernelLatencyUs() summed over the graph and of
+ * the per-node input walk it replaces, so a plan's results are those
+ * doubles bit for bit. A plan is a few KB; it is immutable once built.
+ */
+class GpuBatchPlan
+{
+  public:
+    /** Append the batch-only kernel latencies (us) at `items`, in order. */
+    void batchOnlyKernelsUs(int items, std::vector<double>& out) const;
+
+    /**
+     * Service time (us) of a batch: the steps summed in order, each
+     * embedding kernel timed at pooling scale `ps`, each batch-only
+     * kernel read from `kernels` (batchOnlyKernelsUs(items) in order).
+     */
+    double latencyUs(int items, double ps, const double* kernels) const;
+
+    /**
+     * Host->device bytes of a batch: embedding indices, root dense
+     * features, partial sums or rows of the non-resident (cold) table
+     * fractions, and inputs severed by graph partitioning.
+     */
+    double inputBytes(int items, double ps) const;
+
+  private:
+    friend class CostModel;
+
+    /** One kernel in topological order. */
+    struct Step
+    {
+        bool embedding = false;
+        bool recurrent = false;       ///< batch-only: a GRU
+        double avg_pooling = 0.0;     ///< embedding: avgPooling()
+        double emb_dim = 0.0;         ///< embedding: vector width
+        double flops_per_item = 0.0;  ///< batch-only: OpCost::flops
+    };
+
+    /** One addend of the per-item input bytes, in node order. */
+    struct InputTerm
+    {
+        enum class Kind : uint8_t {
+            Constant,  ///< `a` bytes
+            Indices,   ///< resident indices: max(1, a*ps) * hot * 8
+            ColdRows,  ///< unpooled cold rows: (1-hot) * max(1, a*ps) * b * 4
+            Sequence,  ///< a behavior sequence: a * ps * b * 4
+        };
+        Kind kind = Kind::Constant;
+        double a = 0.0;
+        double b = 0.0;
+    };
+
+    std::vector<Step> steps_;
+    std::vector<InputTerm> inputs_;
+    double hot_hit_rate_ = 1.0;
+    double slowdown_ = 1.0;    ///< MPS co-location slowdown
+    double hbm_bw_ = 0.0;      ///< HBM gather bandwidth (B/s)
+    double peak_flops_ = 0.0;  ///< device peak (FLOP/s)
 };
 
 /** One operator placed by CostModel::cpuGraphTiming (Fig 5 schedules). */
@@ -118,12 +196,12 @@ class CostModel
                               const GpuExecContext& cx) const;
 
     /**
-     * Host->device bytes for one batch of the given graph: embedding
-     * indices, root dense features, partial sums for non-resident
-     * (cold) table fractions, and inputs severed by graph partitioning.
+     * Compile the per-batch costing of graph `g` on this server's GPU
+     * under context `cx` (its pooling_scale aside): a batch's latency
+     * is the sum of gpuKernelLatencyUs() over `g` in topological order.
      */
-    double gpuInputBytes(const model::Graph& g, int batch,
-                         const GpuExecContext& cx) const;
+    GpuBatchPlan gpuBatchPlan(const model::Graph& g,
+                              const GpuExecContext& cx) const;
 
     /** Effective PCIe bandwidth (GB/s). */
     double pcieBwGbps() const;

@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <memory>
 
+#include "core/fingerprint.h"
 #include "obs/self_profile.h"
 #include "scenario/lint.h"
 #include "util/json.h"
@@ -102,18 +103,12 @@ validateSpec(const ScenarioSpec& spec, std::string* error)
     return lintClean(spec, nullptr, error);
 }
 
-core::EfficiencyTable
-profileTable(const ScenarioSpec& spec)
-{
-    validate(spec, nullptr);
-    if (!spec.profile.table_cache.empty() &&
-        std::filesystem::exists(spec.profile.table_cache)) {
-        auto cached =
-            core::EfficiencyTable::tryReadCsv(spec.profile.table_cache);
-        if (cached.has_value())
-            return *cached;
-    }
+namespace {
 
+/** The profiler options a spec's table is measured under. */
+core::ProfilerOptions
+profilerOptions(const ScenarioSpec& spec)
+{
     core::ProfilerOptions popt;
     popt.search.measure.sim.num_queries = spec.profile.num_queries;
     popt.search.measure.sim.warmup_queries =
@@ -129,6 +124,73 @@ profileTable(const ScenarioSpec& spec)
         if (!seen)
             popt.models.push_back(s.spec.model);
     }
+    return popt;
+}
+
+/**
+ * What a table cache must have been produced by to be reused: this
+ * build (its fingerprint) and every profile option that moves a cell.
+ */
+std::string
+tableProvenance(const ScenarioSpec& spec)
+{
+    char buf[160];
+    std::snprintf(buf, sizeof(buf),
+                  "fp=%s num_queries=%d warmup_queries=%d bisect_iters=%d "
+                  "seed=%llu",
+                  core::buildFingerprintHex().c_str(),
+                  spec.profile.num_queries, spec.profile.warmup_queries,
+                  spec.profile.bisect_iters,
+                  static_cast<unsigned long long>(spec.profile.seed));
+    return buf;
+}
+
+}  // namespace
+
+std::optional<core::EfficiencyTable>
+cachedTable(const ScenarioSpec& spec)
+{
+    const std::string& path = spec.profile.table_cache;
+    if (path.empty() || !std::filesystem::exists(path))
+        return std::nullopt;
+    std::string provenance;
+    auto cached = core::EfficiencyTable::tryReadCsv(path, &provenance);
+    if (!cached.has_value()) {
+        warn("table cache %s is malformed; not reused", path.c_str());
+        return std::nullopt;
+    }
+    const std::string want = tableProvenance(spec);
+    if (provenance != want) {
+        warn("table cache %s was profiled by '%s', this run needs '%s'; "
+             "not reused",
+             path.c_str(), provenance.c_str(), want.c_str());
+        return std::nullopt;
+    }
+    // The spec's cells, in the order offlineProfile() inserts them.
+    const core::ProfilerOptions popt = profilerOptions(spec);
+    core::EfficiencyTable table;
+    for (model::ModelId m : popt.models)
+        for (hw::ServerType t : popt.servers) {
+            const core::EfficiencyEntry* e = cached->get(t, m);
+            if (e == nullptr) {
+                warn("table cache %s lacks %s on %s; not reused",
+                     path.c_str(), model::modelName(m),
+                     hw::serverTypeName(t));
+                return std::nullopt;
+            }
+            table.set(*e);
+        }
+    return table;
+}
+
+core::EfficiencyTable
+profileTable(const ScenarioSpec& spec)
+{
+    validate(spec, nullptr);
+    if (auto cached = cachedTable(spec))
+        return *cached;
+
+    core::ProfilerOptions popt = profilerOptions(spec);
 
     // One engine for the whole grid; the memo spill warm-starts
     // repeated runs (and CI jobs restoring it from an actions cache).
@@ -142,7 +204,7 @@ profileTable(const ScenarioSpec& spec)
     if (!spec.profile.eval_memo.empty())
         engine.saveCache(spec.profile.eval_memo);
     if (!spec.profile.table_cache.empty())
-        table.writeCsv(spec.profile.table_cache);
+        table.writeCsv(spec.profile.table_cache, tableProvenance(spec));
     return table;
 }
 

@@ -86,8 +86,10 @@ std::optional<ProvisionerKind> parseProvisionerKind(
 struct ProfileSpec
 {
     /**
-     * Efficiency-table CSV cache: loaded when it exists and parses,
-     * written after a fresh profile. Empty = always profile.
+     * Efficiency-table CSV cache: reused when it was written by this
+     * build under these profile options and holds every cell the spec
+     * needs (cachedTable()), else rewritten after a fresh profile.
+     * Empty = always profile.
      */
     std::string table_cache;
     /**
@@ -153,10 +155,22 @@ struct ScenarioResult
 };
 
 /**
+ * The spec's table from its CSV cache (ScenarioSpec::profile's
+ * table_cache), when the file exists and may be reused: its provenance
+ * line names this build's fingerprint (core/fingerprint.h) and the
+ * spec's profile options, and it has every (fleet type x service
+ * model) cell the spec needs. The result holds those cells only, in
+ * the order a fresh profile inserts them. Otherwise std::nullopt, with
+ * the reason on stderr when a file was there.
+ */
+std::optional<core::EfficiencyTable> cachedTable(const ScenarioSpec& spec);
+
+/**
  * Profile (or load) the efficiency table a spec's run needs: the
  * (fleet type x service model) grid under the spec's measurement
- * knobs, with the CSV cache and EvalEngine memo spill of
- * ScenarioSpec::profile applied.
+ * knobs. A reusable cache (cachedTable()) is returned as is; otherwise
+ * the grid is profiled with the EvalEngine memo spill of
+ * ScenarioSpec::profile applied, and the cache is rewritten.
  */
 core::EfficiencyTable profileTable(const ScenarioSpec& spec);
 

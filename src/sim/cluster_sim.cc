@@ -206,9 +206,10 @@ ClusterSim::ClusterSim(Options opt)
     shard_opt_.warmup_queries = 0;
     shard_opt_.record_completions = true;
     shard_opt_.saturate = false;
+    router_reads_shards_ = opt_.router == RouterPolicy::LeastOutstanding ||
+                           opt_.router == RouterPolicy::PowerOfTwo;
     decision_reads_shards_ =
-        opt_.router == RouterPolicy::LeastOutstanding ||
-        opt_.router == RouterPolicy::PowerOfTwo ||
+        router_reads_shards_ ||
         opt_.admission.policy != qos::AdmissionPolicy::None;
 }
 
@@ -471,10 +472,12 @@ ClusterSim::decide(const workload::Query& q)
               "for %d services",
               svc, numServices());
     // Lazy advance: only the shards the decision reads need the clock
-    // (see route()'s contract in the header).
+    // (see route()'s contract in the header). A queue-reading router
+    // reads every candidate; admission reads a shard only when it
+    // checks it.
     const std::vector<int>& candidates =
         active_by_service_[static_cast<size_t>(svc)];
-    if (decision_reads_shards_)
+    if (router_reads_shards_)
         for (int id : candidates)
             shards_[static_cast<size_t>(id)].inst->advanceTo(q.arrival_s);
     int s = routers_[static_cast<size_t>(svc)].pick(*this, candidates);
@@ -491,6 +494,9 @@ ClusterSim::decide(const workload::Query& q)
     int retry_hops = 0;
     auto admits = [&](int id) {
         Shard& sh = shards_[static_cast<size_t>(id)];
+        if (opt_.admission.policy == qos::AdmissionPolicy::None)
+            return true;
+        sh.inst->advanceTo(q.arrival_s);
         return sh.admit.admit({sh.inst->outstanding(), sh.weight}, sla);
     };
     if (!admits(s)) {

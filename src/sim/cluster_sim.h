@@ -438,10 +438,12 @@ class ClusterSim
      *
      * Shards advance lazily. Health events up to the arrival are
      * applied first (each advances every shard to its own time). Then
-     * only the shards the decision reads are advanced to the arrival:
-     * the service's active set when the router reads queue lengths
-     * (jsq, p2c) or admission is not `none`, no shard otherwise. The
-     * picked shard is advanced to the arrival before the inject. A
+     * only the shards the decision reads are advanced to the arrival,
+     * each just before it is read: the service's active set before the
+     * pick when the router reads queue lengths (jsq, p2c); under an
+     * admission policy other than `none`, the picked shard and each
+     * cross-shard retry candidate just before its admission check.
+     * The picked shard is advanced to the arrival before the inject. A
      * shard's events are scheduled only by its own dispatches and
      * injects, so advancing it later, in one go, runs the same events
      * in the same order: every statistic equals that of advancing all
@@ -656,6 +658,8 @@ class ClusterSim
     size_t health_cursor_ = 0;                ///< next event to apply
     std::vector<HealthTransition> health_log_;
 
+    /** The router reads every candidate's queue (jsq, p2c). */
+    bool router_reads_shards_ = false;
     /** The router or admission reads shard queues on every arrival. */
     bool decision_reads_shards_ = false;
 

@@ -180,6 +180,7 @@ prepare(const hw::ServerSpec& server, const model::Model& m,
         } else {
             w.gpu_cx.hot_hit_rate = 1.0;
         }
+        w.gpu_plan = cost.gpuBatchPlan(w.gpuGraph(), w.gpu_cx);
     }
     return w;
 }
@@ -312,36 +313,18 @@ TimingStore::absorb(const PreparedWorkload& w)
 }
 
 double
-gpuBatchLatencyUs(const PreparedWorkload& w, const hw::CostModel& cost,
-                  int items, double ps)
+gpuBatchLatencyUs(const PreparedWorkload& w, int items, double ps)
 {
-    const model::Graph& g = w.gpuGraph();
-    const std::vector<int>& order = g.topoOrder();
     GpuKernelMemo& memo = w.gpu_kernel_memo;
-    if (memo.embedding.empty())
-        for (int id : order)
-            memo.embedding.push_back(g.node(id).kind() ==
-                                     model::OpKind::EmbeddingLookup);
     const size_t batch = static_cast<size_t>(items);
     if (batch >= memo.row.size())
         memo.row.resize(batch + 1, 0);
     if (memo.row[batch] == 0) {
         memo.row[batch] = static_cast<uint32_t>(memo.kernels.size() + 1);
-        for (size_t i = 0; i < order.size(); ++i)
-            if (!memo.embedding[i])
-                memo.kernels.push_back(cost.gpuKernelLatencyUs(
-                    g.node(order[i]), items, w.gpu_cx));
+        w.gpu_plan.batchOnlyKernelsUs(items, memo.kernels);
     }
-    const double* kernels = memo.kernels.data() + (memo.row[batch] - 1);
-    hw::GpuExecContext cx = w.gpu_cx;
-    cx.pooling_scale = ps;
-    // Kernels issue in order on the thread's stream.
-    double latency = 0.0;
-    for (size_t i = 0; i < order.size(); ++i)
-        latency += memo.embedding[i]
-                       ? cost.gpuKernelLatencyUs(g.node(order[i]), items, cx)
-                       : *kernels++;
-    return latency;
+    return w.gpu_plan.latencyUs(
+        items, ps, memo.kernels.data() + (memo.row[batch] - 1));
 }
 
 }  // namespace hercules::sim

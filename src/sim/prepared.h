@@ -52,15 +52,13 @@ struct CpuServiceMemo
 };
 
 /**
- * Per batch size, the latencies (us) of the accelerator graph's
- * batch-only kernels in topological order, indexed like CpuServiceMemo.
+ * Per batch size, the latencies (us) of the accelerator plan's
+ * batch-only kernels in step order, indexed like CpuServiceMemo.
  * Embedding kernels are left out: their latency also depends on the
  * batch's pooling scale.
  */
 struct GpuKernelMemo
 {
-    /** [position in gpuGraph()'s topological order] → is an embedding. */
-    std::vector<bool> embedding;
     /** [items] → 1 + offset of the row in `kernels`; 0: not timed. */
     std::vector<uint32_t> row;
     std::vector<double> kernels;  ///< the rows, one after another
@@ -93,14 +91,16 @@ struct ProbeStreamMemo
  *  - GpuSdPipeline: `sparse` on the host, `dense` on the device.
  *
  * The placement fields are fixed by prepare(); treat them as read-only
- * afterwards, because the memos cache functions of them.
+ * afterwards, because the memos cache functions of them. `gpu_plan`
+ * is one of them: the accelerator's per-batch costing, compiled once.
  *
  * Ownership: a PreparedWorkload is simulated by one thread at a time.
  * It carries three per-workload memos, each filled lazily and without
  * locking by whatever runs on it, so each is touched by one thread at
  * a time:
  *  - `cpu_service_memo`, by every ServerInstance built on it;
- *  - `gpu_kernel_memo`, by every ServerInstance built on it;
+ *  - `gpu_kernel_memo` (rows of `gpu_plan`'s batch-only kernels), by
+ *    every ServerInstance built on it;
  *  - `probe_stream`, by simulateServer().
  * EvalEngine builds one per evaluation on its worker thread; when the
  * request carries a search's TimingStore, the store warms the new
@@ -125,6 +125,8 @@ struct PreparedWorkload
     hw::CpuExecContext cpu_cx;   ///< model-based / SparseNet threads
     hw::CpuExecContext cold_cx;  ///< host cold-sparse path (hot-split)
     hw::GpuExecContext gpu_cx;   ///< accelerator threads
+    /** gpuGraph()'s per-batch costing under gpu_cx (GPU mappings only). */
+    hw::GpuBatchPlan gpu_plan;
 
     /** @return the accelerator's graph: `full` or `dense`. */
     const model::Graph&
@@ -266,12 +268,11 @@ PreparedWorkload prepare(const hw::ServerSpec& server,
 
 /**
  * Service time (us) of one accelerator batch of `items` at pooling
- * scale `ps`: its kernels run back to back on the thread's stream in
- * w.gpuGraph()'s topological order. Batch-only kernels come from
- * w.gpu_kernel_memo (timed on first use); embedding kernels are timed
- * at `ps`. `cost` must be bound to w.server.
+ * scale `ps`: w.gpu_plan's kernels run back to back on the thread's
+ * stream in w.gpuGraph()'s topological order. Batch-only kernels come
+ * from w.gpu_kernel_memo (timed by the plan on first use); embedding
+ * kernels are timed at `ps`. Touches no graph node.
  */
-double gpuBatchLatencyUs(const PreparedWorkload& w,
-                         const hw::CostModel& cost, int items, double ps);
+double gpuBatchLatencyUs(const PreparedWorkload& w, int items, double ps);
 
 }  // namespace hercules::sim

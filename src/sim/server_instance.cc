@@ -486,9 +486,7 @@ void
 ServerInstance::startTransfer(size_t tid)
 {
     const Batch& b = gpu_threads_[tid].staging;
-    hw::GpuExecContext cx = w_.gpu_cx;
-    cx.pooling_scale = b.ps;
-    double bytes = cost_.gpuInputBytes(w_.gpuGraph(), b.items, cx);
+    double bytes = w_.gpu_plan.inputBytes(b.items, b.ps);
     // The PCIe link is a FIFO DMA engine shared by all loaders.
     double dur_s = (hw::calib::kGpuHostPrepUs +
                     cost_.pcieTransferUs(bytes, cost_.pcieBwGbps())) *
@@ -528,7 +526,7 @@ ServerInstance::startExec(size_t tid)
     // `running` becomes the (reused) free staging slot.
     std::swap(th.running, th.staging);
     const Batch& b = th.running;
-    const double latency_us = gpuBatchLatencyUs(w_, cost_, b.items, b.ps);
+    const double latency_us = gpuBatchLatencyUs(w_, b.items, b.ps);
     double end = eq_.now() + latency_us * 1e-6 * slowdown_;
     chargeBins(gpu_busy_s_, eq_.now(), end, 1.0);
     for (const Chunk& c : b.chunks)

@@ -52,6 +52,8 @@ CsvWriter::str() const
         }
         os << "\n";
     };
+    if (!preamble_.empty())
+        os << preamble_ << "\n";
     emit(header_);
     for (const auto& r : rows_)
         emit(r);

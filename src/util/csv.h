@@ -6,6 +6,7 @@
 #pragma once
 
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace hercules {
@@ -16,6 +17,13 @@ class CsvWriter
   public:
     /** @param header column names, written as the first row. */
     explicit CsvWriter(std::vector<std::string> header);
+
+    /**
+     * A line written above the header row, as is (no escaping; keep it
+     * free of commas and quotes so a parser reads it as one cell).
+     * Empty: none.
+     */
+    void setPreamble(std::string line) { preamble_ = std::move(line); }
 
     /** Append one row; must match the header width. */
     void addRow(const std::vector<std::string>& cells);
@@ -29,6 +37,7 @@ class CsvWriter
   private:
     static std::string escape(const std::string& cell);
 
+    std::string preamble_;
     std::vector<std::string> header_;
     std::vector<std::vector<std::string>> rows_;
 };

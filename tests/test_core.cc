@@ -113,7 +113,7 @@ TEST(EfficiencyTable, CsvRoundtrip)
     b.config.fuse_elementwise = false;
     t.set(b);
     std::string path = ::testing::TempDir() + "/hercules_eff.csv";
-    t.writeCsv(path);
+    t.writeCsv(path, "roundtrip");
     EfficiencyTable back = EfficiencyTable::readCsv(path);
     ASSERT_EQ(back.entries().size(), 2u);
     const EfficiencyEntry* e =
@@ -141,7 +141,8 @@ TEST(EfficiencyTable, StaleCacheIsRejectedNotMisread)
                "qps_per_watt,config\n");
     fprintf(f, "T2,DLRM-RMC1,1,2500,160,128,19.5,cpu-model 10x2 b128\n");
     fclose(f);
-    EXPECT_FALSE(EfficiencyTable::tryReadCsv(path).has_value());
+    std::string provenance;
+    EXPECT_FALSE(EfficiencyTable::tryReadCsv(path, &provenance).has_value());
     EXPECT_DEATH(EfficiencyTable::readCsv(path), "older build");
     std::remove(path.c_str());
 }
@@ -230,12 +231,14 @@ TEST(Profiler, ProfiledTableSurvivesCsvRoundTrip)
     const EfficiencyTable t = offlineProfile(opt);
     ASSERT_EQ(t.entries().size(), 4u);
     const std::string path = ::testing::TempDir() + "/hercules_profiled.csv";
-    t.writeCsv(path);
+    t.writeCsv(path, "fp=test");
+    std::string provenance;
     const std::optional<EfficiencyTable> back =
-        EfficiencyTable::tryReadCsv(path);
+        EfficiencyTable::tryReadCsv(path, &provenance);
     std::remove(path.c_str());
     ASSERT_TRUE(back.has_value());
     EXPECT_TRUE(*back == t);
+    EXPECT_EQ(provenance, "fp=test");
 }
 
 TEST(Profiler, OnlineSetupHonoursPowerBudget)

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/eval_engine.h"
+#include "core/fingerprint.h"
 #include "core/profiler.h"
 #include "sched/gradient_search.h"
 
@@ -304,11 +305,13 @@ TEST(EvalEngine, SaveCacheIsKeySortedAndInsertionOrderFree)
     const char* out_a = "test_eval_cache_out_a.tmp";
     const char* out_b = "test_eval_cache_out_b.tmp";
     std::vector<std::string> keys = {"zeta", "alpha", "mid", "beta"};
+    const std::string header =
+        "HERCULES_EVAL_CACHE v2 fp=" + buildFingerprintHex() + "\n";
 
     auto write_seed = [&](const char* path, bool reversed) {
         FILE* f = std::fopen(path, "w");
         ASSERT_NE(f, nullptr);
-        std::fprintf(f, "HERCULES_EVAL_CACHE v2\n");
+        std::fputs(header.c_str(), f);
         for (size_t i = 0; i < keys.size(); ++i) {
             const std::string& k =
                 reversed ? keys[keys.size() - 1 - i] : keys[i];
@@ -339,7 +342,7 @@ TEST(EvalEngine, SaveCacheIsKeySortedAndInsertionOrderFree)
     std::string text_a = read_file(out_a);
     EXPECT_EQ(text_a, read_file(out_b));
     EXPECT_EQ(text_a,
-              "HERCULES_EVAL_CACHE v2\n"
+              header +
               "alpha\t0 0\n"
               "beta\t0 0\n"
               "mid\t0 0\n"
@@ -379,6 +382,17 @@ TEST(EvalEngine, LoadCacheRejectsMissingOrForeignFiles)
                  "invalid\t0 0\n");
     std::fclose(f);
     EXPECT_EQ(engine.loadCache(path), 0u);
+
+    // The current format from a build without a fingerprint, or with
+    // another one: its results may be stale.
+    for (const char* header :
+         {"HERCULES_EVAL_CACHE v2", "HERCULES_EVAL_CACHE v2 fp=0"}) {
+        f = std::fopen(path, "w");
+        ASSERT_NE(f, nullptr);
+        std::fprintf(f, "%s\ninvalid\t0 0\n", header);
+        std::fclose(f);
+        EXPECT_EQ(engine.loadCache(path), 0u) << header;
+    }
     std::remove(path);
 }
 

@@ -260,8 +260,9 @@ TEST(GpuInput, MultiHotIndicesDominateTransfers)
     Model rmc3 = model::buildModel(ModelId::DlrmRmc3);
     Model wnd = model::buildModel(ModelId::MtWnd);
     GpuExecContext cx;
-    double rmc3_bytes = cost.gpuInputBytes(rmc3.graph, 100, cx);
-    double wnd_bytes = cost.gpuInputBytes(wnd.graph, 100, cx);
+    double rmc3_bytes =
+        cost.gpuBatchPlan(rmc3.graph, cx).inputBytes(100, 1.0);
+    double wnd_bytes = cost.gpuBatchPlan(wnd.graph, cx).inputBytes(100, 1.0);
     EXPECT_GT(rmc3_bytes, 2.0 * wnd_bytes);
 }
 
@@ -272,8 +273,9 @@ TEST(GpuInput, ColdFractionAddsPsums)
     GpuExecContext resident, split;
     resident.hot_hit_rate = 1.0;
     split.hot_hit_rate = 0.5;
-    double b_resident = cost.gpuInputBytes(m.graph, 64, resident);
-    double b_split = cost.gpuInputBytes(m.graph, 64, split);
+    double b_resident =
+        cost.gpuBatchPlan(m.graph, resident).inputBytes(64, 1.0);
+    double b_split = cost.gpuBatchPlan(m.graph, split).inputBytes(64, 1.0);
     // Fewer raw indices but extra psum vectors; for pooled models the
     // index reduction dominates.
     EXPECT_NE(b_resident, b_split);
@@ -285,7 +287,7 @@ TEST(GpuInput, SdPipelineSendsPooledVectors)
     Model m = model::buildModel(ModelId::DlrmRmc1);
     model::Graph dense = model::denseSubgraph(m.graph);
     GpuExecContext cx;
-    double bytes = cost.gpuInputBytes(dense, 64, cx);
+    double bytes = cost.gpuBatchPlan(dense, cx).inputBytes(64, 1.0);
     // Severed interaction inputs: 10 pooled vectors x 32 floats.
     EXPECT_GE(bytes, 64.0 * 10 * 32 * 4);
 }

@@ -167,7 +167,7 @@ TEST(Pipeline, FullDayClusterRunOrdering)
 TEST(Pipeline, EfficiencyTableCsvRoundtripDrivesSameProvision)
 {
     std::string path = ::testing::TempDir() + "/hercules_integration.csv";
-    profiledTable().writeCsv(path);
+    profiledTable().writeCsv(path, "integration");
     core::EfficiencyTable loaded = core::EfficiencyTable::readCsv(path);
 
     std::vector<ServerType> servers = {ServerType::T2, ServerType::T3,

@@ -20,6 +20,8 @@
 #include <vector>
 
 #include "cluster/serving.h"
+#include "core/eval_engine.h"
+#include "core/fingerprint.h"
 #include "fault/fault.h"
 #include "model/model_zoo.h"
 #include "scenario/scenario.h"
@@ -953,6 +955,141 @@ TEST(ScenarioRun, SelfProfiledRunMatchesProfileThenRun)
               given.resolved.services[0].spec.load.peak_qps);
     EXPECT_GT(self.serve.sim.completed, 0u);
     EXPECT_GT(self.profile_wall_ms, 0.0);
+}
+
+// ---- cache reuse ---------------------------------------------------------
+
+/** A cheap self-profiled spec serving `models` on a T2 + T3 fleet. */
+ScenarioSpec
+cacheSpec(const std::string& name, const std::vector<ModelId>& models,
+          const std::string& dir)
+{
+    ScenarioSpec spec;
+    spec.name = name;
+    spec.fleet = {{ServerType::T2, 2}, {ServerType::T3, 1}};
+    for (ModelId m : models) {
+        ServiceScenario svc;
+        svc.spec.model = m;
+        svc.peak_qps_frac = 0.4;
+        spec.services.push_back(svc);
+    }
+    spec.serve.horizon_hours = 1.0;
+    spec.serve.interval_hours = 0.5;
+    spec.serve.trace.time_compression = 960.0;
+    spec.profile.num_queries = 200;
+    spec.profile.warmup_queries = 40;
+    spec.profile.bisect_iters = 3;
+    if (!dir.empty()) {
+        spec.profile.table_cache = dir + "/table.csv";
+        spec.profile.eval_memo = dir + "/memo.tsv";
+    }
+    return spec;
+}
+
+/** A fresh, empty directory under the working directory. */
+std::string
+freshDir(const std::string& name)
+{
+    std::filesystem::remove_all(name);
+    std::filesystem::create_directory(name);
+    return name;
+}
+
+/** Every line of a text file. */
+std::vector<std::string>
+readLines(const std::string& path)
+{
+    std::ifstream in(path);
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);)
+        lines.push_back(line);
+    return lines;
+}
+
+void
+writeLines(const std::string& path, const std::vector<std::string>& lines)
+{
+    std::ofstream out(path);
+    for (const std::string& line : lines)
+        out << line << "\n";
+}
+
+/*
+ * Two specs sharing one table cache and one eval memo: a spec that
+ * needs cells the cache lacks re-profiles (reusing the memo), and one
+ * whose cells the cache holds reuses only those cells. Either way the
+ * run equals the same spec run cold, with no cache at all.
+ */
+TEST(ScenarioCache, SharedCachesServeEachSpecAsCold)
+{
+    const std::string dir = freshDir("scenario_cache_shared");
+    const ScenarioSpec one =
+        cacheSpec("one", {ModelId::DlrmRmc1}, dir);
+    const ScenarioSpec two =
+        cacheSpec("two", {ModelId::DlrmRmc1, ModelId::DlrmRmc3}, dir);
+    for (const ScenarioSpec* order : {&one, &two, &one}) {
+        SCOPED_TRACE(order->name);
+        ScenarioResult shared = run(*order);
+        ScenarioSpec cold_spec = *order;
+        cold_spec.profile.table_cache.clear();
+        cold_spec.profile.eval_memo.clear();
+        ScenarioResult cold = run(cold_spec);
+        EXPECT_EQ(shared.table, cold.table);
+        expectBitIdentical(shared.serve, cold.serve);
+        for (size_t s = 0; s < cold.resolved.services.size(); ++s)
+            EXPECT_EQ(shared.resolved.services[s].spec.load.peak_qps,
+                      cold.resolved.services[s].spec.load.peak_qps);
+    }
+    std::filesystem::remove_all(dir);
+}
+
+/*
+ * A table cache is reused only under the build fingerprint and the
+ * profile options it was written with; an eval memo only under the
+ * fingerprint.
+ */
+TEST(ScenarioCache, OtherBuildOrOptionsAreNotReused)
+{
+    const std::string dir = freshDir("scenario_cache_stale");
+    const ScenarioSpec spec = cacheSpec("stale", {ModelId::DlrmRmc1}, dir);
+    const core::EfficiencyTable table = profileTable(spec);
+    ASSERT_TRUE(cachedTable(spec).has_value());
+    EXPECT_EQ(*cachedTable(spec), table);
+
+    for (auto change : std::vector<void (*)(ScenarioSpec&)>{
+             [](ScenarioSpec& s) { s.profile.num_queries += 1; },
+             [](ScenarioSpec& s) { s.profile.warmup_queries += 1; },
+             [](ScenarioSpec& s) { s.profile.bisect_iters += 1; },
+             [](ScenarioSpec& s) { s.profile.seed += 1; },
+             [](ScenarioSpec& s) {
+                 s.fleet.push_back({ServerType::T7, 1});
+             }}) {
+        ScenarioSpec other = spec;
+        change(other);
+        EXPECT_FALSE(cachedTable(other).has_value());
+    }
+
+    // Another build: the same files with a foreign fingerprint.
+    const std::string fp = "fp=" + core::buildFingerprintHex();
+    const std::string foreign = "fp=0123456789abcdef";
+    ASSERT_NE(fp, foreign);
+    for (const std::string& path :
+         {spec.profile.table_cache, spec.profile.eval_memo}) {
+        std::vector<std::string> lines = readLines(path);
+        ASSERT_GT(lines.size(), 1u);
+        const size_t at = lines[0].find(fp);
+        ASSERT_NE(at, std::string::npos) << path << ": " << lines[0];
+        lines[0].replace(at, fp.size(), foreign);
+        writeLines(path, lines);
+    }
+    EXPECT_FALSE(cachedTable(spec).has_value());
+    core::EvalEngine engine(core::EvalOptions{});
+    EXPECT_EQ(engine.loadCache(spec.profile.eval_memo), 0u);
+    // Re-profiling rewrites both under this build.
+    EXPECT_EQ(profileTable(spec), table);
+    EXPECT_TRUE(cachedTable(spec).has_value());
+    EXPECT_GT(engine.loadCache(spec.profile.eval_memo), 0u);
+    std::filesystem::remove_all(dir);
 }
 
 // ---- result JSON --------------------------------------------------------

@@ -1135,6 +1135,26 @@ expectSameClusterResult(const ClusterSimResult& a, const ClusterSimResult& b)
     EXPECT_EQ(a.des.peak_live_queries, b.des.peak_live_queries);
 }
 
+/** Every field of two telemetry trace logs, bit for bit. */
+void
+expectSameTraceRecords(const std::vector<obs::TraceRecord>& a,
+                       const std::vector<obs::TraceRecord>& b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+        SCOPED_TRACE("record " + std::to_string(i));
+        EXPECT_EQ(a[i].id, b[i].id);
+        EXPECT_EQ(a[i].service, b[i].service);
+        EXPECT_EQ(a[i].shard, b[i].shard);
+        EXPECT_EQ(a[i].retry_hops, b[i].retry_hops);
+        EXPECT_EQ(a[i].arrival_s, b[i].arrival_s);
+        EXPECT_EQ(a[i].queue_wait_ms, b[i].queue_wait_ms);
+        EXPECT_EQ(a[i].service_start_s, b[i].service_start_s);
+        EXPECT_EQ(a[i].finish_s, b[i].finish_s);
+        EXPECT_EQ(a[i].outcome, b[i].outcome);
+    }
+}
+
 /** A flat two-service load near the shards' capacity. */
 std::vector<workload::Query>
 flatTwoServiceTrace(double seconds)
@@ -1154,13 +1174,16 @@ flatTwoServiceTrace(double seconds)
 }
 
 /*
- * route() advances only the shards its decision reads (and the picked
- * one); advancing every shard to every arrival first — what route()
- * itself used to do — must change nothing, for every policy, with and
- * without admission control and with a crash (and a straggler)
+ * route() advances only the shards its decision reads, each just
+ * before it reads it (and the picked one before the inject);
+ * advancing every shard to every arrival first must change nothing,
+ * for every policy, with and without deadline admission (with
+ * cross-shard retries) and with a crash (and a straggler)
  * mid-interval. Both sims are driven interval by interval through the
  * public API; a final run() over no arrivals drains them and folds the
- * whole-run aggregates.
+ * whole-run aggregates. Every window, every tally, every health-log
+ * entry and every query's telemetry record (shard, retry hops, start,
+ * finish, outcome) must match.
  */
 TEST(ClusterSim, LazyAdvanceMatchesEagerAdvance)
 {
@@ -1187,12 +1210,14 @@ TEST(ClusterSim, LazyAdvanceMatchesEagerAdvance)
                                   : " deadline") +
                              (crash ? " crash" : ""));
                 auto drive = [&](bool eager,
-                                 std::vector<IntervalStats>* windows) {
+                                 std::vector<IntervalStats>* windows,
+                                 obs::Telemetry* telemetry) {
                     ClusterSim::Options copt;
                     copt.router = policy;
                     copt.sla_ms = 4.0;
                     copt.admission.policy = admission;
                     copt.admission.cross_shard_retry = true;
+                    copt.telemetry = telemetry;
                     auto cluster = std::make_unique<ClusterSim>(copt);
                     cluster->addShard(big, 1200.0, 0);
                     cluster->addShard(small, 500.0, 0);
@@ -1231,17 +1256,24 @@ TEST(ClusterSim, LazyAdvanceMatchesEagerAdvance)
                               trace.size());
                     return r;
                 };
+                obs::ObsSpec spec;
+                spec.trace_file = "lazy_advance_trace.jsonl";
+                obs::Telemetry lazy_tel(spec), eager_tel(spec);
                 std::vector<IntervalStats> lazy_w, eager_w;
-                ClusterSimResult lazy = drive(false, &lazy_w);
-                ClusterSimResult eager = drive(true, &eager_w);
+                ClusterSimResult lazy = drive(false, &lazy_w, &lazy_tel);
+                ClusterSimResult eager = drive(true, &eager_w, &eager_tel);
                 ASSERT_EQ(lazy_w.size(), eager_w.size());
                 for (size_t i = 0; i < lazy_w.size(); ++i) {
                     SCOPED_TRACE("window " + std::to_string(i));
                     expectSameInterval(lazy_w[i], eager_w[i]);
                 }
                 expectSameClusterResult(lazy, eager);
+                expectSameTraceRecords(lazy_tel.traceRecords(),
+                                       eager_tel.traceRecords());
+                EXPECT_EQ(lazy_tel.traceRecords().size(), trace.size());
                 if (admission == qos::AdmissionPolicy::Deadline) {
-                    EXPECT_GT(lazy.rejected + lazy.admission_retries, 0u);
+                    EXPECT_GT(lazy.rejected, 0u);
+                    EXPECT_GT(lazy.admission_retries, 0u);
                 }
                 if (crash) {
                     EXPECT_GT(lazy.failed_inflight, 0u);
@@ -1319,26 +1351,6 @@ flatThreeServiceTrace(double seconds)
     topt.bucket_seconds = 1.0;
     topt.seed = 23;
     return workload::generateMultiServiceTrace(specs, topt);
-}
-
-/** Every field of two telemetry trace logs, bit for bit. */
-void
-expectSameTraceRecords(const std::vector<obs::TraceRecord>& a,
-                       const std::vector<obs::TraceRecord>& b)
-{
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-        SCOPED_TRACE("record " + std::to_string(i));
-        EXPECT_EQ(a[i].id, b[i].id);
-        EXPECT_EQ(a[i].service, b[i].service);
-        EXPECT_EQ(a[i].shard, b[i].shard);
-        EXPECT_EQ(a[i].retry_hops, b[i].retry_hops);
-        EXPECT_EQ(a[i].arrival_s, b[i].arrival_s);
-        EXPECT_EQ(a[i].queue_wait_ms, b[i].queue_wait_ms);
-        EXPECT_EQ(a[i].service_start_s, b[i].service_start_s);
-        EXPECT_EQ(a[i].finish_s, b[i].finish_s);
-        EXPECT_EQ(a[i].outcome, b[i].outcome);
-    }
 }
 
 /*

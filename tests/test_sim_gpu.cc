@@ -7,6 +7,13 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "sim/measure.h"
 
 namespace hercules::sim {
@@ -201,8 +208,9 @@ TEST(GpuSdPipeline, TransfersPooledVectorsNotIndices)
     model::Model m = model::buildModel(ModelId::DlrmRmc3);
     model::Graph dense = model::denseSubgraph(m.graph);
     hw::GpuExecContext cx;
-    double dense_bytes = cost.gpuInputBytes(dense, 256, cx);
-    double full_bytes = cost.gpuInputBytes(m.graph, 256, cx);
+    double dense_bytes = cost.gpuBatchPlan(dense, cx).inputBytes(256, 1.0);
+    double full_bytes =
+        cost.gpuBatchPlan(m.graph, cx).inputBytes(256, 1.0);
     EXPECT_LT(dense_bytes, full_bytes);
 }
 
@@ -319,7 +327,6 @@ TEST(GpuBatchLatency, MatchesPinnedGraphTiming)
     };
     const double scales[3] = {0.5, 1.0, 1.7};
     const hw::ServerSpec& t7 = hw::serverSpec(ServerType::T7);
-    const hw::CostModel cost(t7);
     SchedulingConfig gsd;
     gsd.mapping = Mapping::GpuSdPipeline;
     gsd.gpu_threads = 2;
@@ -337,7 +344,7 @@ TEST(GpuBatchLatency, MatchesPinnedGraphTiming)
                 if (pin.model != id)
                     continue;
                 for (int s = 0; s < 3; ++s)
-                    EXPECT_EQ(gpuBatchLatencyUs(placements[pin.graph], cost,
+                    EXPECT_EQ(gpuBatchLatencyUs(placements[pin.graph],
                                                 pin.batch, scales[s]),
                               pin.latency_us[s])
                         << m.name << " graph " << pin.graph << " batch "
@@ -345,6 +352,249 @@ TEST(GpuBatchLatency, MatchesPinnedGraphTiming)
                         << pass;
             }
     }
+}
+
+/*
+ * The per-node input walk the batch plan replaced, kept as the oracle
+ * of GpuBatchPlan::inputBytes(): every node's addend in node order.
+ */
+double
+perNodeInputBytes(const model::Graph& g, int batch,
+                  const hw::GpuExecContext& cx)
+{
+    using model::OpKind;
+    double per_item = 0.0;
+    for (const auto& n : g.nodes()) {
+        model::OpCost cost = model::opCostPerItem(n);
+        switch (n.kind()) {
+          case OpKind::EmbeddingLookup: {
+            const auto& p = std::get<model::EmbeddingParams>(n.params);
+            double pooling =
+                std::max(1.0, p.avgPooling() * cx.pooling_scale);
+            per_item += pooling * cx.hot_hit_rate * 8.0;
+            if (cx.hot_hit_rate < 1.0) {
+                if (p.pooled)
+                    per_item += p.emb_dim * 4.0;
+                else
+                    per_item += (1.0 - cx.hot_hit_rate) * pooling *
+                                p.emb_dim * 4.0;
+            }
+            break;
+          }
+          case OpKind::Fc:
+            if (n.deps.empty())
+                per_item += cost.input_bytes;
+            break;
+          case OpKind::Interaction: {
+            const auto& p = std::get<model::InteractionParams>(n.params);
+            int missing = p.num_features - static_cast<int>(n.deps.size());
+            if (missing > 0)
+                per_item += static_cast<double>(missing) *
+                            p.feature_dim * 4.0;
+            break;
+          }
+          case OpKind::Attention: {
+            const auto& p = std::get<model::AttentionParams>(n.params);
+            bool has_seq_producer = false;
+            for (int d : n.deps) {
+                OpKind k = g.node(d).kind();
+                if (k == OpKind::EmbeddingLookup || k == OpKind::Gru)
+                    has_seq_producer = true;
+            }
+            if (!has_seq_producer)
+                per_item += p.avgSeqLen() * cx.pooling_scale *
+                            p.behavior_dim * 4.0;
+            break;
+          }
+          case OpKind::Gru: {
+            const auto& p = std::get<model::GruParams>(n.params);
+            if (n.deps.empty())
+                per_item += p.avgSeqLen() * cx.pooling_scale *
+                            p.input_dim * 4.0;
+            break;
+          }
+          case OpKind::Concat: {
+            const auto& p = std::get<model::ConcatParams>(n.params);
+            double missing = static_cast<double>(p.total_dim) * 4.0;
+            if (missing > 0.0 && n.deps.empty())
+                per_item += missing;
+            break;
+          }
+          default:
+            break;
+        }
+    }
+    return per_item * static_cast<double>(batch);
+}
+
+/** A batch's kernels summed one node at a time, in topological order. */
+double
+perNodeLatencyUs(const hw::CostModel& cost, const model::Graph& g,
+                 int batch, const hw::GpuExecContext& cx)
+{
+    double us = 0.0;
+    for (int id : g.topoOrder())
+        us += cost.gpuKernelLatencyUs(g.node(id), batch, cx);
+    return us;
+}
+
+/** FNV-1a over the bits of a sequence of doubles. */
+struct BitDigest
+{
+    uint64_t h = 14695981039346656037ull;
+    void
+    add(double v)
+    {
+        uint64_t bits;
+        std::memcpy(&bits, &v, sizeof(bits));
+        for (int i = 0; i < 8; ++i) {
+            h ^= (bits >> (8 * i)) & 0xffu;
+            h *= 1099511628211ull;
+        }
+    }
+};
+
+/** One costed case of the plan grids below. */
+struct PlanCase
+{
+    std::string what;
+    const model::Graph* graph;
+    hw::GpuExecContext cx;  ///< carries the case's pooling scale
+    int batch;
+};
+
+/**
+ * Visit every (colocated {1, 3}) x (hot hit rate `hots`) x (pooling
+ * scale {0.37, 1, 1.7}) x (batch {1, 7, 64, 500, 4000}) case of one
+ * graph, in that nesting order.
+ */
+template <class Fn>
+void
+forEachPlanCase(const std::string& what, const model::Graph& g,
+                const std::vector<double>& hots, Fn fn)
+{
+    for (int colocated : {1, 3})
+        for (double hot : hots)
+            for (double ps : {0.37, 1.0, 1.7})
+                for (int batch : {1, 7, 64, 500, 4000}) {
+                    hw::GpuExecContext cx;
+                    cx.colocated = colocated;
+                    cx.hot_hit_rate = hot;
+                    cx.pooling_scale = ps;
+                    fn(PlanCase{what, &g, cx, batch});
+                }
+}
+
+/** Cost one case through a plan: (latency us, input bytes). */
+std::pair<double, double>
+planCost(const hw::CostModel& cost, const PlanCase& c)
+{
+    hw::GpuBatchPlan plan = cost.gpuBatchPlan(*c.graph, c.cx);
+    std::vector<double> kernels;
+    plan.batchOnlyKernelsUs(c.batch, kernels);
+    return {plan.latencyUs(c.batch, c.cx.pooling_scale, kernels.data()),
+            plan.inputBytes(c.batch, c.cx.pooling_scale)};
+}
+
+/**
+ * The accelerator graphs of T7 placements of RMC1/2/3 (GpuModelBased
+ * `full` with the hot split, GpuSdPipeline `dense`), each with hot hit
+ * rates {1, the model's split}.
+ */
+template <class Fn>
+void
+forEachPlacementCase(Fn fn)
+{
+    const hw::ServerSpec& t7 = hw::serverSpec(ServerType::T7);
+    SchedulingConfig gsd;
+    gsd.mapping = Mapping::GpuSdPipeline;
+    gsd.gpu_threads = 2;
+    gsd.cpu_threads = 8;
+    gsd.cores_per_thread = 2;
+    gsd.batch = 128;
+    gsd.fusion_limit = 2000;
+    for (ModelId id :
+         {ModelId::DlrmRmc1, ModelId::DlrmRmc2, ModelId::DlrmRmc3}) {
+        model::Model m = model::buildModel(id);
+        const PreparedWorkload placements[2] = {
+            prepare(t7, m, gpuConfig(2, 2000)), prepare(t7, m, gsd)};
+        const double split = placements[0].hot.hit_rate;
+        for (int graph = 0; graph < 2; ++graph)
+            forEachPlanCase(m.name + " graph " + std::to_string(graph),
+                            placements[graph].gpuGraph(), {1.0, split},
+                            fn);
+    }
+}
+
+/**
+ * Every zoo model's whole graph and DenseNet, at hot hit rates
+ * {1, 0.7}: 0.7 is not a power of two, so the order of the pooling
+ * product matters in some cases.
+ */
+template <class Fn>
+void
+forEachZooCase(Fn fn)
+{
+    for (ModelId id : model::allModels()) {
+        model::Model m = model::buildModel(id);
+        const model::Graph graphs[2] = {m.graph,
+                                        model::denseSubgraph(m.graph)};
+        for (int graph = 0; graph < 2; ++graph)
+            forEachPlanCase(m.name + " graph " + std::to_string(graph),
+                            graphs[graph], {1.0, 0.7}, fn);
+    }
+}
+
+/*
+ * Digest pins of GPU batch costing, captured on the per-node code the
+ * plan replaced (bytes: the per-node input walk; latency: kernels
+ * summed in topological order), over the grids above: 360 placement
+ * cases and 720 zoo cases.
+ */
+TEST(GpuBatchPlan, PinnedOnPlacements)
+{
+    const hw::CostModel cost(hw::serverSpec(ServerType::T7));
+    BitDigest bytes, latency;
+    forEachPlacementCase([&](const PlanCase& c) {
+        auto [us, b] = planCost(cost, c);
+        latency.add(us);
+        bytes.add(b);
+    });
+    EXPECT_EQ(bytes.h, 0xa59e3ebcbed54ab5ull);
+    EXPECT_EQ(latency.h, 0x305031e9edd312f5ull);
+}
+
+TEST(GpuBatchPlan, PinnedOnEveryModel)
+{
+    const hw::CostModel cost(hw::serverSpec(ServerType::T7));
+    BitDigest bytes, latency;
+    forEachZooCase([&](const PlanCase& c) {
+        auto [us, b] = planCost(cost, c);
+        latency.add(us);
+        bytes.add(b);
+    });
+    EXPECT_EQ(bytes.h, 0x21ca3b114858ae29ull);
+    EXPECT_EQ(latency.h, 0x085d5f69c0d1639cull);
+}
+
+/* The plan against the per-node sums it compiles, case by case. */
+TEST(GpuBatchPlan, MatchesPerNodeSums)
+{
+    const hw::CostModel cost(hw::serverSpec(ServerType::T7));
+    size_t cases = 0;
+    auto check = [&](const PlanCase& c) {
+        auto [us, b] = planCost(cost, c);
+        EXPECT_EQ(us, perNodeLatencyUs(cost, *c.graph, c.batch, c.cx))
+            << c.what << " batch " << c.batch << " ps "
+            << c.cx.pooling_scale << " hot " << c.cx.hot_hit_rate;
+        EXPECT_EQ(b, perNodeInputBytes(*c.graph, c.batch, c.cx))
+            << c.what << " batch " << c.batch << " ps "
+            << c.cx.pooling_scale << " hot " << c.cx.hot_hit_rate;
+        ++cases;
+    };
+    forEachPlacementCase(check);
+    forEachZooCase(check);
+    EXPECT_EQ(cases, 1080u);
 }
 
 /** Fusion capacity monotonicity across the three Fig 7 models. */
