@@ -79,7 +79,8 @@ scenarioDir()
 
 /**
  * Load one shipped scenario file by name ("flash_crowd_surge.scn") —
- * the serving benches start from these specs and apply their deltas.
+ * the serving experiments start from these specs and apply their
+ * deltas.
  * Parse failures are fatal: a bench must not silently diverge from
  * the spec it claims to run.
  */

@@ -4,25 +4,21 @@
  * servers) rides a day of synchronized diurnal load, re-provisioned
  * every interval by a choice of cluster scheduler.
  *
- * Two modes:
- *  - --scenario FILE: run a declarative scenario file (scenarios/
- *    *.scn, grammar in src/scenario/README.md) end to end through
- *    scenario::run() — a timestamped diurnal arrival trace flows
- *    through simulated server shards behind a query router, and the
- *    run reports tail latency, SLA violations, per-service QoS lines
- *    and any fault timeline, then writes BENCH_scenario.json. The file
- *    is the whole experiment: fleet, services, router, admission,
- *    power cap and faults are spec keys, not flags. --parse-only only
- *    parses and validates the file (CI lints the shipped library this
- *    way); --trace-out / --metrics-out override the spec's telemetry
- *    files. --lint FILE statically analyzes a file without running it;
- *  - analytic (default): the Fig 13 capacity view over a 24 h horizon
- *    at 0.5 h intervals — efficiency-tuple lookup, over-provision-rate
- *    estimation, interval-by-interval activation/release, provisioned
- *    power — under the hercules, greedy or nh scheduler.
+ * --scenario FILE runs a declarative scenario file (a .scn file such
+ * as those under scenarios/, grammar in src/scenario/README.md) end to
+ * end through
+ * scenario::run(): a timestamped diurnal arrival trace flows through
+ * simulated server shards behind a query router, and the run reports
+ * tail latency, SLA violations, per-service QoS lines and any fault
+ * timeline, then writes BENCH_scenario.json. The file is the whole
+ * experiment: fleet, services, router, admission, power cap and faults
+ * are spec keys, not flags. --parse-only only parses and validates the
+ * file (CI lints the shipped library this way); --trace-out /
+ * --metrics-out override the spec's telemetry files. --lint FILE
+ * statically analyzes a file without running it. (The analytic Fig 13
+ * capacity view is `bench_paper fig13`.)
  *
- * Usage: online_serving_sim [hercules|greedy|nh]
- *        online_serving_sim --scenario FILE [--parse-only]
+ * Usage: online_serving_sim --scenario FILE [--parse-only]
  *          [--trace-out F] [--metrics-out F]
  *        online_serving_sim --lint FILE
  *
@@ -30,13 +26,10 @@
  */
 #include <algorithm>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "cluster/cluster_manager.h"
-#include "core/profiler.h"
 #include "fault/fault.h"
 #include "qos/qos.h"
 #include "scenario/lint.h"
@@ -48,13 +41,8 @@ using namespace hercules;
 
 namespace {
 
-/** Fig 13's analytic horizon and re-provisioning interval (hours). */
-constexpr double kHorizonHours = 24.0;
-constexpr double kIntervalHours = 0.5;
-
 struct Args
 {
-    std::string policy = "hercules";
     std::string scenario_file;  ///< --scenario: run this spec file
     bool parse_only = false;    ///< with --scenario: parse, don't run
     std::string lint_file;      ///< --lint: statically analyze a spec
@@ -67,13 +55,9 @@ usage(const char* argv0)
 {
     std::fprintf(
         stderr,
-        "usage: %s [hercules|greedy|nh]\n"
-        "       %s --scenario F [--parse-only] [--trace-out F]\n"
+        "usage: %s --scenario F [--parse-only] [--trace-out F]\n"
         "                        [--metrics-out F]\n"
         "       %s --lint F\n"
-        "  hercules|greedy|nh  analytic Fig 13 capacity view (24 h at\n"
-        "                  0.5 h intervals) under that cluster\n"
-        "                  scheduler (default hercules)\n"
         "  --scenario F    run scenario file F end to end: trace-driven\n"
         "                  serving with tail latency, SLA and QoS\n"
         "                  accounting (writes BENCH_scenario.json).\n"
@@ -96,7 +80,7 @@ usage(const char* argv0)
         "                  enables the hardware-feasibility checks\n"
         "tip: --scenario scenarios/single_service.scn finishes in "
         "seconds.\n",
-        argv0, argv0, argv0);
+        argv0, argv0);
 }
 
 bool
@@ -114,9 +98,7 @@ parseArgs(int argc, char** argv, Args& out)
                             : a == "--trace-out"   ? &out.trace_out
                             : a == "--metrics-out" ? &out.metrics_out
                                                    : nullptr;
-        if (a == "hercules" || a == "greedy" || a == "nh") {
-            out.policy = a;
-        } else if (a == "--parse-only") {
+        if (a == "--parse-only") {
             out.parse_only = true;
         } else if (file != nullptr) {
             if (i + 1 >= argc)
@@ -126,8 +108,8 @@ parseArgs(int argc, char** argv, Args& out)
             return reject("unknown flag", a);
         }
     }
-    // The --scenario modifiers mean nothing to the analytic view:
-    // refuse them rather than exit 0 having written no file.
+    // The --scenario modifiers mean nothing without a scenario: refuse
+    // them rather than exit 0 having written no file.
     if (out.scenario_file.empty()) {
         if (out.parse_only)
             return reject("--parse-only requires", "--scenario");
@@ -361,71 +343,6 @@ runScenarioFile(const Args& args)
     return runSpec(*spec);
 }
 
-int
-runAnalytic(cluster::Provisioner& policy,
-            const core::EfficiencyTable& table,
-            const std::vector<hw::ServerType>& fleet,
-            const std::vector<model::ModelId>& services)
-{
-    cluster::ProvisionProblem problem =
-        cluster::ProvisionProblem::fromTable(table, fleet, services);
-
-    std::vector<cluster::ClusterWorkload> workloads(2);
-    workloads[0].model = services[0];
-    workloads[0].load.peak_qps = 60'000;
-    workloads[0].load.seed = 5;
-    workloads[1].model = services[1];
-    workloads[1].load.peak_qps = 12'000;
-    workloads[1].load.seed = 6;
-
-    // The over-provision rate R comes from the load history (paper
-    // §IV-C): the largest inter-interval increase.
-    workload::DiurnalLoad probe(workloads[0].load);
-    double r = cluster::estimateOverprovisionRate(probe, kIntervalHours);
-    std::printf("estimated over-provision rate R = %.1f%%\n\n", r * 100.0);
-
-    cluster::ClusterManagerOptions opt;
-    opt.horizon_hours = kHorizonHours;
-    opt.interval_hours = kIntervalHours;
-    opt.overprovision_rate = r;
-    cluster::ClusterRunResult run =
-        cluster::runCluster(problem, workloads, policy, opt);
-
-    TablePrinter t({"Hour", "RMC1 load", "RMC2 load", "T2 on", "T3 on",
-                    "T7 on", "Power (kW)", "OK"});
-    for (size_t i = 0; i < run.intervals.size(); i += 3) {
-        const auto& iv = run.intervals[i];
-        t.addRow({fmtDouble(iv.t_hours, 1), fmtEng(iv.loads[0], 1),
-                  fmtEng(iv.loads[1], 1),
-                  std::to_string(iv.alloc.activatedOfType(0)),
-                  std::to_string(iv.alloc.activatedOfType(1)),
-                  std::to_string(iv.alloc.activatedOfType(2)),
-                  fmtDouble(iv.provisioned_power_w / 1e3, 2),
-                  iv.satisfied ? "y" : "N"});
-    }
-    t.print();
-
-    std::printf("\npeak: %d servers / %.1f kW;  average: %.1f servers / "
-                "%.1f kW;  unsatisfied intervals: %d\n",
-                run.peak_servers, run.peak_power_w / 1e3,
-                run.avg_servers, run.avg_power_w / 1e3,
-                run.unsatisfied_intervals);
-    std::printf("tip: run with 'greedy' or 'nh' to compare policies, or "
-                "--scenario scenarios/<file>.scn for end-to-end "
-                "latency.\n");
-    return 0;
-}
-
-std::unique_ptr<cluster::Provisioner>
-makePolicy(const std::string& name)
-{
-    if (name == "greedy")
-        return std::make_unique<cluster::GreedyProvisioner>();
-    if (name == "nh")
-        return std::make_unique<cluster::NhProvisioner>(17);
-    return std::make_unique<cluster::HerculesProvisioner>();
-}
-
 }  // namespace
 
 int
@@ -443,21 +360,6 @@ main(int argc, char** argv)
     if (!args.scenario_file.empty())
         return runScenarioFile(args);
 
-    std::unique_ptr<cluster::Provisioner> policy =
-        makePolicy(args.policy);
-    std::printf("== %.0fh online serving (%s scheduler, analytic mode) "
-                "==\n\n",
-                kHorizonHours, policy->name());
-
-    const std::vector<hw::ServerType> fleet = {
-        hw::ServerType::T2, hw::ServerType::T3, hw::ServerType::T7};
-    const std::vector<model::ModelId> services = {
-        model::ModelId::DlrmRmc1, model::ModelId::DlrmRmc2};
-
-    std::printf("profiling the fleet...\n");
-    core::ProfilerOptions popt;
-    popt.servers = fleet;
-    popt.models = services;
-    core::EfficiencyTable table = core::offlineProfile(popt);
-    return runAnalytic(*policy, table, fleet, services);
+    usage(argv[0]);
+    return 2;
 }

@@ -211,8 +211,8 @@ ScenarioResult run(const ScenarioSpec& spec,
  * `w`: the per-service stats (array `services_key`, each entry led by
  * the members `service_head(s)` writes), run totals, percentiles,
  * power, DES counts and the per-interval trajectory arrays — the keys
- * BENCH_scenario.json and the serving benches' arms share (listed in
- * src/scenario/README.md).
+ * BENCH_scenario.json and the serving arms of BENCH_paper.json share
+ * (listed in src/scenario/README.md).
  */
 void writeRunSummary(util::JsonWriter& w, const sim::ClusterSimResult& r,
                      const char* services_key,

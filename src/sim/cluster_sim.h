@@ -94,9 +94,9 @@ std::optional<RouterPolicy> parseRouterPolicy(const std::string& name);
 
 /**
  * The four *static* policies in declaration order — the router sweep
- * the cluster benches iterate. LatencyFeedback is deliberately not
+ * of `bench_paper serving`. LatencyFeedback is deliberately not
  * included: its weights depend on harvest feedback, so it is compared
- * explicitly (bench_qos) rather than silently added to every sweep.
+ * explicitly (`bench_paper qos`) rather than added to every sweep.
  */
 const std::vector<RouterPolicy>& allRouterPolicies();
 

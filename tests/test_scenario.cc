@@ -5,9 +5,10 @@
  * every key, a golden corpus of line-precise parse errors, the README
  * grammar against schemaKeys(), default-spec == legacy-defaults
  * equivalence, the time-varying power-cap schedule, and the golden
- * pin that scenario::run() on a spec mirroring bench_multiservice's
- * joint-arm wiring reproduces a hand-wired cluster::serveTraces()
- * call bit-identically, as does a run() that profiles its own table.
+ * pin that scenario::run() on a spec mirroring the joint-arm wiring of
+ * `bench_paper multiservice` reproduces a hand-wired
+ * cluster::serveTraces() call bit-identically, as does a run() that
+ * profiles its own table.
  */
 #include <gtest/gtest.h>
 
@@ -653,7 +654,7 @@ cpuConfig()
 
 /**
  * Hand-built (T1, T2) x (RMC1, RMC2, RMC3) efficiency table — the
- * bench_multiservice shape (heterogeneous types, three models)
+ * `bench_paper multiservice` shape (heterogeneous types, three models)
  * without the profiling cost.
  */
 core::EfficiencyTable
@@ -680,10 +681,10 @@ goldenTable()
 }
 
 /**
- * The spec mirrors bench_multiservice's joint arm: three services
- * with phase-shifted peaks (20h / 12h / 4h, seeds 5/6/7, the small
- * RMC2 size-shaped) co-served on a shared heterogeneous fleet under
- * the Hercules provisioner, 0.5h intervals, compressed replay.
+ * The spec mirrors the joint arm of `bench_paper multiservice`: three
+ * services with phase-shifted peaks (20h / 12h / 4h, seeds 5/6/7, the
+ * small RMC2 size-shaped) co-served on a shared heterogeneous fleet
+ * under the Hercules provisioner, 0.5h intervals, compressed replay.
  */
 ScenarioSpec
 goldenSpec()

@@ -529,7 +529,7 @@ TEST(MultiTrace, ServiceStreamsMatchSoloGenerators)
     // The per-service sub-streams of a merged trace are exactly what a
     // solo TraceGenerator produces with the derived seed — service 0
     // with the base seed itself. Single-service callers (and the
-    // partition baselines of bench_multiservice) rely on this.
+    // partition arm of `bench_paper multiservice`) rely on this.
     std::vector<ServiceTraceSpec> specs(2);
     specs[0].load.peak_qps = 1200.0;
     specs[1].load.peak_qps = 700.0;
