@@ -98,7 +98,7 @@ addCanonicalCell(Digest& d, const model::Model& m, double power_budget_w)
     o.measure.sim.warmup_queries = 50;
     o.measure.sim.seed = 1;
     o.measure.bisect_iters = 2;
-    o.power_budget_w = power_budget_w;
+    o.measure.power_budget_w = power_budget_w;
     o.engine = &engine;
     const hw::ServerSpec& server = hw::serverSpec(hw::ServerType::T8);
     d.add(sched::herculesTaskSearch(server, m, m.sla_ms, o));

@@ -93,7 +93,7 @@ onlineSetup(const hw::ServerSpec& server, const model::Model& m,
             const sched::SearchOptions& opt)
 {
     sched::SearchOptions constrained = opt;
-    constrained.power_budget_w = power_budget_w;
+    constrained.measure.power_budget_w = power_budget_w;
     return profilePair(server, m, sla_ms, constrained);
 }
 

@@ -1023,16 +1023,6 @@ toText(const ScenarioSpec& spec)
     return root.text() + "\n";
 }
 
-bool
-saveSpecFile(const std::string& path, const ScenarioSpec& spec)
-{
-    std::ofstream out(path);
-    if (!out)
-        return false;
-    out << toText(spec);
-    return static_cast<bool>(out);
-}
-
 std::vector<std::string>
 schemaKeys()
 {

@@ -54,12 +54,6 @@ std::optional<ScenarioSpec> loadSpecFile(const std::string& path,
 std::string toText(const ScenarioSpec& spec);
 
 /**
- * Write toText(spec) to `path`.
- * @return true when the file was written.
- */
-bool saveSpecFile(const std::string& path, const ScenarioSpec& spec);
-
-/**
  * Every key of the format as a dotted path, in canonical order:
  * "fleet", "fleet[].type", ..., "faults.events[].state", ....
  */

@@ -1,13 +1,8 @@
 #include "sched/baselines.h"
 
 #include <algorithm>
-#include <memory>
 
-// sched sits below core in layers.json; baselines evaluate through
-// the shared EvalEngine so baseline and Hercules searches hit one memo
-// and one pool. Same justified up-edge as sched/gradient_search.h.
-// layer-lint: allow(core)
-#include "core/eval_engine.h"
+#include "sched/search_session.h"
 #include "sim/prepared.h"
 #include "util/logging.h"
 
@@ -15,24 +10,11 @@ namespace hercules::sched {
 
 namespace {
 
-/** Merge `r` into `acc`, keeping the higher-QPS best. */
-void
-merge(SearchResult& acc, SearchResult r)
-{
-    acc.evals += r.evals;
-    acc.cache_hits += r.cache_hits;
-    acc.trace.insert(acc.trace.end(), r.trace.begin(), r.trace.end());
-    if (r.best && r.best_qps > acc.best_qps) {
-        acc.best = r.best;
-        acc.best_point = r.best_point;
-        acc.best_qps = r.best_qps;
-    }
-}
-
 /**
  * 1D hill climb along a prebuilt config sequence: evaluate in order
  * while the latency-bounded QPS keeps improving (the hill-climbing
- * search of DeepRecSys).
+ * search of DeepRecSys). Each step that raises the running best is
+ * marked accepted.
  *
  * Accelerator baselines use model-based scheduling without Hercules's
  * locality-aware hot split: every co-located client must hold a full
@@ -51,14 +33,8 @@ hillClimb(const hw::ServerSpec& server, const model::Model& m,
     // gates the next), so the engine is used for its memo — baseline
     // configs overlapping a Hercules search sharing the engine are
     // free — rather than for fan-out.
-    std::unique_ptr<core::EvalEngine> owned;
-    core::EvalEngine* engine = opt.engine;
-    if (!engine) {
-        owned = std::make_unique<core::EvalEngine>(opt.eval);
-        engine = owned.get();
-    }
-    // Neighbouring steps differ in one knob and share most timings.
-    sim::TimingStore timings(server, m);
+    detail::Session session(server, m, sla_ms, opt);
+    detail::Evaluator ev(session, result);
     double prev = -1.0;
     for (const SchedulingConfig& cfg : seq) {
         if (sim::validateConfig(server, m, cfg))
@@ -73,39 +49,14 @@ hillClimb(const hw::ServerSpec& server, const model::Model& m,
             if (w.gpu_cx.hot_hit_rate < 1.0)
                 continue;  // the baseline cannot partition the model
         }
-        core::EvalRequest req;
-        req.server = &server;
-        req.model = &m;
-        req.cfg = cfg;
-        req.sla_ms = sla_ms;
-        req.measure = opt.measure;
-        req.measure.power_budget_w = opt.power_budget_w;
-        req.timings = &timings;
-        core::EvalResult res = engine->evaluate(req);
-        if (res.cache_hit)
-            ++result.cache_hits;
-        else
-            ++result.evals;
-        const auto& point = res.point;
-        SearchStep step;
-        step.cfg = cfg;
-        if (point) {
-            step.qps = point->qps;
-            step.tail_ms = point->result.tail_ms;
-            step.peak_power_w = point->result.peak_power_w;
-            step.qps_per_watt = point->result.qps_per_watt;
-        }
-        result.trace.push_back(step);
-        if (point && point->qps > result.best_qps) {
-            result.best = cfg;
-            result.best_point = *point;
-            result.best_qps = point->qps;
-            result.trace.back().accepted = true;
-        }
-        if (point && prev >= 0.0 && point->qps < prev)
+        double running_best = result.best_qps;
+        double q = ev.qps(cfg);
+        if (q > running_best)
+            ev.markAccepted(cfg);
+        if (q >= 0.0 && prev >= 0.0 && q < prev)
             break;  // hill climb: stop once throughput decreases
-        if (point)
-            prev = point->qps;
+        if (q >= 0.0)
+            prev = q;
     }
     return result;
 }
@@ -175,8 +126,9 @@ baselineSearch(const hw::ServerSpec& server, const model::Model& m,
 {
     SearchResult result = deepRecSysSearch(server, m, sla_ms, opt);
     if (server.hasGpu())
-        merge(result, baymaxSearch(server, m, sla_ms, opt,
-                                   /*allow_partition=*/true));
+        detail::mergeResult(result,
+                            baymaxSearch(server, m, sla_ms, opt,
+                                         /*allow_partition=*/true));
     return result;
 }
 

@@ -2,277 +2,117 @@
 
 #include <algorithm>
 #include <functional>
-#include <memory>
-#include <string>
-#include <unordered_map>
 #include <utility>
 
-#include "util/logging.h"
+#include "sched/search_session.h"
 
 namespace hercules::sched {
 
 namespace {
 
-/**
- * Ordered reduction of a partial result into the combined one. Strict
- * `>` on QPS keeps the earliest-merged winner on ties, so the reduction
- * order — always program order, never completion order — fully
- * determines the outcome regardless of the engine's thread count.
- */
-void
-mergeResult(SearchResult& acc, SearchResult&& r)
+using detail::Evaluator;
+using detail::mergeResult;
+using detail::Session;
+
+/** A position on a search grid of two index axes. */
+struct GridPoint
 {
-    acc.evals += r.evals;
-    acc.cache_hits += r.cache_hits;
-    acc.trace.insert(acc.trace.end(),
-                     std::make_move_iterator(r.trace.begin()),
-                     std::make_move_iterator(r.trace.end()));
-    if (r.best && r.best_qps > acc.best_qps) {
-        acc.best = r.best;
-        acc.best_point = r.best_point;
-        acc.best_qps = r.best_qps;
-    }
-}
-
-/**
- * Trace recorder on top of the evaluation engine, owned by one
- * (sub-)search. The engine memoizes across evaluators; this class keeps
- * the per-search bookkeeping the seed's Evaluator kept: first-request
- * dedup, the trace, the eval/cache-hit counters and the running best.
- */
-class Evaluator
-{
-  public:
-    Evaluator(core::EvalEngine& engine, sim::TimingStore& timings,
-              const hw::ServerSpec& server, const model::Model& m,
-              double sla_ms, const SearchOptions& opt,
-              SearchResult& result)
-        : engine_(engine), timings_(timings), server_(server), model_(m),
-          sla_ms_(sla_ms), opt_(opt), result_(result)
-    {
-    }
-
-    /** Latency-bounded QPS of a config; -1 when invalid/infeasible. */
-    double
-    qps(const SchedulingConfig& cfg)
-    {
-        auto [it, inserted] = seen_.try_emplace(cfg.key());
-        if (inserted)
-            record(cfg, engine_.evaluate(request(cfg)), it->second);
-        return it->second ? it->second->qps : -1.0;
-    }
-
-    /**
-     * Fan a candidate batch onto the engine pool, then record results
-     * in request order — the trace and counters come out exactly as if
-     * the batch had been evaluated serially.
-     */
-    void
-    prefetch(const std::vector<SchedulingConfig>& cfgs)
-    {
-        std::vector<const SchedulingConfig*> fresh;
-        std::vector<core::EvalRequest> reqs;
-        fresh.reserve(cfgs.size());
-        reqs.reserve(cfgs.size());
-        for (const SchedulingConfig& cfg : cfgs) {
-            if (seen_.count(cfg.key()))
-                continue;
-            fresh.push_back(&cfg);
-            reqs.push_back(request(cfg));
-        }
-        std::vector<core::EvalResult> results =
-            engine_.evaluateMany(reqs);
-        for (size_t i = 0; i < fresh.size(); ++i) {
-            auto [it, inserted] = seen_.try_emplace(fresh[i]->key());
-            if (inserted)
-                record(*fresh[i], std::move(results[i]), it->second);
-        }
-    }
-
-    /** Mark the latest trace entry for `cfg` as an accepted move. */
-    void
-    markAccepted(const SchedulingConfig& cfg)
-    {
-        std::string key = cfg.key();
-        for (auto rit = result_.trace.rbegin();
-             rit != result_.trace.rend(); ++rit) {
-            if (rit->cfg.key() == key) {
-                rit->accepted = true;
-                return;
-            }
-        }
-    }
-
-  private:
-    core::EvalRequest
-    request(const SchedulingConfig& cfg)
-    {
-        core::EvalRequest r;
-        r.server = &server_;
-        r.model = &model_;
-        r.cfg = cfg;
-        r.sla_ms = sla_ms_;
-        r.measure = opt_.measure;
-        r.measure.power_budget_w = opt_.power_budget_w;
-        r.timings = &timings_;
-        return r;
-    }
-
-    void
-    record(const SchedulingConfig& cfg, core::EvalResult&& res,
-           std::optional<sim::OperatingPoint>& slot)
-    {
-        if (!res.valid) {
-            slot = std::nullopt;  // invalid: never measured, not traced
-            return;
-        }
-        if (res.cache_hit)
-            ++result_.cache_hits;
-        else
-            ++result_.evals;
-
-        SearchStep step;
-        step.cfg = cfg;
-        if (res.point) {
-            step.qps = res.point->qps;
-            step.tail_ms = res.point->result.tail_ms;
-            step.peak_power_w = res.point->result.peak_power_w;
-            step.qps_per_watt = res.point->result.qps_per_watt;
-        }
-        result_.trace.push_back(step);
-
-        if (res.point && res.point->qps > result_.best_qps) {
-            result_.best = cfg;
-            result_.best_point = *res.point;
-            result_.best_qps = res.point->qps;
-        }
-        slot = std::move(res.point);
-    }
-
-    core::EvalEngine& engine_;
-    sim::TimingStore& timings_;
-    const hw::ServerSpec& server_;
-    const model::Model& model_;
-    double sla_ms_;
-    const SearchOptions& opt_;
-    SearchResult& result_;
-    std::unordered_map<std::string, std::optional<sim::OperatingPoint>>
-        seen_;
+    int xi, yi;
 };
+using GridPoints = std::vector<GridPoint>;
 
 /**
- * Everything a mapping search needs to spawn sub-evaluators. The
- * timing store belongs to the outermost search call and is freed when
- * it returns.
- */
-struct SearchCtx
-{
-    core::EvalEngine& engine;
-    sim::TimingStore& timings;
-    const hw::ServerSpec& server;
-    const model::Model& model;
-    double sla_ms;
-    const SearchOptions& opt;
-
-    Evaluator
-    make(SearchResult& result) const
-    {
-        return Evaluator(engine, timings, server, model, sla_ms, opt,
-                         result);
-    }
-};
-
-/**
- * The Psp(M + D) climber of Algorithm 1: a 2D gradient ascent over
- * index axes, moving to the best of the three forward neighbours while
- * throughput improves. The neighbours of each step are prefetched onto
- * the engine pool and then reduced in candidate order.
+ * The ascent step of Algorithm 1 on an nx x ny grid: from a feasible
+ * `at` of value `cur`, value the three forward neighbours (more x, more
+ * y, both; in that order) and move to the best while it beats `cur`
+ * (ties keep the earliest). `before` sees each step's candidates ahead
+ * of valuing them, `moved` each accepted position; either may be empty.
  *
- * @param nx, ny    axis lengths.
- * @param cfg_at    builds the configuration at position (xi, yi).
- * @param ev        evaluator of the owning (sub-)search.
- * @param start_xi, start_yi  origin (minimal parallelism).
- * @return best feasible QPS found along the climb (-1 when none).
+ * @return the value at the final position, where `at` is left.
  */
 double
-climb2d(int nx, int ny,
-        const std::function<SchedulingConfig(int, int)>& cfg_at,
-        Evaluator& ev, int start_xi = 0, int start_yi = 0,
-        int* final_xi = nullptr, int* final_yi = nullptr)
+ascend(int nx, int ny, GridPoint& at, double cur,
+       const std::function<double(GridPoint)>& value,
+       const std::function<void(const GridPoints&)>& before = {},
+       const std::function<void(GridPoint)>& moved = {})
 {
-    int xi = start_xi;
-    int yi = start_yi;
-    double cur = ev.qps(cfg_at(xi, yi));
-    double best = cur;
-    if (cur >= 0.0)
-        ev.markAccepted(cfg_at(xi, yi));
-
-    // If even the origin is infeasible, scan the batch axis once — the
-    // origin may violate SLA while larger batches cannot help, but a
-    // tiny query-fused batch sometimes only becomes feasible later.
-    // (Kept serial: the scan stops at the first feasible batch, and
-    // prefetching past it would measure batches the walk never uses.)
-    if (cur < 0.0) {
-        for (int y = start_yi + 1; y < ny; ++y) {
-            double q = ev.qps(cfg_at(xi, y));
-            if (q >= 0.0) {
-                yi = y;
-                cur = best = q;
-                ev.markAccepted(cfg_at(xi, yi));
-                break;
-            }
-        }
-        if (cur < 0.0)
-            return -1.0;
-    }
-
     while (true) {
-        struct Cand
-        {
-            int xi, yi;
-        };
-        std::vector<Cand> cands;
-        if (xi + 1 < nx)
-            cands.push_back({xi + 1, yi});
-        if (yi + 1 < ny)
-            cands.push_back({xi, yi + 1});
-        if (xi + 1 < nx && yi + 1 < ny)
-            cands.push_back({xi + 1, yi + 1});
+        GridPoints cands;
+        if (at.xi + 1 < nx)
+            cands.push_back({at.xi + 1, at.yi});
+        if (at.yi + 1 < ny)
+            cands.push_back({at.xi, at.yi + 1});
+        if (at.xi + 1 < nx && at.yi + 1 < ny)
+            cands.push_back({at.xi + 1, at.yi + 1});
         if (cands.empty())
-            break;
-
-        std::vector<SchedulingConfig> cfgs;
-        cfgs.reserve(cands.size());
-        for (const Cand& c : cands)
-            cfgs.push_back(cfg_at(c.xi, c.yi));
-        ev.prefetch(cfgs);
-
+            return cur;
+        if (before)
+            before(cands);
         double best_q = -1.0;
-        Cand best_c{xi, yi};
-        for (const Cand& c : cands) {
-            double q = ev.qps(cfg_at(c.xi, c.yi));
+        GridPoint best_c = at;
+        for (const GridPoint& c : cands) {
+            double q = value(c);
             if (q > best_q) {
                 best_q = q;
                 best_c = c;
             }
         }
         if (best_q <= cur)
-            break;  // convex surface: no improving direction left
-        xi = best_c.xi;
-        yi = best_c.yi;
+            return cur;  // convex surface: no improving direction left
+        at = best_c;
         cur = best_q;
-        best = std::max(best, cur);
-        ev.markAccepted(cfg_at(xi, yi));
+        if (moved)
+            moved(at);
     }
-    if (final_xi)
-        *final_xi = xi;
-    if (final_yi)
-        *final_yi = yi;
-    return best;
 }
 
 /**
- * Outer Psp(O) loop: returns when per-o peaks start decreasing.
+ * The Psp(M + D) climber of Algorithm 1: ascend() over index axes from
+ * the origin (minimal parallelism), recording through the owning
+ * (sub-)search's evaluator. The neighbours of each step are prefetched
+ * onto the engine pool and then reduced in candidate order.
+ *
+ * @param nx, ny    axis lengths.
+ * @param cfg_at    builds the configuration at a grid position.
+ * @param ev        evaluator of the owning (sub-)search.
+ * @param at        origin in, final position out.
+ * @return best feasible QPS found along the climb (-1 when none).
+ */
+double
+climb2d(int nx, int ny,
+        const std::function<SchedulingConfig(GridPoint)>& cfg_at,
+        Evaluator& ev, GridPoint& at)
+{
+    double cur = ev.qps(cfg_at(at));
+
+    // If even the origin is infeasible, scan the batch axis once — the
+    // origin may violate SLA while larger batches cannot help, but a
+    // tiny query-fused batch sometimes only becomes feasible later.
+    // (Kept serial: the scan stops at the first feasible batch, and
+    // prefetching past it would measure batches the walk never uses.)
+    for (GridPoint p{at.xi, at.yi + 1}; cur < 0.0 && p.yi < ny; ++p.yi) {
+        cur = ev.qps(cfg_at(p));
+        if (cur >= 0.0)
+            at = p;
+    }
+    if (cur < 0.0)
+        return -1.0;
+    ev.markAccepted(cfg_at(at));
+
+    return ascend(
+        nx, ny, at, cur, [&](GridPoint p) { return ev.qps(cfg_at(p)); },
+        [&](const GridPoints& cands) {
+            std::vector<SchedulingConfig> cfgs;
+            cfgs.reserve(cands.size());
+            for (const GridPoint& c : cands)
+                cfgs.push_back(cfg_at(c));
+            ev.prefetch(cfgs);
+        },
+        [&](GridPoint p) { ev.markAccepted(cfg_at(p)); });
+}
+
+/**
+ * Outer Psp(O) loop: stops when per-o peaks start decreasing.
  *
  * When the engine pool has parallelism, every arm runs speculatively at
  * once (disjoint configuration spaces — each arm owns one
@@ -282,13 +122,13 @@ climb2d(int nx, int ny,
  * — so the result is bit-identical to the serial walk, speculation only
  * spends idle cores.
  */
-double
-opParallelismLoop(const SearchCtx& ctx, int max_o,
+void
+opParallelismLoop(Session& ctx, int max_o,
                   const std::function<double(int, SearchResult&)>& arm,
                   SearchResult& result)
 {
     if (max_o < 1)
-        return -1.0;
+        return;
     size_t n = static_cast<size_t>(max_o);
     std::vector<SearchResult> partial(n);
     std::vector<double> peak(n, -1.0);
@@ -306,52 +146,50 @@ opParallelismLoop(const SearchCtx& ctx, int max_o,
         });
     }
 
-    double best = -1.0;
     double prev = -1.0;
     for (int o = 1; o <= max_o; ++o) {
         size_t i = static_cast<size_t>(o - 1);
         if (!computed[i])
             peak[i] = arm(o, partial[i]);
         mergeResult(result, std::move(partial[i]));
-        best = std::max(best, peak[i]);
         if (o > 1 && peak[i] < prev)
             break;  // Algorithm 1: terminate on decreasing op-parallelism
         if (peak[i] >= 0.0)
             prev = peak[i];
     }
-    return best;
 }
 
-double
-searchCpuModelBased(const SearchCtx& ctx, SearchResult& result)
+void
+searchCpuModelBased(Session& ctx, SearchResult& result)
 {
     const auto& batches = ctx.opt.space.batches;
     int cores = ctx.server.cpu.cores;
     int max_o = std::min(ctx.opt.space.max_cores_per_thread, cores);
-    double best = opParallelismLoop(
+    opParallelismLoop(
         ctx, max_o,
         [&](int o, SearchResult& out) {
             int max_threads = cores / o;
             if (max_threads < 1)
                 return -1.0;
-            Evaluator ev = ctx.make(out);
-            auto cfg_at = [&](int xi, int yi) {
+            Evaluator ev(ctx, out);
+            auto cfg_at = [&](GridPoint p) {
                 SchedulingConfig cfg;
                 cfg.mapping = Mapping::CpuModelBased;
-                cfg.cpu_threads = xi + 1;
+                cfg.cpu_threads = p.xi + 1;
                 cfg.cores_per_thread = o;
-                cfg.batch = batches[static_cast<size_t>(yi)];
+                cfg.batch = batches[static_cast<size_t>(p.yi)];
                 return cfg;
             };
+            GridPoint at{0, 0};
             return climb2d(max_threads, static_cast<int>(batches.size()),
-                           cfg_at, ev);
+                           cfg_at, ev, at);
         },
         result);
     // Anchor sweep along the fully-threaded edge (one thread per core,
     // the DeepRecSys corner): cheap insurance that measurement noise in
     // an early climb step can never leave Hercules below a baseline
     // whose space it supersedes. The engine memo dedupes repeats.
-    Evaluator ev = ctx.make(result);
+    Evaluator ev(ctx, result);
     std::vector<SchedulingConfig> anchors;
     anchors.reserve(batches.size());
     for (int b : batches) {
@@ -363,82 +201,73 @@ searchCpuModelBased(const SearchCtx& ctx, SearchResult& result)
         anchors.push_back(cfg);
     }
     ev.prefetch(anchors);
-    for (const SchedulingConfig& cfg : anchors)
-        best = std::max(best, ev.qps(cfg));
-    return best;
 }
 
-double
-searchCpuSdPipeline(const SearchCtx& ctx, SearchResult& result)
+void
+searchCpuSdPipeline(Session& ctx, SearchResult& result)
 {
     const auto& batches = ctx.opt.space.batches;
     int cores = ctx.server.cpu.cores;
     int max_o = std::min(ctx.opt.space.max_cores_per_thread, cores);
-    return opParallelismLoop(
+    opParallelismLoop(
         ctx, max_o,
         [&](int o, SearchResult& out) {
             int max_sparse = std::max(cores / o - 1, 0);
             if (max_sparse < 1)
                 return -1.0;
-            Evaluator ev = ctx.make(out);
-            auto cfg_at = [&](int xi, int yi) {
+            Evaluator ev(ctx, out);
+            auto cfg_at = [&](GridPoint p) {
                 SchedulingConfig cfg;
                 cfg.mapping = Mapping::CpuSdPipeline;
-                cfg.cpu_threads = xi + 1;
+                cfg.cpu_threads = p.xi + 1;
                 cfg.cores_per_thread = o;
-                cfg.batch = batches[static_cast<size_t>(yi)];
+                cfg.batch = batches[static_cast<size_t>(p.yi)];
                 cfg.dense_threads = balancedDenseThreads(
                     ctx.server, ctx.model, cfg.cpu_threads, o, cfg.batch);
                 return cfg;
             };
+            GridPoint at{0, 0};
             return climb2d(max_sparse, static_cast<int>(batches.size()),
-                           cfg_at, ev);
+                           cfg_at, ev, at);
         },
         result);
 }
 
-double
-searchGpuModelBased(const SearchCtx& ctx, SearchResult& result)
+void
+searchGpuModelBased(Session& ctx, SearchResult& result)
 {
     const auto& fusions = ctx.opt.space.fusion_limits;
-    // Host helper-thread options matter only when a cold path exists;
-    // the engine memo dedupes identical configs either way.
-    std::vector<int> helpers = {1};
-    for (int h : ctx.opt.space.host_helper_threads)
-        if (h <= ctx.server.cpu.cores)
-            helpers.push_back(h);
+    // Helper counts matter only when a cold path exists; the engine
+    // memo dedupes the configs they leave identical.
+    const std::vector<int> helpers =
+        hostHelperThreads(ctx.server, ctx.opt.space);
 
     // Helper arms are independent (disjoint cpu_threads values) and the
     // seed walked all of them — no early termination — so they always
     // fan out; the reduction stays in helper order.
     std::vector<SearchResult> partial(helpers.size());
-    std::vector<double> peak(helpers.size(), -1.0);
     ctx.engine.pool().parallelFor(helpers.size(), [&](size_t i) {
         int h = helpers[i];
-        Evaluator ev = ctx.make(partial[i]);
-        auto cfg_at = [&](int xi, int yi) {
+        Evaluator ev(ctx, partial[i]);
+        auto cfg_at = [&](GridPoint p) {
             SchedulingConfig cfg;
             cfg.mapping = Mapping::GpuModelBased;
-            cfg.gpu_threads = xi + 1;
-            cfg.fusion_limit = fusions[static_cast<size_t>(yi)];
+            cfg.gpu_threads = p.xi + 1;
+            cfg.fusion_limit = fusions[static_cast<size_t>(p.yi)];
             cfg.cpu_threads = h;
             cfg.cores_per_thread = 1;
             return cfg;
         };
-        peak[i] = climb2d(ctx.opt.space.max_gpu_threads,
-                          static_cast<int>(fusions.size()), cfg_at, ev);
+        GridPoint at{0, 0};
+        climb2d(ctx.opt.space.max_gpu_threads,
+                static_cast<int>(fusions.size()), cfg_at, ev, at);
     });
-
-    double best = -1.0;
-    for (size_t i = 0; i < helpers.size(); ++i) {
-        mergeResult(result, std::move(partial[i]));
-        best = std::max(best, peak[i]);
-    }
-    return best;
+    for (SearchResult& r : partial)
+        mergeResult(result, std::move(r));
 }
 
-double
-searchGpuSdPipeline(const SearchCtx& ctx, SearchResult& result)
+void
+searchGpuSdPipeline(Session& ctx, SearchResult& result)
 {
     const auto& batches = ctx.opt.space.batches;
     const auto& fusions = ctx.opt.space.fusion_limits;
@@ -448,13 +277,13 @@ searchGpuSdPipeline(const SearchCtx& ctx, SearchResult& result)
     // keeps the nested host/accelerator search tractable.
     int max_o = std::min({2, ctx.opt.space.max_cores_per_thread, cores});
 
-    return opParallelismLoop(
+    opParallelismLoop(
         ctx, max_o,
         [&](int o, SearchResult& out) {
             int max_threads = cores / o;
             if (max_threads < 1)
                 return -1.0;
-            Evaluator ev = ctx.make(out);
+            Evaluator ev(ctx, out);
             // Accelerator-side warm start: each host-side move re-runs
             // the small (co-location x fusion) climb from the last
             // optimum (paper: "following each move-step of host-side
@@ -462,78 +291,34 @@ searchGpuSdPipeline(const SearchCtx& ctx, SearchResult& result)
             // warm state makes the host-candidate loop order-dependent,
             // so it stays serial; parallelism comes from the inner
             // climbs' neighbour prefetch and the o-arms.
-            int warm_g = 0;
-            int warm_f = 0;
-            auto inner = [&](int hxi, int hyi) {
-                auto inner_cfg = [&](int gxi, int gyi) {
+            GridPoint warm{0, 0};
+            auto inner = [&](GridPoint h) {
+                auto inner_cfg = [&](GridPoint g) {
                     SchedulingConfig cfg;
                     cfg.mapping = Mapping::GpuSdPipeline;
-                    cfg.cpu_threads = hxi + 1;
+                    cfg.cpu_threads = h.xi + 1;
                     cfg.cores_per_thread = o;
-                    cfg.batch = batches[static_cast<size_t>(hyi)];
-                    cfg.gpu_threads = gxi + 1;
-                    cfg.fusion_limit = fusions[static_cast<size_t>(gyi)];
+                    cfg.batch = batches[static_cast<size_t>(h.yi)];
+                    cfg.gpu_threads = g.xi + 1;
+                    cfg.fusion_limit = fusions[static_cast<size_t>(g.yi)];
                     return cfg;
                 };
                 return climb2d(ctx.opt.space.max_gpu_threads,
                                static_cast<int>(fusions.size()),
-                               inner_cfg, ev, warm_g, warm_f, &warm_g,
-                               &warm_f);
+                               inner_cfg, ev, warm);
             };
-            int xi = 0, yi = 0;
-            double cur = inner(xi, yi);
-            double best = cur;
+            GridPoint at{0, 0};
+            double cur = inner(at);
             if (cur < 0.0)
-                return -1.0;
-            while (true) {
-                struct Cand
-                {
-                    int xi, yi;
-                };
-                std::vector<Cand> cands;
-                if (xi + 1 < max_threads)
-                    cands.push_back({xi + 1, yi});
-                if (yi + 1 < static_cast<int>(batches.size()))
-                    cands.push_back({xi, yi + 1});
-                if (xi + 1 < max_threads &&
-                    yi + 1 < static_cast<int>(batches.size()))
-                    cands.push_back({xi + 1, yi + 1});
-                if (cands.empty())
-                    break;
-                double best_q = -1.0;
-                Cand best_c{xi, yi};
-                for (const Cand& c : cands) {
-                    double q = inner(c.xi, c.yi);
-                    if (q > best_q) {
-                        best_q = q;
-                        best_c = c;
-                    }
-                }
-                if (best_q <= cur)
-                    break;
-                xi = best_c.xi;
-                yi = best_c.yi;
-                cur = best_q;
-                best = std::max(best, cur);
-            }
-            return best;
+                return -1.0;  // an infeasible host origin ends the arm
+            return ascend(max_threads, static_cast<int>(batches.size()),
+                          at, cur, inner);
         },
         result);
 }
 
-/** Resolve the engine to use: the caller's shared one or a private one. */
-core::EvalEngine*
-resolveEngine(const SearchOptions& opt,
-              std::unique_ptr<core::EvalEngine>& owned)
-{
-    if (opt.engine)
-        return opt.engine;
-    owned = std::make_unique<core::EvalEngine>(opt.eval);
-    return owned.get();
-}
-
 SearchResult
-searchMapping(const SearchCtx& ctx, Mapping mapping)
+searchMapping(Session& ctx, Mapping mapping)
 {
     SearchResult result;
     switch (mapping) {
@@ -560,32 +345,26 @@ gradientSearchMapping(const hw::ServerSpec& server, const model::Model& m,
                       Mapping mapping, double sla_ms,
                       const SearchOptions& opt)
 {
-    std::unique_ptr<core::EvalEngine> owned;
-    core::EvalEngine* engine = resolveEngine(opt, owned);
-    sim::TimingStore timings(server, m);
-    return searchMapping({*engine, timings, server, m, sla_ms, opt},
-                         mapping);
+    Session session(server, m, sla_ms, opt);
+    return searchMapping(session, mapping);
 }
 
 SearchResult
 herculesTaskSearch(const hw::ServerSpec& server, const model::Model& m,
                    double sla_ms, const SearchOptions& opt)
 {
-    std::unique_ptr<core::EvalEngine> owned;
-    core::EvalEngine* engine = resolveEngine(opt, owned);
-    // One timing store across the partition strategies: they share
-    // graphs and host contexts (a GPU S-D pipeline's SparseNet threads
-    // time what a CPU S-D pipeline's do).
-    sim::TimingStore timings(server, m);
-    const SearchCtx ctx{*engine, timings, server, m, sla_ms, opt};
+    // One session across the partition strategies: their timing store
+    // is shared because they share graphs and host contexts (a GPU S-D
+    // pipeline's SparseNet threads time what a CPU S-D pipeline's do).
+    Session session(server, m, sla_ms, opt);
 
     // Partition strategies explore disjoint configuration spaces, so
     // they fan out as independent pool tasks; the merge below runs in
     // catalog order for a thread-count-independent result.
     std::vector<Mapping> mappings = applicableMappings(server, m);
     std::vector<SearchResult> results(mappings.size());
-    engine->pool().parallelFor(mappings.size(), [&](size_t i) {
-        results[i] = searchMapping(ctx, mappings[i]);
+    session.engine.pool().parallelFor(mappings.size(), [&](size_t i) {
+        results[i] = searchMapping(session, mappings[i]);
     });
 
     SearchResult combined;
@@ -599,11 +378,8 @@ exhaustiveSearch(const hw::ServerSpec& server, const model::Model& m,
                  Mapping mapping, double sla_ms, const SearchOptions& opt)
 {
     SearchResult result;
-    std::unique_ptr<core::EvalEngine> owned;
-    core::EvalEngine* engine = resolveEngine(opt, owned);
-    sim::TimingStore timings(server, m);
-    SearchCtx ctx{*engine, timings, server, m, sla_ms, opt};
-    Evaluator ev = ctx.make(result);
+    Session session(server, m, sla_ms, opt);
+    Evaluator ev(session, result);
     // The oracle grid is embarrassingly parallel: prefetch evaluates
     // every enumerated config on the pool and records them in
     // enumeration order.

@@ -13,7 +13,6 @@
  */
 #pragma once
 
-#include <limits>
 #include <optional>
 #include <vector>
 
@@ -61,9 +60,12 @@ struct SearchResult
 struct SearchOptions
 {
     SpaceOptions space{};
+    /**
+     * Measurement options every evaluation of the search uses as given,
+     * including the provisioned power budget (`power_budget_w`: set for
+     * online serving, infinity offline).
+     */
     sim::MeasureOptions measure{};
-    /** Provisioned power budget (online serving); infinity offline. */
-    double power_budget_w = std::numeric_limits<double>::infinity();
     /** Evaluation-engine knobs used when no shared engine is given. */
     core::EvalOptions eval{};
     /**

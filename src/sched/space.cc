@@ -25,6 +25,16 @@ applicableMappings(const hw::ServerSpec& server, const model::Model& m)
     return maps;
 }
 
+std::vector<int>
+hostHelperThreads(const hw::ServerSpec& server, const SpaceOptions& opt)
+{
+    std::vector<int> helpers = {1};
+    for (int h : opt.host_helper_threads)
+        if (h <= server.cpu.cores)
+            helpers.push_back(h);
+    return helpers;
+}
+
 int
 balancedDenseThreads(const hw::ServerSpec& server, const model::Model& m,
                      int sparse_threads, int cores_per_thread, int batch)
@@ -106,16 +116,10 @@ enumerateConfigs(const hw::ServerSpec& server, const model::Model& m,
         }
         break;
 
-      case Mapping::GpuModelBased:
+      case Mapping::GpuModelBased: {
+        const std::vector<int> helpers = hostHelperThreads(server, opt);
         for (int g = 1; g <= opt.max_gpu_threads; ++g) {
             for (int f : opt.fusion_limits) {
-                // Host helpers only matter when the hot split leaves a
-                // cold fraction; try the configured options plus the
-                // trivial single dispatcher thread.
-                std::vector<int> helpers = {1};
-                for (int h : opt.host_helper_threads)
-                    if (h <= cores)
-                        helpers.push_back(h);
                 for (int h : helpers) {
                     SchedulingConfig cfg;
                     cfg.mapping = mapping;
@@ -128,6 +132,7 @@ enumerateConfigs(const hw::ServerSpec& server, const model::Model& m,
             }
         }
         break;
+      }
 
       case Mapping::GpuSdPipeline:
         for (int o = 1; o <= std::min(opt.max_cores_per_thread, cores);

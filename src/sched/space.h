@@ -36,6 +36,15 @@ std::vector<Mapping> applicableMappings(const hw::ServerSpec& server,
                                         const model::Model& m);
 
 /**
+ * Host helper-thread counts an accelerator model-based config tries:
+ * the trivial single dispatcher thread, then each configured count that
+ * fits the server's cores. Helpers matter only when the hot split
+ * leaves a cold fraction.
+ */
+std::vector<int> hostHelperThreads(const hw::ServerSpec& server,
+                                   const SpaceOptions& opt);
+
+/**
  * Size the DenseNet pool to balance an S-D pipeline: the number of
  * 1-core dense threads whose aggregate service rate matches
  * `sparse_threads` sparse threads of `cores_per_thread` workers each

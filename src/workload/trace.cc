@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "util/csv.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -93,42 +92,6 @@ empiricalHitRate(const EmbAccessTrace& trace,
     return total == 0 ? 0.0
                       : static_cast<double>(hits) /
                             static_cast<double>(total);
-}
-
-void
-writeTraceCsv(const EmbAccessTrace& trace, const std::string& path)
-{
-    CsvWriter w({"table", "row", "count"});
-    for (size_t t = 0; t < trace.accesses.size(); ++t) {
-        for (size_t r = 0; r < trace.accesses[t].size(); ++r) {
-            if (trace.accesses[t][r] == 0)
-                continue;
-            w.addRow({std::to_string(t), std::to_string(r),
-                      std::to_string(trace.accesses[t][r])});
-        }
-    }
-    w.write(path);
-}
-
-EmbAccessTrace
-readTraceCsv(const std::string& path)
-{
-    auto rows = readCsvFile(path);
-    EmbAccessTrace trace;
-    for (size_t i = 1; i < rows.size(); ++i) {  // skip header
-        const auto& r = rows[i];
-        if (r.size() != 3)
-            fatal("readTraceCsv: malformed row %zu in %s", i, path.c_str());
-        size_t table = std::stoull(r[0]);
-        size_t row = std::stoull(r[1]);
-        uint64_t count = std::stoull(r[2]);
-        if (trace.accesses.size() <= table)
-            trace.accesses.resize(table + 1);
-        if (trace.accesses[table].size() <= row)
-            trace.accesses[table].resize(row + 1, 0);
-        trace.accesses[table][row] = count;
-    }
-    return trace;
 }
 
 }  // namespace hercules::workload

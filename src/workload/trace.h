@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "model/model_zoo.h"
@@ -51,11 +50,5 @@ EmbAccessTrace generateTrace(const model::Model& m, int num_queries,
  */
 double empiricalHitRate(const EmbAccessTrace& trace,
                         const std::vector<int64_t>& hot_rows);
-
-/** Persist a trace as CSV (table,row,count). */
-void writeTraceCsv(const EmbAccessTrace& trace, const std::string& path);
-
-/** Load a trace written by writeTraceCsv. */
-EmbAccessTrace readTraceCsv(const std::string& path);
 
 }  // namespace hercules::workload

@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <memory>
 
@@ -886,18 +885,6 @@ TEST(Trace, FullPlacementHitsEverything)
             all_rows.push_back(
                 std::get<model::EmbeddingParams>(n.params).rows);
     EXPECT_DOUBLE_EQ(empiricalHitRate(trace, all_rows), 1.0);
-}
-
-TEST(Trace, CsvRoundtrip)
-{
-    model::Model m = model::buildModel(model::ModelId::Din,
-                                       model::Variant::Small);
-    EmbAccessTrace trace = generateTrace(m, 50, 50, 17);
-    std::string path = ::testing::TempDir() + "/hercules_trace.csv";
-    writeTraceCsv(trace, path);
-    EmbAccessTrace back = readTraceCsv(path);
-    EXPECT_EQ(back.total(), trace.total());
-    std::remove(path.c_str());
 }
 
 }  // namespace
