@@ -11,6 +11,9 @@
  * miss exits 1, an unknown name exits 2.
  */
 #include <algorithm>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <functional>
 #include <iterator>
 #include <limits>
@@ -2289,6 +2292,100 @@ faults(Paper& paper)
                         static_op.avg_provisioned_power_w + 1e-6);
 }
 
+/** Trace arm's serve wall budget, as a multiple of the off arm's. */
+constexpr double kMaxTraceOverhead = 1.15;
+
+/** The whole of the file at `path`; empty when it cannot be read. */
+std::string
+slurp(const std::string& path)
+{
+    std::ifstream in(path);
+    return {std::istreambuf_iterator<char>(in), {}};
+}
+
+/** Newline-terminated records in the file at `path`; 0 when absent. */
+std::ptrdiff_t
+countLines(const std::string& path)
+{
+    std::ifstream in(path);
+    return std::count(std::istreambuf_iterator<char>(in), {}, '\n');
+}
+
+/**
+ * Telemetry overhead — scenarios/three_service_phase_shift.scn replayed
+ * three times on the driver's table:
+ *  - off: no telemetry;
+ *  - metrics: the metrics export alone;
+ *  - trace: the metrics export and every query traced.
+ * The telemetry files go to a scratch directory, removed after the run.
+ * Fast mode: 6h horizon. Claims: telemetry only observes, so the arms
+ * are equal in every simulated value of their run summaries (all but
+ * the wall-derived event rate); and the trace arm's serve wall stays
+ * within 1.15x the off arm's, a known miss.
+ */
+void
+obs(Paper& paper)
+{
+    bench::banner("Telemetry overhead",
+                  "three_service_phase_shift replayed off / metrics-only / "
+                  "full tracing on one table");
+
+    scenario::ScenarioSpec off =
+        bench::loadScenario("three_service_phase_shift.scn");
+    if (bench::fastMode())
+        off.serve.horizon_hours = 6.0;
+    std::string dir =
+        (std::filesystem::temp_directory_path() / "hercules_obs_XXXXXX")
+            .string();
+    if (mkdtemp(dir.data()) == nullptr)
+        fatal("bench_paper obs: cannot create %s", dir.c_str());
+    scenario::ScenarioSpec metrics = off;
+    metrics.observability.metrics_file = dir + "/metrics.csv";
+    scenario::ScenarioSpec trace = metrics;
+    trace.observability.trace_file = dir + "/trace.jsonl";
+    trace.observability.sample_rate = 1.0;
+
+    const std::vector<Arm> arms = {runArm(paper, "off", off),
+                                   runArm(paper, "metrics", metrics),
+                                   runArm(paper, "trace", trace)};
+    const std::ptrdiff_t trace_records =
+        countLines(trace.observability.trace_file);
+    const std::vector<model::ModelId> models = modelIds(off);
+    std::vector<std::string> summaries;
+    for (const Arm& a : arms) {
+        sim::ClusterSimResult r = a.serve.sim;
+        r.des.events_per_sec = 0.0;
+        const std::string path = dir + "/" + a.name + ".json";
+        util::JsonWriter w(path);
+        w.beginObject();
+        w.key("queries").integer(a.serve.trace_queries);
+        w.key("reprovisions").integer(a.serve.reprovisions);
+        bench::writeArmSummary(w, r, models);
+        w.endObject();
+        summaries.push_back(w.close() ? slurp(path) : "");
+    }
+    std::filesystem::remove_all(dir);
+
+    const double ratio = arms[2].wall_ms / arms[0].wall_ms;
+    std::printf("%td trace records\n\n", trace_records);
+    reportArms(paper, arms, models, [&](util::JsonWriter& w) {
+        w.key("trace_records").integer(trace_records);
+        w.key("trace_overhead_ratio").fixed(ratio, 3);
+    });
+    auto vs_off = [&](size_t i) {
+        return arms[i].name + (summaries[i] == summaries[0] ? " = " : " != ") +
+               "off";
+    };
+    paper.claim("telemetry arms equal in every simulated value",
+                "observe-only telemetry", joined({vs_off(1), vs_off(2)}),
+                !summaries[0].empty() && summaries[0] == summaries[1] &&
+                    summaries[0] == summaries[2]);
+    paper.claim("trace wall <= 1.15x off", "beyond the paper",
+                fmtDouble(ratio, 2) + "x (" + fmtDouble(arms[2].wall_ms, 1) +
+                    " vs " + fmtDouble(arms[0].wall_ms, 1) + " ms)",
+                ratio <= kMaxTraceOverhead, true);
+}
+
 struct Figure
 {
     const char* name;
@@ -2318,6 +2415,7 @@ const Figure kFigures[] = {
     {"multiservice", multiservice},
     {"qos", qos},
     {"faults", faults},
+    {"obs", obs},
 };
 
 /** Print the claims, add them to BENCH_paper.json; 1 if a gating one fails. */

@@ -139,14 +139,14 @@ TEST(EvalEngine, SerialAndPooledEfficiencyTablesAreIdentical)
 {
     ProfilerOptions popt;
     popt.search = fastSearch(1);
-    popt.servers = {ServerType::T1, ServerType::T2};
+    popt.servers = {ServerType::T1, ServerType::T2, ServerType::T3};
     popt.models = {ModelId::DlrmRmc1, ModelId::MtWnd};
 
     EfficiencyTable serial = offlineProfile(popt);
     popt.search = fastSearch(4);
     EfficiencyTable pooled = offlineProfile(popt);
 
-    ASSERT_EQ(serial.size(), 4u);
+    ASSERT_EQ(serial.size(), 6u);
     EXPECT_TRUE(serial == pooled);
 }
 
