@@ -12,11 +12,11 @@
 #include <string>
 
 #include "core/efficiency_table.h"
-#include "core/eval_engine.h"
 #include "core/profiler.h"
 #include "scenario/scenario.h"
 #include "scenario/spec_io.h"
 #include "sched/gradient_search.h"
+#include "sim/eval_engine.h"
 #include "util/json.h"
 #include "util/logging.h"
 

@@ -373,17 +373,17 @@ struct ConfigResult
 /** Best over the batch axis for a fixed (threads x cores) allocation —
  *  the whole axis fans onto the evaluation engine at once. */
 ConfigResult
-bestOverBatches(core::EvalEngine& engine, const hw::ServerSpec& server,
+bestOverBatches(sim::EvalEngine& engine, const hw::ServerSpec& server,
                 const model::Model& m, int threads, int cores,
                 double sla_ms)
 {
     sched::SearchOptions opt = bench::benchSearchOptions();
-    std::vector<core::EvalRequest> reqs;
+    std::vector<sim::EvalRequest> reqs;
     for (int b : opt.space.batches)
         reqs.push_back({&server, &m, cpuModel(threads, cores, b), sla_ms,
                         opt.measure});
     ConfigResult best;
-    for (const core::EvalResult& res : engine.evaluateMany(reqs)) {
+    for (const sim::EvalResult& res : engine.evaluateMany(reqs)) {
         if (res.valid && res.point && res.point->qps > best.qps) {
             best.qps = res.point->qps;
             best.qps_per_watt = res.point->result.qps_per_watt;
@@ -409,7 +409,7 @@ fig04(Paper& paper)
 
     model::Model m = model::buildModel(model::ModelId::DlrmRmc1);
     const hw::ServerSpec& server = hw::serverSpec(hw::ServerType::T2);
-    core::EvalEngine engine;
+    sim::EvalEngine engine;
 
     TablePrinter t({"SLA (ms)", "QPS 20x1", "QPS 10x2", "gain",
                     "QPS/W 20x1", "QPS/W 10x2", "gain",
@@ -794,7 +794,7 @@ fig08(Paper& paper)
 }
 
 void
-cpuGrid(core::EvalEngine& engine, const hw::ServerSpec& server,
+cpuGrid(sim::EvalEngine& engine, const hw::ServerSpec& server,
         const model::Model& m, double sla_ms)
 {
     sim::MeasureOptions mo = bench::benchSearchOptions().measure;
@@ -811,7 +811,7 @@ cpuGrid(core::EvalEngine& engine, const hw::ServerSpec& server,
 
         // The whole grid fans onto the engine pool; rows are then
         // printed from the ordered result vector.
-        std::vector<core::EvalRequest> reqs;
+        std::vector<sim::EvalRequest> reqs;
         std::vector<int> row_threads;
         for (int th : threads) {
             if (th * o > server.cpu.cores)
@@ -820,7 +820,7 @@ cpuGrid(core::EvalEngine& engine, const hw::ServerSpec& server,
             for (int b : batches)
                 reqs.push_back({&server, &m, cpuModel(th, o, b), sla_ms, mo});
         }
-        std::vector<core::EvalResult> results =
+        std::vector<sim::EvalResult> results =
             engine.evaluateMany(reqs);
 
         TablePrinter t(header);
@@ -844,7 +844,7 @@ cpuGrid(core::EvalEngine& engine, const hw::ServerSpec& server,
 }
 
 void
-gpuGrid(core::EvalEngine& engine, const hw::ServerSpec& server,
+gpuGrid(sim::EvalEngine& engine, const hw::ServerSpec& server,
         const model::Model& m, double sla_ms)
 {
     sim::MeasureOptions mo = bench::benchSearchOptions().measure;
@@ -856,18 +856,18 @@ gpuGrid(core::EvalEngine& engine, const hw::ServerSpec& server,
     for (int f : fusions)
         header.push_back(f == 0 ? "none" : std::to_string(f));
 
-    std::vector<core::EvalRequest> reqs;
+    std::vector<sim::EvalRequest> reqs;
     for (int g : colocs)
         for (int f : fusions)
             reqs.push_back({&server, &m, gpuModel(g, f), sla_ms, mo});
-    std::vector<core::EvalResult> results = engine.evaluateMany(reqs);
+    std::vector<sim::EvalResult> results = engine.evaluateMany(reqs);
 
     TablePrinter t(header);
     size_t i = 0;
     for (int g : colocs) {
         std::vector<std::string> row = {std::to_string(g)};
         for (size_t fi = 0; fi < fusions.size(); ++fi) {
-            const core::EvalResult& res = results[i++];
+            const sim::EvalResult& res = results[i++];
             if (!res.valid) {
                 row.push_back("invalid");
                 continue;
@@ -928,7 +928,7 @@ fig11(Paper&)
     model::Model m = model::buildModel(model::ModelId::DlrmRmc1);
     const hw::ServerSpec& t2 = hw::serverSpec(hw::ServerType::T2);
     const hw::ServerSpec& t7 = hw::serverSpec(hw::ServerType::T7);
-    core::EvalEngine engine;
+    sim::EvalEngine engine;
 
     cpuGrid(engine, t2, m, 20.0);
     searchPath(t2, m, sched::Mapping::CpuModelBased, 20.0);
@@ -955,11 +955,11 @@ fig12(Paper& paper)
     model::Model m = model::buildModel(model::ModelId::DlrmRmc1);
     const hw::ServerSpec& t2 = hw::serverSpec(hw::ServerType::T2);
     sim::MeasureOptions mo = bench::benchSearchOptions().measure;
-    core::EvalEngine engine;
+    sim::EvalEngine engine;
 
     // ---- (a) CPU: sweep the sparse/dense split ------------------------
     std::printf("-- Fig 12(a): CPU S-D split (batch 128, SLA 20 ms) --\n");
-    std::vector<core::EvalRequest> split_reqs;
+    std::vector<sim::EvalRequest> split_reqs;
     for (int o : {1, 2}) {
         for (int s = 1; s * o + 1 <= t2.cpu.cores; ++s) {
             int d = sched::balancedDenseThreads(t2, m, s, o, 128);
@@ -971,7 +971,7 @@ fig12(Paper& paper)
             split_reqs.push_back({&t2, &m, cfg, 20.0, mo});
         }
     }
-    std::vector<core::EvalResult> split_results =
+    std::vector<sim::EvalResult> split_results =
         engine.evaluateMany(split_reqs);
     TablePrinter ta({"Config (SxO::D)", "QPS", "Tail (ms)"});
     // Per o: the sweep's length and its best row (1-based; 0 = none).
@@ -1015,7 +1015,7 @@ fig12(Paper& paper)
     for (int s : {2, 4, 6, 8, 10, 14, 18}) {
         // All nine accelerator-side candidates of one host split are
         // independent: fan them out, reduce in request order.
-        std::vector<core::EvalRequest> reqs;
+        std::vector<sim::EvalRequest> reqs;
         for (int g : {1, 2, 4}) {
             for (int f : {0, 1000, 4000}) {
                 sched::SchedulingConfig cfg = gpuModel(g, f);
@@ -1025,11 +1025,11 @@ fig12(Paper& paper)
                 reqs.push_back({&t7, &m, cfg, 20.0, mo});
             }
         }
-        std::vector<core::EvalResult> results = engine.evaluateMany(reqs);
+        std::vector<sim::EvalResult> results = engine.evaluateMany(reqs);
         double best_qps = -1.0;
         std::string best_gpu = "-";
         for (size_t i = 0; i < reqs.size(); ++i) {
-            const core::EvalResult& res = results[i];
+            const sim::EvalResult& res = results[i];
             if (res.valid && res.point && res.point->qps > best_qps) {
                 best_qps = res.point->qps;
                 best_gpu =
@@ -1517,13 +1517,13 @@ fig17(Paper& paper)
 }
 
 double
-qpsOf(core::EvalEngine& engine, const hw::ServerSpec& server,
+qpsOf(sim::EvalEngine& engine, const hw::ServerSpec& server,
       const model::Model& m, const sched::SchedulingConfig& cfg,
       double sla_ms)
 {
     sim::MeasureOptions mo = bench::benchSearchOptions().measure;
-    core::EvalResult res =
-        engine.evaluate(core::EvalRequest{&server, &m, cfg, sla_ms, mo});
+    sim::EvalResult res =
+        engine.evaluate(sim::EvalRequest{&server, &m, cfg, sla_ms, mo});
     return res.valid && res.point ? res.point->qps : -1.0;
 }
 
@@ -1557,7 +1557,7 @@ ablation(Paper&)
     const hw::ServerSpec& t3 = hw::serverSpec(hw::ServerType::T3);
     const hw::ServerSpec& t7 = hw::serverSpec(hw::ServerType::T7);
     // One engine: ablation cells repeating a config are memo hits.
-    core::EvalEngine engine;
+    sim::EvalEngine engine;
 
     // ---- 1. elementwise fusion ---------------------------------------
     std::printf("-- 1. elementwise operator fusion (cpu-model 10x2 "

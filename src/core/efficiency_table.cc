@@ -124,7 +124,8 @@ EfficiencyTable::tryReadCsv(const std::string& path, std::string* provenance)
     EfficiencyTable table;
     for (size_t i = header + 1; i < rows.size(); ++i) {
         const auto& r = rows[i];
-        if (r.size() < 7)
+        // writeCsv() writes 8 cells a row; any other count is a torn row.
+        if (r.size() != 8)
             return std::nullopt;
         EfficiencyEntry e;
         bool found_server = false;
@@ -152,16 +153,13 @@ EfficiencyTable::tryReadCsv(const std::string& path, std::string* provenance)
         } catch (...) {
             return std::nullopt;
         }
-        if (r.size() >= 8) {
-            auto cfg = sched::SchedulingConfig::fromKey(r[7]);
-            // A feasible row whose config cannot be parsed is a cache
-            // from an older build: the tuple could not be re-prepared
-            // and simulated, so the whole file is rejected.
-            if (!cfg.has_value() && e.feasible)
-                return std::nullopt;
-            if (cfg.has_value())
-                e.config = *cfg;
-        }
+        auto cfg = sim::SchedulingConfig::fromKey(r[7]);
+        // A feasible row whose config cannot be parsed could not be
+        // re-prepared and simulated, so the whole file is rejected.
+        if (!cfg.has_value() && e.feasible)
+            return std::nullopt;
+        if (cfg.has_value())
+            e.config = *cfg;
         table.set(e);
     }
     return table;

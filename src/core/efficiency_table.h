@@ -14,7 +14,7 @@
 
 #include "hw/server.h"
 #include "model/model_zoo.h"
-#include "sched/config.h"
+#include "sim/config.h"
 
 namespace hercules::core {
 
@@ -28,7 +28,7 @@ struct EfficiencyEntry
     double power_w = 0.0;    ///< provisioned (peak) power Power_{h,m}
     double avg_power_w = 0.0;
     double qps_per_watt = 0.0;  ///< energy efficiency at the QPS point
-    sched::SchedulingConfig config;  ///< the optimal task schedule
+    sim::SchedulingConfig config;  ///< the optimal task schedule
 };
 
 /**
@@ -90,8 +90,10 @@ class EfficiencyTable
 
     /**
      * Load a table, returning std::nullopt instead of dying when the
-     * file is malformed or written by an older build (stale config
-     * encoding). Cache consumers use this to fall back to re-profiling.
+     * file is malformed (a row without exactly the 8 cells writeCsv()
+     * writes, as a torn file has) or written by an older build (stale
+     * config encoding). Cache consumers use this to fall back to
+     * re-profiling.
      * @param provenance set to the file's provenance line (empty when
      *        it has none).
      */

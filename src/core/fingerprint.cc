@@ -6,12 +6,12 @@
 #include <string>
 #include <vector>
 
-#include "core/eval_engine.h"
 #include "core/profiler.h"
 #include "hw/cost_model.h"
 #include "hw/power.h"
 #include "model/model_zoo.h"
 #include "sched/gradient_search.h"
+#include "sim/eval_engine.h"
 
 namespace hercules::core {
 
@@ -87,7 +87,7 @@ struct Digest
 void
 addCanonicalCell(Digest& d, const model::Model& m, double power_budget_w)
 {
-    EvalEngine engine(EvalOptions{1});
+    sim::EvalEngine engine(sim::EvalOptions{1});
     sched::SearchOptions o;
     o.space.batches = {32, 128};
     o.space.fusion_limits = {0, 1000};

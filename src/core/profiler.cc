@@ -2,6 +2,7 @@
 
 #include <memory>
 
+#include "sim/eval_engine.h"
 #include "util/logging.h"
 
 namespace hercules::core {
@@ -40,10 +41,10 @@ offlineProfile(const ProfilerOptions& opt)
     // One engine across every (server, model) cell: pairs share the
     // thread pool, and any cell revisiting a profiled configuration
     // (identical server/model signatures) hits the memo.
-    std::unique_ptr<EvalEngine> owned;
-    EvalEngine* engine = opt.search.engine;
+    std::unique_ptr<sim::EvalEngine> owned;
+    sim::EvalEngine* engine = opt.search.engine;
     if (!engine) {
-        owned = std::make_unique<EvalEngine>(opt.search.eval);
+        owned = std::make_unique<sim::EvalEngine>(opt.search.eval);
         engine = owned.get();
     }
     sched::SearchOptions sub = opt.search;

@@ -8,6 +8,7 @@
 #include "core/fingerprint.h"
 #include "obs/self_profile.h"
 #include "scenario/lint.h"
+#include "sim/eval_engine.h"
 #include "util/json.h"
 #include "util/logging.h"
 
@@ -194,15 +195,16 @@ profileTable(const ScenarioSpec& spec)
 
     // One engine for the whole grid; the memo spill warm-starts
     // repeated runs (and CI jobs restoring it from an actions cache).
-    core::EvalEngine engine(popt.search.eval);
+    sim::EvalEngine engine(popt.search.eval);
+    const std::string fingerprint = core::buildFingerprintHex();
     if (!spec.profile.eval_memo.empty())
-        engine.loadCache(spec.profile.eval_memo);
+        engine.loadCache(spec.profile.eval_memo, fingerprint);
     popt.search.engine = &engine;
 
     core::EfficiencyTable table = core::offlineProfile(popt);
 
     if (!spec.profile.eval_memo.empty())
-        engine.saveCache(spec.profile.eval_memo);
+        engine.saveCache(spec.profile.eval_memo, fingerprint);
     if (!spec.profile.table_cache.empty())
         table.writeCsv(spec.profile.table_cache, tableProvenance(spec));
     return table;

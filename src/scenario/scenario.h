@@ -93,8 +93,8 @@ struct ProfileSpec
      */
     std::string table_cache;
     /**
-     * EvalEngine memo spill (core::EvalEngine::saveCache format):
-     * loaded before profiling, saved after, so repeated runs (and CI
+     * EvalEngine memo spill (sim::EvalEngine::saveCache format, under
+     * this build's fingerprint): loaded before profiling, saved after, so repeated runs (and CI
      * jobs restoring the file from an actions cache) warm-start the
      * measurement layer instead of re-simulating. Empty = off.
      */

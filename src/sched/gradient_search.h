@@ -16,13 +16,8 @@
 #include <optional>
 #include <vector>
 
-// sched sits below core in layers.json; the search is parameterized on
-// core::EvalEngine (memoization + parallel fan-out) rather than raw
-// sim::measure calls. Inverting this edge would mean core re-exporting
-// an evaluation interface sched defines — tracked as accepted debt.
-// layer-lint: allow(core)
-#include "core/eval_engine.h"
 #include "sched/space.h"
+#include "sim/eval_engine.h"
 #include "sim/measure.h"
 
 namespace hercules::sched {
@@ -67,14 +62,14 @@ struct SearchOptions
      */
     sim::MeasureOptions measure{};
     /** Evaluation-engine knobs used when no shared engine is given. */
-    core::EvalOptions eval{};
+    sim::EvalOptions eval{};
     /**
      * Shared evaluation engine (borrowed). nullptr: the search builds a
      * private engine from `eval`. Sharing one engine across searches
      * reuses its memo and thread pool — the offline profiler shares one
      * engine across every (server, model) cell.
      */
-    core::EvalEngine* engine = nullptr;
+    sim::EvalEngine* engine = nullptr;
 };
 
 /** Run Algorithm 1 for one model-partition strategy. */

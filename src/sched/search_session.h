@@ -30,7 +30,7 @@ struct Session
             const SearchOptions& o)
         : server(srv), model(m), sla_ms(sla), opt(o),
           owned(opt.engine ? nullptr
-                           : std::make_unique<core::EvalEngine>(opt.eval)),
+                           : std::make_unique<sim::EvalEngine>(opt.eval)),
           engine(opt.engine ? *opt.engine : *owned), timings(server, m)
     {
     }
@@ -41,8 +41,8 @@ struct Session
     const model::Model& model;
     const double sla_ms;
     const SearchOptions& opt;
-    std::unique_ptr<core::EvalEngine> owned;
-    core::EvalEngine& engine;
+    std::unique_ptr<sim::EvalEngine> owned;
+    sim::EvalEngine& engine;
     /** Steps of one call differ in a knob or two and share timings. */
     sim::TimingStore timings;
 };
@@ -98,7 +98,7 @@ class Evaluator
     prefetch(const std::vector<SchedulingConfig>& cfgs)
     {
         std::vector<const SchedulingConfig*> fresh;
-        std::vector<core::EvalRequest> reqs;
+        std::vector<sim::EvalRequest> reqs;
         fresh.reserve(cfgs.size());
         reqs.reserve(cfgs.size());
         for (const SchedulingConfig& cfg : cfgs) {
@@ -107,7 +107,7 @@ class Evaluator
             fresh.push_back(&cfg);
             reqs.push_back(request(cfg));
         }
-        std::vector<core::EvalResult> results =
+        std::vector<sim::EvalResult> results =
             s_.engine.evaluateMany(reqs);
         for (size_t i = 0; i < fresh.size(); ++i) {
             auto [it, inserted] = seen_.try_emplace(fresh[i]->key());
@@ -131,10 +131,10 @@ class Evaluator
     }
 
   private:
-    core::EvalRequest
+    sim::EvalRequest
     request(const SchedulingConfig& cfg)
     {
-        core::EvalRequest r;
+        sim::EvalRequest r;
         r.server = &s_.server;
         r.model = &s_.model;
         r.cfg = cfg;
@@ -145,7 +145,7 @@ class Evaluator
     }
 
     void
-    record(const SchedulingConfig& cfg, core::EvalResult&& res,
+    record(const SchedulingConfig& cfg, sim::EvalResult&& res,
            std::optional<sim::OperatingPoint>& slot)
     {
         if (!res.valid) {

@@ -11,9 +11,15 @@
 
 #include "hw/server.h"
 #include "model/model_zoo.h"
-#include "sched/config.h"
+#include "sim/config.h"
 
 namespace hercules::sched {
+
+// The space is a set of these points; sim::prepare interprets them.
+// Callers above sched spell them sched::, as does perfbench.
+using sim::Mapping;
+using sim::SchedulingConfig;
+using sim::mappingName;
 
 /** Axis values defining the searchable space. */
 struct SpaceOptions

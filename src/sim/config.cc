@@ -1,8 +1,8 @@
-#include "sched/config.h"
+#include "sim/config.h"
 
 #include "util/logging.h"
 
-namespace hercules::sched {
+namespace hercules::sim {
 
 const char*
 mappingName(Mapping m)
@@ -135,4 +135,4 @@ SchedulingConfig::fromKey(const std::string& k)
     return cfg;
 }
 
-}  // namespace hercules::sched
+}  // namespace hercules::sim

@@ -20,7 +20,7 @@
 
 #include "model/partition.h"
 
-namespace hercules::sched {
+namespace hercules::sim {
 
 /** How the (partitioned) model maps onto the server's devices. */
 enum class Mapping {
@@ -98,4 +98,4 @@ struct SchedulingConfig
     static std::optional<SchedulingConfig> fromKey(const std::string& k);
 };
 
-}  // namespace hercules::sched
+}  // namespace hercules::sim

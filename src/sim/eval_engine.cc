@@ -1,13 +1,13 @@
-#include "core/eval_engine.h"
+#include "sim/eval_engine.h"
 
 #include <algorithm>
 #include <cstdio>
 
-#include "core/fingerprint.h"
 #include "obs/self_profile.h"
+#include "util/csv.h"
 #include "util/logging.h"
 
-namespace hercules::core {
+namespace hercules::sim {
 
 namespace {
 
@@ -115,7 +115,7 @@ EvalEngine::cacheKey(const EvalRequest& r)
 
     // SLA + measurement options (anything that steers the probes).
     appendNum(s, "sla", r.sla_ms);
-    const sim::MeasureOptions& mo = r.measure;
+    const MeasureOptions& mo = r.measure;
     appendNum(s, "pb", mo.power_budget_w);
     appendInt(s, "bi", mo.bisect_iters);
     appendInt(s, "nq", mo.sim.num_queries);
@@ -136,17 +136,17 @@ EvalResult
 EvalEngine::compute(const EvalRequest& r)
 {
     EvalResult out;
-    if (sim::validateConfig(*r.server, *r.model, r.cfg)) {
+    if (validateConfig(*r.server, *r.model, r.cfg)) {
         invalid_.fetch_add(1, std::memory_order_relaxed);
         return out;  // invalid: never simulated
     }
     out.valid = true;
 
-    sim::PreparedWorkload w = sim::prepare(*r.server, *r.model, r.cfg);
+    PreparedWorkload w = prepare(*r.server, *r.model, r.cfg);
     if (r.timings != nullptr)
         r.timings->warm(w);
     obs::WallTimer measure_timer;
-    out.point = sim::measureLatencyBoundedQps(w, r.sla_ms, r.measure);
+    out.point = measureLatencyBoundedQps(w, r.sla_ms, r.measure);
     measure_wall_us_.fetch_add(
         static_cast<uint64_t>(measure_timer.elapsedMs() * 1e3),
         std::memory_order_relaxed);
@@ -219,40 +219,33 @@ EvalEngine::stats() const
     return s;
 }
 
-void
-EvalEngine::clearCache()
-{
-    util::MutexLock lock(mu_);
-    cache_.clear();
-}
-
 // ---- cross-process memo persistence --------------------------------------
 //
 // One line per entry:  <key>\t<valid> <has_point> [<point numbers...>]
 // The key is the canonical cacheKey() string (never contains tabs or
 // newlines); numbers are %.17g so doubles round-trip bit-exactly. The
-// header pins a format version and the build fingerprint
-// (core/fingerprint.h) — a file of another format or another build
-// loads nothing rather than poisoning the memo with misparsed or stale
-// results.
+// header pins a format version and the caller's build fingerprint — a
+// file of another format or another build loads nothing rather than
+// poisoning the memo with misparsed or stale results.
 
 namespace {
 
 constexpr const char* kCacheMagic = "HERCULES_EVAL_CACHE v2";
 
-/** The first line of a memo file this build writes and loads. */
+/** The first line of a memo file saved under `fingerprint`. */
 std::string
-cacheHeader()
+cacheHeader(const std::string& fingerprint)
 {
-    return std::string(kCacheMagic) + " fp=" + buildFingerprintHex();
+    return std::string(kCacheMagic) + " fp=" + fingerprint;
 }
 
 void
-writePoint(FILE* f, const sim::OperatingPoint& p)
+appendPoint(std::string& s, const OperatingPoint& p)
 {
-    const sim::ServerSimResult& r = p.result;
-    std::fprintf(
-        f,
+    const ServerSimResult& r = p.result;
+    char buf[1024];
+    std::snprintf(
+        buf, sizeof(buf),
         " %.17g %.17g %.17g %.17g %d"
         " %.17g %.17g %.17g %.17g %.17g %.17g %.17g %.17g"
         " %.17g %.17g %.17g %.17g %.17g"
@@ -266,12 +259,13 @@ writePoint(FILE* f, const sim::OperatingPoint& p)
         r.avg_power_w, r.peak_power_w, r.qps_per_watt,
         r.mean_queue_ms, r.mean_host_ms, r.mean_load_ms, r.mean_exec_ms,
         r.completed, r.duration_s);
+    s += buf;
 }
 
 bool
-readPoint(const char* s, sim::OperatingPoint* p)
+readPoint(const char* s, OperatingPoint* p)
 {
-    sim::ServerSimResult& r = p->result;
+    ServerSimResult& r = p->result;
     int n = std::sscanf(
         s,
         " %lg %lg %lg %lg %d"
@@ -295,7 +289,8 @@ readPoint(const char* s, sim::OperatingPoint* p)
 }  // namespace
 
 size_t
-EvalEngine::saveCache(const std::string& path) const
+EvalEngine::saveCache(const std::string& path,
+                      const std::string& fingerprint) const
 {
     // Snapshot the ready cells under the lock, write outside it.
     std::vector<std::pair<std::string, EvalResult>> entries;
@@ -316,26 +311,25 @@ EvalEngine::saveCache(const std::string& path) const
                   return a.first < b.first;
               });
 
-    FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        warn("EvalEngine::saveCache: cannot open %s", path.c_str());
+    std::string text = cacheHeader(fingerprint) + "\n";
+    for (const auto& [key, result] : entries) {
+        text += key;
+        text += result.valid ? "\t1" : "\t0";
+        text += result.point.has_value() ? " 1" : " 0";
+        if (result.point.has_value())
+            appendPoint(text, *result.point);
+        text += '\n';
+    }
+    if (!replaceFile(path, text)) {
+        warn("EvalEngine::saveCache: cannot write %s", path.c_str());
         return 0;
     }
-    std::fprintf(f, "%s\n", cacheHeader().c_str());
-    for (const auto& [key, result] : entries) {
-        std::fprintf(f, "%s\t%d %d", key.c_str(),
-                     result.valid ? 1 : 0,
-                     result.point.has_value() ? 1 : 0);
-        if (result.point.has_value())
-            writePoint(f, *result.point);
-        std::fputc('\n', f);
-    }
-    std::fclose(f);
     return entries.size();
 }
 
 size_t
-EvalEngine::loadCache(const std::string& path)
+EvalEngine::loadCache(const std::string& path,
+                      const std::string& fingerprint)
 {
     FILE* f = std::fopen(path.c_str(), "r");
     if (f == nullptr)
@@ -350,7 +344,7 @@ EvalEngine::loadCache(const std::string& path)
         return !(line.empty() && c == EOF);
     };
 
-    const std::string header = cacheHeader();
+    const std::string header = cacheHeader(fingerprint);
     if (!readLine() || line != header) {
         if (line.rfind(kCacheMagic, 0) == 0)
             warn("EvalEngine::loadCache: %s was written by another build "
@@ -378,7 +372,7 @@ EvalEngine::loadCache(const std::string& path)
         EvalResult result;
         result.valid = valid != 0;
         if (has_point != 0) {
-            sim::OperatingPoint p;
+            OperatingPoint p;
             if (!readPoint(payload + consumed, &p))
                 continue;
             result.point = p;
@@ -399,4 +393,4 @@ EvalEngine::loadCache(const std::string& path)
     return loaded;
 }
 
-}  // namespace hercules::core
+}  // namespace hercules::sim

@@ -94,7 +94,7 @@ measureLatencyBoundedQps(const PreparedWorkload& w, double sla_ms,
 std::optional<OperatingPoint>
 measureLatencyBoundedQps(const hw::ServerSpec& server,
                          const model::Model& m,
-                         const sched::SchedulingConfig& cfg, double sla_ms,
+                         const SchedulingConfig& cfg, double sla_ms,
                          const MeasureOptions& opt)
 {
     PreparedWorkload w = prepare(server, m, cfg);

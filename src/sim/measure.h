@@ -58,7 +58,7 @@ std::optional<OperatingPoint> measureLatencyBoundedQps(
 /** Convenience overload: prepare + measure. */
 std::optional<OperatingPoint> measureLatencyBoundedQps(
     const hw::ServerSpec& server, const model::Model& m,
-    const sched::SchedulingConfig& cfg, double sla_ms,
+    const SchedulingConfig& cfg, double sla_ms,
     const MeasureOptions& opt);
 
 }  // namespace hercules::sim

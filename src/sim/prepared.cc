@@ -11,9 +11,6 @@
 
 namespace hercules::sim {
 
-using sched::Mapping;
-using sched::SchedulingConfig;
-
 namespace {
 
 /** Host memory available for model storage (small OS/runtime margin). */

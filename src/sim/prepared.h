@@ -17,12 +17,7 @@
 #include "hw/server.h"
 #include "model/model_zoo.h"
 #include "model/partition.h"
-// sim sits below sched in layers.json; PreparedServer is built *from*
-// a sched::SchedulingConfig (the one plain-data type sched exports
-// downward). Moving SchedulingConfig into model/ would fix the edge
-// but orphan it from the search code that owns its semantics.
-// layer-lint: allow(sched)
-#include "sched/config.h"
+#include "sim/config.h"
 #include "util/thread_annotations.h"
 #include "workload/querygen.h"
 
@@ -115,7 +110,7 @@ struct PreparedWorkload
 {
     const hw::ServerSpec* server = nullptr;
     const model::Model* model = nullptr;
-    sched::SchedulingConfig config;
+    SchedulingConfig config;
 
     model::Graph full;    ///< whole graph (elementwise-fused if enabled)
     model::Graph sparse;  ///< SparseNet Gs
@@ -132,7 +127,7 @@ struct PreparedWorkload
     const model::Graph&
     gpuGraph() const
     {
-        return config.mapping == sched::Mapping::GpuModelBased ? full
+        return config.mapping == Mapping::GpuModelBased ? full
                                                                : dense;
     }
 
@@ -152,7 +147,6 @@ struct PreparedWorkload
     int
     cpuPoolOf(CpuStage s) const
     {
-        using sched::Mapping;
         const Mapping m = config.mapping;
         switch (s) {
           case CpuStage::Front:
@@ -256,7 +250,7 @@ class TimingStore
  */
 std::optional<std::string> validateConfig(
     const hw::ServerSpec& server, const model::Model& m,
-    const sched::SchedulingConfig& cfg);
+    const SchedulingConfig& cfg);
 
 /**
  * Build the execution plan; fatal() if the configuration is invalid
@@ -264,7 +258,7 @@ std::optional<std::string> validateConfig(
  */
 PreparedWorkload prepare(const hw::ServerSpec& server,
                          const model::Model& m,
-                         const sched::SchedulingConfig& cfg);
+                         const SchedulingConfig& cfg);
 
 /**
  * Service time (us) of one accelerator batch of `items` at pooling

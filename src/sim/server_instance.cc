@@ -7,14 +7,12 @@
 
 namespace hercules::sim {
 
-using sched::Mapping;
-
 ServerInstance::ServerInstance(const PreparedWorkload& w,
                                const SimOptions& opt)
     : w_(w), opt_(opt), cost_(*w.server), power_(*w.server)
 {
     // ---- set up pools -------------------------------------------------
-    const sched::SchedulingConfig& cfg = w_.config;
+    const SchedulingConfig& cfg = w_.config;
     switch (mapping()) {
       case Mapping::CpuModelBased:
         cpu_pool_.total = cpu_pool_.idle = cfg.cpu_threads;

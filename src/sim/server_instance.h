@@ -240,7 +240,7 @@ class ServerInstance
     };
 
     // ---- configuration shortcuts ----------------------------------------
-    sched::Mapping mapping() const { return w_.config.mapping; }
+    Mapping mapping() const { return w_.config.mapping; }
 
     // ---- query bookkeeping ----------------------------------------------
     struct QueryState

@@ -83,7 +83,7 @@ simulateServer(const PreparedWorkload& w, const SimOptions& opt)
 
 ServerSimResult
 simulateServer(const hw::ServerSpec& server, const model::Model& m,
-               const sched::SchedulingConfig& cfg, const SimOptions& opt)
+               const SchedulingConfig& cfg, const SimOptions& opt)
 {
     PreparedWorkload w = prepare(server, m, cfg);
     return simulateServer(w, opt);

@@ -89,7 +89,7 @@ ServerSimResult simulateServer(const PreparedWorkload& w,
 /** Convenience: prepare + simulate (fatal on invalid config). */
 ServerSimResult simulateServer(const hw::ServerSpec& server,
                                const model::Model& m,
-                               const sched::SchedulingConfig& cfg,
+                               const SchedulingConfig& cfg,
                                const SimOptions& opt);
 
 }  // namespace hercules::sim

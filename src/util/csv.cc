@@ -1,5 +1,8 @@
 #include "util/csv.h"
 
+#include <unistd.h>
+
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -63,12 +66,24 @@ CsvWriter::str() const
 void
 CsvWriter::write(const std::string& path) const
 {
-    std::ofstream f(path);
-    if (!f)
-        fatal("CsvWriter: cannot open %s for writing", path.c_str());
-    f << str();
-    if (!f)
-        fatal("CsvWriter: write to %s failed", path.c_str());
+    if (!replaceFile(path, str()))
+        fatal("CsvWriter: cannot write %s", path.c_str());
+}
+
+bool
+replaceFile(const std::string& path, const std::string& text)
+{
+    // The process id keeps concurrent runs off each other's temporary.
+    const std::string tmp = path + ".tmp" + std::to_string(getpid());
+    std::FILE* f = std::fopen(tmp.c_str(), "w");
+    if (f == nullptr)
+        return false;
+    bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
+    ok = std::fclose(f) == 0 && ok;
+    if (ok && std::rename(tmp.c_str(), path.c_str()) == 0)
+        return true;
+    std::remove(tmp.c_str());
+    return false;
 }
 
 std::vector<std::vector<std::string>>

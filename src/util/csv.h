@@ -28,7 +28,7 @@ class CsvWriter
     /** Append one row; must match the header width. */
     void addRow(const std::vector<std::string>& cells);
 
-    /** Write everything to the given path; fatal() on I/O failure. */
+    /** Write everything to `path` (replaceFile); fatal() on failure. */
     void write(const std::string& path) const;
 
     /** Render to a string (used by tests). */
@@ -48,6 +48,13 @@ class CsvWriter
  * caller decides whether it is a header.
  */
 std::vector<std::vector<std::string>> parseCsv(const std::string& text);
+
+/**
+ * Write `text` to a temporary file beside `path`, then rename it over
+ * `path`, so a run killed mid-write or a concurrent run never leaves a
+ * torn file. @return false when the file cannot be written.
+ */
+bool replaceFile(const std::string& path, const std::string& text);
 
 /** Read and parse a CSV file; fatal() if the file cannot be opened. */
 std::vector<std::vector<std::string>> readCsvFile(const std::string& path);

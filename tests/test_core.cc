@@ -147,6 +147,24 @@ TEST(EfficiencyTable, StaleCacheIsRejectedNotMisread)
     std::remove(path.c_str());
 }
 
+/*
+ * A row cut short (a file torn mid-write) is not a row with a default
+ * config: the file is rejected, so a cache consumer re-profiles.
+ */
+TEST(EfficiencyTable, TornRowIsRejected)
+{
+    std::string path = ::testing::TempDir() + "/hercules_torn.csv";
+    FILE* f = fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    fprintf(f, "server,model,feasible,qps,power_w,avg_power_w,"
+               "qps_per_watt,config\n");
+    fprintf(f, "T3,DLRM-RMC1,1,5812.64,158.66,158.66,36.6\n");
+    fclose(f);
+    std::string provenance;
+    EXPECT_FALSE(EfficiencyTable::tryReadCsv(path, &provenance).has_value());
+    std::remove(path.c_str());
+}
+
 TEST(EfficiencyTable, ConfigKeyRoundtrip)
 {
     sched::SchedulingConfig cfg;

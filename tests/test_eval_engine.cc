@@ -14,10 +14,9 @@
 #include <string>
 #include <vector>
 
-#include "core/eval_engine.h"
-#include "core/fingerprint.h"
 #include "core/profiler.h"
 #include "sched/gradient_search.h"
+#include "sim/eval_engine.h"
 
 namespace hercules::core {
 namespace {
@@ -28,6 +27,10 @@ using sched::Mapping;
 using sched::SchedulingConfig;
 using sched::SearchOptions;
 using sched::SearchResult;
+using sim::EvalEngine;
+using sim::EvalOptions;
+using sim::EvalRequest;
+using sim::EvalResult;
 
 SearchOptions
 fastSearch(int threads)
@@ -225,7 +228,8 @@ TEST(EvalEngine, InvalidConfigsAreNeverSimulated)
 /*
  * Cross-process memo persistence: a saved cache file warm-starts a
  * fresh engine — the replayed request is a pure memo hit (no new
- * simulations) and every measurement round-trips bit-exactly.
+ * simulations) and every measurement round-trips bit-exactly. The
+ * file loads only under the fingerprint it was saved under.
  */
 TEST(EvalEngine, CacheRoundTripsThroughDisk)
 {
@@ -255,10 +259,11 @@ TEST(EvalEngine, CacheRoundTripsThroughDisk)
     EvalResult invalid = first.evaluate(
         request(t2, m, bad, 20.0, mo));
     ASSERT_FALSE(invalid.valid);
-    EXPECT_EQ(first.saveCache(path), 2u);
+    EXPECT_EQ(first.saveCache(path, "a"), 2u);
 
     EvalEngine second(EvalOptions{});
-    EXPECT_EQ(second.loadCache(path), 2u);
+    EXPECT_EQ(second.loadCache(path, "b"), 0u);
+    EXPECT_EQ(second.loadCache(path, "a"), 2u);
     EvalResult replayed = second.evaluate(req);
     EXPECT_TRUE(replayed.cache_hit);
     EXPECT_EQ(second.stats().misses, 0u);
@@ -305,8 +310,7 @@ TEST(EvalEngine, SaveCacheIsKeySortedAndInsertionOrderFree)
     const char* out_a = "test_eval_cache_out_a.tmp";
     const char* out_b = "test_eval_cache_out_b.tmp";
     std::vector<std::string> keys = {"zeta", "alpha", "mid", "beta"};
-    const std::string header =
-        "HERCULES_EVAL_CACHE v2 fp=" + buildFingerprintHex() + "\n";
+    const std::string header = "HERCULES_EVAL_CACHE v2 fp=a\n";
 
     auto write_seed = [&](const char* path, bool reversed) {
         FILE* f = std::fopen(path, "w");
@@ -334,10 +338,10 @@ TEST(EvalEngine, SaveCacheIsKeySortedAndInsertionOrderFree)
     write_seed(rev, true);
     EvalEngine a(EvalOptions{});
     EvalEngine b(EvalOptions{});
-    ASSERT_EQ(a.loadCache(fwd), keys.size());
-    ASSERT_EQ(b.loadCache(rev), keys.size());
-    EXPECT_EQ(a.saveCache(out_a), keys.size());
-    EXPECT_EQ(b.saveCache(out_b), keys.size());
+    ASSERT_EQ(a.loadCache(fwd, "a"), keys.size());
+    ASSERT_EQ(b.loadCache(rev, "a"), keys.size());
+    EXPECT_EQ(a.saveCache(out_a, "a"), keys.size());
+    EXPECT_EQ(b.saveCache(out_b, "a"), keys.size());
 
     std::string text_a = read_file(out_a);
     EXPECT_EQ(text_a, read_file(out_b));
@@ -357,14 +361,14 @@ TEST(EvalEngine, SaveCacheIsKeySortedAndInsertionOrderFree)
 TEST(EvalEngine, LoadCacheRejectsMissingOrForeignFiles)
 {
     EvalEngine engine(EvalOptions{});
-    EXPECT_EQ(engine.loadCache("no_such_eval_cache.tmp"), 0u);
+    EXPECT_EQ(engine.loadCache("no_such_eval_cache.tmp", "a"), 0u);
 
     const char* path = "test_eval_engine_bogus.tmp";
     FILE* f = std::fopen(path, "w");
     ASSERT_NE(f, nullptr);
     std::fprintf(f, "SOME OTHER FORMAT\nkey\t1 0\n");
     std::fclose(f);
-    EXPECT_EQ(engine.loadCache(path), 0u);
+    EXPECT_EQ(engine.loadCache(path, "a"), 0u);
 
     // A well-formed file of the previous format: its keys carry fields
     // the current key no longer has, so its entries would never hit.
@@ -381,17 +385,17 @@ TEST(EvalEngine, LoadCacheRejectsMissingOrForeignFiles)
                  " 200 2 0\n"
                  "invalid\t0 0\n");
     std::fclose(f);
-    EXPECT_EQ(engine.loadCache(path), 0u);
+    EXPECT_EQ(engine.loadCache(path, "a"), 0u);
 
-    // The current format from a build without a fingerprint, or with
+    // The current format saved without a fingerprint, or under
     // another one: its results may be stale.
     for (const char* header :
-         {"HERCULES_EVAL_CACHE v2", "HERCULES_EVAL_CACHE v2 fp=0"}) {
+         {"HERCULES_EVAL_CACHE v2", "HERCULES_EVAL_CACHE v2 fp=b"}) {
         f = std::fopen(path, "w");
         ASSERT_NE(f, nullptr);
         std::fprintf(f, "%s\ninvalid\t0 0\n", header);
         std::fclose(f);
-        EXPECT_EQ(engine.loadCache(path), 0u) << header;
+        EXPECT_EQ(engine.loadCache(path, "a"), 0u) << header;
     }
     std::remove(path);
 }

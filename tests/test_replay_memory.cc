@@ -40,8 +40,8 @@ replayFlat(const PreparedWorkload& w, double seconds)
 TEST(ReplayMemory, LiveStateIsBoundedByIntervalNotHorizon)
 {
     model::Model m = model::buildModel(model::ModelId::DlrmRmc1);
-    sched::SchedulingConfig cfg;
-    cfg.mapping = sched::Mapping::CpuModelBased;
+    SchedulingConfig cfg;
+    cfg.mapping = Mapping::CpuModelBased;
     cfg.cpu_threads = 4;
     cfg.cores_per_thread = 2;
     cfg.batch = 128;

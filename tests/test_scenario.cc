@@ -21,12 +21,12 @@
 #include <vector>
 
 #include "cluster/serving.h"
-#include "core/eval_engine.h"
 #include "core/fingerprint.h"
 #include "fault/fault.h"
 #include "model/model_zoo.h"
 #include "scenario/scenario.h"
 #include "scenario/spec_io.h"
+#include "sim/eval_engine.h"
 
 namespace hercules::scenario {
 namespace {
@@ -1084,12 +1084,13 @@ TEST(ScenarioCache, OtherBuildOrOptionsAreNotReused)
         writeLines(path, lines);
     }
     EXPECT_FALSE(cachedTable(spec).has_value());
-    core::EvalEngine engine(core::EvalOptions{});
-    EXPECT_EQ(engine.loadCache(spec.profile.eval_memo), 0u);
+    sim::EvalEngine engine(sim::EvalOptions{});
+    const std::string hex = core::buildFingerprintHex();
+    EXPECT_EQ(engine.loadCache(spec.profile.eval_memo, hex), 0u);
     // Re-profiling rewrites both under this build.
     EXPECT_EQ(profileTable(spec), table);
     EXPECT_TRUE(cachedTable(spec).has_value());
-    EXPECT_GT(engine.loadCache(spec.profile.eval_memo), 0u);
+    EXPECT_GT(engine.loadCache(spec.profile.eval_memo, hex), 0u);
     std::filesystem::remove_all(dir);
 }
 

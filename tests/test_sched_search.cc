@@ -13,9 +13,9 @@
 #include <functional>
 #include <string>
 
-#include "core/eval_engine.h"
 #include "sched/baselines.h"
 #include "sched/gradient_search.h"
+#include "sim/eval_engine.h"
 
 namespace hercules::sched {
 namespace {
@@ -302,7 +302,7 @@ searchDigest(int threads)
     auto run = [&](const std::function<SearchResult(SearchOptions&)>&
                        search) {
         SearchOptions opt = fastSearch();
-        core::EvalEngine engine(core::EvalOptions{threads});
+        sim::EvalEngine engine(sim::EvalOptions{threads});
         if (threads == 1)
             opt.eval.threads = 1;
         else

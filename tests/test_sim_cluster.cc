@@ -34,8 +34,6 @@ namespace {
 using hw::ServerType;
 using model::ModelId;
 using model::Variant;
-using sched::Mapping;
-using sched::SchedulingConfig;
 
 SchedulingConfig
 cpuConfig(int threads, int cores, int batch)

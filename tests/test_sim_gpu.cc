@@ -22,8 +22,6 @@ namespace {
 using hw::ServerType;
 using model::ModelId;
 using model::Variant;
-using sched::Mapping;
-using sched::SchedulingConfig;
 
 SchedulingConfig
 gpuConfig(int g, int fusion, int host_threads = 2)

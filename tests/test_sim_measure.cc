@@ -13,8 +13,6 @@ namespace {
 
 using hw::ServerType;
 using model::ModelId;
-using sched::Mapping;
-using sched::SchedulingConfig;
 
 SchedulingConfig
 cpuConfig(int threads, int cores, int batch)

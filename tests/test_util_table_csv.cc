@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <iterator>
 #include <string>
 
 #include "util/csv.h"
@@ -106,6 +108,26 @@ TEST(Csv, FileRoundtrip)
     ASSERT_EQ(rows.size(), 2u);
     EXPECT_EQ(rows[1][0], "qps");
     std::remove(path.c_str());
+}
+
+/* A rewrite replaces the file whole and leaves no temporary behind. */
+TEST(Csv, WriteReplacesTheFile)
+{
+    const std::string dir = ::testing::TempDir() + "/hercules_csv_replace";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directory(dir);
+    const std::string path = dir + "/t.csv";
+    for (const char* v : {"1234.5", "6"}) {
+        CsvWriter w({"k", "v"});
+        w.addRow({"qps", v});
+        w.write(path);
+    }
+    EXPECT_EQ(readCsvFile(path)[1][1], "6");
+    EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir),
+                            std::filesystem::directory_iterator{}),
+              1);
+    EXPECT_FALSE(replaceFile(dir + "/no_such_dir/t.csv", "x"));
+    std::filesystem::remove_all(dir);
 }
 
 TEST(CsvDeath, WrongWidthRowIsFatal)

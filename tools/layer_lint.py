@@ -4,8 +4,7 @@
 Builds the quoted-#include graph of every .h/.cc under src/ and checks
 it against tools/layers.json, which declares — per module (= first
 directory component under src/) — the set of other modules that module
-may include from. See tools/README.md for the rules and the escape
-hatch.
+may include from. See tools/README.md for the rules.
 
 Checks
   1. layers.json itself must be a DAG (a cycle in the *declaration* is
@@ -16,13 +15,11 @@ Checks
      its module in layers.json.
   4. Includes of .cc files are always rejected (no reaching into
      another translation unit's internals).
-  5. Waivers that no longer suppress anything are themselves errors, so
-     stale escape hatches cannot accumulate.
+  5. Every declared dependency must be used by some #include, so
+     layers.json is exactly the include graph and cannot go stale.
 
-Escape hatch (mirrors determinism_lint.py):
-  // layer-lint: allow(<module>)       on the include line or the line
-                                       directly above it
-  // layer-lint: allow-file(<module>)  anywhere in the file
+layers.json is the only way to permit an edge: there are no in-file
+waivers.
 
 Exit status: 0 clean, 1 violations, 2 usage/config error.
 """
@@ -33,16 +30,13 @@ import re
 import sys
 
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
-ALLOW_RE = re.compile(r"//\s*layer-lint:\s*allow\(([A-Za-z0-9_,\s-]+)\)")
-ALLOW_FILE_RE = re.compile(
-    r"//\s*layer-lint:\s*allow-file\(([A-Za-z0-9_,\s-]+)\)")
 
 SOURCE_EXTS = (".h", ".hpp", ".cc", ".cpp")
 
 
 def strip_block_comments(text):
     """Blank out /* ... */ spans, preserving newlines so line numbers
-    survive. Line comments are kept: waivers live in them."""
+    survive."""
     out = []
     i, n = 0, len(text)
     while i < n:
@@ -99,7 +93,7 @@ def module_of(relpath):
     return parts[0] if len(parts) > 1 else None
 
 
-def lint_file(path, relpath, modules, violations):
+def lint_file(path, relpath, modules, used, violations):
     mod = module_of(relpath)
     if mod is None:
         violations.append((relpath, 0,
@@ -115,29 +109,10 @@ def lint_file(path, relpath, modules, violations):
 
     with open(path, encoding="utf-8", errors="replace") as f:
         text = strip_block_comments(f.read())
-    lines = text.split("\n")
 
-    file_allows = {}  # module -> first declaration line, for staleness
-    used_file_allows = set()
-    for ln, line in enumerate(lines, 1):
-        m = ALLOW_FILE_RE.search(line)
-        if m:
-            for name in m.group(1).split(","):
-                file_allows.setdefault(name.strip(), ln)
-
-    for ln, line in enumerate(lines, 1):
+    for ln, line in enumerate(text.split("\n"), 1):
         m = INCLUDE_RE.match(line)
         if not m:
-            # A line-level waiver with no waivable include on it or
-            # directly below it is stale.
-            a = ALLOW_RE.search(line)
-            if a and not ALLOW_FILE_RE.search(line):
-                below = lines[ln] if ln < len(lines) else ""
-                if not INCLUDE_RE.match(below):
-                    violations.append(
-                        (relpath, ln,
-                         "stale waiver: no #include on this line or "
-                         "the next"))
             continue
         target = m.group(1)
         if target.endswith((".cc", ".cpp")):
@@ -151,32 +126,13 @@ def lint_file(path, relpath, modules, violations):
             # vendored header); out of scope for the layer check.
             continue
         if tmod in allowed:
-            continue
-        waivers = []
-        a = ALLOW_RE.search(line)
-        if a:
-            waivers += [x.strip() for x in a.group(1).split(",")]
-        if ln >= 2:
-            a = ALLOW_RE.search(lines[ln - 2])
-            if a and not INCLUDE_RE.match(lines[ln - 2]):
-                waivers += [x.strip() for x in a.group(1).split(",")]
-        if tmod in waivers:
-            continue
-        if tmod in file_allows:
-            used_file_allows.add(tmod)
+            used.add((mod, tmod))
             continue
         violations.append(
             (relpath, ln,
              "module '%s' may not include from '%s' "
              "(layers.json deps: %s)" %
              (mod, tmod, ", ".join(sorted(modules[mod])) or "none")))
-
-    for name, ln in sorted(file_allows.items()):
-        if name not in used_file_allows:
-            violations.append(
-                (relpath, ln,
-                 "stale allow-file(%s): no include from '%s' needs it"
-                 % (name, name)))
 
 
 def main(argv):
@@ -200,6 +156,7 @@ def main(argv):
         return 2
 
     present = set()
+    used = set()  # (module, dependency) edges some #include uses
     violations = []
     for root, dirs, files in os.walk(src_dir):
         dirs.sort()
@@ -211,12 +168,19 @@ def main(argv):
             mod = module_of(relpath)
             if mod:
                 present.add(mod)
-            lint_file(path, relpath, modules, violations)
+            lint_file(path, relpath, modules, used, violations)
 
     for mod in sorted(set(modules) - present):
         violations.append(
             ("tools/layers.json", 0,
              "declared module '%s' has no sources under src/" % mod))
+    for mod in sorted(set(modules) & present):
+        for dep in sorted(modules[mod]):
+            if (mod, dep) not in used:
+                violations.append(
+                    ("tools/layers.json", 0,
+                     "module '%s' declares a dependency on '%s' that "
+                     "no #include uses" % (mod, dep)))
 
     for relpath, ln, msg in violations:
         where = "%s:%d" % (relpath, ln) if ln else relpath

@@ -2,8 +2,8 @@
 """Unit tests for tools/layer_lint.py.
 
 Builds miniature src/ trees plus a layers declaration in a temp dir
-and asserts the DAG checks, include checks, waiver handling, and exit
-codes. Registered as the `layer_lint_selftest` ctest.
+and asserts the DAG checks, include checks, stale declarations, and
+exit codes. Registered as the `layer_lint_selftest` ctest.
 """
 
 import contextlib
@@ -114,7 +114,7 @@ class LayerLintTest(unittest.TestCase):
     def test_include_in_block_comment_ignored(self):
         self.write("util/log.h",
                    '/*\n#include "sim/des.h"\n*/\n')
-        self.write("sim/des.h", "")
+        self.write("sim/des.h", '#include "util/log.h"\n')
         rc, out, _ = self.run_lint({"util": [], "sim": ["util"]})
         self.assertEqual(rc, 0, out)
 
@@ -131,60 +131,31 @@ class LayerLintTest(unittest.TestCase):
         self.assertIn("ghost", out)
         self.assertIn("no sources", out)
 
-    # ---- waivers ------------------------------------------------------
-
-    def test_waiver_same_line(self):
+    def test_allow_comment_does_not_suppress(self):
+        # layers.json is the only way to permit an edge.
         self.write("util/log.h",
-                   '#include "sim/des.h"  // layer-lint: allow(sim)\n')
-        self.write("sim/des.h", "")
-        rc, out, _ = self.run_lint({"util": [], "sim": ["util"]})
-        self.assertEqual(rc, 0, out)
-
-    def test_waiver_line_above(self):
-        self.write("util/log.h",
-                   "// layer-lint: allow(sim)\n"
-                   '#include "sim/des.h"\n')
-        self.write("sim/des.h", "")
-        rc, out, _ = self.run_lint({"util": [], "sim": ["util"]})
-        self.assertEqual(rc, 0, out)
-
-    def test_waiver_for_wrong_module_does_not_suppress(self):
-        self.write("util/log.h",
-                   '#include "sim/des.h"  // layer-lint: allow(core)\n')
-        self.write("sim/des.h", "")
+                   '#include "sim/des.h"  // layer-lint: allow(sim)\n'
+                   "// layer-lint: allow(core)\n"
+                   '#include "core/engine.h"\n')
+        self.write("sim/des.h", '#include "util/log.h"\n')
         self.write("core/engine.h", '#include "util/log.h"\n')
         rc, out, _ = self.run_lint(
             {"util": [], "sim": ["util"], "core": ["util"]})
         self.assertEqual(rc, 1)
         self.assertIn("may not include from 'sim'", out)
+        self.assertIn("may not include from 'core'", out)
 
-    def test_stale_line_waiver_flagged(self):
-        self.write("util/log.h",
-                   "// layer-lint: allow(sim)\n"
-                   "int x;\n")
-        self.write("sim/des.h", "")
-        rc, out, _ = self.run_lint({"util": [], "sim": ["util"]})
+    def test_unused_declared_dependency_flagged(self):
+        # layers.json must be exactly the include graph.
+        self.write("util/log.h", "")
+        self.write("hw/cpu.h", '#include "util/log.h"\n')
+        self.write("sim/des.h", '#include "util/log.h"\n')
+        rc, out, _ = self.run_lint(
+            {"util": [], "hw": ["util"], "sim": ["util", "hw"]})
         self.assertEqual(rc, 1)
-        self.assertIn("stale waiver", out)
-
-    def test_allow_file_waiver(self):
-        self.write("util/log.h",
-                   "// layer-lint: allow-file(sim)\n"
-                   '#include "sim/des.h"\n'
-                   '#include "sim/event.h"\n')
-        self.write("sim/des.h", "")
-        self.write("sim/event.h", "")
-        rc, out, _ = self.run_lint({"util": [], "sim": ["util"]})
-        self.assertEqual(rc, 0, out)
-
-    def test_stale_allow_file_flagged(self):
-        self.write("util/log.h",
-                   "// layer-lint: allow-file(sim)\n"
-                   "int x;\n")
-        self.write("sim/des.h", "")
-        rc, out, _ = self.run_lint({"util": [], "sim": ["util"]})
-        self.assertEqual(rc, 1)
-        self.assertIn("stale allow-file(sim)", out)
+        self.assertEqual(
+            out, "tools/layers.json: module 'sim' declares a dependency "
+                 "on 'hw' that no #include uses\n")
 
     # ---- usage / config errors ----------------------------------------
 
